@@ -1,0 +1,84 @@
+"""Golden outputs: the sha256 of every file the seven CLI commands write at
+--seed 0, pinned in tests/golden/digests.json.
+
+A change that alters any output byte fails here. A change that does so on
+purpose regenerates the digests and says why:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import hashlib
+import json
+import os
+import sys
+import tempfile
+
+import pytest
+
+from skipsim.cli import main
+from skipsim.config import load_config
+from skipsim.springtail import length_regime, strike_sequence, strike_trace
+
+DIGESTS = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                       "golden", "digests.json")
+COMMANDS = ("tail-characterize", "gait-drift", "moisture-sweep",
+            "substrate-bench", "scenario", "calibrate", "analyze")
+
+
+def _write_trace(path):
+    """A 10 s force trace of the default blade, as an external recording."""
+    config = load_config()
+    regime = length_regime(config.tail.free_length, config.thresholds)
+    events = strike_sequence(config.tail, config.angle_model, regime, 10.0,
+                             0, config.thresholds)
+    strike_trace(events, config.analysis["trace_sample_rate_hz"],
+                 config.tail.pulse_width).write_csv(path)
+
+
+def _run(command, root):
+    argv = [command, "--seed", "0", "--out", os.path.join(root, command)]
+    if command == "analyze":
+        trace = os.path.join(root, "input", "trace.csv")
+        os.makedirs(os.path.dirname(trace), exist_ok=True)
+        _write_trace(trace)
+        trajectory = os.path.join(root, "gait-drift", "trial_sync_0.csv")
+        if not os.path.exists(trajectory):
+            _run("gait-drift", root)
+        argv += ["--trace", trace, "--trajectory", trajectory]
+    assert main(argv) == 0, command
+
+
+def _digests(root):
+    found = {}
+    for dirpath, _, files in os.walk(root):
+        for name in files:
+            path = os.path.join(dirpath, name)
+            rel = os.path.relpath(path, root).replace(os.sep, "/")
+            with open(path, "rb") as fh:
+                found[rel] = hashlib.sha256(fh.read()).hexdigest()
+    return found
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_outputs_match_golden_digests(tmp_path, command):
+    _run(command, str(tmp_path))
+    found = _digests(str(tmp_path))
+    with open(DIGESTS) as fh:
+        pinned = json.load(fh)
+    # analyze also leaves its inputs (a gait-drift run and a force trace)
+    dirs = {rel.split("/")[0] for rel in found}
+    assert command in dirs
+    assert found == {rel: digest for rel, digest in pinned.items()
+                     if rel.split("/")[0] in dirs}
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as root:
+        for command in COMMANDS:
+            _run(command, root)
+        digests = _digests(root)
+    os.makedirs(os.path.dirname(DIGESTS), exist_ok=True)
+    with open(DIGESTS, "w", newline="") as fh:
+        json.dump(digests, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    print(f"{len(digests)} digests -> {DIGESTS}", file=sys.stderr)
