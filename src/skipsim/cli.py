@@ -14,101 +14,97 @@ EXIT_CONFIG = 2
 EXIT_ASSERT = 3
 
 
-def _base_parser():
+def _count(text):
+    """argparse type of --trials and --budget: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer >= 1, got {text!r}")
+    return value
+
+
+TRIALS = ("--trials", {"type": _count, "help": "override trials per condition"})
+ASSERT = ("--assert", {"dest": "check", "action": "store_true",
+                       "help": "run built-in result checks, exit 3 on failure"})
+
+# name -> (help, flags beyond --config/--seed/--out, one-line report). Each
+# flag's dest is the keyword its runner, experiments.run_<name>, reads.
+COMMANDS = {
+    "tail-characterize": (
+        "strike-force sweep over blade lengths", [ASSERT],
+        lambda summary: f"{len(summary)} lengths"),
+    "gait-drift": (
+        "straight-line drift: encoder gaits vs open loop", [TRIALS, ASSERT],
+        lambda summary: "open-loop max drift "
+                        f"{summary['open_loop']['max_drift_m']:.4f} m"),
+    "moisture-sweep": (
+        "velocity vs moisture grid for all modes", [TRIALS, ASSERT],
+        lambda rows: f"{len(rows)} conditions"),
+    "substrate-bench": (
+        "mean skip velocity per substrate", [TRIALS, ASSERT],
+        lambda summary: f"ordering_ok={summary['ordering_ok']}"),
+    "scenario": (
+        "heterogeneous-terrain run with mode switches", [ASSERT],
+        lambda summary: f"{len(summary['switches'])} switches, "
+                        f"{summary['net_displacement_m']:.3f} m"),
+    "calibrate": (
+        "fit substrate parameters to velocity targets", [
+            ("--targets", {"dest": "targets_path", "metavar": "CSV",
+                           "help": "targets CSV (default: bundled)"}),
+            ("--budget", {"type": _count, "help": "evaluation budget"})],
+        lambda summary: f"final loss {summary['final_loss']:.6f} "
+                        f"({summary['evaluations']} evaluations)"),
+    "analyze": (
+        "run the measurement pipeline on CSV data", [
+            ("--trace", {"dest": "trace_path", "metavar": "CSV",
+                         "help": "force trace CSV (time_s, force_N)"}),
+            ("--trajectory", {
+                "dest": "trajectory_path", "metavar": "CSV",
+                "help": "trajectory CSV (time_s, x_m, y_m, heading_rad)"})],
+        lambda report: str(sorted(report))),
+}
+
+
+def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file overriding defaults")
     common.add_argument("--seed", type=int, help="base random seed")
     common.add_argument("--out", default="skipsim_out",
                         help="output directory (default: skipsim_out)")
-    common.add_argument("--trials", type=int,
-                        help="override trials per condition")
-    common.add_argument("--assert", dest="check", action="store_true",
-                        help="run built-in result checks, exit 3 on failure")
-    return common
-
-
-def build_parser():
-    common = _base_parser()
     parser = argparse.ArgumentParser(
         prog="skipsim",
         description="Skipping/crawling robot simulation experiments")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("tail-characterize", parents=[common],
-                   help="strike-force sweep over blade lengths")
-    sub.add_parser("gait-drift", parents=[common],
-                   help="straight-line drift: encoder gaits vs open loop")
-    sub.add_parser("moisture-sweep", parents=[common],
-                   help="velocity vs moisture grid for all modes")
-    sub.add_parser("substrate-bench", parents=[common],
-                   help="mean skip velocity per substrate")
-    sub.add_parser("scenario", parents=[common],
-                   help="heterogeneous-terrain run with mode switches")
-    p_cal = sub.add_parser("calibrate", parents=[common],
-                           help="fit substrate parameters to velocity targets")
-    p_cal.add_argument("--targets", help="targets CSV (default: bundled)")
-    p_cal.add_argument("--budget", type=int, help="evaluation budget")
-    p_ana = sub.add_parser("analyze", parents=[common],
-                           help="run the measurement pipeline on CSV data")
-    p_ana.add_argument("--trace", help="force trace CSV (time_s, force_N)")
-    p_ana.add_argument("--trajectory",
-                       help="trajectory CSV (time_s, x_m, y_m, heading_rad)")
+    for name, (help_text, flags, _) in COMMANDS.items():
+        command = sub.add_parser(name, parents=[common], help=help_text)
+        for flag, options in flags:
+            command.add_argument(flag, **options)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    kwargs = vars(build_parser().parse_args(argv))
+    name, out = kwargs.pop("command"), kwargs.pop("out")
     try:
-        config = load_config(args.config)
+        config = load_config(kwargs.pop("config"))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    out = args.out
+    # looked up per call, so that wrappers installed on the module apply
+    run = getattr(experiments, "run_" + name.replace("-", "_"))
     try:
-        if args.command == "tail-characterize":
-            summary = experiments.run_tail_characterize(
-                config, out, seed=args.seed, check=args.check)
-            print(f"tail-characterize: {len(summary)} lengths -> {out}")
-        elif args.command == "gait-drift":
-            summary = experiments.run_gait_drift(
-                config, out, seed=args.seed, trials=args.trials,
-                check=args.check)
-            drift = summary["open_loop"]["max_drift_m"]
-            print(f"gait-drift: open-loop max drift {drift:.4f} m -> {out}")
-        elif args.command == "moisture-sweep":
-            rows = experiments.run_moisture_sweep(
-                config, out, seed=args.seed, trials=args.trials,
-                check=args.check)
-            print(f"moisture-sweep: {len(rows)} conditions -> {out}")
-        elif args.command == "substrate-bench":
-            summary = experiments.run_substrate_bench(
-                config, out, seed=args.seed, trials=args.trials,
-                check=args.check)
-            print(f"substrate-bench: ordering_ok={summary['ordering_ok']} "
-                  f"-> {out}")
-        elif args.command == "scenario":
-            summary = experiments.run_scenario(
-                config, out, seed=args.seed, check=args.check)
-            print(f"scenario: {len(summary['switches'])} switches, "
-                  f"{summary['net_displacement_m']:.3f} m -> {out}")
-        elif args.command == "calibrate":
-            summary = experiments.run_calibrate(
-                config, out, seed=args.seed, targets_path=args.targets,
-                budget=args.budget)
-            print(f"calibrate: final loss {summary['final_loss']:.6f} "
-                  f"({summary['evaluations']} evaluations) -> {out}")
-        elif args.command == "analyze":
-            report = experiments.run_analyze(
-                config, out, trace_path=args.trace,
-                trajectory_path=args.trajectory, seed=args.seed)
-            print(f"analyze: {sorted(report)} -> {out}")
+        result = run(config, out, **kwargs)
     except experiments.AssertionFailure as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return EXIT_ASSERT
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    print(f"{name}: {COMMANDS[name][2](result)} -> {out}")
     return EXIT_OK
 
 

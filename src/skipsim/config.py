@@ -5,7 +5,7 @@ unknown keys are always rejected so typos cannot silently fall back."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .gait import AsymmetryNoise, EncoderModel, GaitConfig
 from .locomotion import RobotParams
@@ -20,74 +20,80 @@ class ConfigError(ValueError):
     """Invalid or unknown configuration content."""
 
 
+# One table per typed section: JSON key -> dataclass field. Defaults,
+# parsing and serialisation all read these tables. A tuple of keys spreads
+# one tuple-valued field over several JSON numbers.
+TAIL = {
+    "youngs_modulus_pa": "youngs_modulus", "width_m": "width",
+    "thickness_m": "thickness", "free_length_m": "free_length",
+    "housing_radius_m": "housing_radius", "housing_arc_rad": "housing_arc",
+    "motor_rev_per_s": "motor_speed", "pulse_width_s": "pulse_width",
+}
+ENGAGED_ANGLE = {"kind": "kind", "lower_rad": "lower", "upper_rad": "upper",
+                 "mean_rad": "mean", "spread_rad": "spread"}
+REGIMES = {
+    "jam_below_m": "jam_below", "roll_above_m": "roll_above",
+    "jam_strike_prob": "jam_strike_prob", "roll_attenuation": "roll_attenuation",
+}
+GAIT = {"fin_speed_rad_s": "fin_speed", "stride_m": "stride", "dt_s": "dt"}
+ENCODER = {"magnet_angles_rad": "magnet_angles",
+           "detection_window_rad": "detection_window"}
+NOISE = {
+    ("gain_split_lo", "gain_split_hi"): "gain_split",
+    "stride_jitter_std": "stride_jitter_std",
+    "heading_jitter_std": "heading_jitter_std", "track_width_m": "track_width",
+}
+ROBOT = {
+    "mass_kg": "mass", "body_length_m": "body_length",
+    "launch_angle_rad": "launch_angle", "gravity_m_s2": "gravity",
+    "pitch_speed_limit_m_s": "pitch_speed_limit",
+}
+SKIP = {"floor": "floor", "peak": "peak", "center": "center", "width": "width"}
+CRAWL = {"cap": "cap", "rise_mid": "rise_mid", "rise_width": "rise_width",
+         "decay": "decay"}
+RESPONSE = {
+    "slip_moisture": "slip_moisture", "entanglement": "entanglement",
+    "excavation_traction": "excavation_traction",
+    "moisture_sensitive": "moisture_sensitive",
+}
+
+# The field annotations the tables meet (strings: the model modules use
+# `from __future__ import annotations`) and how an error names each type.
+_TYPES = {"float": float, "float | None": float | None, "str": str,
+          "bool": bool, "tuple": tuple}
+_TYPE_NAMES = {float: "a number", int: "an integer", str: "a string",
+               bool: "a boolean", tuple: "a list of numbers"}
+
+
+def _dump(obj, table) -> dict:
+    """The fields of `obj` named in `table`, keyed by their JSON names."""
+    out = {}
+    for key, name in table.items():
+        value = getattr(obj, name)
+        if isinstance(key, tuple):
+            out.update(zip(key, value))
+        else:
+            out[key] = list(value) if isinstance(value, tuple) else value
+    return out
+
+
 def _substrate_dict(r: MoistureResponse) -> dict:
-    return {
-        "skip": {"floor": r.skip.floor, "peak": r.skip.peak,
-                 "center": r.skip.center, "width": r.skip.width},
-        "crawl": {"cap": r.crawl.cap, "rise_mid": r.crawl.rise_mid,
-                  "rise_width": r.crawl.rise_width, "decay": r.crawl.decay},
-        "slip_moisture": r.slip_moisture,
-        "excavation_traction": r.excavation_traction,
-        "entanglement": r.entanglement,
-        "moisture_sensitive": r.moisture_sensitive,
-    }
+    return {"skip": _dump(r.skip, SKIP), "crawl": _dump(r.crawl, CRAWL),
+            **_dump(r, RESPONSE)}
 
 
 def default_dict() -> dict:
     """The complete default configuration as a plain JSON-ready dict."""
-    tail = TailConfig()
-    angle = EngagedAngleModel()
-    thresholds = RegimeThresholds()
     gait = GaitConfig()
-    noise = gait.noise
-    robot = RobotParams()
     return {
         "schema_version": SCHEMA_VERSION,
         "seed": DEFAULT_SEED,
-        "tail": {
-            "youngs_modulus_pa": tail.youngs_modulus,
-            "width_m": tail.width,
-            "thickness_m": tail.thickness,
-            "free_length_m": tail.free_length,
-            "housing_radius_m": tail.housing_radius,
-            "housing_arc_rad": tail.housing_arc,
-            "motor_rev_per_s": tail.motor_speed,
-            "pulse_width_s": tail.pulse_width,
-        },
-        "engaged_angle": {
-            "kind": angle.kind,
-            "lower_rad": angle.lower,
-            "upper_rad": angle.upper,
-            "mean_rad": angle.mean,
-            "spread_rad": angle.spread,
-        },
-        "regimes": {
-            "jam_below_m": thresholds.jam_below,
-            "roll_above_m": thresholds.roll_above,
-            "jam_strike_prob": thresholds.jam_strike_prob,
-            "roll_attenuation": thresholds.roll_attenuation,
-        },
-        "gait": {
-            "fin_speed_rad_s": gait.fin_speed,
-            "stride_m": gait.stride,
-            "dt_s": gait.dt,
-            "magnet_angles_rad": list(gait.encoder.magnet_angles),
-            "detection_window_rad": gait.encoder.detection_window,
-        },
-        "noise": {
-            "gain_split_lo": noise.gain_split[0],
-            "gain_split_hi": noise.gain_split[1],
-            "stride_jitter_std": noise.stride_jitter_std,
-            "heading_jitter_std": noise.heading_jitter_std,
-            "track_width_m": noise.track_width,
-        },
-        "robot": {
-            "mass_kg": robot.mass,
-            "body_length_m": robot.body_length,
-            "launch_angle_rad": robot.launch_angle,
-            "gravity_m_s2": robot.gravity,
-            "pitch_speed_limit_m_s": robot.pitch_speed_limit,
-        },
+        "tail": _dump(TailConfig(), TAIL),
+        "engaged_angle": _dump(EngagedAngleModel(), ENGAGED_ANGLE),
+        "regimes": _dump(RegimeThresholds(), REGIMES),
+        "gait": {**_dump(gait, GAIT), **_dump(gait.encoder, ENCODER)},
+        "noise": _dump(gait.noise, NOISE),
+        "robot": _dump(RobotParams(), ROBOT),
         "substrates": {
             m.value: _substrate_dict(default_curves(m)) for m in Material
         },
@@ -155,15 +161,43 @@ def _merge(base, override, path=""):
     return base
 
 
-def _number(section, key, path, allow_none=False):
-    value = section[key]
-    if value is None:
-        if allow_none:
+def _is_number(value) -> bool:
+    # bool is an int subclass, but never a valid number
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _typed(value, kind, dotted):
+    """`value` checked against the declared field type `kind`."""
+    if kind == float | None:
+        if value is None:
             return None
-        raise ConfigError(f"config key {path}.{key} must be a number")
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"config key {path}.{key} must be a number")
-    return float(value)
+        kind = float
+    if kind is float:
+        if _is_number(value):
+            return float(value)
+    elif kind is tuple:
+        if isinstance(value, (list, tuple)) and all(map(_is_number, value)):
+            return tuple(float(v) for v in value)
+    elif isinstance(value, kind) and (kind is bool or not isinstance(value, bool)):
+        return value
+    raise ConfigError(f"config key {dotted} must be {_TYPE_NAMES[kind]}")
+
+
+def _parse(cls, table, doc, path, **nested):
+    """Build `cls` from the section of `doc` at dotted `path` through
+    `table`; `nested` passes fields that are themselves dataclasses."""
+    section = doc
+    for key in path.split("."):
+        section = section[key]
+    annotations = {f.name: f.type for f in fields(cls)}
+    for key, name in table.items():
+        if isinstance(key, tuple):
+            nested[name] = tuple(_typed(section[k], float, f"{path}.{k}")
+                                 for k in key)
+        else:
+            nested[name] = _typed(section[key], _TYPES[annotations[name]],
+                                  f"{path}.{key}")
+    return cls(**nested)
 
 
 @dataclass
@@ -198,97 +232,29 @@ def _build(doc: dict) -> ExperimentConfig:
         raise ConfigError(
             f"unsupported schema_version: {doc['schema_version']}")
     try:
-        t = doc["tail"]
-        tail = TailConfig(
-            youngs_modulus=_number(t, "youngs_modulus_pa", "tail"),
-            width=_number(t, "width_m", "tail"),
-            thickness=_number(t, "thickness_m", "tail"),
-            free_length=_number(t, "free_length_m", "tail"),
-            housing_radius=_number(t, "housing_radius_m", "tail"),
-            housing_arc=_number(t, "housing_arc_rad", "tail"),
-            motor_speed=_number(t, "motor_rev_per_s", "tail"),
-            pulse_width=_number(t, "pulse_width_s", "tail"),
-        )
-        a = doc["engaged_angle"]
-        angle_model = EngagedAngleModel(
-            kind=a["kind"],
-            lower=_number(a, "lower_rad", "engaged_angle"),
-            upper=_number(a, "upper_rad", "engaged_angle"),
-            mean=_number(a, "mean_rad", "engaged_angle", allow_none=True),
-            spread=_number(a, "spread_rad", "engaged_angle", allow_none=True),
-        )
-        r = doc["regimes"]
-        thresholds = RegimeThresholds(
-            jam_below=_number(r, "jam_below_m", "regimes"),
-            roll_above=_number(r, "roll_above_m", "regimes"),
-            jam_strike_prob=_number(r, "jam_strike_prob", "regimes"),
-            roll_attenuation=_number(r, "roll_attenuation", "regimes"),
-        )
-        g = doc["gait"]
-        n = doc["noise"]
-        noise = AsymmetryNoise(
-            gain_split=(_number(n, "gain_split_lo", "noise"),
-                        _number(n, "gain_split_hi", "noise")),
-            stride_jitter_std=_number(n, "stride_jitter_std", "noise"),
-            heading_jitter_std=_number(n, "heading_jitter_std", "noise"),
-            track_width=_number(n, "track_width_m", "noise"),
-        )
-        encoder = EncoderModel(
-            magnet_angles=tuple(g["magnet_angles_rad"]),
-            detection_window=_number(g, "detection_window_rad", "gait"),
-        )
-        gait = GaitConfig(
-            fin_speed=_number(g, "fin_speed_rad_s", "gait"),
-            encoder=encoder,
-            noise=noise,
-            stride=_number(g, "stride_m", "gait"),
-            dt=_number(g, "dt_s", "gait"),
-        )
-        rb = doc["robot"]
-        robot = RobotParams(
-            mass=_number(rb, "mass_kg", "robot"),
-            body_length=_number(rb, "body_length_m", "robot"),
-            launch_angle=_number(rb, "launch_angle_rad", "robot"),
-            gravity=_number(rb, "gravity_m_s2", "robot"),
-            pitch_speed_limit=_number(rb, "pitch_speed_limit_m_s", "robot"),
-        )
         responses = {}
-        for key, sub in doc["substrates"].items():
-            material = Material(key)
+        for key in doc["substrates"]:
             path = f"substrates.{key}"
-            skip = SkipCurve(
-                floor=_number(sub["skip"], "floor", path),
-                peak=_number(sub["skip"], "peak", path),
-                center=_number(sub["skip"], "center", path),
-                width=_number(sub["skip"], "width", path),
-            )
-            crawl = CrawlCurve(
-                cap=_number(sub["crawl"], "cap", path),
-                rise_mid=_number(sub["crawl"], "rise_mid", path),
-                rise_width=_number(sub["crawl"], "rise_width", path),
-                decay=_number(sub["crawl"], "decay", path),
-            )
-            responses[material] = MoistureResponse(
-                skip=skip, crawl=crawl,
-                slip_moisture=_number(sub, "slip_moisture", path,
-                                      allow_none=True),
-                excavation_traction=_number(sub, "excavation_traction", path),
-                entanglement=_number(sub, "entanglement", path),
-                moisture_sensitive=bool(sub["moisture_sensitive"]),
-            )
-        seed = doc["seed"]
-        if isinstance(seed, bool) or not isinstance(seed, int):
-            raise ConfigError("config key seed must be an integer")
+            responses[Material(key)] = _parse(
+                MoistureResponse, RESPONSE, doc, path,
+                skip=_parse(SkipCurve, SKIP, doc, path + ".skip"),
+                crawl=_parse(CrawlCurve, CRAWL, doc, path + ".crawl"))
+        return ExperimentConfig(
+            tail=_parse(TailConfig, TAIL, doc, "tail"),
+            angle_model=_parse(EngagedAngleModel, ENGAGED_ANGLE, doc,
+                               "engaged_angle"),
+            thresholds=_parse(RegimeThresholds, REGIMES, doc, "regimes"),
+            gait=_parse(GaitConfig, GAIT, doc, "gait",
+                        encoder=_parse(EncoderModel, ENCODER, doc, "gait"),
+                        noise=_parse(AsymmetryNoise, NOISE, doc, "noise")),
+            robot=_parse(RobotParams, ROBOT, doc, "robot"),
+            responses=responses, analysis=dict(doc["analysis"]),
+            experiments=doc["experiments"],
+            seed=_typed(doc["seed"], int, "seed"), raw=doc)
+    except ConfigError:
+        raise
     except (ValueError, TypeError, KeyError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
         raise ConfigError(str(exc)) from exc
-    return ExperimentConfig(
-        tail=tail, angle_model=angle_model, thresholds=thresholds,
-        gait=gait, robot=robot, responses=responses,
-        analysis=dict(doc["analysis"]), experiments=doc["experiments"],
-        seed=seed, raw=doc,
-    )
 
 
 def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:

@@ -111,6 +111,8 @@ def run_gait_drift(config: ExperimentConfig, out_dir, seed=None,
     seed = config.seed if seed is None else seed
     params = config.experiments["gait_drift"]
     n_trials = trials if trials is not None else params["trials"]
+    if n_trials < 1:
+        raise ValueError("n_trials must be >= 1")
     distance = params["distance_m"]
     os.makedirs(out_dir, exist_ok=True)
     summary = {}

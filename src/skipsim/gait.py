@@ -128,10 +128,9 @@ def _check_step_resolution(speed: float, dt: float, encoder: EncoderModel):
         )
 
 
-class SyncGait:
-    """Both fins rotate together; the fin that reaches its magnet first
-    pauses until the other side's detection validates the passage. A cycle
-    completes once both fins have validated a full revolution."""
+class _EncoderGait:
+    """Two fins, each tracked by its own encoder; a cycle is one magnet
+    revolution's worth of validated detections on both sides."""
 
     def __init__(self, left_speed: float = TWO_PI, right_speed: float | None = None,
                  encoder: EncoderModel | None = None, dt_hint: float = 0.01):
@@ -145,6 +144,12 @@ class SyncGait:
         self._rt = _FinTracker(self.right, self.encoder)
         self.edges_per_cycle = len(self.encoder.magnet_angles)
         self.time = 0.0
+
+
+class SyncGait(_EncoderGait):
+    """Both fins rotate together; the fin that reaches its magnet first
+    pauses until the other side's detection validates the passage. A cycle
+    completes once both fins have validated a full revolution."""
 
     def step(self, dt: float) -> bool:
         if dt <= 0:
@@ -176,24 +181,12 @@ class SyncGait:
         return self._lt.pause_time + self._rt.pause_time
 
 
-class AsyncGait:
+class AsyncGait(_EncoderGait):
     """Fins alternate: only the scheduled fin rotates, handing over at each
     of its encoder detections. A cycle completes once both fins have
     accumulated a full revolution of validated detections."""
 
-    def __init__(self, left_speed: float = TWO_PI, right_speed: float | None = None,
-                 encoder: EncoderModel | None = None, dt_hint: float = 0.01):
-        if right_speed is None:
-            right_speed = left_speed
-        self.encoder = encoder or EncoderModel()
-        _check_step_resolution(max(left_speed, right_speed), dt_hint, self.encoder)
-        self.left = FinState(0.0, left_speed, Side.LEFT)
-        self.right = FinState(0.0, right_speed, Side.RIGHT)
-        self._lt = _FinTracker(self.left, self.encoder)
-        self._rt = _FinTracker(self.right, self.encoder)
-        self.edges_per_cycle = len(self.encoder.magnet_angles)
-        self.active = Side.LEFT
-        self.time = 0.0
+    active = Side.LEFT  # the fin scheduled to move
 
     def step(self, dt: float) -> bool:
         if dt <= 0:

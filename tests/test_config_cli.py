@@ -1,15 +1,31 @@
 import json
 import math
 import os
+import re
 
 import pytest
 
 from skipsim import experiments
 from skipsim.cli import main
-from skipsim.config import ConfigError, default_dict, load_config
+from skipsim.config import ConfigError, default_dict, load_config, write_config
 from skipsim.gait import GaitMode, drift_trial
 from skipsim.stats import ForceTrace
 from skipsim.terrain import Material
+
+
+def _leaves(doc, path=""):
+    for key, value in doc.items():
+        dotted = f"{path}.{key}" if path else key
+        if isinstance(value, dict):
+            yield from _leaves(value, dotted)
+        else:
+            yield dotted, value
+
+
+# every key the config tables type-check (analysis and experiments are free)
+TYPED_KEYS = [(k, v) for k, v in _leaves(default_dict())
+              if k.split(".")[0] not in ("schema_version", "analysis",
+                                         "experiments")]
 
 
 class TestConfig:
@@ -43,6 +59,20 @@ class TestConfig:
         path.write_text(json.dumps({"tail": {"thickness_m": -1.0}}))
         with pytest.raises(ConfigError):
             load_config(path)
+
+    @pytest.mark.parametrize("dotted, default", TYPED_KEYS,
+                             ids=[k for k, _ in TYPED_KEYS])
+    def test_mistyped_value_names_its_key(self, dotted, default):
+        override = 3 if isinstance(default, str) else "3"
+        for key in reversed(dotted.split(".")):
+            override = {key: override}
+        with pytest.raises(ConfigError, match=re.escape(f"key {dotted} must")):
+            load_config(overrides=override)
+
+    def test_written_defaults_rebuild_equal_config(self, tmp_path):
+        path = tmp_path / "defaults.json"
+        write_config(default_dict(), path)
+        assert load_config(path) == load_config()
 
     def test_defaults_are_schema_complete(self):
         doc = default_dict()
@@ -149,6 +179,33 @@ class TestCli:
 
     def test_analyze_without_inputs_exits_2(self, tmp_path):
         assert main(["analyze", "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("argv, doc", [
+        (["gait-drift", "--trials", "-3"], None),
+        (["gait-drift", "--trials", "0"], None),
+        (["moisture-sweep", "--trials", "two"], None),
+        (["calibrate", "--budget", "0"], None),
+        (["tail-characterize", "--trials", "5"], None),
+        (["scenario", "--trials", "0"], None),
+        (["calibrate", "--assert"], None),
+        (["gait-drift"], {"experiments": {"gait_drift": {"trials": 0}}}),
+    ], ids=["drift-trials-neg", "drift-trials-0", "sweep-trials-word",
+            "budget-0", "tail-trials", "scenario-trials", "calibrate-assert",
+            "config-drift-trials-0"])
+    def test_bad_counts_and_flags_exit_2(self, tmp_path, capsys, argv, doc):
+        argv = argv + ["--out", str(tmp_path / "o")]
+        if doc is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(doc))
+            argv += ["--config", str(cfg)]
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects usage errors this way
+            code = exc.code
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err
+        assert "empty sequence" not in err and "Traceback" not in err
 
 
 def _tree_bytes(root):
