@@ -8,14 +8,13 @@ restart points. Every run is reproducible from its seed.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 
 import numpy as np
 
 from .locomotion import LocomotionMode, TrialSpec, run_batch
-from .terrain import (Material, default_curves, with_crawl_curve,
-                      with_skip_curve)
+from .terrain import Material, default_curves
 
 TARGETS_RESOURCE = "calibration_targets.csv"
 
@@ -48,6 +47,10 @@ class ParameterVector:
     def __post_init__(self):
         if set(self.values) != set(self.bounds):
             raise ValueError("values and bounds must cover the same names")
+        self.check()
+
+    def check(self):
+        """Raise unless every value lies within its bounds."""
         for name, v in self.values.items():
             lo, hi = self.bounds[name]
             if lo > hi:
@@ -57,10 +60,6 @@ class ParameterVector:
 
     def copy(self) -> "ParameterVector":
         return ParameterVector(dict(self.values), dict(self.bounds))
-
-    def clipped(self, name: str, value: float) -> float:
-        lo, hi = self.bounds[name]
-        return min(hi, max(lo, value))
 
     @property
     def names(self) -> list:
@@ -82,38 +81,41 @@ _FREE_PARAM_BOUNDS = {
     "grass.skip.level": (0.0, SKIP_EFF_MAX),
 }
 
-_MATERIAL_BY_KEY = {m.value: m for m in Material}
+
+def _free_parameter(name: str) -> tuple:
+    """(material, curve, curve fields) named by a free parameter; a `level`
+    sets a flat skip curve's floor and peak together."""
+    material, curve, fname = name.split(".")
+    return Material(material), curve, (
+        ("floor", "peak") if fname == "level" else (fname,))
 
 
-def default_parameter_vector() -> ParameterVector:
-    """Free parameters initialized from the shipped calibrated curves."""
+def _curves(responses: dict | None) -> dict:
+    """Material -> MoistureResponse, shipped curves filling any gaps."""
+    responses = responses or {}
+    return {m: responses.get(m) or default_curves(m) for m in Material}
+
+
+def default_parameter_vector(responses: dict | None = None) -> ParameterVector:
+    """Free parameters read from `responses` (default: the shipped curves)."""
+    responses = _curves(responses)
     values = {}
     for name in _FREE_PARAM_BOUNDS:
-        mat_key, curve, fname = name.split(".")
-        response = default_curves(_MATERIAL_BY_KEY[mat_key])
-        if curve == "skip":
-            values[name] = response.skip.floor if fname == "level" else getattr(
-                response.skip, fname)
-        else:
-            values[name] = getattr(response.crawl, fname)
+        material, curve, fnames = _free_parameter(name)
+        values[name] = getattr(getattr(responses[material], curve), fnames[0])
     return ParameterVector(values=values, bounds=dict(_FREE_PARAM_BOUNDS))
 
 
-def apply_parameters(params: ParameterVector) -> dict:
-    """Material -> MoistureResponse map with the free parameters applied."""
-    responses = {m: default_curves(m) for m in Material}
+def apply_parameters(params: ParameterVector,
+                     responses: dict | None = None) -> dict:
+    """Material -> MoistureResponse map: `responses` (default: the shipped
+    curves) with the free parameters applied."""
+    responses = _curves(responses)
     for name, value in params.values.items():
-        mat_key, curve, fname = name.split(".")
-        material = _MATERIAL_BY_KEY[mat_key]
+        material, curve, fnames = _free_parameter(name)
         response = responses[material]
-        if curve == "skip":
-            if fname == "level":
-                response = with_skip_curve(response, floor=value, peak=value)
-            else:
-                response = with_skip_curve(response, **{fname: value})
-        else:
-            response = with_crawl_curve(response, **{fname: value})
-        responses[material] = response
+        fitted = replace(getattr(response, curve), **dict.fromkeys(fnames, value))
+        responses[material] = replace(response, **{curve: fitted})
     return responses
 
 
@@ -128,14 +130,12 @@ def simulate_target(target: CalibrationTarget, responses: dict,
 
 
 def loss(params: ParameterVector, targets, n_trials: int = 3,
-         seed: int = 0, **kwargs) -> float:
+         seed: int = 0, responses: dict | None = None, **kwargs) -> float:
     """Weighted squared velocity error over all targets, seeded so the
-    surface is deterministic."""
-    for name, v in params.values.items():
-        lo, hi = params.bounds[name]
-        if not lo <= v <= hi:
-            raise ValueError(f"parameter {name}={v} outside [{lo}, {hi}]")
-    responses = apply_parameters(params)
+    surface is deterministic. The free parameters are applied on top of
+    `responses` (default: the shipped curves)."""
+    params.check()
+    responses = apply_parameters(params, responses)
     total = 0.0
     for target in targets:
         sim = simulate_target(target, responses, n_trials, seed, **kwargs)
@@ -232,12 +232,14 @@ def minimize(fn, initial: ParameterVector, budget: int = 400, seed: int = 0,
 
 def fit(targets, initial: ParameterVector | None = None, budget: int = 400,
         seed: int = 0, n_trials: int = 3, restarts: int = 3,
-        **sim_kwargs) -> FitResult:
-    """Fit the free substrate parameters to velocity targets."""
-    initial = initial or default_parameter_vector()
+        responses: dict | None = None, **sim_kwargs) -> FitResult:
+    """Fit the free substrate parameters of `responses` (default: the
+    shipped curves) to velocity targets."""
+    initial = initial or default_parameter_vector(responses)
 
     def objective(params):
-        return loss(params, targets, n_trials=n_trials, seed=seed, **sim_kwargs)
+        return loss(params, targets, n_trials=n_trials, seed=seed,
+                    responses=responses, **sim_kwargs)
 
     return minimize(objective, initial, budget=budget, seed=seed,
                     restarts=restarts)

@@ -93,6 +93,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    if kwargs["seed"] is None:
+        kwargs["seed"] = config.seed
 
     # looked up per call, so that wrappers installed on the module apply
     run = getattr(experiments, "run_" + name.replace("-", "_"))
@@ -101,7 +103,7 @@ def main(argv=None) -> int:
     except experiments.AssertionFailure as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return EXIT_ASSERT
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     print(f"{name}: {COMMANDS[name][2](result)} -> {out}")

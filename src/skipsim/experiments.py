@@ -55,11 +55,10 @@ def _trial_rows(spec, seed_base, results):
             for k, r in enumerate(results)]
 
 
-def run_tail_characterize(config: ExperimentConfig, out_dir, seed=None,
+def run_tail_characterize(config: ExperimentConfig, out_dir, seed,
                           check=False) -> dict:
     """Strike-force sweep over blade lengths: all peaks per length plus the
     bootstrap CI of the detected peak forces."""
-    seed = config.seed if seed is None else seed
     params = config.experiments["tail_characterize"]
     lengths_mm = params["lengths_mm"]
     if not lengths_mm:
@@ -105,10 +104,9 @@ def run_tail_characterize(config: ExperimentConfig, out_dir, seed=None,
     return summary
 
 
-def run_gait_drift(config: ExperimentConfig, out_dir, seed=None,
-                   trials=None, check=False) -> dict:
+def run_gait_drift(config: ExperimentConfig, out_dir, seed, trials=None,
+                   check=False) -> dict:
     """Straight-line drift comparison: encoder gaits versus open loop."""
-    seed = config.seed if seed is None else seed
     params = config.experiments["gait_drift"]
     n_trials = trials if trials is not None else params["trials"]
     if n_trials < 1:
@@ -120,9 +118,7 @@ def run_gait_drift(config: ExperimentConfig, out_dir, seed=None,
         label = MODE_LABELS[mode]
         drifts = []
         for k in range(n_trials):
-            traj = drift_trial(mode, config.gait.noise, config.gait.stride,
-                               seed + k, distance, config.gait.fin_speed,
-                               config.gait.encoder, config.gait.dt)
+            traj = drift_trial(mode, config.gait, seed + k, distance)
             traj.write_csv(os.path.join(out_dir, f"trial_{label}_{k}.csv"))
             drifts.append(lateral_drift(traj))
         summary[label] = {"max_drift_m": max(drifts), "drifts_m": drifts}
@@ -144,10 +140,9 @@ _SWEEP_MODES = (LocomotionMode.SKIP, LocomotionMode.SYNC_CRAWL,
                 LocomotionMode.ASYNC_CRAWL)
 
 
-def run_moisture_sweep(config: ExperimentConfig, out_dir, seed=None,
-                       trials=None, check=False) -> list:
+def run_moisture_sweep(config: ExperimentConfig, out_dir, seed, trials=None,
+                       check=False) -> list:
     """Velocity versus moisture grid for all three locomotion modes."""
-    seed = config.seed if seed is None else seed
     params = config.experiments["moisture_sweep"]
     n_trials = trials if trials is not None else params["trials"]
     duration = params["duration_s"]
@@ -206,20 +201,14 @@ def _check_sweep(rows):
                 f"clay skip at moisture {m} should slip (velocity 0)")
 
 
-BENCH_TARGETS_CMPS = {
-    "uniform_sand": 0.92,
-    "nonuniform_sand": 2.63,
-    "bentonite_clay": 1.24,
-    "grass": 5.38,
-}
-
 BENCH_ORDER = ("grass", "nonuniform_sand", "bentonite_clay", "uniform_sand")
 
 
-def run_substrate_bench(config: ExperimentConfig, out_dir, seed=None,
-                        trials=None, check=False) -> dict:
-    """Mean skip velocity per substrate with the velocity-ordering check."""
-    seed = config.seed if seed is None else seed
+def run_substrate_bench(config: ExperimentConfig, out_dir, seed, trials=None,
+                        check=False) -> dict:
+    """Mean skip velocity per substrate with the velocity-ordering check and,
+    where the bundled calibration targets hold a skip velocity for a row's
+    condition, a 0.5 cm/s band around it."""
     params = config.experiments["substrate_bench"]
     n_trials = trials if trials is not None else params["trials"]
     duration = params["duration_s"]
@@ -248,18 +237,21 @@ def run_substrate_bench(config: ExperimentConfig, out_dir, seed=None,
     if check:
         if not ordering_ok:
             raise AssertionFailure(f"substrate ordering violated: {means}")
-        for key, target in BENCH_TARGETS_CMPS.items():
-            if key in means and abs(means[key] - target) > 0.5:
+        targets = {(t.material.value, t.moisture): t.target_cmps
+                   for t in cal.bundled_targets()
+                   if t.mode is LocomotionMode.SKIP}
+        for key, moisture, mean, _, _ in rows:
+            target = targets.get((key, moisture))
+            if target is not None and abs(mean - target) > 0.5:
                 raise AssertionFailure(
-                    f"{key} mean {means[key]:.2f} cm/s off target "
-                    f"{target} by more than 0.5")
+                    f"{key} at moisture {moisture:g} mean {mean:.2f} cm/s "
+                    f"off target {target} by more than 0.5")
     return summary
 
 
-def run_scenario(config: ExperimentConfig, out_dir, seed=None,
+def run_scenario(config: ExperimentConfig, out_dir, seed,
                  check=False) -> dict:
     """Heterogeneous-terrain run with mode switches between segments."""
-    seed = config.seed if seed is None else seed
     params = config.experiments["scenario"]
     seg_rows = params["segments"]
     if not seg_rows:
@@ -288,10 +280,10 @@ def run_scenario(config: ExperimentConfig, out_dir, seed=None,
     return summary
 
 
-def run_calibrate(config: ExperimentConfig, out_dir, seed=None,
-                  targets_path=None, budget=None) -> dict:
-    """Fit the free substrate parameters and write the fitted config."""
-    seed = config.seed if seed is None else seed
+def run_calibrate(config: ExperimentConfig, out_dir, seed, targets_path=None,
+                  budget=None) -> dict:
+    """Fit the free parameters of the configured substrate curves and write
+    the config with the fitted curves."""
     params = config.experiments["calibrate"]
     budget = budget if budget is not None else params["budget"]
     targets = (cal.load_targets(targets_path) if targets_path
@@ -300,11 +292,8 @@ def run_calibrate(config: ExperimentConfig, out_dir, seed=None,
     result = cal.fit(targets, budget=budget, seed=seed,
                      n_trials=params["n_trials"],
                      restarts=params["restarts"],
-                     duration=params["duration_s"],
-                     tail=config.tail, gait=config.gait, robot=config.robot,
-                     angle_model=config.angle_model,
-                     thresholds=config.thresholds)
-    fitted = cal.apply_parameters(result.params)
+                     duration=params["duration_s"], **config.trial_kwargs())
+    fitted = cal.apply_parameters(result.params, config.responses)
     write_config(config_with_responses(config, fitted),
                  os.path.join(out_dir, "fitted_config.json"))
     _write_csv(os.path.join(out_dir, "loss_trace.csv"),
@@ -318,15 +307,14 @@ def run_calibrate(config: ExperimentConfig, out_dir, seed=None,
     return {"final_loss": result.loss, "evaluations": result.evaluations}
 
 
-def run_analyze(config: ExperimentConfig, out_dir, trace_path=None,
-                trajectory_path=None, seed=None) -> dict:
+def run_analyze(config: ExperimentConfig, out_dir, seed, trace_path=None,
+                trajectory_path=None) -> dict:
     """Run the measurement pipeline on externally produced CSV data."""
     from .gait import Trajectory
     from .stats import ForceTrace, mean_velocity
 
     if trace_path is None and trajectory_path is None:
         raise ValueError("analyze needs a force-trace or trajectory CSV")
-    seed = config.seed if seed is None else seed
     analysis = config.analysis
     os.makedirs(out_dir, exist_ok=True)
     report = {}

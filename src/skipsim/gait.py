@@ -11,7 +11,9 @@ as the baseline.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
@@ -309,23 +311,38 @@ class Trajectory:
     def duration(self) -> float:
         return self.end.time - self.start.time
 
+    COLUMNS = ("time_s", "x_m", "y_m", "heading_rad")
+
     def write_csv(self, path):
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["time_s", "x_m", "y_m", "heading_rad"])
+            writer.writerow(self.COLUMNS)
             for p in self.poses:
                 writer.writerow([repr(p.time), repr(p.x), repr(p.y), repr(p.heading)])
 
     @classmethod
     def read_csv(cls, path) -> "Trajectory":
-        poses = []
-        with open(path, newline="") as fh:
-            for row in csv.DictReader(fh):
-                poses.append(PlanarPose(
-                    x=float(row["x_m"]), y=float(row["y_m"]),
-                    heading=float(row["heading_rad"]), time=float(row["time_s"]),
-                ))
-        return cls(poses)
+        table = read_csv_table(path, cls.COLUMNS, "trajectory")
+        return cls([PlanarPose(x=x, y=y, heading=heading, time=t)
+                    for t, x, y, heading in table.tolist()])
+
+
+def read_csv_table(path, columns, what) -> np.ndarray:
+    """The non-blank rows of a CSV with exactly `columns` (in any order), as
+    an (n, len(columns)) float array ordered like `columns`."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        if set(header) != set(columns):
+            raise ValueError(f"{what} CSV must have columns {list(columns)}")
+        get = operator.itemgetter(*map(header.index, columns))
+        try:
+            values = np.fromiter(itertools.chain.from_iterable(
+                map(float, get(row)) for row in reader if row), float)
+        except IndexError:
+            raise ValueError(
+                f"{what} CSV line {reader.line_num} has too few fields") from None
+    return values.reshape(-1, len(columns))
 
 
 @dataclass(frozen=True)
@@ -412,20 +429,19 @@ def crawl_kinematics(cycle_times, mode: GaitMode, noise: AsymmetryNoise,
     return Trajectory(poses)
 
 
-def drift_trial(mode: GaitMode, noise: AsymmetryNoise | None = None,
-                stride: float = 0.033, seed: int = 0, distance: float = 1.0,
-                fin_speed: float = TWO_PI, encoder: EncoderModel | None = None,
-                dt: float = 0.01) -> Trajectory:
+def drift_trial(mode: GaitMode, gait: GaitConfig | None = None, seed: int = 0,
+                distance: float = 1.0) -> Trajectory:
     """Simulate one straight-line run until the forward progress along the
     initial heading reaches `distance` (m)."""
     if distance <= 0:
         raise ValueError("distance must be positive")
-    noise = noise or AsymmetryNoise()
-    n_cycles = int(math.ceil(distance / stride)) + 3
-    period = TWO_PI / fin_speed * (2.0 if mode is GaitMode.ASYNC else 1.0)
+    gait = gait or GaitConfig()
+    n_cycles = int(math.ceil(distance / gait.stride)) + 3
+    period = TWO_PI / gait.fin_speed * (2.0 if mode is GaitMode.ASYNC else 1.0)
     duration = (n_cycles + 2) * period
-    events = nominal_cycle_times(mode, duration, fin_speed, dt, encoder)
-    traj = crawl_kinematics(events, mode, noise, stride, seed)
+    events = nominal_cycle_times(mode, duration, gait.fin_speed, gait.dt,
+                                 gait.encoder)
+    traj = crawl_kinematics(events, mode, gait.noise, gait.stride, seed)
     kept = [traj.poses[0]]
     for pose in traj.poses[1:]:
         kept.append(pose)

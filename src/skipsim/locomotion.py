@@ -4,7 +4,7 @@ gait cycles, and substrate response into trials with failure classification."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -95,7 +95,7 @@ def hop_displacement(impulse: float, params: RobotParams,
         raise ValueError("impulse must be positive")
     if substrate.tail_slips:
         return 0.0
-    v0 = substrate.skip_efficiency * impulse / params.mass
+    v0 = takeoff_speed(impulse, params, substrate)
     return v0 ** 2 * math.sin(2.0 * params.launch_angle) / params.gravity
 
 
@@ -108,49 +108,34 @@ def _skip_trial(spec, substrate, tail, robot, angle_model, thresholds, start):
     regime = length_regime(tail.free_length, thresholds)
     events = strike_sequence(tail, angle_model, regime, spec.duration,
                              spec.seed, thresholds)
-    hard = FailureMode.TAIL_SLIP if substrate.tail_slips else None
     x, y, heading = start.x, start.y, start.heading
     poses = [start]
     for e in events:
-        if hard is FailureMode.PITCH_OVER:
-            break
         v0 = takeoff_speed(e.impulse, robot, substrate)
         if spec.material is Material.RIGID and v0 > robot.pitch_speed_limit:
             # the strike lifts the forebody; the robot leans on its tail and
             # stops advancing
-            hard = FailureMode.PITCH_OVER
             poses.append(PlanarPose(x, y, heading, start.time + e.time))
-            continue
+            return poses, FailureMode.PITCH_OVER
         d = hop_displacement(e.impulse, robot, substrate)
         x += d * math.cos(heading)
         y += d * math.sin(heading)
         poses.append(PlanarPose(x, y, heading, start.time + e.time))
-    end_time = start.time + spec.duration
-    if poses[-1].time < end_time:
-        poses.append(PlanarPose(x, y, heading, end_time))
-    return Trajectory(poses), hard
+    return poses, FailureMode.TAIL_SLIP if substrate.tail_slips else None
 
 
 def _crawl_trial(spec, substrate, gait, start):
-    end_time = start.time + spec.duration
     if substrate.excavates:
         # the fins dig the robot into the bed; no forward motion
-        poses = [start, PlanarPose(start.x, start.y, start.heading, end_time)]
-        return Trajectory(poses), FailureMode.EXCAVATION
+        return [start], FailureMode.EXCAVATION
     mode = _GAIT_MODE[spec.mode]
     events = nominal_cycle_times(mode, spec.duration, gait.fin_speed,
                                  gait.dt, gait.encoder)
     stride_eff = gait.stride * substrate.crawl_traction
     if stride_eff <= 0.0 or not events:
-        poses = [start, PlanarPose(start.x, start.y, start.heading, end_time)]
-        return Trajectory(poses), None
-    traj = crawl_kinematics(events, mode, gait.noise, stride_eff,
-                            spec.seed, start)
-    poses = list(traj.poses)
-    if poses[-1].time < end_time:
-        poses.append(PlanarPose(poses[-1].x, poses[-1].y,
-                                poses[-1].heading, end_time))
-    return Trajectory(poses), None
+        return [start], None
+    return crawl_kinematics(events, mode, gait.noise, stride_eff, spec.seed,
+                            start).poses, None
 
 
 def run_trial(spec: TrialSpec, tail: TailConfig | None = None,
@@ -171,10 +156,14 @@ def run_trial(spec: TrialSpec, tail: TailConfig | None = None,
     substrate = moisture_response(spec.material, spec.moisture, response)
 
     if spec.mode is LocomotionMode.SKIP:
-        trajectory, hard = _skip_trial(spec, substrate, tail, robot,
-                                       angle_model, thresholds, start)
+        poses, hard = _skip_trial(spec, substrate, tail, robot, angle_model,
+                                  thresholds, start)
     else:
-        trajectory, hard = _crawl_trial(spec, substrate, gait, start)
+        poses, hard = _crawl_trial(spec, substrate, gait, start)
+    end, end_time = poses[-1], start.time + spec.duration
+    if end.time < end_time:
+        poses.append(PlanarPose(end.x, end.y, end.heading, end_time))
+    trajectory = Trajectory(poses)
 
     displacement = trajectory.net_displacement()
     velocity = displacement / spec.duration
@@ -194,10 +183,7 @@ def run_batch(spec: TrialSpec, n_trials: int, seed_base: int,
         raise ValueError("n_trials must be >= 1")
     results = []
     for k in range(n_trials):
-        trial_spec = TrialSpec(mode=spec.mode, material=spec.material,
-                               moisture=spec.moisture, duration=spec.duration,
-                               seed=seed_base + k)
-        results.append(run_trial(trial_spec, **kwargs))
+        results.append(run_trial(replace(spec, seed=seed_base + k), **kwargs))
     velocities = np.array([r.effective_velocity for r in results])
     if n_trials == 1 or velocities.min() == velocities.max():
         std = 0.0

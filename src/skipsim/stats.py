@@ -11,7 +11,7 @@ from enum import Enum
 
 import numpy as np
 
-from .gait import Trajectory
+from .gait import Trajectory, read_csv_table
 
 FAILURE_THRESHOLD_M = 0.10  # net displacement below this counts as a failure
 
@@ -51,24 +51,28 @@ class ForceTrace:
     def duration(self) -> float:
         return self.samples.size / self.sample_rate
 
+    COLUMNS = ("time_s", "force_N")
+
     def write_csv(self, path):
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["time_s", "force_N"])
+            writer.writerow(self.COLUMNS)
             for t, v in zip(self.times(), self.samples):
                 writer.writerow([repr(float(t)), repr(float(v))])
 
     @classmethod
     def read_csv(cls, path) -> "ForceTrace":
-        times, values = [], []
-        with open(path, newline="") as fh:
-            for row in csv.DictReader(fh):
-                times.append(float(row["time_s"]))
-                values.append(float(row["force_N"]))
+        """Read a trace written by write_csv: timestamps must rise at one
+        step (to a relative 1e-6), from which the sample rate follows."""
+        times, values = read_csv_table(path, cls.COLUMNS, "force trace").T
         if len(times) < 2:
             raise ValueError("force trace CSV needs at least two samples")
+        step = (times[-1] - times[0]) / (len(times) - 1)
+        if not (step > 0 and np.all(np.abs(np.diff(times) - step) <= 1e-6 * step)):
+            raise ValueError(
+                "force trace CSV timestamps must rise at a uniform step")
         rate = (len(times) - 1) / (times[-1] - times[0])
-        return cls(sample_rate=rate, samples=np.array(values))
+        return cls(sample_rate=float(rate), samples=values)
 
 
 @dataclass(frozen=True)

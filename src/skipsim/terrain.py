@@ -11,7 +11,7 @@ calibrate module) and can be regenerated with `skipsim calibrate`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 MOISTURE_MAX = 1.2  # upper end of the supported moisture domain
@@ -177,12 +177,3 @@ def moisture_response(material: Material, moisture: float,
         entangles=r.entanglement > 0.0,
     )
 
-
-def with_skip_curve(response: MoistureResponse, **kwargs) -> MoistureResponse:
-    """Copy of a response with skip-curve fields replaced."""
-    return replace(response, skip=replace(response.skip, **kwargs))
-
-
-def with_crawl_curve(response: MoistureResponse, **kwargs) -> MoistureResponse:
-    """Copy of a response with crawl-curve fields replaced."""
-    return replace(response, crawl=replace(response.crawl, **kwargs))

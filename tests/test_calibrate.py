@@ -1,8 +1,13 @@
+import csv
+import json
+
 import pytest
 
 from skipsim import calibrate as cal
+from skipsim.cli import main
+from skipsim.config import load_config
 from skipsim.locomotion import LocomotionMode
-from skipsim.terrain import Material
+from skipsim.terrain import Material, default_curves
 
 
 def quadratic_vector():
@@ -124,3 +129,69 @@ class TestFullModelFit:
         initial_loss = cal.loss(cal.default_parameter_vector(), targets, seed=0)
         assert result.loss <= initial_loss + 1e-12
         assert all(a >= b for a, b in zip(result.trace, result.trace[1:]))
+
+
+def _calibrate(tmp_path, substrates, budget="2"):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"substrates": substrates}))
+    out = tmp_path / "cal"
+    code = main(["calibrate", "--config", str(cfg), "--budget", budget,
+                 "--out", str(out)])
+    return code, cfg, out
+
+
+class TestConfiguredCurves:
+    """calibrate fits, and writes back, the curves of the config it is given."""
+
+    def test_shipped_curves_by_default(self):
+        config = load_config()
+        assert (cal.default_parameter_vector(config.responses).values
+                == cal.default_parameter_vector().values)
+        assert cal.apply_parameters(cal.default_parameter_vector()) == {
+            m: default_curves(m) for m in Material}
+
+    def test_apply_keeps_the_fields_it_does_not_fit(self):
+        config = load_config(overrides={"substrates": {
+            "rigid": {"crawl": {"cap": 0.5}},
+            "uniform_sand": {"skip": {"center": 0.2}}}})
+        params = cal.default_parameter_vector(config.responses)
+        assert cal.apply_parameters(params, config.responses) == config.responses
+
+    def test_level_sets_floor_and_peak(self):
+        params = cal.default_parameter_vector()
+        params.values["grass.skip.level"] = 0.5
+        skip = cal.apply_parameters(params)[Material.GRASS].skip
+        assert (skip.floor, skip.peak) == (0.5, 0.5)
+
+    def test_fitted_config_keeps_configured_fields(self, tmp_path):
+        code, _, out = _calibrate(tmp_path, {
+            "rigid": {"crawl": {"cap": 0.5}},
+            "uniform_sand": {"skip": {"center": 0.2}}})
+        assert code == 0
+        fitted = json.loads((out / "fitted_config.json").read_text())
+        assert fitted["substrates"]["rigid"]["crawl"]["cap"] == 0.5
+        assert fitted["substrates"]["uniform_sand"]["skip"]["center"] == 0.2
+
+    def test_fit_starts_from_configured_curves(self, tmp_path):
+        code, cfg, out = _calibrate(
+            tmp_path, {"uniform_sand": {"crawl": {"cap": 0.8}}}, budget="1")
+        assert code == 0
+        with open(out / "loss_trace.csv") as fh:
+            first = float(next(csv.DictReader(fh))["best_loss"])
+        config = load_config(cfg)
+        params = config.experiments["calibrate"]
+        targets = cal.bundled_targets()
+        kwargs = dict(n_trials=params["n_trials"], seed=0,
+                      duration=params["duration_s"])
+        initial = cal.default_parameter_vector(config.responses)
+        assert initial.values["uniform_sand.crawl.cap"] == 0.8
+        assert first == cal.loss(initial, targets, **kwargs,
+                                 **config.trial_kwargs())
+        assert first != cal.loss(cal.default_parameter_vector(), targets,
+                                 **kwargs)
+
+    def test_configured_value_outside_bounds_exits_2(self, tmp_path, capsys):
+        code, _, _ = _calibrate(
+            tmp_path, {"grass": {"skip": {"floor": 0.9, "peak": 0.9}}})
+        assert code == 2
+        assert "grass.skip.level" in capsys.readouterr().err

@@ -177,6 +177,39 @@ class TestCli:
         assert report["trace"]["n"] == 2
         assert report["trajectory"]["net_displacement_m"] >= 1.0
 
+    @pytest.mark.parametrize("argv, text", [
+        (["analyze", "--trace"], "time_s,force_N\n0.0,1.0\n0.0,2.0\n"),
+        (["analyze", "--trace"],
+         "time_s,force_N\n0.0,1.0\n0.5,2.0\n2.0,1.0\n"),
+        (["analyze", "--trajectory"],
+         "time_s,x_m,y_m\n0.0,0.0,0.0\n1.0,1.0,0.0\n"),
+        (["analyze", "--trace"], "time_s,force_N\n0.0,1.0\n0.0005\n"),
+        (["analyze", "--trace"], None),
+        (["calibrate", "--budget", "1", "--targets"], None),
+    ], ids=["trace-equal-times", "trace-uneven-times", "trajectory-no-heading",
+            "trace-short-row", "trace-missing", "targets-missing"])
+    def test_bad_csv_inputs_exit_2(self, tmp_path, capsys, argv, text):
+        path = tmp_path / "input.csv"
+        if text is not None:
+            path.write_text(text)
+        assert main(argv + [str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_substrate_bench_checks_targets_at_row_moisture(self, tmp_path):
+        # the 15% uniform-sand row misses its bundled 3.4 cm/s target when
+        # the curve's peak moves to 25%, while the dry row still passes
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "substrates": {"uniform_sand": {"skip": {"center": 0.25}}},
+            "experiments": {"substrate_bench": {"conditions": [
+                ["uniform_sand", 0.15], ["nonuniform_sand", 0.0],
+                ["bentonite_clay", 0.3333], ["grass", 0.0],
+                ["uniform_sand", 0.0]]}}}))
+        assert main(["substrate-bench", "--config", str(cfg), "--assert",
+                     "--out", str(tmp_path / "o")]) == 3
+
     def test_analyze_without_inputs_exits_2(self, tmp_path):
         assert main(["analyze", "--out", str(tmp_path / "o")]) == 2
 

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from skipsim.gait import (TWO_PI, AsymmetryNoise, AsyncGait, EncoderModel,
-                          FinState, GaitMode, OpenLoopGait, PlanarPose, Side,
-                          SyncGait, Trajectory, crawl_kinematics, drift_trial,
-                          encoder_read, nominal_cycle_times, run_cycles)
+                          FinState, GaitConfig, GaitMode, OpenLoopGait,
+                          PlanarPose, Side, SyncGait, Trajectory,
+                          crawl_kinematics, drift_trial, encoder_read,
+                          nominal_cycle_times, run_cycles)
 from skipsim.stats import lateral_drift
 
 DT = 0.01
@@ -174,8 +175,9 @@ class TestDriftTrial:
         assert times == sorted(times)
 
     def test_async_covers_same_cycles_more_slowly(self):
-        sync = drift_trial(GaitMode.SYNC, AsymmetryNoise.zero(), seed=0)
-        asyn = drift_trial(GaitMode.ASYNC, AsymmetryNoise.zero(), seed=0)
+        gait = GaitConfig(noise=AsymmetryNoise.zero())
+        sync = drift_trial(GaitMode.SYNC, gait, seed=0)
+        asyn = drift_trial(GaitMode.ASYNC, gait, seed=0)
         assert len(sync.poses) == len(asyn.poses)
         assert asyn.duration() > sync.duration()
 
