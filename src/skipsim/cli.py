@@ -4,6 +4,7 @@ error, 3 failed built-in check in --assert mode."""
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import experiments
@@ -14,19 +15,18 @@ EXIT_CONFIG = 2
 EXIT_ASSERT = 3
 
 
-def _count(text):
-    """argparse type of --trials and --budget: an integer >= 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"must be an integer >= 1, got {text!r}")
-    return value
+def _at_least(minimum):
+    """argparse type: an integer >= `minimum`."""
+    def integer(text):
+        if int(text) < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {minimum}, got {text}")
+        return int(text)
+    return integer
 
 
-TRIALS = ("--trials", {"type": _count, "help": "override trials per condition"})
+TRIALS = ("--trials", {"type": _at_least(1),
+                       "help": "override trials per condition"})
 ASSERT = ("--assert", {"dest": "check", "action": "store_true",
                        "help": "run built-in result checks, exit 3 on failure"})
 
@@ -54,7 +54,7 @@ COMMANDS = {
         "fit substrate parameters to velocity targets", [
             ("--targets", {"dest": "targets_path", "metavar": "CSV",
                            "help": "targets CSV (default: bundled)"}),
-            ("--budget", {"type": _count, "help": "evaluation budget"})],
+            ("--budget", {"type": _at_least(1), "help": "evaluation budget"})],
         lambda summary: f"final loss {summary['final_loss']:.6f} "
                         f"({summary['evaluations']} evaluations)"),
     "analyze": (
@@ -71,7 +71,7 @@ COMMANDS = {
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file overriding defaults")
-    common.add_argument("--seed", type=int, help="base random seed")
+    common.add_argument("--seed", type=_at_least(0), help="base random seed")
     common.add_argument("--out", default="skipsim_out",
                         help="output directory (default: skipsim_out)")
     parser = argparse.ArgumentParser(
@@ -99,6 +99,7 @@ def main(argv=None) -> int:
     # looked up per call, so that wrappers installed on the module apply
     run = getattr(experiments, "run_" + name.replace("-", "_"))
     try:
+        os.makedirs(out, exist_ok=True)
         result = run(config, out, **kwargs)
     except experiments.AssertionFailure as exc:
         print(f"check failed: {exc}", file=sys.stderr)

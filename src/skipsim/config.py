@@ -62,7 +62,8 @@ RESPONSE = {
 _TYPES = {"float": float, "float | None": float | None, "str": str,
           "bool": bool, "tuple": tuple}
 _TYPE_NAMES = {float: "a number", int: "an integer", str: "a string",
-               bool: "a boolean", tuple: "a list of numbers"}
+               bool: "a boolean", tuple: "a list of numbers",
+               list: "a list shaped like its default"}
 
 
 def _dump(obj, table) -> dict:
@@ -147,7 +148,8 @@ def default_dict() -> dict:
 
 
 def _merge(base, override, path=""):
-    """Recursive dict merge; override keys must already exist in base."""
+    """Recursive dict merge; override keys must already exist in base. In
+    the sections no table types, each value must fit its default's shape."""
     for key, value in override.items():
         dotted = f"{path}.{key}" if path else key
         if key not in base:
@@ -156,9 +158,26 @@ def _merge(base, override, path=""):
             if not isinstance(value, dict):
                 raise ConfigError(f"config key {dotted} must be an object")
             _merge(base[key], value, dotted)
+        elif (dotted.split(".")[0] in ("analysis", "experiments")
+              and not _fits(value, base[key])):
+            raise ConfigError(f"config key {dotted} must be "
+                              f"{_TYPE_NAMES[type(base[key])]}")
         else:
             base[key] = value
     return base
+
+
+def _fits(value, default, record=False) -> bool:
+    """Whether `value` has the JSON shape of `default`: its scalar type (an
+    integer passes for a number), a list whose items each fit the first
+    default item, or, as such an item, a record that fits field by field."""
+    if isinstance(default, float):
+        return _is_number(value)
+    if not isinstance(default, list) or not isinstance(value, list):
+        return type(value) is type(default)
+    like = default if record else default[:1] * len(value)
+    return len(value) == len(like) and all(
+        _fits(v, d, not record) for v, d in zip(value, like))
 
 
 def _is_number(value) -> bool:
@@ -231,6 +250,9 @@ def _build(doc: dict) -> ExperimentConfig:
     if doc["schema_version"] != SCHEMA_VERSION:
         raise ConfigError(
             f"unsupported schema_version: {doc['schema_version']}")
+    seed = _typed(doc["seed"], int, "seed")
+    if seed < 0:
+        raise ConfigError("config key seed must be >= 0")
     try:
         responses = {}
         for key in doc["substrates"]:
@@ -250,11 +272,15 @@ def _build(doc: dict) -> ExperimentConfig:
             robot=_parse(RobotParams, ROBOT, doc, "robot"),
             responses=responses, analysis=dict(doc["analysis"]),
             experiments=doc["experiments"],
-            seed=_typed(doc["seed"], int, "seed"), raw=doc)
+            seed=seed, raw=doc)
     except ConfigError:
         raise
     except (ValueError, TypeError, KeyError) as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def _reject_constant(name):
+    raise ConfigError(f"config file holds {name}, which is not a JSON number")
 
 
 def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
@@ -264,7 +290,7 @@ def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
     if path is not None:
         try:
             with open(path) as fh:
-                user = json.load(fh)
+                user = json.load(fh, parse_constant=_reject_constant)
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
         except json.JSONDecodeError as exc:
@@ -283,9 +309,3 @@ def config_with_responses(config: ExperimentConfig, responses: dict) -> dict:
     for material, response in responses.items():
         doc["substrates"][material.value] = _substrate_dict(response)
     return doc
-
-
-def write_config(doc: dict, path):
-    with open(path, "w", newline="") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -4,55 +4,57 @@ given seed (floats are written in shortest round-trip form)."""
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 import os
 from dataclasses import replace
 
 from . import calibrate as cal
-from .config import ExperimentConfig, config_with_responses, write_config
-from .gait import GaitMode, drift_trial
+from .config import ExperimentConfig, config_with_responses
+from .fileio import write_csv, write_json
+from .gait import GaitMode, Trajectory, drift_trial
 from .locomotion import (LocomotionMode, ScenarioSegment, TrialSpec,
                          run_batch, scenario_heterogeneous)
 from .springtail import length_regime, strike_sequence, strike_trace
-from .stats import bootstrap_ci, detect_peaks, lateral_drift
+from .stats import (ForceTrace, bootstrap_ci, detect_peaks, lateral_drift,
+                    mean_velocity)
 from .terrain import Material
-
-MODE_LABELS = {
-    GaitMode.SYNC: "sync",
-    GaitMode.ASYNC: "async",
-    GaitMode.OPEN_LOOP: "open_loop",
-}
 
 
 class AssertionFailure(RuntimeError):
     """A built-in experiment check failed (--assert mode)."""
 
 
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v
-                             for v in row])
-
-
-def _write_json(path, payload):
-    with open(path, "w", newline="") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 TRIAL_COLUMNS = ["mode", "material", "moisture", "seed", "displacement_m",
                  "velocity_mps", "failure"]
 
 
-def _trial_rows(spec, seed_base, results):
-    return [(spec.mode.value, spec.material.value, float(spec.moisture),
-             seed_base + k, r.displacement, r.mean_velocity, r.failure.value)
-            for k, r in enumerate(results)]
+def _run_batches(config, specs, n_trials, seed, out_dir) -> list:
+    """One run_batch per spec, with every trial written to trials.csv; the
+    batch summaries in spec order."""
+    batches, trial_rows = [], []
+    for spec in specs:
+        results, batch = run_batch(spec, n_trials, seed,
+                                   **config.trial_kwargs())
+        batches.append(batch)
+        trial_rows += [(spec.mode.value, spec.material.value,
+                        float(spec.moisture), seed + k, r.displacement,
+                        r.mean_velocity, r.failure.value)
+                       for k, r in enumerate(results)]
+    write_csv(os.path.join(out_dir, "trials.csv"), TRIAL_COLUMNS, trial_rows)
+    return batches
+
+
+def _measure(trace, analysis, seed):
+    """The peaks of `trace` and their summary: count, and with any peaks the
+    mean and bootstrap CI."""
+    peaks = detect_peaks(trace, analysis["peak_threshold_n"],
+                         analysis["min_separation_s"])
+    entry = {"n": peaks.count}
+    if peaks.count:
+        ci = bootstrap_ci(peaks.values, analysis["ci_level"],
+                          analysis["bootstrap_resamples"], seed)
+        entry.update(mean_N=ci.mean, ci_lo_N=ci.lower, ci_hi_N=ci.upper)
+    return peaks, entry
 
 
 def run_tail_characterize(config: ExperimentConfig, out_dir, seed,
@@ -65,7 +67,6 @@ def run_tail_characterize(config: ExperimentConfig, out_dir, seed,
         raise ValueError("tail_characterize.lengths_mm must not be empty")
     record_s = params["record_s"]
     analysis = config.analysis
-    os.makedirs(out_dir, exist_ok=True)
     rows = []
     summary = {}
     for idx, length_mm in enumerate(lengths_mm):
@@ -75,21 +76,14 @@ def run_tail_characterize(config: ExperimentConfig, out_dir, seed,
                                  seed + idx, config.thresholds)
         trace = strike_trace(events, analysis["trace_sample_rate_hz"],
                              tail.pulse_width)
-        peaks = detect_peaks(trace, analysis["peak_threshold_n"],
-                             analysis["min_separation_s"])
-        for strike_idx, value in enumerate(peaks.values):
-            rows.append((float(length_mm), strike_idx, value))
-        entry = {"n": peaks.count, "regime": regime.value}
-        if peaks.count:
-            ci = bootstrap_ci(peaks.values, analysis["ci_level"],
-                              analysis["bootstrap_resamples"], seed + idx)
-            entry.update(mean_N=ci.mean, ci_lo_N=ci.lower, ci_hi_N=ci.upper)
-        else:
-            entry.update(mean_N=0.0, ci_lo_N=0.0, ci_hi_N=0.0)
-        summary[f"{length_mm:g}mm"] = entry
-    _write_csv(os.path.join(out_dir, "peaks.csv"),
-               ["length_mm", "strike_idx", "peak_N"], rows)
-    _write_json(os.path.join(out_dir, "summary.json"), summary)
+        peaks, entry = _measure(trace, analysis, seed + idx)
+        rows += [(float(length_mm), k, v) for k, v in enumerate(peaks.values)]
+        summary[f"{length_mm:g}mm"] = {"mean_N": 0.0, "ci_lo_N": 0.0,
+                                       "ci_hi_N": 0.0, **entry,
+                                       "regime": regime.value}
+    write_csv(os.path.join(out_dir, "peaks.csv"),
+              ["length_mm", "strike_idx", "peak_N"], rows)
+    write_json(os.path.join(out_dir, "summary.json"), summary)
     if check:
         nominal_key = f"{config.tail.free_length * 1e3:g}mm"
         if nominal_key in summary:
@@ -112,17 +106,16 @@ def run_gait_drift(config: ExperimentConfig, out_dir, seed, trials=None,
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     distance = params["distance_m"]
-    os.makedirs(out_dir, exist_ok=True)
     summary = {}
-    for mode in (GaitMode.SYNC, GaitMode.ASYNC, GaitMode.OPEN_LOOP):
-        label = MODE_LABELS[mode]
+    for mode in GaitMode:
         drifts = []
         for k in range(n_trials):
             traj = drift_trial(mode, config.gait, seed + k, distance)
-            traj.write_csv(os.path.join(out_dir, f"trial_{label}_{k}.csv"))
+            traj.write_csv(os.path.join(out_dir,
+                                        f"trial_{mode.value}_{k}.csv"))
             drifts.append(lateral_drift(traj))
-        summary[label] = {"max_drift_m": max(drifts), "drifts_m": drifts}
-    _write_json(os.path.join(out_dir, "summary.json"), summary)
+        summary[mode.value] = {"max_drift_m": max(drifts), "drifts_m": drifts}
+    write_json(os.path.join(out_dir, "summary.json"), summary)
     if check:
         for label in ("sync", "async"):
             if summary[label]["max_drift_m"] >= 0.01:
@@ -134,10 +127,6 @@ def run_gait_drift(config: ExperimentConfig, out_dir, seed, trials=None,
                 f"open-loop drift {summary['open_loop']['max_drift_m']:.4f} m "
                 "exceeds 6 cm")
     return summary
-
-
-_SWEEP_MODES = (LocomotionMode.SKIP, LocomotionMode.SYNC_CRAWL,
-                LocomotionMode.ASYNC_CRAWL)
 
 
 def run_moisture_sweep(config: ExperimentConfig, out_dir, seed, trials=None,
@@ -152,27 +141,21 @@ def run_moisture_sweep(config: ExperimentConfig, out_dir, seed, trials=None,
             raise ValueError(
                 f"moisture sweep supports uniform_sand and bentonite_clay, "
                 f"not {material.value}")
-    os.makedirs(out_dir, exist_ok=True)
-    rows = []
-    trial_rows = []
+    specs = []
     for material in materials:
         grid = params[f"{material.value}_grid"]
         if not grid:
             raise ValueError(f"moisture grid for {material.value} is empty")
-        for moisture in grid:
-            for mode in _SWEEP_MODES:
-                spec = TrialSpec(mode=mode, material=material,
-                                 moisture=moisture, duration=duration)
-                results, batch = run_batch(spec, n_trials, seed,
-                                           **config.trial_kwargs())
-                trial_rows.extend(_trial_rows(spec, seed, results))
-                rows.append((material.value, float(moisture), mode.value,
-                             batch.mean_velocity * 100.0,
-                             batch.std_velocity * 100.0, batch.failures))
-    _write_csv(os.path.join(out_dir, "sweep.csv"),
-               ["material", "moisture", "mode", "mean_cmps", "std_cmps",
-                "failures"], rows)
-    _write_csv(os.path.join(out_dir, "trials.csv"), TRIAL_COLUMNS, trial_rows)
+        specs += [TrialSpec(mode=mode, material=material, moisture=moisture,
+                            duration=duration)
+                  for moisture in grid for mode in LocomotionMode]
+    batches = _run_batches(config, specs, n_trials, seed, out_dir)
+    rows = [(s.material.value, float(s.moisture), s.mode.value,
+             b.mean_velocity * 100.0, b.std_velocity * 100.0, b.failures)
+            for s, b in zip(specs, batches)]
+    write_csv(os.path.join(out_dir, "sweep.csv"),
+              ["material", "moisture", "mode", "mean_cmps", "std_cmps",
+               "failures"], rows)
     if check:
         _check_sweep(rows)
     return rows
@@ -212,28 +195,20 @@ def run_substrate_bench(config: ExperimentConfig, out_dir, seed, trials=None,
     params = config.experiments["substrate_bench"]
     n_trials = trials if trials is not None else params["trials"]
     duration = params["duration_s"]
-    os.makedirs(out_dir, exist_ok=True)
-    rows = []
-    trial_rows = []
-    means = {}
-    for material_key, moisture in params["conditions"]:
-        material = Material(material_key)
-        spec = TrialSpec(mode=LocomotionMode.SKIP, material=material,
-                         moisture=moisture, duration=duration)
-        results, batch = run_batch(spec, n_trials, seed,
-                                   **config.trial_kwargs())
-        trial_rows.extend(_trial_rows(spec, seed, results))
-        means[material_key] = batch.mean_velocity * 100.0
-        rows.append((material_key, float(moisture),
-                     batch.mean_velocity * 100.0, batch.std_velocity * 100.0,
-                     batch.n_trials))
-    _write_csv(os.path.join(out_dir, "bench.csv"),
-               ["substrate", "moisture", "mean_cmps", "std_cmps", "n"], rows)
-    _write_csv(os.path.join(out_dir, "trials.csv"), TRIAL_COLUMNS, trial_rows)
+    specs = [TrialSpec(mode=LocomotionMode.SKIP, material=Material(key),
+                       moisture=moisture, duration=duration)
+             for key, moisture in params["conditions"]]
+    batches = _run_batches(config, specs, n_trials, seed, out_dir)
+    rows = [(s.material.value, float(s.moisture), b.mean_velocity * 100.0,
+             b.std_velocity * 100.0, b.n_trials)
+            for s, b in zip(specs, batches)]
+    means = {key: mean for key, _, mean, _, _ in rows}
+    write_csv(os.path.join(out_dir, "bench.csv"),
+              ["substrate", "moisture", "mean_cmps", "std_cmps", "n"], rows)
     ordering_ok = all(k in means for k in BENCH_ORDER) and all(
         means[a] > means[b] for a, b in zip(BENCH_ORDER, BENCH_ORDER[1:]))
     summary = {"means_cmps": means, "ordering_ok": ordering_ok}
-    _write_json(os.path.join(out_dir, "summary.json"), summary)
+    write_json(os.path.join(out_dir, "summary.json"), summary)
     if check:
         if not ordering_ok:
             raise AssertionFailure(f"substrate ordering violated: {means}")
@@ -253,13 +228,9 @@ def run_scenario(config: ExperimentConfig, out_dir, seed,
                  check=False) -> dict:
     """Heterogeneous-terrain run with mode switches between segments."""
     params = config.experiments["scenario"]
-    seg_rows = params["segments"]
-    if not seg_rows:
-        raise ValueError("scenario.segments must not be empty")
     segments = [ScenarioSegment(material=Material(m), mode=LocomotionMode(md),
                                 duration=float(dur), moisture=float(moist))
-                for m, md, dur, moist in seg_rows]
-    os.makedirs(out_dir, exist_ok=True)
+                for m, md, dur, moist in params["segments"]]
     trajectory, switches = scenario_heterogeneous(
         segments, seed=seed, **config.trial_kwargs())
     trajectory.write_csv(os.path.join(out_dir, "trajectory.csv"))
@@ -270,7 +241,7 @@ def run_scenario(config: ExperimentConfig, out_dir, seed,
         "total_duration_s": trajectory.duration(),
         "net_displacement_m": trajectory.net_displacement(),
     }
-    _write_json(os.path.join(out_dir, "switch_log.json"), summary)
+    write_json(os.path.join(out_dir, "switch_log.json"), summary)
     if check:
         expected = sum(s.duration for s in segments)
         if abs(summary["total_duration_s"] - expected) > 1e-9:
@@ -288,18 +259,17 @@ def run_calibrate(config: ExperimentConfig, out_dir, seed, targets_path=None,
     budget = budget if budget is not None else params["budget"]
     targets = (cal.load_targets(targets_path) if targets_path
                else cal.bundled_targets())
-    os.makedirs(out_dir, exist_ok=True)
     result = cal.fit(targets, budget=budget, seed=seed,
                      n_trials=params["n_trials"],
                      restarts=params["restarts"],
                      duration=params["duration_s"], **config.trial_kwargs())
     fitted = cal.apply_parameters(result.params, config.responses)
-    write_config(config_with_responses(config, fitted),
-                 os.path.join(out_dir, "fitted_config.json"))
-    _write_csv(os.path.join(out_dir, "loss_trace.csv"),
-               ["evaluation", "best_loss"],
-               [(i + 1, v) for i, v in enumerate(result.trace)])
-    _write_json(os.path.join(out_dir, "fit_summary.json"), {
+    write_json(os.path.join(out_dir, "fitted_config.json"),
+               config_with_responses(config, fitted))
+    write_csv(os.path.join(out_dir, "loss_trace.csv"),
+              ["evaluation", "best_loss"],
+              [(i + 1, v) for i, v in enumerate(result.trace)])
+    write_json(os.path.join(out_dir, "fit_summary.json"), {
         "final_loss": result.loss,
         "evaluations": result.evaluations,
         "parameters": result.params.values,
@@ -310,24 +280,13 @@ def run_calibrate(config: ExperimentConfig, out_dir, seed, targets_path=None,
 def run_analyze(config: ExperimentConfig, out_dir, seed, trace_path=None,
                 trajectory_path=None) -> dict:
     """Run the measurement pipeline on externally produced CSV data."""
-    from .gait import Trajectory
-    from .stats import ForceTrace, mean_velocity
-
     if trace_path is None and trajectory_path is None:
         raise ValueError("analyze needs a force-trace or trajectory CSV")
-    analysis = config.analysis
-    os.makedirs(out_dir, exist_ok=True)
     report = {}
     if trace_path is not None:
-        trace = ForceTrace.read_csv(trace_path)
-        peaks = detect_peaks(trace, analysis["peak_threshold_n"],
-                             analysis["min_separation_s"])
-        entry = {"n": peaks.count, "peaks_N": list(peaks.values)}
-        if peaks.count:
-            ci = bootstrap_ci(peaks.values, analysis["ci_level"],
-                              analysis["bootstrap_resamples"], seed)
-            entry.update(mean_N=ci.mean, ci_lo_N=ci.lower, ci_hi_N=ci.upper)
-        report["trace"] = entry
+        peaks, entry = _measure(ForceTrace.read_csv(trace_path),
+                                config.analysis, seed)
+        report["trace"] = {**entry, "peaks_N": list(peaks.values)}
     if trajectory_path is not None:
         traj = Trajectory.read_csv(trajectory_path)
         report["trajectory"] = {
@@ -335,5 +294,5 @@ def run_analyze(config: ExperimentConfig, out_dir, seed, trace_path=None,
             "lateral_drift_m": lateral_drift(traj),
             "net_displacement_m": traj.net_displacement(),
         }
-    _write_json(os.path.join(out_dir, "analysis.json"), report)
+    write_json(os.path.join(out_dir, "analysis.json"), report)
     return report

@@ -10,15 +10,14 @@ as the baseline.
 
 from __future__ import annotations
 
-import csv
-import itertools
 import math
-import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 
 import numpy as np
+
+from .fileio import read_csv_table, write_csv
 
 TWO_PI = 2.0 * math.pi
 
@@ -130,9 +129,10 @@ def _check_step_resolution(speed: float, dt: float, encoder: EncoderModel):
         )
 
 
-class _EncoderGait:
-    """Two fins, each tracked by its own encoder; a cycle is one magnet
-    revolution's worth of validated detections on both sides."""
+class _FinPair:
+    """Two fins, each watched by its own encoder and stepped finely enough
+    that no magnet passage is missed; a subclass's `step` says when a gait
+    cycle completes."""
 
     def __init__(self, left_speed: float = TWO_PI, right_speed: float | None = None,
                  encoder: EncoderModel | None = None, dt_hint: float = 0.01):
@@ -148,7 +148,7 @@ class _EncoderGait:
         self.time = 0.0
 
 
-class SyncGait(_EncoderGait):
+class SyncGait(_FinPair):
     """Both fins rotate together; the fin that reaches its magnet first
     pauses until the other side's detection validates the passage. A cycle
     completes once both fins have validated a full revolution."""
@@ -183,7 +183,7 @@ class SyncGait(_EncoderGait):
         return self._lt.pause_time + self._rt.pause_time
 
 
-class AsyncGait(_EncoderGait):
+class AsyncGait(_FinPair):
     """Fins alternate: only the scheduled fin rotates, handing over at each
     of its encoder detections. A cycle completes once both fins have
     accumulated a full revolution of validated detections."""
@@ -211,19 +211,11 @@ class AsyncGait(_EncoderGait):
         return cycle
 
 
-class OpenLoopGait:
+class OpenLoopGait(_FinPair):
     """No encoder feedback: both fins free-run and cycles are dead-reckoned
     from the left fin's commanded rotation."""
 
-    def __init__(self, left_speed: float = TWO_PI, right_speed: float | None = None):
-        if right_speed is None:
-            right_speed = left_speed
-        self.left = FinState(0.0, left_speed, Side.LEFT)
-        self.right = FinState(0.0, right_speed, Side.RIGHT)
-        self._lt = _FinTracker(self.left, EncoderModel())
-        self._rt = _FinTracker(self.right, EncoderModel())
-        self._cycles_marked = 0
-        self.time = 0.0
+    _cycles_marked = 0
 
     def step(self, dt: float) -> bool:
         if dt <= 0:
@@ -243,11 +235,9 @@ class OpenLoopGait:
 
 def make_controller(mode: GaitMode, fin_speed: float = TWO_PI,
                     encoder: EncoderModel | None = None, dt: float = 0.01):
-    if mode is GaitMode.SYNC:
-        return SyncGait(fin_speed, encoder=encoder, dt_hint=dt)
-    if mode is GaitMode.ASYNC:
-        return AsyncGait(fin_speed, encoder=encoder, dt_hint=dt)
-    return OpenLoopGait(fin_speed)
+    gait = {GaitMode.SYNC: SyncGait, GaitMode.ASYNC: AsyncGait,
+            GaitMode.OPEN_LOOP: OpenLoopGait}[mode]
+    return gait(fin_speed, encoder=encoder, dt_hint=dt)
 
 
 def run_cycles(controller, duration: float, dt: float = 0.01) -> list:
@@ -314,35 +304,14 @@ class Trajectory:
     COLUMNS = ("time_s", "x_m", "y_m", "heading_rad")
 
     def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(self.COLUMNS)
-            for p in self.poses:
-                writer.writerow([repr(p.time), repr(p.x), repr(p.y), repr(p.heading)])
+        write_csv(path, self.COLUMNS,
+                  ((p.time, p.x, p.y, p.heading) for p in self.poses))
 
     @classmethod
     def read_csv(cls, path) -> "Trajectory":
         table = read_csv_table(path, cls.COLUMNS, "trajectory")
         return cls([PlanarPose(x=x, y=y, heading=heading, time=t)
                     for t, x, y, heading in table.tolist()])
-
-
-def read_csv_table(path, columns, what) -> np.ndarray:
-    """The non-blank rows of a CSV with exactly `columns` (in any order), as
-    an (n, len(columns)) float array ordered like `columns`."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        if set(header) != set(columns):
-            raise ValueError(f"{what} CSV must have columns {list(columns)}")
-        get = operator.itemgetter(*map(header.index, columns))
-        try:
-            values = np.fromiter(itertools.chain.from_iterable(
-                map(float, get(row)) for row in reader if row), float)
-        except IndexError:
-            raise ValueError(
-                f"{what} CSV line {reader.line_num} has too few fields") from None
-    return values.reshape(-1, len(columns))
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,6 @@ confidence intervals, trajectory metrics, and trial failure classification."""
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 from dataclasses import dataclass
@@ -11,7 +10,8 @@ from enum import Enum
 
 import numpy as np
 
-from .gait import Trajectory, read_csv_table
+from .fileio import read_csv_table, write_csv
+from .gait import Trajectory
 
 FAILURE_THRESHOLD_M = 0.10  # net displacement below this counts as a failure
 
@@ -36,8 +36,8 @@ class ForceTrace:
     samples: np.ndarray  # N
 
     def __post_init__(self):
-        if self.sample_rate <= 0:
-            raise ValueError("sample_rate must be positive")
+        if not 0 < self.sample_rate < math.inf:
+            raise ValueError("sample_rate must be positive and finite")
         self.samples = np.asarray(self.samples, dtype=float)
         if self.samples.ndim != 1:
             raise ValueError("samples must be one-dimensional")
@@ -54,11 +54,8 @@ class ForceTrace:
     COLUMNS = ("time_s", "force_N")
 
     def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(self.COLUMNS)
-            for t, v in zip(self.times(), self.samples):
-                writer.writerow([repr(float(t)), repr(float(v))])
+        write_csv(path, self.COLUMNS,
+                  zip(self.times().tolist(), self.samples.tolist()))
 
     @classmethod
     def read_csv(cls, path) -> "ForceTrace":

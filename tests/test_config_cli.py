@@ -7,7 +7,8 @@ import pytest
 
 from skipsim import experiments
 from skipsim.cli import main
-from skipsim.config import ConfigError, default_dict, load_config, write_config
+from skipsim.config import ConfigError, default_dict, load_config
+from skipsim.fileio import write_json
 from skipsim.gait import GaitMode, drift_trial
 from skipsim.stats import ForceTrace
 from skipsim.terrain import Material
@@ -22,10 +23,9 @@ def _leaves(doc, path=""):
             yield dotted, value
 
 
-# every key the config tables type-check (analysis and experiments are free)
+# every key the config type-checks
 TYPED_KEYS = [(k, v) for k, v in _leaves(default_dict())
-              if k.split(".")[0] not in ("schema_version", "analysis",
-                                         "experiments")]
+              if k != "schema_version"]
 
 
 class TestConfig:
@@ -71,7 +71,7 @@ class TestConfig:
 
     def test_written_defaults_rebuild_equal_config(self, tmp_path):
         path = tmp_path / "defaults.json"
-        write_config(default_dict(), path)
+        write_json(path, default_dict())
         assert load_config(path) == load_config()
 
     def test_defaults_are_schema_complete(self):
@@ -186,8 +186,17 @@ class TestCli:
         (["analyze", "--trace"], "time_s,force_N\n0.0,1.0\n0.0005\n"),
         (["analyze", "--trace"], None),
         (["calibrate", "--budget", "1", "--targets"], None),
+        (["analyze", "--trajectory"],
+         "time_s,x_m,y_m,heading_rad\n0,0,0,0\n1,nan,0,0\n"),
+        (["analyze", "--trajectory"],
+         "time_s,x_m,y_m,heading_rad\n0,0,0,0\n1,0,-inf,0\n"),
+        (["analyze", "--trajectory"],
+         "time_s,x_m,y_m,heading_rad\n0,-1e308,0,0\n1,1e308,0,0\n"),
+        (["analyze", "--trace"], "time_s,force_N\n0,1\n5e-324,2\n"),
     ], ids=["trace-equal-times", "trace-uneven-times", "trajectory-no-heading",
-            "trace-short-row", "trace-missing", "targets-missing"])
+            "trace-short-row", "trace-missing", "targets-missing",
+            "trajectory-nan", "trajectory-inf", "trajectory-overflow",
+            "trace-subnormal-step"])
     def test_bad_csv_inputs_exit_2(self, tmp_path, capsys, argv, text):
         path = tmp_path / "input.csv"
         if text is not None:
@@ -213,19 +222,27 @@ class TestCli:
     def test_analyze_without_inputs_exits_2(self, tmp_path):
         assert main(["analyze", "--out", str(tmp_path / "o")]) == 2
 
-    @pytest.mark.parametrize("argv, doc", [
-        (["gait-drift", "--trials", "-3"], None),
-        (["gait-drift", "--trials", "0"], None),
-        (["moisture-sweep", "--trials", "two"], None),
-        (["calibrate", "--budget", "0"], None),
-        (["tail-characterize", "--trials", "5"], None),
-        (["scenario", "--trials", "0"], None),
-        (["calibrate", "--assert"], None),
-        (["gait-drift"], {"experiments": {"gait_drift": {"trials": 0}}}),
+    @pytest.mark.parametrize("argv, doc, named", [
+        (["gait-drift", "--trials", "-3"], None, "--trials"),
+        (["gait-drift", "--trials", "0"], None, "--trials"),
+        (["moisture-sweep", "--trials", "two"], None, "--trials"),
+        (["calibrate", "--budget", "0"], None, "--budget"),
+        (["tail-characterize", "--trials", "5"], None, "--trials"),
+        (["scenario", "--trials", "0"], None, "--trials"),
+        (["calibrate", "--assert"], None, "--assert"),
+        (["gait-drift"], {"experiments": {"gait_drift": {"trials": 0}}},
+         "n_trials"),
+        (["gait-drift", "--seed", "-1"], None, "--seed"),
+        (["gait-drift"], {"seed": -4}, "key seed"),
+        (["substrate-bench"], {"robot": {"mass_kg": math.nan}}, "NaN"),
+        (["tail-characterize"], {"analysis": {"ci_level": "x"}},
+         "analysis.ci_level"),
     ], ids=["drift-trials-neg", "drift-trials-0", "sweep-trials-word",
             "budget-0", "tail-trials", "scenario-trials", "calibrate-assert",
-            "config-drift-trials-0"])
-    def test_bad_counts_and_flags_exit_2(self, tmp_path, capsys, argv, doc):
+            "config-drift-trials-0", "seed-neg", "config-seed-neg",
+            "config-nan", "config-ci-level-word"])
+    def test_bad_counts_and_flags_exit_2(self, tmp_path, capsys, argv, doc,
+                                         named):
         argv = argv + ["--out", str(tmp_path / "o")]
         if doc is not None:
             cfg = tmp_path / "cfg.json"
@@ -237,7 +254,7 @@ class TestCli:
             code = exc.code
         assert code == 2
         err = capsys.readouterr().err
-        assert "error:" in err
+        assert "error:" in err and named in err
         assert "empty sequence" not in err and "Traceback" not in err
 
 

@@ -17,6 +17,7 @@ import pytest
 
 from skipsim.cli import main
 from skipsim.config import load_config
+from skipsim.fileio import write_json
 from skipsim.springtail import length_regime, strike_sequence, strike_trace
 
 DIGESTS = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -78,7 +79,5 @@ if __name__ == "__main__":
             _run(command, root)
         digests = _digests(root)
     os.makedirs(os.path.dirname(DIGESTS), exist_ok=True)
-    with open(DIGESTS, "w", newline="") as fh:
-        json.dump(digests, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(DIGESTS, digests)
     print(f"{len(digests)} digests -> {DIGESTS}", file=sys.stderr)
