@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 
 from .gait import (AsymmetryNoise, EncoderModel, FinState, GaitConfig,
                    GaitMode, PlanarPose, Side, Trajectory)
-from .locomotion import (BatchSummary, LocomotionMode, RobotParams,
+from .locomotion import (BatchSummary, LocomotionMode, Model, RobotParams,
                          ScenarioSegment, TrialResult, TrialSpec, run_batch,
                          run_trial, scenario_heterogeneous)
 from .springtail import (EngagedAngleModel, LengthRegime, RegimeThresholds,
@@ -17,7 +17,7 @@ __all__ = [
     "AsymmetryNoise", "BatchSummary", "BootstrapCI", "EncoderModel",
     "EngagedAngleModel", "FailureMode", "FinState", "ForceTrace",
     "GaitConfig", "GaitMode", "LengthRegime", "LocomotionMode", "Material",
-    "MoistureResponse", "PeakSet", "PlanarPose", "RegimeThresholds",
+    "Model", "MoistureResponse", "PeakSet", "PlanarPose", "RegimeThresholds",
     "RobotParams", "ScenarioSegment", "Side", "StrikeEvent",
     "SubstrateParams", "TailConfig", "TailPhase", "Trajectory",
     "TrialResult", "TrialSpec", "run_batch", "run_trial",

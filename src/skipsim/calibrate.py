@@ -13,7 +13,7 @@ from importlib import resources
 
 import numpy as np
 
-from .locomotion import LocomotionMode, TrialSpec, run_batch
+from .locomotion import LocomotionMode, Model, TrialSpec, run_batch
 from .terrain import Material, default_curves
 
 TARGETS_RESOURCE = "calibration_targets.csv"
@@ -119,26 +119,29 @@ def apply_parameters(params: ParameterVector,
     return responses
 
 
-def simulate_target(target: CalibrationTarget, responses: dict,
+def simulate_target(target: CalibrationTarget, model: Model,
                     n_trials: int = 3, seed: int = 0,
-                    duration: float = 30.0, **kwargs) -> float:
+                    duration: float = 30.0) -> float:
     """Simulated batch mean velocity (cm/s) for one target condition."""
     spec = TrialSpec(mode=target.mode, material=target.material,
                      moisture=target.moisture, duration=duration)
-    _, summary = run_batch(spec, n_trials, seed, responses=responses, **kwargs)
+    _, summary = run_batch(spec, n_trials, seed, model)
     return summary.mean_velocity * 100.0
 
 
 def loss(params: ParameterVector, targets, n_trials: int = 3,
-         seed: int = 0, responses: dict | None = None, **kwargs) -> float:
+         seed: int = 0, duration: float = 30.0, model: Model = Model(),
+         **fields) -> float:
     """Weighted squared velocity error over all targets, seeded so the
     surface is deterministic. The free parameters are applied on top of
-    `responses` (default: the shipped curves)."""
+    the substrate curves of `model`. `fields` replaces parts of `model` by
+    name, the form `perfbench/workloads.py` calls it in."""
     params.check()
-    responses = apply_parameters(params, responses)
+    model = replace(model, **fields)
+    model = replace(model, responses=apply_parameters(params, model.responses))
     total = 0.0
     for target in targets:
-        sim = simulate_target(target, responses, n_trials, seed, **kwargs)
+        sim = simulate_target(target, model, n_trials, seed, duration)
         total += target.weight * (sim - target.target_cmps) ** 2
     return total
 
@@ -232,14 +235,13 @@ def minimize(fn, initial: ParameterVector, budget: int = 400, seed: int = 0,
 
 def fit(targets, initial: ParameterVector | None = None, budget: int = 400,
         seed: int = 0, n_trials: int = 3, restarts: int = 3,
-        responses: dict | None = None, **sim_kwargs) -> FitResult:
-    """Fit the free substrate parameters of `responses` (default: the
-    shipped curves) to velocity targets."""
-    initial = initial or default_parameter_vector(responses)
+        duration: float = 30.0, model: Model = Model()) -> FitResult:
+    """Fit the free substrate parameters of `model`'s curves (the shipped
+    curves where it holds none) to velocity targets."""
+    initial = initial or default_parameter_vector(model.responses)
 
     def objective(params):
-        return loss(params, targets, n_trials=n_trials, seed=seed,
-                    responses=responses, **sim_kwargs)
+        return loss(params, targets, n_trials, seed, duration, model)
 
     return minimize(objective, initial, budget=budget, seed=seed,
                     restarts=restarts)

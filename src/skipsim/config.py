@@ -8,7 +8,7 @@ import json
 from dataclasses import dataclass, field, fields
 
 from .gait import AsymmetryNoise, EncoderModel, GaitConfig
-from .locomotion import RobotParams
+from .locomotion import Model, RobotParams
 from .springtail import EngagedAngleModel, RegimeThresholds, TailConfig
 from .terrain import CrawlCurve, Material, MoistureResponse, SkipCurve, default_curves
 
@@ -219,31 +219,15 @@ def _parse(cls, table, doc, path, **nested):
     return cls(**nested)
 
 
-@dataclass
-class ExperimentConfig:
-    """Typed view of the configuration document."""
+@dataclass(frozen=True, kw_only=True)
+class ExperimentConfig(Model):
+    """Typed view of the configuration document: the trial model plus the
+    analysis and experiment sections."""
 
-    tail: TailConfig
-    angle_model: EngagedAngleModel
-    thresholds: RegimeThresholds
-    gait: GaitConfig
-    robot: RobotParams
-    responses: dict  # Material -> MoistureResponse
     analysis: dict
     experiments: dict
     seed: int
     raw: dict = field(repr=False, default_factory=dict)
-
-    def trial_kwargs(self) -> dict:
-        """Keyword arguments shared by locomotion trial runners."""
-        return {
-            "tail": self.tail,
-            "gait": self.gait,
-            "robot": self.robot,
-            "angle_model": self.angle_model,
-            "thresholds": self.thresholds,
-            "responses": self.responses,
-        }
 
 
 def _build(doc: dict) -> ExperimentConfig:

@@ -33,8 +33,7 @@ def _run_batches(config, specs, n_trials, seed, out_dir) -> list:
     batch summaries in spec order."""
     batches, trial_rows = [], []
     for spec in specs:
-        results, batch = run_batch(spec, n_trials, seed,
-                                   **config.trial_kwargs())
+        results, batch = run_batch(spec, n_trials, seed, config)
         batches.append(batch)
         trial_rows += [(spec.mode.value, spec.material.value,
                         float(spec.moisture), seed + k, r.displacement,
@@ -231,8 +230,7 @@ def run_scenario(config: ExperimentConfig, out_dir, seed,
     segments = [ScenarioSegment(material=Material(m), mode=LocomotionMode(md),
                                 duration=float(dur), moisture=float(moist))
                 for m, md, dur, moist in params["segments"]]
-    trajectory, switches = scenario_heterogeneous(
-        segments, seed=seed, **config.trial_kwargs())
+    trajectory, switches = scenario_heterogeneous(segments, seed, config)
     trajectory.write_csv(os.path.join(out_dir, "trajectory.csv"))
     log = [{"time_s": s.time, "material": s.material.value,
             "mode": s.mode.value} for s in switches]
@@ -262,7 +260,7 @@ def run_calibrate(config: ExperimentConfig, out_dir, seed, targets_path=None,
     result = cal.fit(targets, budget=budget, seed=seed,
                      n_trials=params["n_trials"],
                      restarts=params["restarts"],
-                     duration=params["duration_s"], **config.trial_kwargs())
+                     duration=params["duration_s"], model=config)
     fitted = cal.apply_parameters(result.params, config.responses)
     write_json(os.path.join(out_dir, "fitted_config.json"),
                config_with_responses(config, fitted))

@@ -49,6 +49,9 @@ def read_csv_table(path, columns, what) -> np.ndarray:
         except IndexError:
             raise ValueError(
                 f"{what} CSV line {reader.line_num} has too few fields") from None
+        except ValueError:
+            raise ValueError(
+                f"{what} CSV line {reader.line_num} holds a non-number") from None
     if not np.isfinite(values).all():
         raise ValueError(f"{what} CSV values must be finite")
     return values.reshape(-1, len(columns))

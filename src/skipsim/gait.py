@@ -357,6 +357,11 @@ class GaitConfig:
     stride: float = 0.033  # m per completed gait cycle (fitted)
     dt: float = 0.01  # s, controller integration step
 
+    def __post_init__(self):
+        for name in ("fin_speed", "stride", "dt"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"gait {name} must be positive")
+
 
 def crawl_kinematics(cycle_times, mode: GaitMode, noise: AsymmetryNoise,
                      stride: float, seed: int,

@@ -4,7 +4,7 @@ gait cycles, and substrate response into trials with failure classification."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -22,8 +22,6 @@ class LocomotionMode(Enum):
     SYNC_CRAWL = "sync_crawl"
     ASYNC_CRAWL = "async_crawl"
 
-
-CRAWL_MODES = (LocomotionMode.SYNC_CRAWL, LocomotionMode.ASYNC_CRAWL)
 
 _GAIT_MODE = {
     LocomotionMode.SYNC_CRAWL: GaitMode.SYNC,
@@ -47,6 +45,23 @@ class RobotParams:
             raise ValueError("launch_angle must lie in (0, pi/2)")
         if self.pitch_speed_limit <= 0:
             raise ValueError("pitch_speed_limit must be positive")
+
+
+@dataclass(frozen=True)
+class Model:
+    """The physics a trial runs under: springtail, fins, body and substrate.
+    `responses` maps a material to its curves; a material it lacks uses the
+    shipped curves."""
+
+    tail: TailConfig = field(default_factory=TailConfig)
+    gait: GaitConfig = field(default_factory=GaitConfig)
+    robot: RobotParams = field(default_factory=RobotParams)
+    angle_model: EngagedAngleModel = field(default_factory=EngagedAngleModel)
+    thresholds: RegimeThresholds = field(default_factory=RegimeThresholds)
+    responses: dict = field(default_factory=dict)  # Material -> MoistureResponse
+
+
+ORIGIN = PlanarPose(0.0, 0.0, 0.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -104,9 +119,10 @@ def takeoff_speed(impulse: float, params: RobotParams,
     return substrate.skip_efficiency * impulse / params.mass
 
 
-def _skip_trial(spec, substrate, tail, robot, angle_model, thresholds, start):
+def _skip_trial(spec, substrate, model, start):
+    tail, robot, thresholds = model.tail, model.robot, model.thresholds
     regime = length_regime(tail.free_length, thresholds)
-    events = strike_sequence(tail, angle_model, regime, spec.duration,
+    events = strike_sequence(tail, model.angle_model, regime, spec.duration,
                              spec.seed, thresholds)
     x, y, heading = start.x, start.y, start.heading
     poses = [start]
@@ -138,28 +154,16 @@ def _crawl_trial(spec, substrate, gait, start):
                             start).poses, None
 
 
-def run_trial(spec: TrialSpec, tail: TailConfig | None = None,
-              gait: GaitConfig | None = None,
-              robot: RobotParams | None = None,
-              angle_model: EngagedAngleModel | None = None,
-              thresholds: RegimeThresholds | None = None,
-              responses: dict | None = None,
-              start: PlanarPose | None = None) -> TrialResult:
-    """Run one locomotion trial and classify its outcome."""
-    tail = tail or TailConfig()
-    gait = gait or GaitConfig()
-    robot = robot or RobotParams()
-    angle_model = angle_model or EngagedAngleModel()
-    thresholds = thresholds or RegimeThresholds()
-    start = start or PlanarPose(0.0, 0.0, 0.0, 0.0)
-    response = (responses or {}).get(spec.material)
+def run_trial(spec: TrialSpec, model: Model = Model(),
+              start: PlanarPose = ORIGIN) -> TrialResult:
+    """Run one locomotion trial under `model` and classify its outcome."""
+    response = model.responses.get(spec.material)
     substrate = moisture_response(spec.material, spec.moisture, response)
 
     if spec.mode is LocomotionMode.SKIP:
-        poses, hard = _skip_trial(spec, substrate, tail, robot, angle_model,
-                                  thresholds, start)
+        poses, hard = _skip_trial(spec, substrate, model, start)
     else:
-        poses, hard = _crawl_trial(spec, substrate, gait, start)
+        poses, hard = _crawl_trial(spec, substrate, model.gait, start)
     end, end_time = poses[-1], start.time + spec.duration
     if end.time < end_time:
         poses.append(PlanarPose(end.x, end.y, end.heading, end_time))
@@ -173,7 +177,7 @@ def run_trial(spec: TrialSpec, tail: TailConfig | None = None,
 
 
 def run_batch(spec: TrialSpec, n_trials: int, seed_base: int,
-              **kwargs) -> tuple:
+              model: Model = Model()) -> tuple:
     """Run n_trials with seeds seed_base..seed_base+n-1.
 
     Returns (results, summary); the summary scores failed trials as zero
@@ -183,7 +187,7 @@ def run_batch(spec: TrialSpec, n_trials: int, seed_base: int,
         raise ValueError("n_trials must be >= 1")
     results = []
     for k in range(n_trials):
-        results.append(run_trial(replace(spec, seed=seed_base + k), **kwargs))
+        results.append(run_trial(replace(spec, seed=seed_base + k), model))
     velocities = np.array([r.effective_velocity for r in results])
     if n_trials == 1 or velocities.min() == velocities.max():
         std = 0.0
@@ -213,7 +217,8 @@ class SwitchEvent:
     mode: LocomotionMode
 
 
-def scenario_heterogeneous(segments, seed: int = 0, **kwargs) -> tuple:
+def scenario_heterogeneous(segments, seed: int = 0,
+                           model: Model = Model()) -> tuple:
     """Run consecutive segments carrying the pose across boundaries.
 
     Returns (trajectory, switch_log); one switch event is logged at each
@@ -221,7 +226,7 @@ def scenario_heterogeneous(segments, seed: int = 0, **kwargs) -> tuple:
     """
     if not segments:
         raise ValueError("scenario needs at least one segment")
-    pose = PlanarPose(0.0, 0.0, 0.0, 0.0)
+    pose = ORIGIN
     poses = [pose]
     switches = []
     for idx, seg in enumerate(segments):
@@ -231,7 +236,7 @@ def scenario_heterogeneous(segments, seed: int = 0, **kwargs) -> tuple:
         spec = TrialSpec(mode=seg.mode, material=seg.material,
                          moisture=seg.moisture, duration=seg.duration,
                          seed=seed + idx)
-        result = run_trial(spec, start=pose, **kwargs)
+        result = run_trial(spec, model, pose)
         poses.extend(result.trajectory.poses[1:])
         pose = result.trajectory.end
     return Trajectory(poses), switches

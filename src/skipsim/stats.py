@@ -68,7 +68,11 @@ class ForceTrace:
         if not (step > 0 and np.all(np.abs(np.diff(times) - step) <= 1e-6 * step)):
             raise ValueError(
                 "force trace CSV timestamps must rise at a uniform step")
-        rate = (len(times) - 1) / (times[-1] - times[0])
+        with np.errstate(over="ignore"):
+            rate = (len(times) - 1) / (times[-1] - times[0])
+        if not np.isfinite(rate):
+            raise ValueError(
+                "force trace CSV timestamps step too finely for a finite rate")
         return cls(sample_rate=float(rate), samples=values)
 
 
@@ -142,6 +146,8 @@ def _percentile(sorted_values: np.ndarray, q: float) -> float:
     return float(sorted_values[k - 1])
 
 
+# huge samples overflow to an infinite mean, which the JSON writer refuses
+@np.errstate(over="ignore")
 def bootstrap_ci(samples, level: float = 0.95, resamples: int = 10000,
                  seed: int = 0, exhaustive: bool = False) -> BootstrapCI:
     """Percentile bootstrap CI for the mean.

@@ -6,7 +6,7 @@ import pytest
 from skipsim import calibrate as cal
 from skipsim.cli import main
 from skipsim.config import load_config
-from skipsim.locomotion import LocomotionMode
+from skipsim.locomotion import LocomotionMode, Model
 from skipsim.terrain import Material, default_curves
 
 
@@ -67,7 +67,8 @@ class TestLoss:
         responses = cal.apply_parameters(params)
         target = cal.CalibrationTarget(LocomotionMode.SKIP, Material.GRASS,
                                        0.0, target_cmps=0.0)
-        sim = cal.simulate_target(target, responses, n_trials=3, seed=0)
+        sim = cal.simulate_target(target, Model(responses=responses),
+                                  n_trials=3, seed=0)
         matched = cal.CalibrationTarget(LocomotionMode.SKIP, Material.GRASS,
                                         0.0, target_cmps=sim)
         assert cal.loss(params, [matched], seed=0) == pytest.approx(0.0, abs=1e-18)
@@ -185,8 +186,7 @@ class TestConfiguredCurves:
                       duration=params["duration_s"])
         initial = cal.default_parameter_vector(config.responses)
         assert initial.values["uniform_sand.crawl.cap"] == 0.8
-        assert first == cal.loss(initial, targets, **kwargs,
-                                 **config.trial_kwargs())
+        assert first == cal.loss(initial, targets, **kwargs, model=config)
         assert first != cal.loss(cal.default_parameter_vector(), targets,
                                  **kwargs)
 

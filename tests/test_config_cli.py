@@ -193,10 +193,13 @@ class TestCli:
         (["analyze", "--trajectory"],
          "time_s,x_m,y_m,heading_rad\n0,-1e308,0,0\n1,1e308,0,0\n"),
         (["analyze", "--trace"], "time_s,force_N\n0,1\n5e-324,2\n"),
+        (["analyze", "--trace"],
+         "time_s,force_N\n0.0,0\n0.1,1e308\n0.2,0\n0.3,0\n0.4,0\n0.5,0\n"
+         "0.6,1e308\n0.7,0\n"),
     ], ids=["trace-equal-times", "trace-uneven-times", "trajectory-no-heading",
             "trace-short-row", "trace-missing", "targets-missing",
             "trajectory-nan", "trajectory-inf", "trajectory-overflow",
-            "trace-subnormal-step"])
+            "trace-subnormal-step", "trace-huge-peaks"])
     def test_bad_csv_inputs_exit_2(self, tmp_path, capsys, argv, text):
         path = tmp_path / "input.csv"
         if text is not None:
@@ -205,6 +208,18 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flag, text", [
+        ("--trace", "time_s,force_N\n0.0,1.0\n0.0005,\n"),
+        ("--trajectory", "time_s,x_m,y_m,heading_rad\n0,0,0,0\n1,abc,0,0\n"),
+    ], ids=["trace-blank-force", "trajectory-word-x"])
+    def test_unparsable_csv_field_names_its_line(self, tmp_path, capsys, flag,
+                                                 text):
+        path = tmp_path / "input.csv"
+        path.write_text(text)
+        assert main(["analyze", flag, str(path), "--out",
+                     str(tmp_path / "o")]) == 2
+        assert "CSV line 3" in capsys.readouterr().err
 
     def test_substrate_bench_checks_targets_at_row_moisture(self, tmp_path):
         # the 15% uniform-sand row misses its bundled 3.4 cm/s target when
@@ -237,10 +252,14 @@ class TestCli:
         (["substrate-bench"], {"robot": {"mass_kg": math.nan}}, "NaN"),
         (["tail-characterize"], {"analysis": {"ci_level": "x"}},
          "analysis.ci_level"),
+        (["gait-drift"], {"gait": {"stride_m": 0}}, "stride"),
+        (["scenario"], {"gait": {"fin_speed_rad_s": 0}}, "fin_speed"),
+        (["scenario"], {"gait": {"dt_s": 0}}, "dt"),
     ], ids=["drift-trials-neg", "drift-trials-0", "sweep-trials-word",
             "budget-0", "tail-trials", "scenario-trials", "calibrate-assert",
             "config-drift-trials-0", "seed-neg", "config-seed-neg",
-            "config-nan", "config-ci-level-word"])
+            "config-nan", "config-ci-level-word", "config-gait-stride-0",
+            "config-gait-fin-speed-0", "config-gait-dt-0"])
     def test_bad_counts_and_flags_exit_2(self, tmp_path, capsys, argv, doc,
                                          named):
         argv = argv + ["--out", str(tmp_path / "o")]

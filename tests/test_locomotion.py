@@ -4,9 +4,9 @@ from dataclasses import replace
 import pytest
 
 from skipsim.gait import AsymmetryNoise, GaitConfig
-from skipsim.locomotion import (LocomotionMode, RobotParams, ScenarioSegment,
-                                TrialSpec, hop_displacement, run_batch,
-                                run_trial, scenario_heterogeneous)
+from skipsim.locomotion import (LocomotionMode, Model, RobotParams,
+                                ScenarioSegment, TrialSpec, hop_displacement,
+                                run_batch, run_trial, scenario_heterogeneous)
 from skipsim.springtail import (EngagedAngleModel, TailConfig, latch_energy,
                                 strike_sequence)
 from skipsim.stats import FailureMode
@@ -60,7 +60,7 @@ class TestRunTrial:
         tail = TailConfig(free_length=15e-3)
         spec = TrialSpec(LocomotionMode.SKIP, Material.GRASS, duration=10.0,
                          seed=14)
-        result = run_trial(spec, tail=tail)
+        result = run_trial(spec, Model(tail=tail))
         assert result.displacement < 0.10
         assert result.failure is FailureMode.BELOW_THRESHOLD
 
@@ -75,7 +75,7 @@ class TestRunTrial:
         robot = RobotParams(pitch_speed_limit=0.5)
         spec = TrialSpec(LocomotionMode.SKIP, Material.RIGID, duration=30.0,
                          seed=0)
-        result = run_trial(spec, robot=robot)
+        result = run_trial(spec, Model(robot=robot))
         assert result.failure is FailureMode.PITCH_OVER
         # motion stops at the first over-limit strike
         assert result.displacement < run_trial(spec).displacement
@@ -99,7 +99,8 @@ class TestRunBatch:
         angle_model = EngagedAngleModel(lower=0.5, upper=0.5)
         gait = GaitConfig(noise=AsymmetryNoise.zero())
         spec = TrialSpec(LocomotionMode.SKIP, Material.GRASS, duration=30.0)
-        _, summary = run_batch(spec, 3, 0, angle_model=angle_model, gait=gait)
+        _, summary = run_batch(spec, 3, 0,
+                               Model(angle_model=angle_model, gait=gait))
         assert summary.std_velocity == 0.0
 
     def test_summary_mean_recomputed_independently(self):
@@ -187,11 +188,11 @@ class TestScenario:
         segments = [ScenarioSegment(Material.GRASS, LocomotionMode.SKIP, 12.0),
                     ScenarioSegment(Material.RIGID, LocomotionMode.SYNC_CRAWL, 6.0)]
         gait = GaitConfig(noise=AsymmetryNoise.zero())
-        trajectory, _ = scenario_heterogeneous(segments, seed=0, gait=gait)
+        trajectory, _ = scenario_heterogeneous(segments, 0, Model(gait=gait))
         seg1 = run_trial(TrialSpec(LocomotionMode.SKIP, Material.GRASS,
-                                   duration=12.0, seed=0), gait=gait)
+                                   duration=12.0, seed=0), Model(gait=gait))
         seg2 = run_trial(TrialSpec(LocomotionMode.SYNC_CRAWL, Material.RIGID,
-                                   duration=6.0, seed=1), gait=gait)
+                                   duration=6.0, seed=1), Model(gait=gait))
         # noise-free straight-line segments: net displacements add exactly
         assert trajectory.net_displacement() == pytest.approx(
             seg1.displacement + seg2.displacement, rel=1e-12)
