@@ -279,7 +279,11 @@ def strike_trace(events, sample_rate: float, pulse_width: float = 0.010,
                  duration: float | None = None) -> ForceTrace:
     """Synthesize the force-sensor signal for a strike sequence: one
     half-sine pulse of width pulse_width per strike, starting at the strike
-    time. Pulses must be resolved by at least two samples."""
+    time. Pulses must be resolved by at least two samples.
+
+    Each strike touches only its own window of about pulse_width *
+    sample_rate samples, so the cost is linear in the trace length plus
+    the pulse samples written."""
     if pulse_width <= 0:
         raise ValueError("pulse_width must be positive")
     if sample_rate < 2.0 / pulse_width:
@@ -288,9 +292,15 @@ def strike_trace(events, sample_rate: float, pulse_width: float = 0.010,
         duration = max((e.time for e in events), default=0.0) + pulse_width
         duration = max(duration, pulse_width)
     n = int(round(duration * sample_rate)) + 1
-    t = np.arange(n) / sample_rate
     samples = np.zeros(n)
     for e in events:
-        mask = (t >= e.time) & (t <= e.time + pulse_width)
-        samples[mask] += e.peak_force * np.sin(math.pi * (t[mask] - e.time) / pulse_width)
+        if not math.isfinite(e.time):
+            continue  # a strike at no finite time covers no sample
+        # One sample of slack each side: the time comparisons below, not
+        # this index arithmetic, decide which samples the pulse covers.
+        lo = max(math.ceil(e.time * sample_rate) - 1, 0)
+        hi = max(min(math.floor((e.time + pulse_width) * sample_rate) + 2, n), lo)
+        t = np.arange(lo, hi) / sample_rate
+        keep = (t >= e.time) & (t <= e.time + pulse_width)
+        samples[lo:hi][keep] += e.peak_force * np.sin(math.pi * (t[keep] - e.time) / pulse_width)
     return ForceTrace(sample_rate=sample_rate, samples=samples)

@@ -3,6 +3,7 @@ confidence intervals, trajectory metrics, and trial failure classification."""
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -14,6 +15,7 @@ from .fileio import read_csv_table, write_csv
 from .gait import Trajectory
 
 FAILURE_THRESHOLD_M = 0.10  # net displacement below this counts as a failure
+BOOTSTRAP_CHUNK_DRAWS = 1 << 16  # resample indices bootstrap_ci draws at once
 
 
 class FailureMode(Enum):
@@ -101,22 +103,23 @@ def _local_maxima(x: np.ndarray) -> np.ndarray:
     if x.size < 3:
         return np.empty(0, dtype=int)
     cand = np.flatnonzero((x[1:-1] > x[:-2]) & (x[1:-1] >= x[2:])) + 1
-    keep = []
-    n = x.size
-    for i in cand:
-        j = i
-        while j + 1 < n and x[j + 1] == x[i]:
-            j += 1
-        if j + 1 == n or x[j + 1] < x[i]:
-            keep.append(i)
-    return np.asarray(keep, dtype=int)
+    # first sample after each plateau; a candidate whose plateau runs to the
+    # end of the trace has none and is kept
+    steps = np.flatnonzero(x[1:] != x[:-1]) + 1
+    after = np.searchsorted(steps, cand, "right")
+    to_end = after == steps.size
+    nxt = steps[np.minimum(after, steps.size - 1)]
+    return cand[to_end | (x[nxt] < x[cand])]
 
 
 def detect_peaks(trace: ForceTrace, threshold: float = 1.0,
                  min_separation: float = 0.3) -> PeakSet:
     """Local maxima at or above `threshold` (N) with an enforced minimum
     separation (s). Where candidates conflict within a separation window the
-    larger peak wins; equal values keep the earlier one."""
+    larger peak wins; equal values keep the earlier one.
+
+    Time is linear in the trace length plus one binary search over the
+    peaks accepted so far for each candidate at or above the threshold."""
     if threshold <= 0:
         raise ValueError("threshold must be positive")
     if min_separation < 0:
@@ -127,14 +130,14 @@ def detect_peaks(trace: ForceTrace, threshold: float = 1.0,
     cand = _local_maxima(x)
     cand = cand[x[cand] >= threshold]
     min_gap = int(round(min_separation * trace.sample_rate))
-    order = sorted(cand, key=lambda i: (-x[i], i))
-    accepted = []
-    for i in order:
-        if all(abs(i - j) >= min_gap for j in accepted):
-            accepted.append(i)
-    accepted.sort()
-    return PeakSet(indices=tuple(int(i) for i in accepted),
-                   values=tuple(float(x[i]) for i in accepted))
+    accepted = []  # sorted; a candidate need only clear its two neighbours
+    for i in cand[np.lexsort((cand, -x[cand]))].tolist():
+        pos = bisect.bisect_left(accepted, i)
+        if ((pos == 0 or i - accepted[pos - 1] >= min_gap)
+                and (pos == len(accepted) or accepted[pos] - i >= min_gap)):
+            accepted.insert(pos, i)
+    return PeakSet(indices=tuple(accepted),
+                   values=tuple(x[accepted].tolist()))
 
 
 def _percentile(sorted_values: np.ndarray, q: float) -> float:
@@ -156,6 +159,10 @@ def bootstrap_ci(samples, level: float = 0.95, resamples: int = 10000,
     empirical quantiles (order statistics) of the resampled means. With
     exhaustive=True all n^n resamples are enumerated instead of drawing
     (only sensible for small n).
+
+    The resample indices are drawn in chunks of about BOOTSTRAP_CHUNK_DRAWS
+    (2**16), so that matrix never needs resamples * n integers at once. The
+    resampled means are still held whole for sorting: 8 bytes per resample.
     """
     arr = np.asarray(samples, dtype=float).ravel()
     if arr.size == 0:
@@ -174,8 +181,14 @@ def bootstrap_ci(samples, level: float = 0.95, resamples: int = 10000,
         if resamples < 1:
             raise ValueError("resamples must be >= 1")
         rng = np.random.default_rng(seed)
-        idx = rng.integers(0, n, size=(resamples, n))
-        means = arr[idx].mean(axis=1)
+        # successive draws continue one stream, so the chunks hold exactly
+        # the rows of a single (resamples, n) draw
+        rows = max(BOOTSTRAP_CHUNK_DRAWS // n, 1)
+        means = np.empty(resamples)
+        for start in range(0, resamples, rows):
+            stop = min(start + rows, resamples)
+            idx = rng.integers(0, n, size=(stop - start, n))
+            means[start:stop] = arr[idx].mean(axis=1)
         n_resamples = resamples
     means.sort()
     q_lo = (1.0 - level) / 2.0

@@ -1,0 +1,200 @@
+"""Byte-identity of the signal layer against its reference implementations.
+
+`strike_trace`, `detect_peaks` (with `_local_maxima`) and `bootstrap_ci`
+are compared with straightforward versions kept here as oracles: a
+full-length time mask per strike, an O(k^2) scan over candidates sorted by
+(-value, index) with a sample-by-sample plateau walk, and a single
+(resamples, n) index draw. Outputs must match exactly, not to a tolerance.
+The golden digests cover only the default settings; these tests draw
+plateaus, ties, zero separation, overlapping pulses, pulses cut off at
+either end and non-integer sample rates.
+"""
+
+import math
+import tracemalloc
+from unittest import mock
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from skipsim import stats  # noqa: E402
+from skipsim.springtail import StrikeEvent, strike_trace  # noqa: E402
+from skipsim.stats import (BootstrapCI, ForceTrace, PeakSet,  # noqa: E402
+                           bootstrap_ci, detect_peaks)
+
+
+def oracle_strike_trace(events, sample_rate, pulse_width, duration=None):
+    if duration is None:
+        duration = max((e.time for e in events), default=0.0) + pulse_width
+        duration = max(duration, pulse_width)
+    n = int(round(duration * sample_rate)) + 1
+    t = np.arange(n) / sample_rate
+    samples = np.zeros(n)
+    for e in events:
+        mask = (t >= e.time) & (t <= e.time + pulse_width)
+        samples[mask] += e.peak_force * np.sin(math.pi * (t[mask] - e.time) / pulse_width)
+    return samples
+
+
+def oracle_local_maxima(x):
+    if x.size < 3:
+        return np.empty(0, dtype=int)
+    cand = np.flatnonzero((x[1:-1] > x[:-2]) & (x[1:-1] >= x[2:])) + 1
+    keep = []
+    n = x.size
+    for i in cand:
+        j = i
+        while j + 1 < n and x[j + 1] == x[i]:
+            j += 1
+        if j + 1 == n or x[j + 1] < x[i]:
+            keep.append(i)
+    return np.asarray(keep, dtype=int)
+
+
+def oracle_detect_peaks(trace, threshold, min_separation):
+    x = trace.samples
+    if x.size == 0:
+        return PeakSet(indices=(), values=())
+    cand = oracle_local_maxima(x)
+    cand = cand[x[cand] >= threshold]
+    min_gap = int(round(min_separation * trace.sample_rate))
+    accepted = []
+    for i in sorted(cand, key=lambda i: (-x[i], i)):
+        if all(abs(i - j) >= min_gap for j in accepted):
+            accepted.append(i)
+    accepted.sort()
+    return PeakSet(indices=tuple(int(i) for i in accepted),
+                   values=tuple(float(x[i]) for i in accepted))
+
+
+def oracle_bootstrap_ci(samples, level, resamples, seed):
+    arr = np.asarray(samples, dtype=float).ravel()
+    n = arr.size
+    rng = np.random.default_rng(seed)
+    idx = rng.integers(0, n, size=(resamples, n))
+    means = arr[idx].mean(axis=1)
+    means.sort()
+    q_lo = (1.0 - level) / 2.0
+    return BootstrapCI(mean=float(arr.mean()),
+                       lower=stats._percentile(means, q_lo),
+                       upper=stats._percentile(means, 1.0 - q_lo),
+                       level=level, resamples=resamples)
+
+
+def with_sorted_means(call):
+    """Run a bootstrap and also return the sorted resample means it took
+    its percentiles from, so that every mean is compared, not just two."""
+    seen = []
+    percentile = stats._percentile
+
+    def spy(sorted_values, q):
+        seen.append(sorted_values.copy())
+        return percentile(sorted_values, q)
+
+    with mock.patch.object(stats, "_percentile", spy):
+        ci = call()
+    return repr(ci), seen[0].tobytes()
+
+
+SEPARATIONS = st.one_of(st.sampled_from([0.0, 0.01, 0.05, 0.3]),
+                        st.floats(0.0, 0.5))
+RATES = st.one_of(st.sampled_from([100.0, 1000.0, 2000.0]),
+                  st.floats(10.0, 3000.0))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(values=st.lists(st.integers(0, 4), max_size=80),
+       rate=RATES, threshold=st.sampled_from([0.5, 1.0, 2.0, 3.0, 4.0]),
+       min_separation=SEPARATIONS)
+def test_detect_peaks_matches_oracle_on_plateaus_and_ties(
+        values, rate, threshold, min_separation):
+    x = np.asarray(values, dtype=float)
+    assert (stats._local_maxima(x).tobytes()
+            == oracle_local_maxima(x).tobytes())
+    trace = ForceTrace(sample_rate=rate, samples=x)
+    got = detect_peaks(trace, threshold, min_separation)
+    want = oracle_detect_peaks(trace, threshold, min_separation)
+    assert got.indices == want.indices
+    assert all(type(i) is int for i in got.indices)
+    assert np.array(got.values).tobytes() == np.array(want.values).tobytes()
+
+
+@st.composite
+def strike_sets(draw):
+    """Strikes off and on the sample grid, overlapping when close, some
+    before time zero, with a duration that may cut the last pulse short
+    (and, given a duration, strikes at non-finite times)."""
+    pulse_width = draw(st.floats(0.001, 0.5))
+    rate = draw(st.floats(2.0 / pulse_width, 2.0 / pulse_width + 2000.0))
+    on_grid = st.integers(0, int(3.0 * rate)).map(lambda k: k / rate)
+    times = draw(st.lists(st.one_of(st.floats(-1.0, 3.0), on_grid),
+                          max_size=12))
+    events = [StrikeEvent(time=t, peak_force=draw(st.floats(0.1, 8.0)),
+                          impulse=0.0, engaged_angle=0.5) for t in times]
+    last = max(max(times, default=0.0) + pulse_width, 0.0)
+    duration = draw(st.one_of(st.none(), st.floats(0.0, last)))
+    if duration is not None:
+        # without a duration a non-finite time has no trace length
+        events += [StrikeEvent(time=t, peak_force=1.0, impulse=0.0,
+                               engaged_angle=0.5)
+                   for t in draw(st.lists(st.sampled_from(
+                       [math.nan, math.inf, -math.inf]), max_size=2))]
+    return events, rate, pulse_width, duration
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(strike_sets())
+def test_strike_trace_matches_oracle(case):
+    events, rate, pulse_width, duration = case
+    got = strike_trace(events, rate, pulse_width, duration)
+    want = oracle_strike_trace(events, rate, pulse_width, duration)
+    assert got.samples.tobytes() == want.tobytes()
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(samples=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=20),
+       level=st.floats(0.5, 0.99), resamples=st.integers(1, 400),
+       seed=st.integers(0, 2 ** 32), chunk=st.integers(1, 64))
+def test_bootstrap_ci_matches_single_draw_for_any_chunk(
+        samples, level, resamples, seed, chunk):
+    want = with_sorted_means(
+        lambda: oracle_bootstrap_ci(samples, level, resamples, seed))
+    with mock.patch.object(stats, "BOOTSTRAP_CHUNK_DRAWS", chunk):
+        got = with_sorted_means(
+            lambda: bootstrap_ci(samples, level, resamples, seed))
+    assert got == want
+
+
+ROWS_7 = stats.BOOTSTRAP_CHUNK_DRAWS // 7
+ROWS_1 = stats.BOOTSTRAP_CHUNK_DRAWS
+
+
+@pytest.mark.parametrize("n,resamples", [
+    (7, ROWS_7 - 1), (7, ROWS_7), (7, ROWS_7 + 1),
+    (1, ROWS_1 - 1), (1, ROWS_1), (1, ROWS_1 + 1),
+    # more samples than one chunk's draws: each chunk is a single row
+    (stats.BOOTSTRAP_CHUNK_DRAWS + 3, 3),
+])
+def test_bootstrap_ci_chunk_boundaries(n, resamples):
+    samples = np.random.default_rng(n).normal(4.0, 1.0, n)
+    got = with_sorted_means(lambda: bootstrap_ci(samples, 0.95, resamples, 11))
+    want = with_sorted_means(
+        lambda: oracle_bootstrap_ci(samples, 0.95, resamples, 11))
+    assert got == want
+
+
+def test_bootstrap_ci_memory_is_one_float_per_resample_plus_a_chunk():
+    resamples, n = 200_000, 10
+    samples = np.arange(n, dtype=float)
+    tracemalloc.start()
+    try:
+        bootstrap_ci(samples, 0.95, resamples, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a single draw would hold 2 * 8 * resamples * n bytes (32 MB) at once
+    chunk = 2 * 8 * stats.BOOTSTRAP_CHUNK_DRAWS
+    assert peak < 8 * resamples + chunk + (1 << 20)
