@@ -3,8 +3,8 @@ skipping/crawling robot."""
 
 __version__ = "0.1.0"
 
-from .gait import (AsymmetryNoise, EncoderModel, FinState, GaitConfig,
-                   GaitMode, PlanarPose, Side, Trajectory)
+from .gait import (AsymmetryNoise, EncoderModel, Fin, GaitConfig, GaitMode,
+                   PlanarPose, Trajectory)
 from .locomotion import (BatchSummary, LocomotionMode, Model, RobotParams,
                          ScenarioSegment, TrialResult, TrialSpec, run_batch,
                          run_trial, scenario_heterogeneous)
@@ -15,10 +15,10 @@ from .terrain import Material, MoistureResponse, SubstrateParams
 
 __all__ = [
     "AsymmetryNoise", "BatchSummary", "BootstrapCI", "EncoderModel",
-    "EngagedAngleModel", "FailureMode", "FinState", "ForceTrace",
+    "EngagedAngleModel", "FailureMode", "Fin", "ForceTrace",
     "GaitConfig", "GaitMode", "LengthRegime", "LocomotionMode", "Material",
     "Model", "MoistureResponse", "PeakSet", "PlanarPose", "RegimeThresholds",
-    "RobotParams", "ScenarioSegment", "Side", "StrikeEvent",
+    "RobotParams", "ScenarioSegment", "StrikeEvent",
     "SubstrateParams", "TailConfig", "TailPhase", "Trajectory",
     "TrialResult", "TrialSpec", "run_batch", "run_trial",
     "scenario_heterogeneous",

@@ -8,13 +8,14 @@ restart points. Every run is reproducible from its seed.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, replace
 from importlib import resources
 
 import numpy as np
 
 from .locomotion import LocomotionMode, Model, TrialSpec, run_batch
-from .terrain import Material, default_curves
+from .terrain import MOISTURE_MAX, Material, default_curves
 
 TARGETS_RESOURCE = "calibration_targets.csv"
 
@@ -31,6 +32,11 @@ class CalibrationTarget:
     weight: float = 1.0
 
     def __post_init__(self):
+        for name in ("moisture", "target_cmps", "std_cmps", "weight"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+        if not 0.0 <= self.moisture <= MOISTURE_MAX:
+            raise ValueError(f"moisture must lie in [0, {MOISTURE_MAX}]")
         if self.weight <= 0:
             raise ValueError("weight must be positive")
         if self.target_cmps < 0 or self.std_cmps < 0:
@@ -154,9 +160,14 @@ class FitResult:
     evaluations: int
 
 
+# Coordinate-search steps, as fractions of each parameter's range.
+INIT_STEP = 0.25  # the first step of every restart
+SHRINK = 0.5  # a sweep that improves nothing scales every step by this
+MIN_STEP = 1e-4  # a restart ends once every step is below this
+
+
 def minimize(fn, initial: ParameterVector, budget: int = 400, seed: int = 0,
-             restarts: int = 3, init_step: float = 0.25,
-             shrink: float = 0.5, min_step: float = 1e-4) -> FitResult:
+             restarts: int = 3) -> FitResult:
     """Bounded coordinate search.
 
     Each restart walks the coordinates in order, trying +/- step moves
@@ -201,9 +212,9 @@ def minimize(fn, initial: ParameterVector, budget: int = 400, seed: int = 0,
             point = {n: rng.uniform(*initial.bounds[n]) for n in names}
         current = evaluate(point)
         allowance -= 1
-        steps = {n: init_step * spans[n] for n in names}
+        steps = {n: INIT_STEP * spans[n] for n in names}
         while allowance > 0 and any(
-                spans[n] > 0 and steps[n] > min_step * spans[n] for n in names):
+                spans[n] > 0 and steps[n] > MIN_STEP * spans[n] for n in names):
             improved = False
             for name in names:
                 if spans[name] == 0:
@@ -227,7 +238,7 @@ def minimize(fn, initial: ParameterVector, budget: int = 400, seed: int = 0,
                     break
             if not improved:
                 for name in names:
-                    steps[name] *= shrink
+                    steps[name] *= SHRINK
 
     return FitResult(params=best_params, loss=best_loss, trace=trace,
                      evaluations=evaluations)

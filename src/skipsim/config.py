@@ -44,18 +44,15 @@ NOISE = {
     "heading_jitter_std": "heading_jitter_std", "track_width_m": "track_width",
 }
 ROBOT = {
-    "mass_kg": "mass", "body_length_m": "body_length",
-    "launch_angle_rad": "launch_angle", "gravity_m_s2": "gravity",
-    "pitch_speed_limit_m_s": "pitch_speed_limit",
+    "mass_kg": "mass", "launch_angle_rad": "launch_angle",
+    "gravity_m_s2": "gravity", "pitch_speed_limit_m_s": "pitch_speed_limit",
 }
 SKIP = {"floor": "floor", "peak": "peak", "center": "center", "width": "width"}
 CRAWL = {"cap": "cap", "rise_mid": "rise_mid", "rise_width": "rise_width",
          "decay": "decay"}
-RESPONSE = {
-    "slip_moisture": "slip_moisture", "entanglement": "entanglement",
-    "excavation_traction": "excavation_traction",
-    "moisture_sensitive": "moisture_sensitive",
-}
+RESPONSE = {"slip_moisture": "slip_moisture",
+            "excavation_traction": "excavation_traction",
+            "moisture_sensitive": "moisture_sensitive"}
 
 # The field annotations the tables meet (strings: the model modules use
 # `from __future__ import annotations`) and how an error names each type.

@@ -197,6 +197,11 @@ def run_substrate_bench(config: ExperimentConfig, out_dir, seed, trials=None,
     specs = [TrialSpec(mode=LocomotionMode.SKIP, material=Material(key),
                        moisture=moisture, duration=duration)
              for key, moisture in params["conditions"]]
+    materials = [s.material.value for s in specs]
+    for key in materials:
+        if materials.count(key) > 1:
+            raise ValueError("experiments.substrate_bench.conditions lists "
+                             f"{key} more than once")
     batches = _run_batches(config, specs, n_trials, seed, out_dir)
     rows = [(s.material.value, float(s.moisture), b.mean_velocity * 100.0,
              b.std_velocity * 100.0, b.n_trials)

@@ -22,11 +22,6 @@ from .fileio import read_csv_table, write_csv
 TWO_PI = 2.0 * math.pi
 
 
-class Side(Enum):
-    LEFT = "left"
-    RIGHT = "right"
-
-
 class GaitMode(Enum):
     SYNC = "sync"
     ASYNC = "async"
@@ -42,20 +37,6 @@ def angle_distance(a: float, b: float) -> float:
     """Smallest absolute separation between two angles (rad)."""
     d = abs(a - b) % TWO_PI
     return min(d, TWO_PI - d)
-
-
-@dataclass
-class FinState:
-    """One fin: rotation angle in [0, 2*pi), commanded speed (rad/s, >= 0)."""
-
-    angle: float = 0.0
-    angular_speed: float = 0.0
-    side: Side = Side.LEFT
-
-    def __post_init__(self):
-        if self.angular_speed < 0:
-            raise ValueError("fin angular_speed must be >= 0")
-        self.angle = wrap_angle(self.angle)
 
 
 @dataclass(frozen=True)
@@ -88,127 +69,115 @@ class EncoderModel:
         )
 
 
-def encoder_read(fin: FinState, model: EncoderModel) -> bool:
-    """Binary hall-sensor output for the fin's current angle."""
-    return model.detects(fin.angle)
+class Fin:
+    """One fin and its hall-effect sensor: the angle in [0, 2*pi), the
+    commanded and nominal speeds (rad/s), whether the sensor sees a magnet,
+    rising edges since the last completed cycle, the unwrapped rotation and
+    the time spent paused."""
 
-
-class _FinTracker:
-    """Per-fin bookkeeping: rising-edge detection and unwrapped rotation."""
-
-    def __init__(self, fin: FinState, encoder: EncoderModel):
-        self.fin = fin
+    def __init__(self, speed: float, encoder: EncoderModel):
+        if speed < 0:
+            raise ValueError("fin angular_speed must be >= 0")
         self.encoder = encoder
-        self.nominal_speed = fin.angular_speed
-        self.in_window = encoder.detects(fin.angle)
-        self.edges = 0  # rising edges since the last completed cycle
-        self.total_angle = 0.0  # unwrapped rotation, rad
+        self.angle = 0.0
+        self.angular_speed = self.nominal_speed = speed
+        self.in_window = encoder.detects(0.0)
+        self.edges = 0
+        self.total_angle = 0.0
         self.pause_time = 0.0
 
     def advance(self, dt: float) -> bool:
-        """Integrate one step; returns True on a rising encoder edge."""
-        if self.fin.angular_speed <= 0.0:
+        """Turn for one tick; returns True on a rising encoder edge."""
+        if self.angular_speed <= 0.0:
             return False
-        step = self.fin.angular_speed * dt
-        self.fin.angle = wrap_angle(self.fin.angle + step)
+        step = self.angular_speed * dt
+        self.angle = wrap_angle(self.angle + step)
         self.total_angle += step
         was_in = self.in_window
-        self.in_window = self.encoder.detects(self.fin.angle)
+        self.in_window = self.encoder.detects(self.angle)
         if self.in_window and not was_in:
             self.edges += 1
             return True
         return False
 
 
-def _check_step_resolution(speed: float, dt: float, encoder: EncoderModel):
-    # a coarser step could sweep straight across a detection window
-    if speed * dt >= encoder.detection_window:
-        raise ValueError(
-            "dt too coarse: angular step per tick must stay below the "
-            "encoder detection window"
-        )
-
-
 class _FinPair:
     """Two fins, each watched by its own encoder and stepped finely enough
-    that no magnet passage is missed; a subclass's `step` says when a gait
-    cycle completes."""
+    that no magnet passage is missed. A gait says how the fins move in one
+    tick (`_move`, by default both free-run) and may replace the rule that
+    a cycle completes once both fins have validated a revolution."""
 
     def __init__(self, left_speed: float = TWO_PI, right_speed: float | None = None,
                  encoder: EncoderModel | None = None, dt_hint: float = 0.01):
         if right_speed is None:
             right_speed = left_speed
         self.encoder = encoder or EncoderModel()
-        _check_step_resolution(max(left_speed, right_speed), dt_hint, self.encoder)
-        self.left = FinState(0.0, left_speed, Side.LEFT)
-        self.right = FinState(0.0, right_speed, Side.RIGHT)
-        self._lt = _FinTracker(self.left, self.encoder)
-        self._rt = _FinTracker(self.right, self.encoder)
+        # a coarser step could sweep straight across a detection window
+        if max(left_speed, right_speed) * dt_hint >= self.encoder.detection_window:
+            raise ValueError("dt too coarse: angular step per tick must stay "
+                             "below the encoder detection window")
+        self.left = Fin(left_speed, self.encoder)
+        self.right = Fin(right_speed, self.encoder)
         self.edges_per_cycle = len(self.encoder.magnet_angles)
         self.time = 0.0
+
+    def step(self, dt: float) -> bool:
+        """Advance one tick; returns True when it completes a gait cycle."""
+        if dt <= 0:
+            raise ValueError("dt must be positive")
+        self._move(dt)
+        self.time += dt
+        return self._cycle_complete()
+
+    def _move(self, dt: float):
+        self.left.advance(dt)
+        self.right.advance(dt)
+
+    def _cycle_complete(self) -> bool:
+        n = self.edges_per_cycle
+        if self.left.edges >= n and self.right.edges >= n:
+            self.left.edges -= n
+            self.right.edges -= n
+            return True
+        return False
 
 
 class SyncGait(_FinPair):
     """Both fins rotate together; the fin that reaches its magnet first
-    pauses until the other side's detection validates the passage. A cycle
-    completes once both fins have validated a full revolution."""
+    pauses until the other side's detection validates the passage."""
 
-    def step(self, dt: float) -> bool:
-        if dt <= 0:
-            raise ValueError("dt must be positive")
-        lt, rt = self._lt, self._rt
-        # leading fin waits for the lagging side's detection
-        left_waits = lt.edges > rt.edges
-        right_waits = rt.edges > lt.edges
-        self.left.angular_speed = 0.0 if left_waits else lt.nominal_speed
-        self.right.angular_speed = 0.0 if right_waits else rt.nominal_speed
-        if left_waits:
-            lt.pause_time += dt
-        if right_waits:
-            rt.pause_time += dt
-        lt.advance(dt)
-        rt.advance(dt)
-        self.time += dt
-        if lt.edges >= self.edges_per_cycle and rt.edges >= self.edges_per_cycle:
-            lt.edges -= self.edges_per_cycle
-            rt.edges -= self.edges_per_cycle
-            return True
-        return False
+    def _move(self, dt: float):
+        # the leading fin waits for the lagging side's detection
+        lead = self.left.edges - self.right.edges
+        for fin, waits in ((self.left, lead > 0), (self.right, lead < 0)):
+            fin.angular_speed = 0.0 if waits else fin.nominal_speed
+            if waits:
+                fin.pause_time += dt
+            fin.advance(dt)
 
     def angle_error(self) -> float:
         return angle_distance(self.left.angle, self.right.angle)
 
     @property
     def pause_time(self) -> float:
-        return self._lt.pause_time + self._rt.pause_time
+        return self.left.pause_time + self.right.pause_time
 
 
 class AsyncGait(_FinPair):
-    """Fins alternate: only the scheduled fin rotates, handing over at each
-    of its encoder detections. A cycle completes once both fins have
-    accumulated a full revolution of validated detections."""
+    """Fins alternate: only the `active` fin rotates, handing over at each
+    of its encoder detections."""
 
-    active = Side.LEFT  # the fin scheduled to move
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.active = self.left
 
-    def step(self, dt: float) -> bool:
-        if dt <= 0:
-            raise ValueError("dt must be positive")
-        mover = self._lt if self.active is Side.LEFT else self._rt
-        idler = self._rt if self.active is Side.LEFT else self._lt
+    def _move(self, dt: float):
+        idler = self.right if self.active is self.left else self.left
         # mutual exclusion: only the scheduled fin may move
-        idler.fin.angular_speed = 0.0
-        mover.fin.angular_speed = mover.nominal_speed
-        rising = mover.advance(dt)
-        self.time += dt
-        cycle = False
-        if rising:
-            self.active = Side.RIGHT if self.active is Side.LEFT else Side.LEFT
-            if (self._lt.edges >= self.edges_per_cycle
-                    and self._rt.edges >= self.edges_per_cycle):
-                self._lt.edges -= self.edges_per_cycle
-                self._rt.edges -= self.edges_per_cycle
-                cycle = True
-        return cycle
+        idler.angular_speed = 0.0
+        self.active.angular_speed = self.active.nominal_speed
+        if self.active.advance(dt):
+            self.active = idler
 
 
 class OpenLoopGait(_FinPair):
@@ -217,20 +186,15 @@ class OpenLoopGait(_FinPair):
 
     _cycles_marked = 0
 
-    def step(self, dt: float) -> bool:
-        if dt <= 0:
-            raise ValueError("dt must be positive")
-        self._lt.advance(dt)
-        self._rt.advance(dt)
-        self.time += dt
-        if self._lt.total_angle >= (self._cycles_marked + 1) * TWO_PI:
+    def _cycle_complete(self) -> bool:
+        if self.left.total_angle >= (self._cycles_marked + 1) * TWO_PI:
             self._cycles_marked += 1
             return True
         return False
 
     def phase_error(self) -> float:
         """Unwrapped rotation mismatch between the fins (rad)."""
-        return abs(self._lt.total_angle - self._rt.total_angle)
+        return abs(self.left.total_angle - self.right.total_angle)
 
 
 def make_controller(mode: GaitMode, fin_speed: float = TWO_PI,

@@ -32,15 +32,14 @@ _GAIT_MODE = {
 @dataclass(frozen=True)
 class RobotParams:
     mass: float = 0.028  # kg
-    body_length: float = 0.058  # m
     launch_angle: float = math.pi / 4  # rad
     gravity: float = 9.81  # m/s^2
     pitch_speed_limit: float = 1.5  # m/s; takeoff faster than this on rigid
     # ground tips the body onto its tail
 
     def __post_init__(self):
-        if self.mass <= 0 or self.gravity <= 0 or self.body_length <= 0:
-            raise ValueError("mass, gravity and body_length must be positive")
+        if self.mass <= 0 or self.gravity <= 0:
+            raise ValueError("mass and gravity must be positive")
         if not 0.0 < self.launch_angle < math.pi / 2:
             raise ValueError("launch_angle must lie in (0, pi/2)")
         if self.pitch_speed_limit <= 0:

@@ -1,9 +1,10 @@
 """Substrate response models.
 
 Each material maps moisture content m (added water mass / dry substrate
-mass) to a skip efficiency and a crawl traction in [0, 1], plus categorical
-flags: tail slip on saturated clay, excavation on loose beds, fin
-entanglement on grass. Curve shapes are phenomenological; the shipped
+mass) to a skip efficiency and a crawl traction in [0, 1], plus two
+categorical flags: tail slip on saturated clay and excavation on loose beds.
+Grass has no flag of its own: its crawl cap of 0.02 keeps fin crawling
+below the progress threshold. Curve shapes are phenomenological; the shipped
 coefficients are fitted against the bundled velocity targets (see the
 calibrate module) and can be regenerated with `skipsim calibrate`.
 """
@@ -84,12 +85,9 @@ class MoistureResponse:
     crawl: CrawlCurve
     slip_moisture: float | None = None  # tail shears the slurry at/above this m
     excavation_traction: float = 0.15  # crawling digs in below this traction
-    entanglement: float = 0.0  # in [0, 1]; > 0 means fins entangle
     moisture_sensitive: bool = True  # False: response identical at every m
 
     def __post_init__(self):
-        if not 0.0 <= self.entanglement <= 1.0:
-            raise ValueError("entanglement must lie in [0, 1]")
         if self.excavation_traction < 0:
             raise ValueError("excavation_traction must be >= 0")
         if self.slip_moisture is not None and self.slip_moisture <= 0:
@@ -110,7 +108,6 @@ class SubstrateParams:
     crawl_traction: float
     tail_slips: bool
     excavates: bool
-    entangles: bool
 
 
 # Calibrated coefficients (regenerate with `skipsim calibrate`). Flat curves
@@ -133,7 +130,6 @@ _DEFAULT_RESPONSES = {
         skip=SkipCurve(floor=0.812903, peak=0.812903, center=0.0, width=1.0),
         crawl=CrawlCurve(cap=0.02, rise_mid=-1.0, rise_width=0.05, decay=0.0),
         excavation_traction=0.0,
-        entanglement=1.0,
         moisture_sensitive=False,
     ),
     Material.RIGID: MoistureResponse(
@@ -174,6 +170,5 @@ def moisture_response(material: Material, moisture: float,
         crawl_traction=crawl,
         tail_slips=slips,
         excavates=excavates,
-        entangles=r.entanglement > 0.0,
     )
 

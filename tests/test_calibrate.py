@@ -106,12 +106,17 @@ class TestTargets:
         bench = {(t.material, t.mode, t.moisture): t.target_cmps for t in targets}
         assert bench[(Material.GRASS, LocomotionMode.SKIP, 0.0)] == 5.38
 
-    def test_malformed_row_reports_line(self, tmp_path):
+    @pytest.mark.parametrize("row", [
+        "skip,unobtainium,0.0,1.0,0.1,1.0", "skip,grass,0.0,nan,0.71,1.0",
+        "skip,grass,0.0,5.38,0.71,inf", "skip,grass,nan,5.38,0.71,1.0",
+        "skip,grass,5.0,5.38,0.71,1.0", "skip,grass,-0.1,5.38,0.71,1.0",
+    ], ids=["material", "nan-target", "inf-weight", "nan-moisture",
+            "moisture-above-max", "moisture-negative"])
+    def test_malformed_row_reports_line(self, tmp_path, row):
         path = tmp_path / "targets.csv"
         path.write_text(
             "mode,material,moisture,target_cmps,std_cmps,weight\n"
-            "skip,grass,0.0,5.38,0.71,1.0\n"
-            "skip,unobtainium,0.0,1.0,0.1,1.0\n")
+            f"skip,grass,0.0,5.38,0.71,1.0\n{row}\n")
         with pytest.raises(ValueError, match="row 3"):
             cal.load_targets(path)
 

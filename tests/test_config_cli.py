@@ -23,6 +23,8 @@ def _leaves(doc, path=""):
             yield dotted, value
 
 
+TARGETS_HEADER = "mode,material,moisture,target_cmps,std_cmps,weight\n"
+
 # every key the config type-checks
 TYPED_KEYS = [(k, v) for k, v in _leaves(default_dict())
               if k != "schema_version"]
@@ -196,10 +198,17 @@ class TestCli:
         (["analyze", "--trace"],
          "time_s,force_N\n0.0,0\n0.1,1e308\n0.2,0\n0.3,0\n0.4,0\n0.5,0\n"
          "0.6,1e308\n0.7,0\n"),
+        (["calibrate", "--budget", "2", "--targets"], TARGETS_HEADER +
+         "skip,grass,0.0,5.38,0.71,1.0\nskip,grass,0.0,nan,0.71,1.0\n"),
+        (["calibrate", "--budget", "2", "--targets"], TARGETS_HEADER +
+         "skip,grass,0.0,5.38,0.71,1.0\nskip,grass,0.0,5.38,0.71,inf\n"),
+        (["calibrate", "--budget", "2", "--targets"], TARGETS_HEADER +
+         "skip,grass,0.0,5.38,0.71,1.0\nskip,grass,5.0,5.38,0.71,1.0\n"),
     ], ids=["trace-equal-times", "trace-uneven-times", "trajectory-no-heading",
             "trace-short-row", "trace-missing", "targets-missing",
             "trajectory-nan", "trajectory-inf", "trajectory-overflow",
-            "trace-subnormal-step", "trace-huge-peaks"])
+            "trace-subnormal-step", "trace-huge-peaks", "targets-nan-target",
+            "targets-inf-weight", "targets-moisture-5"])
     def test_bad_csv_inputs_exit_2(self, tmp_path, capsys, argv, text):
         path = tmp_path / "input.csv"
         if text is not None:
@@ -208,6 +217,7 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert "Traceback" not in err
+        assert os.listdir(tmp_path / "o") == []  # refused before writing
 
     @pytest.mark.parametrize("flag, text", [
         ("--trace", "time_s,force_N\n0.0,1.0\n0.0005,\n"),
@@ -221,18 +231,35 @@ class TestCli:
                      str(tmp_path / "o")]) == 2
         assert "CSV line 3" in capsys.readouterr().err
 
-    def test_substrate_bench_checks_targets_at_row_moisture(self, tmp_path):
+    def test_substrate_bench_checks_targets_at_row_moisture(self, tmp_path,
+                                                            capsys):
         # the 15% uniform-sand row misses its bundled 3.4 cm/s target when
-        # the curve's peak moves to 25%, while the dry row still passes
+        # the curve's peak moves to 35%, while the ordering still holds
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
-            "substrates": {"uniform_sand": {"skip": {"center": 0.25}}},
+            "substrates": {"uniform_sand": {"skip": {"center": 0.35}}},
             "experiments": {"substrate_bench": {"conditions": [
                 ["uniform_sand", 0.15], ["nonuniform_sand", 0.0],
-                ["bentonite_clay", 0.3333], ["grass", 0.0],
-                ["uniform_sand", 0.0]]}}}))
+                ["bentonite_clay", 0.3333], ["grass", 0.0]]}}}))
         assert main(["substrate-bench", "--config", str(cfg), "--assert",
                      "--out", str(tmp_path / "o")]) == 3
+        assert "uniform_sand at moisture 0.15" in capsys.readouterr().err
+
+    def test_substrate_bench_rejects_a_material_listed_twice(self, tmp_path,
+                                                             capsys):
+        # one mean per material would keep only the last uniform_sand row
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiments": {"substrate_bench": {
+            "conditions": [["uniform_sand", 0.15], ["nonuniform_sand", 0.0],
+                           ["bentonite_clay", 0.3333], ["grass", 0.0],
+                           ["uniform_sand", 0.0]]}}}))
+        out = tmp_path / "o"
+        assert main(["substrate-bench", "--config", str(cfg),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "uniform_sand" in err
+        assert not (out / "summary.json").exists()
 
     def test_analyze_without_inputs_exits_2(self, tmp_path):
         assert main(["analyze", "--out", str(tmp_path / "o")]) == 2
@@ -255,11 +282,16 @@ class TestCli:
         (["gait-drift"], {"gait": {"stride_m": 0}}, "stride"),
         (["scenario"], {"gait": {"fin_speed_rad_s": 0}}, "fin_speed"),
         (["scenario"], {"gait": {"dt_s": 0}}, "dt"),
+        (["scenario"], {"robot": {"body_length_m": 0.058}},
+         "unknown config key: robot.body_length_m"),
+        (["scenario"], {"substrates": {"grass": {"entanglement": 1.0}}},
+         "unknown config key: substrates.grass.entanglement"),
     ], ids=["drift-trials-neg", "drift-trials-0", "sweep-trials-word",
             "budget-0", "tail-trials", "scenario-trials", "calibrate-assert",
             "config-drift-trials-0", "seed-neg", "config-seed-neg",
             "config-nan", "config-ci-level-word", "config-gait-stride-0",
-            "config-gait-fin-speed-0", "config-gait-dt-0"])
+            "config-gait-fin-speed-0", "config-gait-dt-0",
+            "removed-key-body-length", "removed-key-entanglement"])
     def test_bad_counts_and_flags_exit_2(self, tmp_path, capsys, argv, doc,
                                          named):
         argv = argv + ["--out", str(tmp_path / "o")]

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from skipsim.gait import (TWO_PI, AsymmetryNoise, AsyncGait, EncoderModel,
-                          FinState, GaitConfig, GaitMode, OpenLoopGait,
-                          PlanarPose, Side, SyncGait, Trajectory,
-                          crawl_kinematics, drift_trial, encoder_read,
+                          GaitConfig, GaitMode, OpenLoopGait, PlanarPose,
+                          SyncGait, Trajectory, crawl_kinematics, drift_trial,
                           nominal_cycle_times, run_cycles)
 from skipsim.stats import lateral_drift
 
@@ -16,12 +15,12 @@ DT = 0.01
 class TestEncoder:
     def test_detects_at_magnet(self):
         model = EncoderModel()
-        assert encoder_read(FinState(angle=0.0), model)
-        assert encoder_read(FinState(angle=math.pi), model)
+        assert model.detects(0.0)
+        assert model.detects(math.pi)
 
     def test_quarter_turn_away_is_silent(self):
         model = EncoderModel()
-        assert not encoder_read(FinState(angle=math.pi / 2), model)
+        assert not model.detects(math.pi / 2)
 
     def test_two_rising_edges_per_revolution(self):
         model = EncoderModel()
@@ -82,6 +81,14 @@ class TestSyncGait:
             SyncGait(left_speed=TWO_PI, dt_hint=0.05)
 
 
+@pytest.mark.parametrize("gait", [SyncGait, AsyncGait, OpenLoopGait])
+def test_step_rejects_a_zero_dt(gait):
+    controller = gait()
+    with pytest.raises(ValueError, match="dt must be positive"):
+        controller.step(0.0)
+    assert controller.time == 0.0
+
+
 class TestAsyncGait:
     def test_mover_flips_at_every_detection(self):
         gait = AsyncGait()
@@ -109,7 +116,7 @@ class TestAsyncGait:
 
     def test_commanding_both_fins_is_ignored(self):
         gait = AsyncGait()
-        idle = gait.right if gait.active is Side.LEFT else gait.left
+        idle = gait.right if gait.active is gait.left else gait.left
         idle.angular_speed = TWO_PI  # attempt to move the unscheduled fin
         before = idle.angle
         gait.step(DT)
@@ -121,7 +128,7 @@ class TestAsyncGait:
         cycles = run_cycles(gait, 10.0, DT)
         # alternating halves: each fin turns through five full revolutions
         # (validated a detection-window early, hence round rather than floor)
-        slower_turns = min(gait._lt.total_angle, gait._rt.total_angle) / TWO_PI
+        slower_turns = min(gait.left.total_angle, gait.right.total_angle) / TWO_PI
         assert round(slower_turns) == len(cycles) == 5
         assert abs(slower_turns - len(cycles)) < 0.1
 

@@ -13,7 +13,7 @@ from skipsim.stats import FailureMode
 from skipsim.terrain import Material, SubstrateParams, moisture_response
 
 PERFECT = SubstrateParams(skip_efficiency=1.0, crawl_traction=1.0,
-                          tail_slips=False, excavates=False, entangles=False)
+                          tail_slips=False, excavates=False)
 
 
 class TestHopDisplacement:

@@ -39,11 +39,10 @@ class TestMoistureResponse:
         for m in GRID:
             assert moisture_response(Material.RIGID, m) == baseline
 
-    def test_grass_entangles_and_barely_crawls(self):
+    def test_grass_barely_crawls(self):
         params = moisture_response(Material.GRASS, 0.0)
-        assert params.entangles
         assert params.crawl_traction < 0.05
-        assert default_curves(Material.GRASS).entanglement == 1.0
+        assert default_curves(Material.GRASS).crawl.cap == 0.02
 
     def test_grass_never_excavates(self):
         assert not moisture_response(Material.GRASS, 0.0).excavates
