@@ -327,6 +327,49 @@ class GaitConfig:
                 raise ValueError(f"gait {name} must be positive")
 
 
+def accumulate(origin, steps) -> list:
+    """[origin, origin + steps[0], ...] as Python floats, summed one step at
+    a time as a loop of `+=` would (np.add.accumulate is sequential, unlike
+    np.sum). A pair `origin` sums the two columns of `steps` apart and
+    gives a pair of such lists."""
+    terms = np.empty((len(steps) + 1,) + np.shape(origin))
+    terms[0] = origin
+    terms[1:] = steps
+    return np.add.accumulate(terms).T.tolist()
+
+
+@lru_cache(maxsize=256)
+def crawl_draws(gain_split: tuple, heading_jitter_std: float,
+                stride_jitter_std: float, seed: int, n_cycles: int) -> tuple:
+    """The random part of a crawl trial: (gain_left, gain_right, heading
+    jitter per cycle, stride factor per cycle), the arrays read-only.
+
+    Cached: the draws never depend on the substrate or the stride, so every
+    material, moisture and calibration step at the same seed and cycle
+    count reuses them. The key is exactly the noise fields drawn from. The
+    stream is the model's: the split's sign and magnitude, then per cycle
+    the heading jitter and the stride jitter, each drawn only if its std
+    is positive. A jitter not drawn is a heading step of 0.0 and a stride
+    factor of 1.0, which leave every pose unchanged."""
+    rng = np.random.default_rng(seed)
+    sign = 1.0 if rng.random() < 0.5 else -1.0
+    lo, hi = gain_split
+    split = sign * (rng.uniform(lo, hi) if hi > lo else lo)
+    drawn = [std for std in (heading_jitter_std, stride_jitter_std)
+             if std > 0.0]
+    jitter = rng.normal(0.0, drawn, size=(n_cycles, len(drawn)))
+    turns = np.zeros(n_cycles)
+    if heading_jitter_std > 0.0:
+        turns = jitter[:, 0].copy()
+    factors = np.ones(n_cycles)
+    if stride_jitter_std > 0.0:
+        factors = 1.0 + jitter[:, -1]
+        factors = np.where(factors > 0.0, factors, 0.0)  # max(0.0, factor)
+    turns.setflags(write=False)
+    factors.setflags(write=False)
+    return 1.0 + split / 2.0, 1.0 - split / 2.0, turns, factors
+
+
 def crawl_kinematics(cycle_times, mode: GaitMode, noise: AsymmetryNoise,
                      stride: float, seed: int,
                      start: PlanarPose | None = None) -> Trajectory:
@@ -340,31 +383,27 @@ def crawl_kinematics(cycle_times, mode: GaitMode, noise: AsymmetryNoise,
     """
     if stride <= 0:
         raise ValueError("stride must be positive")
-    rng = np.random.default_rng(seed)
-    sign = 1.0 if rng.random() < 0.5 else -1.0
-    lo, hi = noise.gain_split
-    split = sign * (rng.uniform(lo, hi) if hi > lo else lo)
-    gain_left = 1.0 + split / 2.0
-    gain_right = 1.0 - split / 2.0
+    gain_left, gain_right, turns, factors = crawl_draws(
+        noise.gain_split, noise.heading_jitter_std, noise.stride_jitter_std,
+        seed, len(cycle_times))
     turn_bias = 0.0
     if mode is GaitMode.OPEN_LOOP:
         turn_bias = stride * (gain_left - gain_right) / noise.track_width
 
     if start is None:
         start = PlanarPose(0.0, 0.0, 0.0, 0.0)
-    x, y, heading = start.x, start.y, start.heading
-    poses = [start]
-    for t in cycle_times:
-        if noise.heading_jitter_std > 0.0:
-            heading += rng.normal(0.0, noise.heading_jitter_std)
-        heading += turn_bias
-        step = stride * (gain_left + gain_right) / 2.0
-        if noise.stride_jitter_std > 0.0:
-            step *= max(0.0, 1.0 + rng.normal(0.0, noise.stride_jitter_std))
-        x += step * math.cos(heading)
-        y += step * math.sin(heading)
-        poses.append(PlanarPose(x, y, heading, start.time + t))
-    return Trajectory(poses)
+    # each cycle adds its jitter to the heading, then the turn bias
+    heading_steps = np.empty(2 * len(turns))
+    heading_steps[0::2] = turns
+    heading_steps[1::2] = turn_bias
+    headings = accumulate(start.heading, heading_steps)[2::2]
+    steps = stride * (gain_left + gain_right) / 2.0 * factors
+    directions = np.array([(math.cos(h), math.sin(h)) for h in headings])
+    xs, ys = accumulate((start.x, start.y),
+                        steps[:, None] * directions.reshape(-1, 2))
+    stamps = (start.time + np.asarray(cycle_times, dtype=float)).tolist()
+    return Trajectory([start, *map(PlanarPose, xs[1:], ys[1:], headings,
+                                   stamps)])
 
 
 def drift_trial(mode: GaitMode, gait: GaitConfig | None = None, seed: int = 0,

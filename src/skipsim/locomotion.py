@@ -4,15 +4,16 @@ gait cycles, and substrate response into trials with failure classification."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
+from itertools import repeat
 
 import numpy as np
 
-from .gait import (GaitConfig, GaitMode, PlanarPose, Trajectory,
+from .gait import (GaitConfig, GaitMode, PlanarPose, Trajectory, accumulate,
                    crawl_kinematics, nominal_cycle_times)
 from .springtail import (EngagedAngleModel, RegimeThresholds, TailConfig,
-                         length_regime, strike_sequence)
+                         strike_schedule)
 from .stats import FailureMode, classify_trial
 from .terrain import Material, SubstrateParams, moisture_response
 
@@ -97,46 +98,59 @@ class BatchSummary:
     failures: int
 
 
-def hop_displacement(impulse: float, params: RobotParams,
-                     substrate: SubstrateParams) -> float:
-    """Forward distance of one strike-driven hop.
+def hop_displacement(impulse, params: RobotParams,
+                     substrate: SubstrateParams):
+    """Forward distance of one strike-driven hop, or of each hop for an
+    array of impulses.
 
     Takeoff speed is the substrate-scaled impulse over the robot mass; the
     hop covers the ballistic range v0^2*sin(2*alpha)/g. A slipping tail
     transfers nothing.
     """
-    if impulse <= 0:
+    impulses = np.asarray(impulse, dtype=float)
+    if (impulses <= 0).any():
         raise ValueError("impulse must be positive")
     if substrate.tail_slips:
-        return 0.0
-    v0 = takeoff_speed(impulse, params, substrate)
-    return v0 ** 2 * math.sin(2.0 * params.launch_angle) / params.gravity
+        distance = np.zeros_like(impulses)
+    else:
+        v0 = takeoff_speed(impulses, params, substrate)
+        # Python's float ** (libm pow): numpy's v**2 is v*v, which differs
+        # from it in the last bit for some v
+        square = np.array([v ** 2 for v in v0.ravel().tolist()])
+        distance = (square.reshape(v0.shape)
+                    * math.sin(2.0 * params.launch_angle) / params.gravity)
+    return distance if distance.ndim else float(distance)
 
 
-def takeoff_speed(impulse: float, params: RobotParams,
-                  substrate: SubstrateParams) -> float:
+def takeoff_speed(impulse, params: RobotParams, substrate: SubstrateParams):
+    """Takeoff speed of one impulse, or of each of an array of them."""
     return substrate.skip_efficiency * impulse / params.mass
 
 
 def _skip_trial(spec, substrate, model, start):
-    tail, robot, thresholds = model.tail, model.robot, model.thresholds
-    regime = length_regime(tail.free_length, thresholds)
-    events = strike_sequence(tail, model.angle_model, regime, spec.duration,
-                             spec.seed, thresholds)
-    x, y, heading = start.x, start.y, start.heading
-    poses = [start]
-    for e in events:
-        v0 = takeoff_speed(e.impulse, robot, substrate)
-        if spec.material is Material.RIGID and v0 > robot.pitch_speed_limit:
-            # the strike lifts the forebody; the robot leans on its tail and
-            # stops advancing
-            poses.append(PlanarPose(x, y, heading, start.time + e.time))
-            return poses, FailureMode.PITCH_OVER
-        d = hop_displacement(e.impulse, robot, substrate)
-        x += d * math.cos(heading)
-        y += d * math.sin(heading)
-        poses.append(PlanarPose(x, y, heading, start.time + e.time))
-    return poses, FailureMode.TAIL_SLIP if substrate.tail_slips else None
+    robot = model.robot
+    times, impulses = strike_schedule(model.tail, model.angle_model,
+                                      model.thresholds, spec.duration,
+                                      spec.seed)
+    hops = len(impulses)
+    hard = FailureMode.TAIL_SLIP if substrate.tail_slips else None
+    if spec.material is Material.RIGID:
+        # a strike this fast lifts the forebody; the robot leans on its tail
+        # and stops advancing
+        over = np.flatnonzero(takeoff_speed(impulses, robot, substrate)
+                              > robot.pitch_speed_limit)
+        if over.size:
+            hops, hard = int(over[0]), FailureMode.PITCH_OVER
+    distance = hop_displacement(impulses[:hops], robot, substrate)
+    heading = start.heading
+    xs, ys = accumulate((start.x, start.y), distance[:, None] * (
+        math.cos(heading), math.sin(heading)))
+    stamps = (start.time + times).tolist()
+    poses = [start, *map(PlanarPose, xs[1:], ys[1:], repeat(heading),
+                         stamps)]
+    if hard is FailureMode.PITCH_OVER:
+        poses.append(PlanarPose(xs[-1], ys[-1], heading, stamps[hops]))
+    return poses, hard
 
 
 def _crawl_trial(spec, substrate, gait, start):
@@ -186,7 +200,9 @@ def run_batch(spec: TrialSpec, n_trials: int, seed_base: int,
         raise ValueError("n_trials must be >= 1")
     results = []
     for k in range(n_trials):
-        results.append(run_trial(replace(spec, seed=seed_base + k), model))
+        results.append(run_trial(TrialSpec(spec.mode, spec.material,
+                                           spec.moisture, spec.duration,
+                                           seed_base + k), model))
     velocities = np.array([r.effective_velocity for r in results])
     if n_trials == 1 or velocities.min() == velocities.max():
         std = 0.0

@@ -1,0 +1,342 @@
+"""Byte-identity of the trial layer against its per-strike and per-cycle
+reference loops, and the safety of the schedule caches under it.
+
+A skip trial applies the substrate to a cached strike schedule
+(`strike_schedule`) and a crawl trial to cached noise draws
+(`crawl_draws`), each in one numpy pass. The loops kept here as oracles
+draw every strike and every cycle's noise afresh and advance the pose one
+`+=` at a time. Every pose float must match exactly, not to a tolerance:
+the tests compare `repr`s, which tell apart any two doubles, -0.0 from 0.0
+included. The golden digests cover only the default settings; these tests
+draw skip efficiencies over the whole fitted range, pitch-over, tail slip,
+excavation, start poses off the origin, all three gait modes, zero noise
+terms, and jammed and rolling blades.
+"""
+
+import math
+import tracemalloc
+from unittest import mock
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from skipsim import locomotion  # noqa: E402
+from skipsim.calibrate import SKIP_EFF_MAX  # noqa: E402
+from skipsim.gait import (AsymmetryNoise, GaitConfig, GaitMode,  # noqa: E402
+                          PlanarPose, Trajectory, crawl_draws,
+                          crawl_kinematics, drift_trial)
+from skipsim.locomotion import (LocomotionMode, Model,  # noqa: E402
+                                RobotParams, TrialSpec, hop_displacement,
+                                run_batch, run_trial)
+from skipsim.springtail import (EngagedAngleModel,  # noqa: E402
+                                RegimeThresholds, TailConfig, length_regime,
+                                strike_schedule, strike_sequence)
+from skipsim.stats import FailureMode  # noqa: E402
+from skipsim.terrain import (CrawlCurve, Material,  # noqa: E402
+                             MoistureResponse, SkipCurve, SubstrateParams)
+
+
+def oracle_skip_trial(spec, substrate, model, start):
+    tail, robot, thresholds = model.tail, model.robot, model.thresholds
+    regime = length_regime(tail.free_length, thresholds)
+    events = strike_sequence(tail, model.angle_model, regime, spec.duration,
+                             spec.seed, thresholds)
+    x, y, heading = start.x, start.y, start.heading
+    poses = [start]
+    for e in events:
+        v0 = substrate.skip_efficiency * e.impulse / robot.mass
+        if spec.material is Material.RIGID and v0 > robot.pitch_speed_limit:
+            poses.append(PlanarPose(x, y, heading, start.time + e.time))
+            return poses, FailureMode.PITCH_OVER
+        d = oracle_hop_displacement(e.impulse, robot, substrate)
+        x += d * math.cos(heading)
+        y += d * math.sin(heading)
+        poses.append(PlanarPose(x, y, heading, start.time + e.time))
+    return poses, FailureMode.TAIL_SLIP if substrate.tail_slips else None
+
+
+def oracle_hop_displacement(impulse, robot, substrate):
+    if substrate.tail_slips:
+        return 0.0
+    v0 = substrate.skip_efficiency * impulse / robot.mass
+    return v0 ** 2 * math.sin(2.0 * robot.launch_angle) / robot.gravity
+
+
+def oracle_crawl_kinematics(cycle_times, mode, noise, stride, seed,
+                            start=None):
+    if stride <= 0:
+        raise ValueError("stride must be positive")
+    rng = np.random.default_rng(seed)
+    sign = 1.0 if rng.random() < 0.5 else -1.0
+    lo, hi = noise.gain_split
+    split = sign * (rng.uniform(lo, hi) if hi > lo else lo)
+    gain_left = 1.0 + split / 2.0
+    gain_right = 1.0 - split / 2.0
+    turn_bias = 0.0
+    if mode is GaitMode.OPEN_LOOP:
+        turn_bias = stride * (gain_left - gain_right) / noise.track_width
+    if start is None:
+        start = PlanarPose(0.0, 0.0, 0.0, 0.0)
+    x, y, heading = start.x, start.y, start.heading
+    poses = [start]
+    for t in cycle_times:
+        if noise.heading_jitter_std > 0.0:
+            heading += rng.normal(0.0, noise.heading_jitter_std)
+        heading += turn_bias
+        step = stride * (gain_left + gain_right) / 2.0
+        if noise.stride_jitter_std > 0.0:
+            step *= max(0.0, 1.0 + rng.normal(0.0, noise.stride_jitter_std))
+        x += step * math.cos(heading)
+        y += step * math.sin(heading)
+        poses.append(PlanarPose(x, y, heading, start.time + t))
+    return Trajectory(poses)
+
+
+def oracle_run_trial(spec, model, start):
+    """run_trial with the oracles in place of the schedule-based steps."""
+    with mock.patch.object(locomotion, "_skip_trial", oracle_skip_trial), \
+            mock.patch.object(locomotion, "crawl_kinematics",
+                              oracle_crawl_kinematics):
+        return run_trial(spec, model, start)
+
+
+def same_result(got, want):
+    assert repr(got.trajectory.poses) == repr(want.trajectory.poses)
+    assert repr(got.displacement) == repr(want.displacement)
+    assert repr(got.mean_velocity) == repr(want.mean_velocity)
+    assert got.failure is want.failure
+
+
+SIGNED = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-5.0, 5.0))
+STARTS = st.one_of(
+    st.just(locomotion.ORIGIN),
+    st.builds(PlanarPose, SIGNED, SIGNED,
+              st.one_of(st.sampled_from([0.0, -0.0, math.pi]),
+                        st.floats(-10.0, 10.0)),
+              st.floats(0.0, 100.0)))
+SEEDS = st.integers(0, 2 ** 32)
+DURATIONS = st.one_of(st.sampled_from([0.5, 10.0, 30.0]),
+                      st.floats(0.01, 40.0))
+# free lengths below jam_below jam, above roll_above roll (the housing arc
+# caps a blade at about 51.8 mm)
+TAILS = st.builds(TailConfig,
+                  free_length=st.one_of(st.sampled_from([15e-3, 25e-3, 35e-3]),
+                                        st.floats(5e-3, 51e-3)),
+                  motor_speed=st.floats(0.2, 5.0),
+                  pulse_width=st.floats(0.002, 0.05))
+ANGLE_MODELS = st.one_of(
+    st.just(EngagedAngleModel()),
+    st.builds(EngagedAngleModel, kind=st.just("truncated_normal")),
+    st.builds(EngagedAngleModel, lower=st.just(0.5), upper=st.just(0.5)))
+THRESHOLDS = st.builds(RegimeThresholds,
+                       jam_strike_prob=st.floats(0.0, 1.0),
+                       roll_attenuation=st.floats(0.05, 1.0))
+ROBOTS = st.builds(RobotParams, mass=st.floats(0.005, 0.1),
+                   launch_angle=st.floats(0.1, 1.4),
+                   pitch_speed_limit=st.floats(0.05, 3.0))
+EFFICIENCIES = st.one_of(st.sampled_from([0.0, SKIP_EFF_MAX]),
+                         st.floats(0.0, SKIP_EFF_MAX))
+# per-side gain split: equal ends draw no magnitude
+SPLITS = st.one_of(st.just((0.0, 0.0)), st.just((0.004, 0.004)),
+                   st.tuples(st.floats(0.0, 0.5), st.floats(0.0, 0.5))
+                   .map(sorted).map(tuple))
+STDS = st.one_of(st.just(0.0), st.floats(0.0, 0.6))
+NOISES = st.one_of(
+    st.just(AsymmetryNoise()), st.just(AsymmetryNoise.zero()),
+    st.builds(AsymmetryNoise, gain_split=SPLITS, stride_jitter_std=STDS,
+              heading_jitter_std=STDS, track_width=st.floats(0.01, 0.2)))
+
+
+@st.composite
+def skip_cases(draw):
+    """A skip trial on a flat response of any fitted efficiency, slipping
+    when its slip moisture is at or below the trial's moisture."""
+    material = draw(st.sampled_from(list(Material)))
+    moisture = draw(st.sampled_from([0.0, 0.5, 1.2]))
+    efficiency = draw(EFFICIENCIES)
+    slip = draw(st.sampled_from([None, 0.4, 1.0]))
+    response = MoistureResponse(
+        skip=SkipCurve(floor=efficiency, peak=efficiency, center=0.0,
+                       width=1.0),
+        crawl=CrawlCurve(cap=1.0, rise_mid=-1.0, rise_width=0.05, decay=0.0),
+        slip_moisture=slip)
+    model = Model(tail=draw(TAILS), robot=draw(ROBOTS),
+                  angle_model=draw(ANGLE_MODELS), thresholds=draw(THRESHOLDS),
+                  responses={material: response})
+    spec = TrialSpec(LocomotionMode.SKIP, material, moisture,
+                     duration=draw(DURATIONS), seed=draw(SEEDS))
+    return spec, model, draw(STARTS)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(skip_cases())
+def test_skip_trial_matches_per_strike_loop(case):
+    spec, model, start = case
+    same_result(run_trial(spec, model, start),
+                oracle_run_trial(spec, model, start))
+
+
+@st.composite
+def crawl_cases(draw):
+    """A sync or async crawl trial whose traction may fall below the
+    excavation threshold."""
+    material = draw(st.sampled_from(list(Material)))
+    response = MoistureResponse(
+        skip=SkipCurve(floor=0.5, peak=0.5, center=0.0, width=1.0),
+        crawl=CrawlCurve(cap=draw(st.floats(0.0, 1.0)), rise_mid=-1.0,
+                         rise_width=0.05, decay=0.0),
+        excavation_traction=draw(st.sampled_from([0.0, 0.15, 0.5])))
+    gait = GaitConfig(noise=draw(NOISES), stride=draw(st.floats(0.001, 0.1)))
+    model = Model(gait=gait, responses={material: response})
+    mode = draw(st.sampled_from([LocomotionMode.SYNC_CRAWL,
+                                 LocomotionMode.ASYNC_CRAWL]))
+    # every new duration steps the gait controller once, so keep them short
+    duration = draw(st.one_of(st.sampled_from([0.5, 3.0, 30.0]),
+                              st.floats(0.01, 6.0)))
+    spec = TrialSpec(mode, material, duration=duration, seed=draw(SEEDS))
+    return spec, model, draw(STARTS)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(crawl_cases())
+def test_crawl_trial_matches_per_cycle_loop(case):
+    spec, model, start = case
+    same_result(run_trial(spec, model, start),
+                oracle_run_trial(spec, model, start))
+
+
+@pytest.mark.parametrize("efficiency", [0.2706, 0.566203, SKIP_EFF_MAX])
+def test_hop_displacement_matches_scalar_formula_on_many_impulses(efficiency):
+    """Squaring with numpy (v*v) instead of Python's ** (libm pow) changes
+    about one double in 1,200, too rarely for the drawn trials to show."""
+    impulses = np.random.default_rng(0).uniform(5e-3, 0.05, 20_000)
+    substrate = SubstrateParams(efficiency, 1.0, False, False)
+    robot = RobotParams()
+    got = hop_displacement(impulses, robot, substrate).tolist()
+    want = [oracle_hop_displacement(j, robot, substrate)
+            for j in impulses.tolist()]
+    assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("cases,outcomes", [
+    (skip_cases(), {FailureMode.PITCH_OVER, FailureMode.TAIL_SLIP,
+                    FailureMode.NONE}),
+    (crawl_cases(), {FailureMode.EXCAVATION, FailureMode.NONE}),
+], ids=["skip", "crawl"])
+def test_drawn_trials_reach_every_outcome(cases, outcomes):
+    """The trials the oracle tests draw include every failure the schedule
+    layer decides, and clean runs."""
+    seen = set()
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(cases)
+    def collect(case):
+        seen.add(run_trial(*case).failure)
+
+    collect()
+    assert outcomes <= seen
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(times=st.lists(st.floats(0.0, 100.0), max_size=60).map(sorted),
+       mode=st.sampled_from(list(GaitMode)), noise=NOISES,
+       stride=st.floats(1e-4, 0.2), seed=SEEDS,
+       start=st.one_of(st.none(), STARTS))
+def test_crawl_kinematics_matches_per_cycle_loop(times, mode, noise, stride,
+                                                 seed, start):
+    got = crawl_kinematics(times, mode, noise, stride, seed, start)
+    want = oracle_crawl_kinematics(times, mode, noise, stride, seed, start)
+    assert repr(got.poses) == repr(want.poses)
+
+
+@pytest.mark.parametrize("noise", [
+    AsymmetryNoise(), AsymmetryNoise.zero(),
+    AsymmetryNoise(stride_jitter_std=0.0), AsymmetryNoise(heading_jitter_std=0.0),
+    AsymmetryNoise(gain_split=(0.004, 0.004)),
+], ids=["default", "zero", "no-stride-jitter", "no-heading-jitter",
+        "fixed-split"])
+@pytest.mark.parametrize("mode", list(GaitMode), ids=lambda m: m.value)
+def test_drift_trial_matches_per_cycle_loop(noise, mode):
+    gait = GaitConfig(noise=noise)
+    got = drift_trial(mode, gait, seed=5)
+    with mock.patch("skipsim.gait.crawl_kinematics", oracle_crawl_kinematics):
+        want = drift_trial(mode, gait, seed=5)
+    assert repr(got.poses) == repr(want.poses)
+
+
+def test_cached_arrays_are_read_only():
+    times, impulses = strike_schedule(TailConfig(), EngagedAngleModel(),
+                                      RegimeThresholds(), 10.0, 0)
+    _, _, turns, factors = crawl_draws((0.002, 0.0065), 0.0005, 0.05, 0, 30)
+    for array in (times, impulses, turns, factors):
+        assert array.size
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            array += 1.0
+
+
+def test_cache_keys_hold_no_substrate():
+    """Trials that differ in material, moisture and curves share their
+    strike schedules and noise draws; only seeds and durations miss."""
+    strike_schedule.cache_clear()
+    crawl_draws.cache_clear()
+    shipped, fitted = Model(), Model(responses={
+        Material.GRASS: MoistureResponse(
+            skip=SkipCurve(0.3, 0.3, 0.0, 1.0),
+            crawl=CrawlCurve(0.9, -1.0, 0.05, 0.0))})
+    conditions = [(Material.GRASS, 0.0, shipped), (Material.GRASS, 0.0, fitted),
+                  (Material.UNIFORM_SAND, 0.15, fitted),
+                  (Material.BENTONITE_CLAY, 0.4, shipped)]
+    for material, moisture, model in conditions:
+        for mode in (LocomotionMode.SKIP, LocomotionMode.SYNC_CRAWL):
+            run_batch(TrialSpec(mode, material, moisture, 30.0), 3, 0, model)
+    assert strike_schedule.cache_info().misses == 3
+    assert strike_schedule.cache_info().hits == 9
+    assert crawl_draws.cache_info().misses == 3
+    assert crawl_draws.cache_info().hits == 9
+    run_batch(TrialSpec(LocomotionMode.SKIP, Material.GRASS, duration=20.0),
+              3, 0)
+    assert strike_schedule.cache_info().misses == 6
+
+
+def test_caches_are_bounded():
+    assert strike_schedule.cache_info().maxsize == 256
+    assert crawl_draws.cache_info().maxsize == 256
+
+
+def _held_by_caches(specs, n_trials):
+    """Bytes still allocated after running each spec over n_trials seeds
+    and dropping the results: what the caches hold."""
+    strike_schedule.cache_clear()
+    crawl_draws.cache_clear()
+    tracemalloc.start()
+    try:
+        for spec in specs:
+            run_batch(spec, n_trials, 0)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return held
+
+
+def test_cache_memory_stays_flat_over_thousands_of_seeds():
+    specs = [TrialSpec(LocomotionMode.SKIP, Material.GRASS, duration=10.0),
+             TrialSpec(LocomotionMode.SYNC_CRAWL, Material.RIGID,
+                       duration=10.0)]
+    # a first pass lets lazy imports and the interpreter's free lists of
+    # small objects settle, which would otherwise count as growth
+    _held_by_caches(specs, 2000)
+    full = _held_by_caches(specs, 256)
+    many = _held_by_caches(specs, 2000)
+    assert strike_schedule.cache_info().currsize == 256
+    assert crawl_draws.cache_info().currsize == 256
+    # unbounded caches would hold 4000 entries of about 500 bytes each
+    assert many < 1 << 20
+    # both runs end with 512 entries; what may differ is the seeds' int
+    # objects (16 KB) and up to 2000 spare 2-tuples on the interpreter's
+    # free list (112 KB)
+    assert many < full + (160 << 10)
