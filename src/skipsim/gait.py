@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -197,13 +198,6 @@ class OpenLoopGait(_FinPair):
         return abs(self.left.total_angle - self.right.total_angle)
 
 
-def make_controller(mode: GaitMode, fin_speed: float = TWO_PI,
-                    encoder: EncoderModel | None = None, dt: float = 0.01):
-    gait = {GaitMode.SYNC: SyncGait, GaitMode.ASYNC: AsyncGait,
-            GaitMode.OPEN_LOOP: OpenLoopGait}[mode]
-    return gait(fin_speed, encoder=encoder, dt_hint=dt)
-
-
 def run_cycles(controller, duration: float, dt: float = 0.01) -> list:
     """Step a controller for `duration` seconds, returning cycle-complete times."""
     times = []
@@ -219,48 +213,55 @@ def nominal_cycle_times(mode: GaitMode, duration: float, fin_speed: float = TWO_
                         dt: float = 0.01, encoder: EncoderModel | None = None) -> tuple:
     """Cycle-complete times for symmetric nominal fin speeds (cached; the
     schedule is identical for every trial at the same settings)."""
-    controller = make_controller(mode, fin_speed, encoder, dt)
-    return tuple(run_cycles(controller, duration, dt))
+    gait = {GaitMode.SYNC: SyncGait, GaitMode.ASYNC: AsyncGait,
+            GaitMode.OPEN_LOOP: OpenLoopGait}[mode]
+    return tuple(run_cycles(gait(fin_speed, encoder=encoder, dt_hint=dt),
+                            duration, dt))
 
 
-@dataclass(frozen=True)
-class PlanarPose:
+class PlanarPose(NamedTuple):
     x: float
     y: float
     heading: float
     time: float
 
 
-@dataclass
-class Trajectory:
-    """Time-stamped planar pose sequence."""
+ORIGIN = PlanarPose(0.0, 0.0, 0.0, 0.0)
 
-    poses: list
+
+@dataclass(frozen=True, eq=False)
+class Trajectory:
+    """Time-stamped planar poses: a read-only (n, 4) float array whose rows
+    are (x, y, heading, time), PlanarPose's field order. Built from such
+    rows or from a list of PlanarPose."""
+
+    poses: np.ndarray
 
     def __post_init__(self):
-        for a, b in zip(self.poses, self.poses[1:]):
-            if b.time < a.time:
-                raise ValueError("trajectory timestamps must be non-decreasing")
+        poses = np.array(self.poses, dtype=float).reshape(len(self.poses), 4)
+        if (poses[1:, 3] < poses[:-1, 3]).any():
+            raise ValueError("trajectory timestamps must be non-decreasing")
+        poses.setflags(write=False)
+        object.__setattr__(self, "poses", poses)
 
     def __len__(self):
         return len(self.poses)
 
     @property
     def start(self) -> PlanarPose:
-        return self.poses[0]
+        return PlanarPose(*self.poses[0].tolist())
 
     @property
     def end(self) -> PlanarPose:
-        return self.poses[-1]
+        return PlanarPose(*self.poses[-1].tolist())
 
     def net_displacement(self) -> float:
-        return math.hypot(self.end.x - self.start.x, self.end.y - self.start.y)
+        start, end = self.start, self.end
+        return math.hypot(end.x - start.x, end.y - start.y)
 
     def path_length(self) -> float:
-        return sum(
-            math.hypot(b.x - a.x, b.y - a.y)
-            for a, b in zip(self.poses, self.poses[1:])
-        )
+        steps = np.diff(self.poses[:, :2], axis=0)
+        return float(np.hypot(steps[:, 0], steps[:, 1]).sum())
 
     def duration(self) -> float:
         return self.end.time - self.start.time
@@ -268,14 +269,12 @@ class Trajectory:
     COLUMNS = ("time_s", "x_m", "y_m", "heading_rad")
 
     def write_csv(self, path):
-        write_csv(path, self.COLUMNS,
-                  ((p.time, p.x, p.y, p.heading) for p in self.poses))
+        write_csv(path, self.COLUMNS, self.poses[:, [3, 0, 1, 2]].tolist())
 
     @classmethod
     def read_csv(cls, path) -> "Trajectory":
         table = read_csv_table(path, cls.COLUMNS, "trajectory")
-        return cls([PlanarPose(x=x, y=y, heading=heading, time=t)
-                    for t, x, y, heading in table.tolist()])
+        return cls(table[:, [1, 2, 3, 0]])
 
 
 @dataclass(frozen=True)
@@ -327,15 +326,14 @@ class GaitConfig:
                 raise ValueError(f"gait {name} must be positive")
 
 
-def accumulate(origin, steps) -> list:
-    """[origin, origin + steps[0], ...] as Python floats, summed one step at
-    a time as a loop of `+=` would (np.add.accumulate is sequential, unlike
-    np.sum). A pair `origin` sums the two columns of `steps` apart and
-    gives a pair of such lists."""
+def accumulate(origin, steps) -> np.ndarray:
+    """[origin, origin + steps[0], ...], summed one step at a time as a loop
+    of `+=` would (np.add.accumulate is sequential, unlike np.sum). A pair
+    `origin` sums the two columns of `steps` apart and gives (n + 1, 2)."""
     terms = np.empty((len(steps) + 1,) + np.shape(origin))
     terms[0] = origin
     terms[1:] = steps
-    return np.add.accumulate(terms).T.tolist()
+    return np.add.accumulate(terms)
 
 
 @lru_cache(maxsize=256)
@@ -391,19 +389,21 @@ def crawl_kinematics(cycle_times, mode: GaitMode, noise: AsymmetryNoise,
         turn_bias = stride * (gain_left - gain_right) / noise.track_width
 
     if start is None:
-        start = PlanarPose(0.0, 0.0, 0.0, 0.0)
+        start = ORIGIN
+    poses = np.empty((len(turns) + 1, 4))
     # each cycle adds its jitter to the heading, then the turn bias
     heading_steps = np.empty(2 * len(turns))
     heading_steps[0::2] = turns
     heading_steps[1::2] = turn_bias
-    headings = accumulate(start.heading, heading_steps)[2::2]
+    poses[:, 2] = accumulate(start.heading, heading_steps)[0::2]
     steps = stride * (gain_left + gain_right) / 2.0 * factors
-    directions = np.array([(math.cos(h), math.sin(h)) for h in headings])
-    xs, ys = accumulate((start.x, start.y),
-                        steps[:, None] * directions.reshape(-1, 2))
-    stamps = (start.time + np.asarray(cycle_times, dtype=float)).tolist()
-    return Trajectory([start, *map(PlanarPose, xs[1:], ys[1:], headings,
-                                   stamps)])
+    directions = np.array([(math.cos(h), math.sin(h))
+                           for h in poses[1:, 2].tolist()])
+    poses[:, :2] = accumulate((start.x, start.y),
+                              steps[:, None] * directions.reshape(-1, 2))
+    poses[0, 3] = start.time
+    poses[1:, 3] = start.time + np.asarray(cycle_times, dtype=float)
+    return Trajectory(poses)
 
 
 def drift_trial(mode: GaitMode, gait: GaitConfig | None = None, seed: int = 0,
@@ -419,9 +419,7 @@ def drift_trial(mode: GaitMode, gait: GaitConfig | None = None, seed: int = 0,
     events = nominal_cycle_times(mode, duration, gait.fin_speed, gait.dt,
                                  gait.encoder)
     traj = crawl_kinematics(events, mode, gait.noise, gait.stride, seed)
-    kept = [traj.poses[0]]
-    for pose in traj.poses[1:]:
-        kept.append(pose)
-        if pose.x - traj.poses[0].x >= distance:
-            break
-    return Trajectory(kept)
+    xs = traj.poses[:, 0]
+    # stop at the first pose that has gone `distance` along the x axis
+    reached = np.flatnonzero(xs[1:] - xs[0] >= distance)
+    return Trajectory(traj.poses[:reached[0] + 2]) if reached.size else traj

@@ -6,12 +6,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import repeat
 
 import numpy as np
 
-from .gait import (GaitConfig, GaitMode, PlanarPose, Trajectory, accumulate,
-                   crawl_kinematics, nominal_cycle_times)
+from .gait import (ORIGIN, GaitConfig, GaitMode, PlanarPose, Trajectory,
+                   accumulate, crawl_kinematics, nominal_cycle_times)
 from .springtail import (EngagedAngleModel, RegimeThresholds, TailConfig,
                          strike_schedule)
 from .stats import FailureMode, classify_trial
@@ -59,9 +58,6 @@ class Model:
     angle_model: EngagedAngleModel = field(default_factory=EngagedAngleModel)
     thresholds: RegimeThresholds = field(default_factory=RegimeThresholds)
     responses: dict = field(default_factory=dict)  # Material -> MoistureResponse
-
-
-ORIGIN = PlanarPose(0.0, 0.0, 0.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -143,26 +139,27 @@ def _skip_trial(spec, substrate, model, start):
             hops, hard = int(over[0]), FailureMode.PITCH_OVER
     distance = hop_displacement(impulses[:hops], robot, substrate)
     heading = start.heading
-    xs, ys = accumulate((start.x, start.y), distance[:, None] * (
-        math.cos(heading), math.sin(heading)))
-    stamps = (start.time + times).tolist()
-    poses = [start, *map(PlanarPose, xs[1:], ys[1:], repeat(heading),
-                         stamps)]
-    if hard is FailureMode.PITCH_OVER:
-        poses.append(PlanarPose(xs[-1], ys[-1], heading, stamps[hops]))
+    # a pitch-over adds a pose at the over-limit strike, where motion stopped
+    poses = np.empty((hops + 1 + (hard is FailureMode.PITCH_OVER), 4))
+    poses[:hops + 1, :2] = accumulate((start.x, start.y), distance[:, None]
+                                      * (math.cos(heading), math.sin(heading)))
+    poses[hops + 1:, :2] = poses[hops, :2]
+    poses[:, 2] = heading
+    poses[0, 3] = start.time
+    poses[1:, 3] = start.time + times[:len(poses) - 1]
     return poses, hard
 
 
 def _crawl_trial(spec, substrate, gait, start):
     if substrate.excavates:
         # the fins dig the robot into the bed; no forward motion
-        return [start], FailureMode.EXCAVATION
+        return np.array([start]), FailureMode.EXCAVATION
     mode = _GAIT_MODE[spec.mode]
     events = nominal_cycle_times(mode, spec.duration, gait.fin_speed,
                                  gait.dt, gait.encoder)
     stride_eff = gait.stride * substrate.crawl_traction
     if stride_eff <= 0.0 or not events:
-        return [start], None
+        return np.array([start]), None
     return crawl_kinematics(events, mode, gait.noise, stride_eff, spec.seed,
                             start).poses, None
 
@@ -177,9 +174,10 @@ def run_trial(spec: TrialSpec, model: Model = Model(),
         poses, hard = _skip_trial(spec, substrate, model, start)
     else:
         poses, hard = _crawl_trial(spec, substrate, model.gait, start)
-    end, end_time = poses[-1], start.time + spec.duration
-    if end.time < end_time:
-        poses.append(PlanarPose(end.x, end.y, end.heading, end_time))
+    end_time = start.time + spec.duration
+    if poses[-1, 3] < end_time:
+        # the robot holds its last pose until the trial ends
+        poses = np.concatenate((poses, [(*poses[-1, :3], end_time)]))
     trajectory = Trajectory(poses)
 
     displacement = trajectory.net_displacement()
@@ -242,7 +240,7 @@ def scenario_heterogeneous(segments, seed: int = 0,
     if not segments:
         raise ValueError("scenario needs at least one segment")
     pose = ORIGIN
-    poses = [pose]
+    parts = [np.array([pose])]
     switches = []
     for idx, seg in enumerate(segments):
         if idx > 0:
@@ -252,6 +250,6 @@ def scenario_heterogeneous(segments, seed: int = 0,
                          moisture=seg.moisture, duration=seg.duration,
                          seed=seed + idx)
         result = run_trial(spec, model, pose)
-        poses.extend(result.trajectory.poses[1:])
+        parts.append(result.trajectory.poses[1:])
         pose = result.trajectory.end
-    return Trajectory(poses), switches
+    return Trajectory(np.concatenate(parts)), switches

@@ -215,8 +215,10 @@ def lateral_drift(trajectory: Trajectory) -> float:
         raise ValueError("lateral_drift needs at least two poses")
     p0 = trajectory.start
     nx, ny = -math.sin(p0.heading), math.cos(p0.heading)
-    return max(abs(nx * (p.x - p0.x) + ny * (p.y - p0.y))
-               for p in trajectory.poses)
+    xs, ys = trajectory.poses[:, 0], trajectory.poses[:, 1]
+    # an overflowing offset (-0.0 * inf) is NaN and stays NaN through max
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.abs(nx * (xs - p0.x) + ny * (ys - p0.y)).max())
 
 
 def classify_trial(displacement: float,

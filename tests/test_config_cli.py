@@ -194,6 +194,9 @@ class TestCli:
          "time_s,x_m,y_m,heading_rad\n0,0,0,0\n1,0,-inf,0\n"),
         (["analyze", "--trajectory"],
          "time_s,x_m,y_m,heading_rad\n0,-1e308,0,0\n1,1e308,0,0\n"),
+        (["analyze", "--trajectory"],
+         "time_s,x_m,y_m,heading_rad\n0,-1e308,0,0\n1,1e308,5,0\n"
+         "2,-1e308,0,0\n"),
         (["analyze", "--trace"], "time_s,force_N\n0,1\n5e-324,2\n"),
         (["analyze", "--trace"],
          "time_s,force_N\n0.0,0\n0.1,1e308\n0.2,0\n0.3,0\n0.4,0\n0.5,0\n"
@@ -207,6 +210,7 @@ class TestCli:
     ], ids=["trace-equal-times", "trace-uneven-times", "trajectory-no-heading",
             "trace-short-row", "trace-missing", "targets-missing",
             "trajectory-nan", "trajectory-inf", "trajectory-overflow",
+            "trajectory-overflow-drift",
             "trace-subnormal-step", "trace-huge-peaks", "targets-nan-target",
             "targets-inf-weight", "targets-moisture-5"])
     def test_bad_csv_inputs_exit_2(self, tmp_path, capsys, argv, text):

@@ -1,8 +1,12 @@
+import hashlib
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from skipsim.cli import main
 from skipsim.gait import (TWO_PI, AsymmetryNoise, AsyncGait, EncoderModel,
                           GaitConfig, GaitMode, OpenLoopGait, PlanarPose,
                           SyncGait, Trajectory, crawl_kinematics, drift_trial,
@@ -10,6 +14,7 @@ from skipsim.gait import (TWO_PI, AsymmetryNoise, AsyncGait, EncoderModel,
 from skipsim.stats import lateral_drift
 
 DT = 0.01
+DIGESTS = Path(__file__).parent / "golden" / "digests.json"
 
 
 class TestEncoder:
@@ -139,7 +144,7 @@ class TestKinematics:
         for mode in GaitMode:
             traj = crawl_kinematics(events, mode, AsymmetryNoise.zero(),
                                     0.033, seed=5)
-            ys = [p.y for p in traj.poses]
+            ys = traj.poses[:, 1].tolist()
             assert ys == [0.0] * len(ys)
             assert traj.net_displacement() == pytest.approx(40 * 0.033, rel=1e-12)
 
@@ -148,8 +153,7 @@ class TestKinematics:
         trajs = [crawl_kinematics(events, mode, AsymmetryNoise.zero(), 0.033,
                                   seed=3) for mode in GaitMode]
         for traj in trajs[1:]:
-            assert [(p.x, p.y, p.heading) for p in traj.poses] == \
-                [(p.x, p.y, p.heading) for p in trajs[0].poses]
+            assert traj.poses[:, :3].tolist() == trajs[0].poses[:, :3].tolist()
 
     def test_deterministic_given_seed(self):
         events = tuple(float(k + 1) for k in range(30))
@@ -157,7 +161,7 @@ class TestKinematics:
                              0.033, seed=11)
         b = crawl_kinematics(events, GaitMode.OPEN_LOOP, AsymmetryNoise(),
                              0.033, seed=11)
-        assert a.poses == b.poses
+        assert a.poses.tolist() == b.poses.tolist()
 
     def test_open_loop_drift_dominates_encoder_modes(self):
         wins = 0
@@ -178,7 +182,7 @@ class TestDriftTrial:
     def test_reaches_requested_distance(self):
         traj = drift_trial(GaitMode.SYNC, seed=0, distance=1.0)
         assert traj.end.x - traj.start.x >= 1.0
-        times = [p.time for p in traj.poses]
+        times = traj.poses[:, 3].tolist()
         assert times == sorted(times)
 
     def test_async_covers_same_cycles_more_slowly(self):
@@ -195,13 +199,41 @@ class TestTrajectory:
         path = tmp_path / "traj.csv"
         traj.write_csv(path)
         loaded = Trajectory.read_csv(path)
-        assert loaded.poses == traj.poses
+        assert loaded.poses.tolist() == traj.poses.tolist()
         header = path.read_text().splitlines()[0]
         assert header == "time_s,x_m,y_m,heading_rad"
 
     def test_rejects_time_reversal(self):
         with pytest.raises(ValueError):
             Trajectory([PlanarPose(0, 0, 0, 1.0), PlanarPose(1, 0, 0, 0.5)])
+
+    def test_poses_are_read_only(self):
+        traj = drift_trial(GaitMode.SYNC, seed=0)
+        with pytest.raises(ValueError, match="read-only"):
+            traj.poses[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            traj.poses += 1.0
+
+    def test_pose_list_and_rows_build_the_same_trajectory(self):
+        poses = [PlanarPose(0.0, -0.0, 0.5, 0.0), PlanarPose(0.1, 0.2, 0.5, 1.0),
+                 PlanarPose(0.3, 0.2, 0.6, 1.0)]
+        rows = np.array([[0.0, -0.0, 0.5, 0.0], [0.1, 0.2, 0.5, 1.0],
+                         [0.3, 0.2, 0.6, 1.0]])
+        a, b = Trajectory(poses), Trajectory(rows)
+        assert repr(a.poses.tolist()) == repr(b.poses.tolist())
+        assert a.start == poses[0] and a.end == poses[-1]
+        assert a.poses.shape == (3, 4)
+
+    def test_csv_round_trip_keeps_golden_bytes(self, tmp_path):
+        golden = json.loads(DIGESTS.read_text())
+        assert main(["gait-drift", "--seed", "0", "--out",
+                     str(tmp_path)]) == 0
+        name = "trial_open_loop_1.csv"
+        original = (tmp_path / name).read_bytes()
+        assert (hashlib.sha256(original).hexdigest()
+                == golden["gait-drift/" + name])
+        Trajectory.read_csv(tmp_path / name).write_csv(tmp_path / "again.csv")
+        assert (tmp_path / "again.csv").read_bytes() == original
 
 
 class TestCycleCache:
