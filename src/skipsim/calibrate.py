@@ -14,8 +14,9 @@ from importlib import resources
 
 import numpy as np
 
-from .locomotion import LocomotionMode, Model, TrialSpec, run_batch
-from .terrain import MOISTURE_MAX, Material, default_curves
+from .locomotion import (LocomotionMode, Model, TrialSpec, run_batch,
+                         trial_substrate)
+from .terrain import MOISTURE_MAX, Material, default_curves, moisture_response
 
 TARGETS_RESOURCE = "calibration_targets.csv"
 
@@ -136,18 +137,32 @@ def simulate_target(target: CalibrationTarget, model: Model,
 
 
 def loss(params: ParameterVector, targets, n_trials: int = 3,
-         seed: int = 0, duration: float = 30.0, model: Model = Model(),
-         **fields) -> float:
+         seed: int = 0, duration: float = 30.0, model: Model = Model(), *,
+         _batch_means: dict | None = None, **fields) -> float:
     """Weighted squared velocity error over all targets, seeded so the
     surface is deterministic. The free parameters are applied on top of
     the substrate curves of `model`. `fields` replaces parts of `model` by
-    name, the form `perfbench/workloads.py` calls it in."""
+    name, the form `perfbench/workloads.py` calls it in.
+
+    A target's batch mean is a function of its mode, its material and the
+    substrate its trials read (`trial_substrate`), the other arguments
+    held fixed. `_batch_means` maps that key to the mean a batch gave, so
+    that `fit` runs each batch once per search; it must only ever be
+    passed the same targets, trials, seed, duration and model."""
     params.check()
     model = replace(model, **fields)
-    model = replace(model, responses=apply_parameters(params, model.responses))
+    responses = apply_parameters(params, model.responses)
+    model = replace(model, responses=responses)
+    batch_means = {} if _batch_means is None else _batch_means
     total = 0.0
     for target in targets:
-        sim = simulate_target(target, model, n_trials, seed, duration)
+        key = (target.mode, target.material, trial_substrate(
+            target.mode, moisture_response(target.material, target.moisture,
+                                           responses[target.material])))
+        sim = batch_means.get(key)
+        if sim is None:
+            sim = batch_means[key] = simulate_target(target, model, n_trials,
+                                                     seed, duration)
         total += target.weight * (sim - target.target_cmps) ** 2
     return total
 
@@ -250,9 +265,11 @@ def fit(targets, initial: ParameterVector | None = None, budget: int = 400,
     """Fit the free substrate parameters of `model`'s curves (the shipped
     curves where it holds none) to velocity targets."""
     initial = initial or default_parameter_vector(model.responses)
+    batch_means = {}  # one float per distinct batch, for this search only
 
     def objective(params):
-        return loss(params, targets, n_trials, seed, duration, model)
+        return loss(params, targets, n_trials, seed, duration, model,
+                    _batch_means=batch_means)
 
     return minimize(objective, initial, budget=budget, seed=seed,
                     restarts=restarts)

@@ -60,6 +60,11 @@ class Model:
     responses: dict = field(default_factory=dict)  # Material -> MoistureResponse
 
 
+# Longest trial, in s. A cached strike schedule or crawl draw grows by 16
+# bytes per strike or cycle, so this bounds each cache entry.
+MAX_TRIAL_S = 3600.0
+
+
 @dataclass(frozen=True)
 class TrialSpec:
     mode: LocomotionMode
@@ -69,8 +74,9 @@ class TrialSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.duration <= 0:
-            raise ValueError("duration must be positive")
+        if not 0.0 < self.duration <= MAX_TRIAL_S:
+            raise ValueError(f"duration must lie in (0, {MAX_TRIAL_S:g}] s, "
+                             f"got {self.duration!r}")
 
 
 @dataclass
@@ -164,11 +170,25 @@ def _crawl_trial(spec, substrate, gait, start):
                             start).poses, None
 
 
+def trial_substrate(mode: LocomotionMode,
+                    substrate: SubstrateParams) -> SubstrateParams:
+    """The fields of `substrate` a trial in `mode` reads, the other gait's
+    zeroed: a skip trial reads the skip efficiency and tail slip, a crawl
+    trial the crawl traction and excavation. Trials of one mode, material,
+    duration and seed under substrates with equal projections are equal."""
+    if mode is LocomotionMode.SKIP:
+        return SubstrateParams(substrate.skip_efficiency, 0.0,
+                               substrate.tail_slips, False)
+    return SubstrateParams(0.0, substrate.crawl_traction, False,
+                           substrate.excavates)
+
+
 def run_trial(spec: TrialSpec, model: Model = Model(),
               start: PlanarPose = ORIGIN) -> TrialResult:
     """Run one locomotion trial under `model` and classify its outcome."""
     response = model.responses.get(spec.material)
-    substrate = moisture_response(spec.material, spec.moisture, response)
+    substrate = trial_substrate(spec.mode, moisture_response(
+        spec.material, spec.moisture, response))
 
     if spec.mode is LocomotionMode.SKIP:
         poses, hard = _skip_trial(spec, substrate, model, start)

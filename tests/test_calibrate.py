@@ -6,8 +6,8 @@ import pytest
 from skipsim import calibrate as cal
 from skipsim.cli import main
 from skipsim.config import load_config
-from skipsim.locomotion import LocomotionMode, Model
-from skipsim.terrain import Material, default_curves
+from skipsim.locomotion import LocomotionMode, Model, trial_substrate
+from skipsim.terrain import Material, default_curves, moisture_response
 
 
 def quadratic_vector():
@@ -135,6 +135,74 @@ class TestFullModelFit:
         initial_loss = cal.loss(cal.default_parameter_vector(), targets, seed=0)
         assert result.loss <= initial_loss + 1e-12
         assert all(a >= b for a, b in zip(result.trace, result.trace[1:]))
+
+
+class TestBatchMemo:
+    """`fit` runs each batch once per distinct (mode, material, substrate the
+    trial reads), and its search sees the losses a fresh `loss` gives."""
+
+    BUDGET = 40  # 14 evaluations per restart: the second restart is reached
+
+    @pytest.fixture
+    def recorded_fit(self, monkeypatch):
+        evaluated, batches = [], []
+        fresh_loss, run_batch = cal.loss, cal.run_batch
+
+        def recording_loss(params, *args, **kwargs):
+            value = fresh_loss(params, *args, **kwargs)
+            evaluated.append((params.copy(), value))
+            return value
+
+        def counting_run_batch(*args, **kwargs):
+            batches.append(args)
+            return run_batch(*args, **kwargs)
+
+        monkeypatch.setattr(cal, "loss", recording_loss)
+        monkeypatch.setattr(cal, "run_batch", counting_run_batch)
+        targets = cal.bundled_targets()
+        result = cal.fit(targets, budget=self.BUDGET, seed=0)
+        monkeypatch.undo()
+        return targets, result, evaluated, batches
+
+    def test_trace_matches_a_fresh_loss_at_every_point(self, recorded_fit):
+        targets, result, evaluated, _ = recorded_fit
+        assert len(evaluated) == result.evaluations == self.BUDGET
+        best = []
+        for params, value in evaluated:
+            assert value == cal.loss(params, targets, seed=0)
+            best.append(min(value, best[-1]) if best else value)
+        assert result.trace == best
+        assert result.loss == cal.loss(result.params, targets, seed=0)
+
+    def test_one_batch_per_distinct_key(self, recorded_fit):
+        targets, _, evaluated, batches = recorded_fit
+        keys = set()
+        for params, _ in evaluated:
+            responses = cal.apply_parameters(params)
+            keys.update((t.mode, t.material, trial_substrate(
+                t.mode, moisture_response(t.material, t.moisture,
+                                          responses[t.material])))
+                for t in targets)
+        assert len(batches) == len(keys) < self.BUDGET * len(targets)
+
+    def test_memo_lasts_one_fit(self, monkeypatch):
+        batches = []
+        run_batch = cal.run_batch
+
+        def counting_run_batch(*args, **kwargs):
+            batches.append(args)
+            return run_batch(*args, **kwargs)
+
+        monkeypatch.setattr(cal, "run_batch", counting_run_batch)
+        targets = cal.bundled_targets()
+        first = cal.fit(targets, budget=8, seed=0)
+        per_fit = len(batches)
+        second = cal.fit(targets, budget=8, seed=0)
+        assert len(batches) == 2 * per_fit
+        assert second.trace == first.trace
+        # a lone loss call starts from an empty memo
+        cal.loss(first.params, targets, seed=0)
+        assert len(batches) == 2 * per_fit + len(targets)
 
 
 def _calibrate(tmp_path, substrates, budget="2"):

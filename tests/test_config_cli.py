@@ -290,12 +290,25 @@ class TestCli:
          "unknown config key: robot.body_length_m"),
         (["scenario"], {"substrates": {"grass": {"entanglement": 1.0}}},
          "unknown config key: substrates.grass.entanglement"),
+        (["moisture-sweep"],
+         {"experiments": {"moisture_sweep": {"duration_s": 3600.5}}},
+         "duration must lie in (0, 3600] s"),
+        (["substrate-bench"],
+         {"experiments": {"substrate_bench": {"duration_s": 1e6}}},
+         "duration must lie in (0, 3600] s"),
+        (["calibrate"], {"experiments": {"calibrate": {"duration_s": 1e308}}},
+         "duration must lie in (0, 3600] s"),
+        (["scenario"], {"experiments": {"scenario": {"segments": [
+            ["grass", "skip", 12.0, 0.0], ["rigid", "sync_crawl", 1e5, 0.0]]}}},
+         "duration must lie in (0, 3600] s"),
     ], ids=["drift-trials-neg", "drift-trials-0", "sweep-trials-word",
             "budget-0", "tail-trials", "scenario-trials", "calibrate-assert",
             "config-drift-trials-0", "seed-neg", "config-seed-neg",
             "config-nan", "config-ci-level-word", "config-gait-stride-0",
             "config-gait-fin-speed-0", "config-gait-dt-0",
-            "removed-key-body-length", "removed-key-entanglement"])
+            "removed-key-body-length", "removed-key-entanglement",
+            "sweep-duration-long", "bench-duration-long",
+            "calibrate-duration-long", "scenario-segment-long"])
     def test_bad_counts_and_flags_exit_2(self, tmp_path, capsys, argv, doc,
                                          named):
         argv = argv + ["--out", str(tmp_path / "o")]

@@ -4,13 +4,15 @@ from dataclasses import replace
 import pytest
 
 from skipsim.gait import AsymmetryNoise, GaitConfig
-from skipsim.locomotion import (LocomotionMode, Model, RobotParams,
-                                ScenarioSegment, TrialSpec, hop_displacement,
-                                run_batch, run_trial, scenario_heterogeneous)
+from skipsim.locomotion import (MAX_TRIAL_S, LocomotionMode, Model,
+                                RobotParams, ScenarioSegment, TrialSpec,
+                                hop_displacement, run_batch, run_trial,
+                                scenario_heterogeneous, trial_substrate)
 from skipsim.springtail import (EngagedAngleModel, TailConfig, latch_energy,
                                 strike_sequence)
 from skipsim.stats import FailureMode
-from skipsim.terrain import Material, SubstrateParams, moisture_response
+from skipsim.terrain import (CrawlCurve, Material, SkipCurve, SubstrateParams,
+                             default_curves, moisture_response)
 
 PERFECT = SubstrateParams(skip_efficiency=1.0, crawl_traction=1.0,
                           tail_slips=False, excavates=False)
@@ -212,3 +214,64 @@ class TestTrialPurity:
                                        spec.duration, seed=11 + k))
             assert solo.mean_velocity == batched.mean_velocity
             assert solo.failure is batched.failure
+
+
+# A skip trial reads neither the crawl curve nor the excavation threshold;
+# a crawl trial reads neither the skip curve nor the slip moisture.
+OTHER_GAIT = {
+    "skip": dict(crawl=CrawlCurve(cap=0.05, rise_mid=0.5, rise_width=0.3,
+                                  decay=2.0), excavation_traction=0.5),
+    "crawl": dict(skip=SkipCurve(floor=0.05, peak=0.7, center=0.6,
+                                 width=0.3), slip_moisture=None),
+}
+
+
+class TestTrialSubstrate:
+    """A trial reads only its own gait's part of the substrate, the premise
+    of the key calibrate's per-fit batch memo uses."""
+
+    @pytest.mark.parametrize("mode", list(LocomotionMode),
+                             ids=lambda m: m.value)
+    @pytest.mark.parametrize("material, moisture", [
+        (Material.UNIFORM_SAND, 0.0), (Material.UNIFORM_SAND, 0.15),
+        (Material.BENTONITE_CLAY, 0.3333), (Material.BENTONITE_CLAY, 0.9),
+        (Material.GRASS, 0.0), (Material.RIGID, 0.0)])
+    def test_other_gaits_curve_changes_nothing(self, mode, material,
+                                               moisture):
+        gait = "skip" if mode is LocomotionMode.SKIP else "crawl"
+        shipped = default_curves(material)
+        changed = replace(shipped, **OTHER_GAIT[gait])
+        substrate = moisture_response(material, moisture, shipped)
+        moved = moisture_response(material, moisture, changed)
+        assert moved != substrate  # the change reaches the substrate...
+        assert (trial_substrate(mode, moved)
+                == trial_substrate(mode, substrate))  # ...but not the trial
+        for seed in range(3):
+            spec = TrialSpec(mode, material, moisture, duration=30.0,
+                             seed=seed)
+            base = run_trial(spec, Model(responses={material: shipped}))
+            other = run_trial(spec, Model(responses={material: changed}))
+            assert (repr(other.trajectory.poses.tolist())
+                    == repr(base.trajectory.poses.tolist()))
+            assert other.failure is base.failure
+
+    def test_projection_zeroes_the_other_gait(self):
+        substrate = SubstrateParams(skip_efficiency=0.4, crawl_traction=0.6,
+                                    tail_slips=True, excavates=True)
+        assert trial_substrate(LocomotionMode.SKIP, substrate) == \
+            SubstrateParams(0.4, 0.0, True, False)
+        for mode in (LocomotionMode.SYNC_CRAWL, LocomotionMode.ASYNC_CRAWL):
+            assert trial_substrate(mode, substrate) == \
+                SubstrateParams(0.0, 0.6, False, True)
+
+
+class TestTrialDuration:
+    def test_longest_trial_is_accepted(self):
+        assert TrialSpec(LocomotionMode.SKIP, Material.GRASS,
+                         duration=MAX_TRIAL_S).duration == MAX_TRIAL_S
+
+    @pytest.mark.parametrize("duration", [
+        0.0, -1.0, math.nan, math.nextafter(MAX_TRIAL_S, math.inf), 1e308])
+    def test_out_of_range_rejected(self, duration):
+        with pytest.raises(ValueError, match="duration must lie in"):
+            TrialSpec(LocomotionMode.SKIP, Material.GRASS, duration=duration)
