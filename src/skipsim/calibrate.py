@@ -15,7 +15,8 @@ from importlib import resources
 import numpy as np
 
 from .locomotion import (LocomotionMode, Model, TrialSpec, run_batch,
-                         trial_substrate)
+                         skip_scale, takeoff_speed, unit_displacement)
+from .stats import FAILURE_THRESHOLD_M
 from .terrain import MOISTURE_MAX, Material, default_curves, moisture_response
 
 TARGETS_RESOURCE = "calibration_targets.csv"
@@ -116,13 +117,16 @@ def default_parameter_vector(responses: dict | None = None) -> ParameterVector:
 def apply_parameters(params: ParameterVector,
                      responses: dict | None = None) -> dict:
     """Material -> MoistureResponse map: `responses` (default: the shipped
-    curves) with the free parameters applied."""
-    responses = _curves(responses)
+    curves) with the free parameters applied, each curve rebuilt once."""
+    responses, fields = _curves(responses), {}
     for name, value in params.values.items():
         material, curve, fnames = _free_parameter(name)
+        fields.setdefault((material, curve), {}).update(
+            dict.fromkeys(fnames, value))
+    for (material, curve), values in fields.items():
         response = responses[material]
-        fitted = replace(getattr(response, curve), **dict.fromkeys(fnames, value))
-        responses[material] = replace(response, **{curve: fitted})
+        responses[material] = replace(response, **{
+            curve: replace(getattr(response, curve), **values)})
     return responses
 
 
@@ -130,39 +134,52 @@ def simulate_target(target: CalibrationTarget, model: Model,
                     n_trials: int = 3, seed: int = 0,
                     duration: float = 30.0) -> float:
     """Simulated batch mean velocity (cm/s) for one target condition."""
-    spec = TrialSpec(mode=target.mode, material=target.material,
-                     moisture=target.moisture, duration=duration)
-    _, summary = run_batch(spec, n_trials, seed, model)
-    return summary.mean_velocity * 100.0
+    spec = TrialSpec(target.mode, target.material, target.moisture, duration)
+    return run_batch(spec, n_trials, seed, model)[1].mean_velocity * 100.0
+
+
+def unit_displacements(targets, n_trials: int, seed: int, duration: float,
+                       model: Model) -> np.ndarray:
+    """Array (2, targets, n_trials) over each target's trial seeds: the net
+    displacement at skip efficiency or crawl traction 1, and the strongest
+    impulse (`locomotion.unit_displacement`). No substrate curve enters."""
+    if n_trials < 1:
+        raise ValueError("n_trials must be >= 1")
+    return np.array([[unit_displacement(TrialSpec(
+        t.mode, t.material, t.moisture, duration, seed + k), model)
+        for k in range(n_trials)] for t in targets]).transpose(2, 0, 1)
 
 
 def loss(params: ParameterVector, targets, n_trials: int = 3,
          seed: int = 0, duration: float = 30.0, model: Model = Model(), *,
-         _batch_means: dict | None = None, **fields) -> float:
+         _units: np.ndarray | None = None, **fields) -> float:
     """Weighted squared velocity error over all targets, seeded so the
-    surface is deterministic. The free parameters are applied on top of
-    the substrate curves of `model`. `fields` replaces parts of `model` by
-    name, the form `perfbench/workloads.py` calls it in.
-
-    A target's batch mean is a function of its mode, its material and the
-    substrate its trials read (`trial_substrate`), the other arguments
-    held fixed. `_batch_means` maps that key to the mean a batch gave, so
-    that `fit` runs each batch once per search; it must only ever be
-    passed the same targets, trials, seed, duration and model."""
+    surface is deterministic: that of `simulate_target` under
+    `apply_parameters` (the free parameters on top of `model`'s curves),
+    bit for bit, from the targets' `unit_displacements`, which `fit`
+    passes as `_units`. `fields` replaces parts of `model` by name."""
     params.check()
     model = replace(model, **fields)
-    responses = apply_parameters(params, model.responses)
-    model = replace(model, responses=responses)
-    batch_means = {} if _batch_means is None else _batch_means
+    unit, impulse = (unit_displacements(targets, n_trials, seed, duration,
+                                        model) if _units is None else _units)
+    responses, robot = apply_parameters(params, model.responses), model.robot
+    scales, hard = np.empty(len(targets)), np.empty(unit.shape, dtype=bool)
+    for i, t in enumerate(targets):
+        substrate = moisture_response(t.material, t.moisture,
+                                      responses[t.material])
+        if t.mode is not LocomotionMode.SKIP:
+            scales[i], hard[i] = substrate.crawl_traction, substrate.excavates
+            continue
+        scales[i], hard[i] = skip_scale(substrate), substrate.tail_slips
+        if t.material is Material.RIGID:
+            # any over-limit strike pitches over, so the strongest decides
+            hard[i] |= (takeoff_speed(impulse[i], robot, substrate)
+                        > robot.pitch_speed_limit)
+    displacement = scales[:, None] * unit
+    won = ~hard & (displacement >= FAILURE_THRESHOLD_M)
+    sims = np.where(won, displacement / duration, 0.0).mean(axis=1) * 100.0
     total = 0.0
-    for target in targets:
-        key = (target.mode, target.material, trial_substrate(
-            target.mode, moisture_response(target.material, target.moisture,
-                                           responses[target.material])))
-        sim = batch_means.get(key)
-        if sim is None:
-            sim = batch_means[key] = simulate_target(target, model, n_trials,
-                                                     seed, duration)
+    for target, sim in zip(targets, sims.tolist()):
         total += target.weight * (sim - target.target_cmps) ** 2
     return total
 
@@ -201,30 +218,22 @@ def minimize(fn, initial: ParameterVector, budget: int = 400, seed: int = 0,
     best_params = initial.copy()
     best_loss = None
     trace = []
-    evaluations = 0
 
     def evaluate(values: dict) -> float:
-        nonlocal evaluations, best_loss, best_params
+        nonlocal best_loss, best_params
         result = fn(ParameterVector(dict(values), dict(initial.bounds)))
-        evaluations += 1
         if best_loss is None or result < best_loss:
             best_loss = result
             best_params = ParameterVector(dict(values), dict(initial.bounds))
         trace.append(best_loss)
         return result
 
-    per_restart = [budget // restarts] * restarts
-    for i in range(budget % restarts):
-        per_restart[i] += 1
-
     for r in range(restarts):
-        allowance = per_restart[r]
+        allowance = budget // restarts + (r < budget % restarts)
         if allowance < 1:
             continue
-        if r == 0:
-            point = dict(initial.values)
-        else:
-            point = {n: rng.uniform(*initial.bounds[n]) for n in names}
+        point = (dict(initial.values) if r == 0 else
+                 {n: rng.uniform(*initial.bounds[n]) for n in names})
         current = evaluate(point)
         allowance -= 1
         steps = {n: INIT_STEP * spans[n] for n in names}
@@ -232,31 +241,24 @@ def minimize(fn, initial: ParameterVector, budget: int = 400, seed: int = 0,
                 spans[n] > 0 and steps[n] > MIN_STEP * spans[n] for n in names):
             improved = False
             for name in names:
-                if spans[name] == 0:
-                    continue
                 for direction in (1.0, -1.0):
-                    if allowance <= 0:
-                        break
-                    candidate = dict(point)
                     lo, hi = initial.bounds[name]
                     moved = min(hi, max(lo, point[name] + direction * steps[name]))
-                    if moved == point[name]:
+                    if allowance <= 0 or moved == point[name]:
                         continue
-                    candidate[name] = moved
+                    candidate = {**point, name: moved}
                     value = evaluate(candidate)
                     allowance -= 1
                     if value < current:
                         point, current = candidate, value
                         improved = True
                         break
-                if allowance <= 0:
-                    break
             if not improved:
                 for name in names:
                     steps[name] *= SHRINK
 
     return FitResult(params=best_params, loss=best_loss, trace=trace,
-                     evaluations=evaluations)
+                     evaluations=len(trace))
 
 
 def fit(targets, initial: ParameterVector | None = None, budget: int = 400,
@@ -265,14 +267,18 @@ def fit(targets, initial: ParameterVector | None = None, budget: int = 400,
     """Fit the free substrate parameters of `model`'s curves (the shipped
     curves where it holds none) to velocity targets."""
     initial = initial or default_parameter_vector(model.responses)
-    batch_means = {}  # one float per distinct batch, for this search only
+    units = unit_displacements(targets, n_trials, seed, duration, model)
 
     def objective(params):
         return loss(params, targets, n_trials, seed, duration, model,
-                    _batch_means=batch_means)
+                    _units=units)
 
     return minimize(objective, initial, budget=budget, seed=seed,
                     restarts=restarts)
+
+
+_TARGET_COLUMNS = ("mode", "material", "moisture", "target_cmps", "std_cmps",
+                   "weight")
 
 
 def load_targets(path) -> list:
@@ -281,21 +287,14 @@ def load_targets(path) -> list:
     targets = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        expected = {"mode", "material", "moisture", "target_cmps",
-                    "std_cmps", "weight"}
-        if reader.fieldnames is None or set(reader.fieldnames) != expected:
-            raise ValueError(
-                f"targets file must have columns {sorted(expected)}")
+        if set(reader.fieldnames or ()) != set(_TARGET_COLUMNS):
+            raise ValueError("targets file must have columns "
+                             f"{sorted(_TARGET_COLUMNS)}")
         for row_num, row in enumerate(reader, start=2):
             try:
                 targets.append(CalibrationTarget(
-                    mode=LocomotionMode(row["mode"]),
-                    material=Material(row["material"]),
-                    moisture=float(row["moisture"]),
-                    target_cmps=float(row["target_cmps"]),
-                    std_cmps=float(row["std_cmps"]),
-                    weight=float(row["weight"]),
-                ))
+                    LocomotionMode(row["mode"]), Material(row["material"]),
+                    *(float(row[c]) for c in _TARGET_COLUMNS[2:])))
             except (ValueError, KeyError) as exc:
                 raise ValueError(f"targets row {row_num}: {exc}") from exc
     if not targets:

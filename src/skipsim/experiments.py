@@ -11,7 +11,7 @@ from dataclasses import replace
 from . import calibrate as cal
 from .config import ExperimentConfig, config_with_responses
 from .fileio import write_csv, write_json
-from .gait import GaitMode, Trajectory, drift_trial
+from .gait import GaitMode, Trajectory, drift_duration, drift_trial
 from .locomotion import (LocomotionMode, ScenarioSegment, TrialSpec,
                          run_batch, scenario_heterogeneous)
 from .springtail import length_regime, strike_sequence, strike_trace
@@ -105,6 +105,8 @@ def run_gait_drift(config: ExperimentConfig, out_dir, seed, trials=None,
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     distance = params["distance_m"]
+    for mode in GaitMode:
+        drift_duration(mode, config.gait, distance)  # before any trial runs
     summary = {}
     for mode in GaitMode:
         drifts = []

@@ -22,6 +22,10 @@ from .fileio import read_csv_table, write_csv
 
 TWO_PI = 2.0 * math.pi
 
+# Longest trial, in s. A trial cache entry grows with the strikes or
+# cycles of one trial, so this bounds each entry.
+MAX_TRIAL_S = 3600.0
+
 
 class GaitMode(Enum):
     SYNC = "sync"
@@ -406,16 +410,29 @@ def crawl_kinematics(cycle_times, mode: GaitMode, noise: AsymmetryNoise,
     return Trajectory(poses)
 
 
+def drift_duration(mode: GaitMode, gait: GaitConfig, distance: float) -> float:
+    """How long `drift_trial` runs the gait to cover `distance` (m): three
+    cycles more than the distance takes, plus two periods of slack. A
+    duration over MAX_TRIAL_S is an error."""
+    if not distance > 0:
+        raise ValueError("distance must be positive")
+    period = TWO_PI / gait.fin_speed * (2.0 if mode is GaitMode.ASYNC else 1.0)
+    # capping the stride count keeps ceil() finite; a capped count already
+    # runs over the limit
+    strides = min(distance / gait.stride, MAX_TRIAL_S / period)
+    duration = (int(math.ceil(strides)) + 5) * period
+    if duration > MAX_TRIAL_S:
+        raise ValueError(f"a {mode.value} drift over {distance:g} m would take "
+                         f"{duration:g} s, over the {MAX_TRIAL_S:g} s limit")
+    return duration
+
+
 def drift_trial(mode: GaitMode, gait: GaitConfig | None = None, seed: int = 0,
                 distance: float = 1.0) -> Trajectory:
     """Simulate one straight-line run until the forward progress along the
     initial heading reaches `distance` (m)."""
-    if distance <= 0:
-        raise ValueError("distance must be positive")
     gait = gait or GaitConfig()
-    n_cycles = int(math.ceil(distance / gait.stride)) + 3
-    period = TWO_PI / gait.fin_speed * (2.0 if mode is GaitMode.ASYNC else 1.0)
-    duration = (n_cycles + 2) * period
+    duration = drift_duration(mode, gait, distance)
     events = nominal_cycle_times(mode, duration, gait.fin_speed, gait.dt,
                                  gait.encoder)
     traj = crawl_kinematics(events, mode, gait.noise, gait.stride, seed)

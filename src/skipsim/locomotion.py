@@ -1,16 +1,24 @@
-"""Per-strike hop model and per-cycle crawl model composing tail strikes,
-gait cycles, and substrate response into trials with failure classification."""
+"""Hop model and crawl model composing tail strikes, gait cycles, and
+substrate response into trials with failure classification.
+
+The substrate enters a skip or sync/async crawl trial as one scale: a hop
+of impulse J covers (eta*J/m)^2*sin(2*alpha)/g, so a skip trial travels
+eta^2 times its path at skip efficiency eta = 1, and a crawl trial travels
+its crawl traction times its path at traction 1. A trial is that unit path
+times its scale, placed at its start pose."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
-from .gait import (ORIGIN, GaitConfig, GaitMode, PlanarPose, Trajectory,
-                   accumulate, crawl_kinematics, nominal_cycle_times)
+from .gait import (MAX_TRIAL_S, ORIGIN, GaitConfig, GaitMode, PlanarPose,
+                   Trajectory, accumulate, crawl_kinematics,
+                   nominal_cycle_times)
 from .springtail import (EngagedAngleModel, RegimeThresholds, TailConfig,
                          strike_schedule)
 from .stats import FailureMode, classify_trial
@@ -60,11 +68,6 @@ class Model:
     responses: dict = field(default_factory=dict)  # Material -> MoistureResponse
 
 
-# Longest trial, in s. A cached strike schedule or crawl draw grows by 16
-# bytes per strike or cycle, so this bounds each cache entry.
-MAX_TRIAL_S = 3600.0
-
-
 @dataclass(frozen=True)
 class TrialSpec:
     mode: LocomotionMode
@@ -100,33 +103,50 @@ class BatchSummary:
     failures: int
 
 
-def hop_displacement(impulse, params: RobotParams,
-                     substrate: SubstrateParams):
-    """Forward distance of one strike-driven hop, or of each hop for an
-    array of impulses.
+def hop_displacement(impulse, params: RobotParams):
+    """Forward distance of one strike-driven hop at skip efficiency 1, or of
+    each hop for an array of impulses.
 
-    Takeoff speed is the substrate-scaled impulse over the robot mass; the
-    hop covers the ballistic range v0^2*sin(2*alpha)/g. A slipping tail
-    transfers nothing.
+    Takeoff speed is the impulse over the robot mass; the hop covers the
+    ballistic range v0^2*sin(2*alpha)/g. On a substrate the takeoff speed
+    is scaled by the skip efficiency, so the hop by `skip_scale`.
     """
     impulses = np.asarray(impulse, dtype=float)
     if (impulses <= 0).any():
         raise ValueError("impulse must be positive")
-    if substrate.tail_slips:
-        distance = np.zeros_like(impulses)
-    else:
-        v0 = takeoff_speed(impulses, params, substrate)
-        # Python's float ** (libm pow): numpy's v**2 is v*v, which differs
-        # from it in the last bit for some v
-        square = np.array([v ** 2 for v in v0.ravel().tolist()])
-        distance = (square.reshape(v0.shape)
-                    * math.sin(2.0 * params.launch_angle) / params.gravity)
+    distance = ((impulses / params.mass) ** 2
+                * math.sin(2.0 * params.launch_angle) / params.gravity)
     return distance if distance.ndim else float(distance)
+
+
+def skip_scale(substrate: SubstrateParams) -> float:
+    """What a skip trial's unit path is multiplied by: the squared skip
+    efficiency, or 0 when the tail slips and transfers nothing."""
+    if substrate.tail_slips:
+        return 0.0
+    return substrate.skip_efficiency * substrate.skip_efficiency
 
 
 def takeoff_speed(impulse, params: RobotParams, substrate: SubstrateParams):
     """Takeoff speed of one impulse, or of each of an array of them."""
     return substrate.skip_efficiency * impulse / params.mass
+
+
+@lru_cache(maxsize=256)
+def skip_reach(tail: TailConfig, angle_model: EngagedAngleModel,
+               thresholds: RegimeThresholds, robot: RobotParams,
+               duration: float, seed: int) -> np.ndarray:
+    """A skip trial's unit path: entry k is the forward distance its first
+    k hops cover at skip efficiency 1, summed hop by hop, as a read-only
+    array one longer than `strike_schedule`'s.
+
+    Cached like the schedule it is built from, and keyed on it and the
+    robot: every substrate at the same seed and duration scales it."""
+    _, impulses = strike_schedule(tail, angle_model, thresholds, duration,
+                                  seed)
+    reach = accumulate(0.0, hop_displacement(impulses, robot))
+    reach.setflags(write=False)
+    return reach
 
 
 def _skip_trial(spec, substrate, model, start):
@@ -143,64 +163,81 @@ def _skip_trial(spec, substrate, model, start):
                               > robot.pitch_speed_limit)
         if over.size:
             hops, hard = int(over[0]), FailureMode.PITCH_OVER
-    distance = hop_displacement(impulses[:hops], robot, substrate)
+    forward = skip_scale(substrate) * skip_reach(
+        model.tail, model.angle_model, model.thresholds, robot,
+        spec.duration, spec.seed)[:hops + 1]
     heading = start.heading
     # a pitch-over adds a pose at the over-limit strike, where motion stopped
     poses = np.empty((hops + 1 + (hard is FailureMode.PITCH_OVER), 4))
-    poses[:hops + 1, :2] = accumulate((start.x, start.y), distance[:, None]
-                                      * (math.cos(heading), math.sin(heading)))
+    poses[:hops + 1, 0] = start.x + forward * math.cos(heading)
+    poses[:hops + 1, 1] = start.y + forward * math.sin(heading)
     poses[hops + 1:, :2] = poses[hops, :2]
     poses[:, 2] = heading
     poses[0, 3] = start.time
     poses[1:, 3] = start.time + times[:len(poses) - 1]
-    return poses, hard
+    return poses, float(forward[-1]), hard
+
+
+def crawl_unit_path(spec: TrialSpec, gait: GaitConfig,
+                    start: PlanarPose = ORIGIN) -> np.ndarray:
+    """A sync or async crawl trial's unit path: its poses at crawl traction
+    1, from (0, 0) at `start`'s heading and time. Encoder feedback keeps
+    the stride out of the heading, so every traction scales this path."""
+    mode = _GAIT_MODE[spec.mode]
+    events = nominal_cycle_times(mode, spec.duration, gait.fin_speed, gait.dt,
+                                 gait.encoder)
+    return crawl_kinematics(events, mode, gait.noise, gait.stride, spec.seed,
+                            PlanarPose(0.0, 0.0, start.heading,
+                                       start.time)).poses
 
 
 def _crawl_trial(spec, substrate, gait, start):
     if substrate.excavates:
         # the fins dig the robot into the bed; no forward motion
-        return np.array([start]), FailureMode.EXCAVATION
-    mode = _GAIT_MODE[spec.mode]
-    events = nominal_cycle_times(mode, spec.duration, gait.fin_speed,
-                                 gait.dt, gait.encoder)
-    stride_eff = gait.stride * substrate.crawl_traction
-    if stride_eff <= 0.0 or not events:
-        return np.array([start]), None
-    return crawl_kinematics(events, mode, gait.noise, stride_eff, spec.seed,
-                            start).poses, None
+        return np.array([start]), 0.0, FailureMode.EXCAVATION
+    traction = substrate.crawl_traction
+    path = crawl_unit_path(spec, gait, start)
+    if traction <= 0.0 or len(path) == 1:
+        return np.array([start]), 0.0, None
+    poses = path.copy()
+    poses[:, :2] = (start.x, start.y) + traction * path[:, :2]
+    return poses, traction * math.hypot(*path[-1, :2].tolist()), None
 
 
-def trial_substrate(mode: LocomotionMode,
-                    substrate: SubstrateParams) -> SubstrateParams:
-    """The fields of `substrate` a trial in `mode` reads, the other gait's
-    zeroed: a skip trial reads the skip efficiency and tail slip, a crawl
-    trial the crawl traction and excavation. Trials of one mode, material,
-    duration and seed under substrates with equal projections are equal."""
-    if mode is LocomotionMode.SKIP:
-        return SubstrateParams(substrate.skip_efficiency, 0.0,
-                               substrate.tail_slips, False)
-    return SubstrateParams(0.0, substrate.crawl_traction, False,
-                           substrate.excavates)
+def unit_displacement(spec: TrialSpec, model: Model) -> tuple:
+    """(net displacement at scale 1, strongest impulse) of `spec`'s trial
+    run to the end: a skip trial that neither slips nor pitches over
+    travels `skip_scale` times the displacement, a crawl trial that does
+    not excavate its traction times it. The impulse (0.0 for a crawl
+    trial) is what decides a pitch-over on rigid ground."""
+    if spec.mode is LocomotionMode.SKIP:
+        _, impulses = strike_schedule(model.tail, model.angle_model,
+                                      model.thresholds, spec.duration,
+                                      spec.seed)
+        reach = skip_reach(model.tail, model.angle_model, model.thresholds,
+                           model.robot, spec.duration, spec.seed)
+        return float(reach[-1]), float(impulses.max(initial=0.0))
+    path = crawl_unit_path(spec, model.gait)
+    return math.hypot(*path[-1, :2].tolist()), 0.0
 
 
 def run_trial(spec: TrialSpec, model: Model = Model(),
               start: PlanarPose = ORIGIN) -> TrialResult:
-    """Run one locomotion trial under `model` and classify its outcome."""
-    response = model.responses.get(spec.material)
-    substrate = trial_substrate(spec.mode, moisture_response(
-        spec.material, spec.moisture, response))
-
+    """Run one locomotion trial under `model` and classify its outcome. Its
+    net displacement is its scale times its unit path's."""
+    substrate = moisture_response(spec.material, spec.moisture,
+                                  model.responses.get(spec.material))
     if spec.mode is LocomotionMode.SKIP:
-        poses, hard = _skip_trial(spec, substrate, model, start)
+        poses, displacement, hard = _skip_trial(spec, substrate, model, start)
     else:
-        poses, hard = _crawl_trial(spec, substrate, model.gait, start)
+        poses, displacement, hard = _crawl_trial(spec, substrate, model.gait,
+                                                 start)
     end_time = start.time + spec.duration
     if poses[-1, 3] < end_time:
         # the robot holds its last pose until the trial ends
         poses = np.concatenate((poses, [(*poses[-1, :3], end_time)]))
     trajectory = Trajectory(poses)
 
-    displacement = trajectory.net_displacement()
     velocity = displacement / spec.duration
     failure = classify_trial(displacement, hard)
     return TrialResult(trajectory=trajectory, displacement=displacement,

@@ -1,13 +1,17 @@
 import csv
 import json
+import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from skipsim import calibrate as cal
 from skipsim.cli import main
 from skipsim.config import load_config
-from skipsim.locomotion import LocomotionMode, Model, trial_substrate
-from skipsim.terrain import Material, default_curves, moisture_response
+from skipsim.locomotion import (LocomotionMode, Model, RobotParams,
+                                TrialSpec, run_batch)
+from skipsim.terrain import Material, default_curves
 
 
 def quadratic_vector():
@@ -137,35 +141,169 @@ class TestFullModelFit:
         assert all(a >= b for a, b in zip(result.trace, result.trace[1:]))
 
 
-class TestBatchMemo:
-    """`fit` runs each batch once per distinct (mode, material, substrate the
-    trial reads), and its search sees the losses a fresh `loss` gives."""
+def model_loss(params, targets, model=Model(), n_trials=3, seed=0,
+               duration=30.0):
+    """The loss as the model gives it: every target's batch run through
+    `simulate_target` under the curves `apply_parameters` builds."""
+    model = replace(model, responses=cal.apply_parameters(params,
+                                                          model.responses))
+    total = 0.0
+    for t in targets:
+        sim = cal.simulate_target(t, model, n_trials, seed, duration)
+        total += t.weight * (sim - t.target_cmps) ** 2
+    return total
+
+
+def _lowest(predicate, lo, hi):
+    """The smallest double in [lo, hi] at which a monotone `predicate`
+    holds (it must hold at hi), by bisection on the doubles."""
+    while math.nextafter(lo, hi) < hi:
+        mid = (lo + hi) / 2.0
+        lo, hi = (lo, mid) if predicate(mid) else (mid, hi)
+    return hi if not predicate(lo) else lo
+
+
+SLIP = default_curves(Material.BENTONITE_CLAY).slip_moisture
+# The bundled targets plus conditions on the failure rules' edges: clay at
+# its slip moisture and just below it, and rigid ground, where a strong
+# enough strike pitches over.
+EDGE_TARGETS = cal.bundled_targets() + [
+    cal.CalibrationTarget(LocomotionMode.SKIP, Material.BENTONITE_CLAY,
+                          SLIP, 0.0),
+    cal.CalibrationTarget(LocomotionMode.SKIP, Material.BENTONITE_CLAY,
+                          math.nextafter(SLIP, 0.0), 0.5),
+    cal.CalibrationTarget(LocomotionMode.SKIP, Material.RIGID, 0.0, 4.0),
+]
+# rigid skipping fits a level too, so a point can sit on the pitch-over edge
+EDGE_BOUNDS = {**cal.default_parameter_vector().bounds,
+               "rigid.skip.level": (0.0, cal.SKIP_EFF_MAX)}
+EDGE_MODEL = Model(robot=RobotParams(pitch_speed_limit=0.6))
+
+
+def _edge_vector(values=None):
+    start = {**cal.default_parameter_vector().values,
+             "rigid.skip.level": 0.5}
+    return cal.ParameterVector({**start, **(values or {})}, dict(EDGE_BOUNDS))
+
+
+def _random_points(n, seed):
+    rng = np.random.default_rng(seed)
+    return [_edge_vector({name: rng.uniform(lo, hi)
+                          for name, (lo, hi) in EDGE_BOUNDS.items()})
+            for _ in range(n)]
+
+
+def _edges():
+    """(target, point on an edge, point a double below it) for each
+    excavation threshold a crawl target meets (the crawl cap at which its
+    traction first reaches the material's excavation traction), for the
+    pitch-over edge of the strongest rigid strike, and for the 0.10 m
+    progress threshold of a grass skip trial."""
+    edges, seen = [], set()
+    base = cal.default_parameter_vector()
+    for t in EDGE_TARGETS:
+        if t.mode is LocomotionMode.SKIP or (t.material, t.moisture) in seen:
+            continue
+        seen.add((t.material, t.moisture))
+        name = f"{t.material.value}.crawl.cap"
+
+        def reaches(cap):
+            params = cal.ParameterVector({**base.values, name: cap},
+                                         base.bounds)
+            response = cal.apply_parameters(params)[t.material]
+            return (response.crawl_traction(t.moisture)
+                    >= response.excavation_traction)
+        edges.append((t, name, _lowest(reaches, 0.0, 1.0)))
+    unit, impulse = cal.unit_displacements(EDGE_TARGETS, 3, 0, 30.0,
+                                           EDGE_MODEL)
+    robot = EDGE_MODEL.robot
+    rigid, grass = EDGE_TARGETS[-1], EDGE_TARGETS[3]
+    assert (rigid.material, grass.material) == (Material.RIGID, Material.GRASS)
+    strongest = impulse[-1].max()
+    edges.append((rigid, "rigid.skip.level", _lowest(
+        lambda eta: eta * strongest / robot.mass > robot.pitch_speed_limit,
+        0.0, cal.SKIP_EFF_MAX)))
+    # a level at which a grass trial travels exactly 0.10 m, which counts
+    # as progress (seed 2's unit displacement has one)
+    levels = [(_lowest(lambda eta, u=u: eta * eta * u >= 0.10, 0.0,
+                       cal.SKIP_EFF_MAX), u) for u in unit[3]]
+    edges.append((grass, "grass.skip.level", [
+        eta for eta, u in levels if eta * eta * u == 0.10][0]))
+    return [(t, _edge_vector({name: value}),
+             _edge_vector({name: math.nextafter(value, 0.0)}))
+            for t, name, value in edges]
+
+
+EDGES = _edges()
+
+
+class TestLossAgreesWithModel:
+    """`loss` reads each target's unit displacements and scales them; it
+    must give what running every batch under the fitted curves gives.
+    It performs the trials' own float operations, so the two agree
+    exactly, within any rounding bound."""
+
+    @pytest.mark.parametrize("params", _random_points(100, 11) + [
+        p for _, on, below in EDGES for p in (on, below)])
+    def test_loss_equals_simulated_batches(self, params):
+        assert (cal.loss(params, EDGE_TARGETS, model=EDGE_MODEL)
+                == model_loss(params, EDGE_TARGETS, EDGE_MODEL))
+
+    @pytest.mark.parametrize("target, on, below", EDGES)
+    def test_edge_points_straddle_their_rule(self, target, on, below):
+        """A trial of the edge's target fails differently on the edge and a
+        double below it: the points decide the rule, not skip it."""
+        spec = TrialSpec(target.mode, target.material, target.moisture)
+        outcomes = []
+        for params in (on, below):
+            model = Model(robot=EDGE_MODEL.robot,
+                          responses=cal.apply_parameters(params))
+            results, _ = run_batch(spec, 3, 0, model)
+            outcomes.append([r.failure for r in results])
+        assert outcomes[0] != outcomes[1]
+
+    def test_slip_moisture_edge(self):
+        """At its slip moisture clay skipping scores zero; just below, it
+        moves."""
+        model = Model(responses=cal.apply_parameters(
+            cal.default_parameter_vector()))
+        slipping, moving = EDGE_TARGETS[-3:-1]
+        assert cal.simulate_target(slipping, model) == 0.0
+        assert cal.simulate_target(moving, model) > 0.0
+
+    @pytest.mark.parametrize("n_trials", [1, 2, 10])
+    def test_other_trial_counts(self, n_trials):
+        for params in _random_points(5, n_trials):
+            assert (cal.loss(params, EDGE_TARGETS, n_trials, seed=3,
+                             model=EDGE_MODEL)
+                    == model_loss(params, EDGE_TARGETS, EDGE_MODEL, n_trials,
+                                  seed=3))
+
+
+class TestFitRunsTrialsOnce:
+    """`fit` computes each target's unit displacements once, and its search
+    sees the losses a fresh `loss` gives."""
 
     BUDGET = 40  # 14 evaluations per restart: the second restart is reached
 
     @pytest.fixture
     def recorded_fit(self, monkeypatch):
-        evaluated, batches = [], []
-        fresh_loss, run_batch = cal.loss, cal.run_batch
+        evaluated = []
+        fresh_loss = cal.loss
 
         def recording_loss(params, *args, **kwargs):
             value = fresh_loss(params, *args, **kwargs)
             evaluated.append((params.copy(), value))
             return value
 
-        def counting_run_batch(*args, **kwargs):
-            batches.append(args)
-            return run_batch(*args, **kwargs)
-
         monkeypatch.setattr(cal, "loss", recording_loss)
-        monkeypatch.setattr(cal, "run_batch", counting_run_batch)
         targets = cal.bundled_targets()
         result = cal.fit(targets, budget=self.BUDGET, seed=0)
         monkeypatch.undo()
-        return targets, result, evaluated, batches
+        return targets, result, evaluated
 
     def test_trace_matches_a_fresh_loss_at_every_point(self, recorded_fit):
-        targets, result, evaluated, _ = recorded_fit
+        targets, result, evaluated = recorded_fit
         assert len(evaluated) == result.evaluations == self.BUDGET
         best = []
         for params, value in evaluated:
@@ -174,35 +312,28 @@ class TestBatchMemo:
         assert result.trace == best
         assert result.loss == cal.loss(result.params, targets, seed=0)
 
-    def test_one_batch_per_distinct_key(self, recorded_fit):
-        targets, _, evaluated, batches = recorded_fit
-        keys = set()
-        for params, _ in evaluated:
-            responses = cal.apply_parameters(params)
-            keys.update((t.mode, t.material, trial_substrate(
-                t.mode, moisture_response(t.material, t.moisture,
-                                          responses[t.material])))
-                for t in targets)
-        assert len(batches) == len(keys) < self.BUDGET * len(targets)
+    def test_same_trials_at_any_budget(self, monkeypatch):
+        """A fit at --budget 20 runs as many trials as one at 400: one unit
+        trial per target and seed, and no batch."""
+        trials = []
+        unit_displacement = cal.unit_displacement
 
-    def test_memo_lasts_one_fit(self, monkeypatch):
-        batches = []
-        run_batch = cal.run_batch
+        def counting(spec, model):
+            trials.append(spec)
+            return unit_displacement(spec, model)
 
-        def counting_run_batch(*args, **kwargs):
-            batches.append(args)
-            return run_batch(*args, **kwargs)
+        def no_batch(*args, **kwargs):
+            raise AssertionError("fit ran a batch")
 
-        monkeypatch.setattr(cal, "run_batch", counting_run_batch)
+        monkeypatch.setattr(cal, "unit_displacement", counting)
+        monkeypatch.setattr(cal, "run_batch", no_batch)
         targets = cal.bundled_targets()
-        first = cal.fit(targets, budget=8, seed=0)
-        per_fit = len(batches)
-        second = cal.fit(targets, budget=8, seed=0)
-        assert len(batches) == 2 * per_fit
-        assert second.trace == first.trace
-        # a lone loss call starts from an empty memo
-        cal.loss(first.params, targets, seed=0)
-        assert len(batches) == 2 * per_fit + len(targets)
+        counts = []
+        for budget in (20, 400):
+            trials.clear()
+            assert cal.fit(targets, budget=budget, seed=0).evaluations == budget
+            counts.append(len(trials))
+        assert counts == [3 * len(targets)] * 2
 
 
 def _calibrate(tmp_path, substrates, budget="2"):

@@ -9,7 +9,8 @@ from skipsim import experiments
 from skipsim.cli import main
 from skipsim.config import ConfigError, default_dict, load_config
 from skipsim.fileio import write_json
-from skipsim.gait import GaitMode, drift_trial
+from skipsim.gait import (MAX_TRIAL_S, GaitConfig, GaitMode, drift_duration,
+                          drift_trial)
 from skipsim.stats import ForceTrace
 from skipsim.terrain import Material
 
@@ -324,6 +325,59 @@ class TestCli:
         err = capsys.readouterr().err
         assert "error:" in err and named in err
         assert "empty sequence" not in err and "Traceback" not in err
+
+
+def _drift_too_long(distance, mode=GaitMode.ASYNC):
+    try:
+        drift_duration(mode, GaitConfig(), distance)
+    except ValueError:
+        return True
+    return False
+
+
+class TestDriftDistanceLimit:
+    """gait-drift derives its trials' duration from `distance_m`; the
+    slowest gait's may not exceed MAX_TRIAL_S."""
+
+    @staticmethod
+    def shortest_refused():
+        """The smallest distance the async gait, the slowest, refuses,
+        found by bisection on the doubles."""
+        lo, hi = 1.0, 100.0
+        while math.nextafter(lo, hi) < hi:
+            mid = (lo + hi) / 2.0
+            lo, hi = (lo, mid) if _drift_too_long(mid) else (mid, hi)
+        return hi
+
+    def test_bound_sits_at_the_longest_trial(self):
+        refused = self.shortest_refused()
+        allowed = math.nextafter(refused, 0.0)
+        assert drift_duration(GaitMode.ASYNC, GaitConfig(),
+                              allowed) == MAX_TRIAL_S
+        # the faster gaits would still fit at the refused distance
+        for mode in (GaitMode.SYNC, GaitMode.OPEN_LOOP):
+            assert not _drift_too_long(refused, mode)
+
+    def test_just_over_the_bound_exits_2_before_any_trial(
+            self, tmp_path, capsys, monkeypatch):
+        def no_trial(*args, **kwargs):
+            raise AssertionError("a drift trial started")
+
+        monkeypatch.setattr(experiments, "drift_trial", no_trial)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiments": {"gait_drift": {
+            "distance_m": self.shortest_refused()}}}))
+        out = tmp_path / "o"
+        assert main(["gait-drift", "--config", str(cfg), "--out",
+                     str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "3600 s limit" in err
+        assert os.listdir(out) == []
+
+    @pytest.mark.parametrize("distance", [1e6, 1e308, math.inf])
+    def test_huge_distances_are_refused(self, distance):
+        assert _drift_too_long(distance)
 
 
 def _tree_bytes(root):

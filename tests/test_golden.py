@@ -5,8 +5,11 @@ A change that alters any output byte fails here. A change that does so on
 purpose regenerates the digests and says why:
 
     PYTHONPATH=src python tests/test_golden.py
+
+which prints the files whose digests it changed, added and removed.
 """
 
+import contextlib
 import hashlib
 import json
 import os
@@ -73,11 +76,37 @@ def test_outputs_match_golden_digests(tmp_path, command):
                      if rel.split("/")[0] in dirs}
 
 
+def _report(old, new):
+    """Lines naming the files whose digest `new` changes, adds and removes
+    against `old`."""
+    lines = []
+    for label, names in (
+            ("changed", [k for k in new if k in old and new[k] != old[k]]),
+            ("added", [k for k in new if k not in old]),
+            ("removed", [k for k in old if k not in new])):
+        lines.append(f"{label}: {len(names)}")
+        lines += [f"  {name}" for name in sorted(names)]
+    return lines
+
+
+def test_report_names_changed_added_and_removed():
+    old = {"a/x.csv": "1", "a/y.csv": "2", "b/z.json": "3"}
+    new = {"a/x.csv": "1", "a/y.csv": "9", "c/w.json": "4"}
+    assert _report(old, new) == ["changed: 1", "  a/y.csv", "added: 1",
+                                 "  c/w.json", "removed: 1", "  b/z.json"]
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as root:
-        for command in COMMANDS:
-            _run(command, root)
+        with contextlib.redirect_stdout(sys.stderr):
+            for command in COMMANDS:
+                _run(command, root)
         digests = _digests(root)
+    old = {}
+    if os.path.exists(DIGESTS):
+        with open(DIGESTS) as fh:
+            old = json.load(fh)
     os.makedirs(os.path.dirname(DIGESTS), exist_ok=True)
     write_json(DIGESTS, digests)
+    print("\n".join(_report(old, digests)))
     print(f"{len(digests)} digests -> {DIGESTS}", file=sys.stderr)

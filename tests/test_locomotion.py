@@ -7,7 +7,7 @@ from skipsim.gait import AsymmetryNoise, GaitConfig
 from skipsim.locomotion import (MAX_TRIAL_S, LocomotionMode, Model,
                                 RobotParams, ScenarioSegment, TrialSpec,
                                 hop_displacement, run_batch, run_trial,
-                                scenario_heterogeneous, trial_substrate)
+                                scenario_heterogeneous, skip_scale)
 from skipsim.springtail import (EngagedAngleModel, TailConfig, latch_energy,
                                 strike_sequence)
 from skipsim.stats import FailureMode
@@ -21,7 +21,7 @@ PERFECT = SubstrateParams(skip_efficiency=1.0, crawl_traction=1.0,
 class TestHopDisplacement:
     def test_reference_hop(self):
         robot = RobotParams()
-        d = hop_displacement(25.5e-3, robot, PERFECT)
+        d = hop_displacement(25.5e-3, robot)
         v0 = 25.5e-3 / robot.mass
         assert v0 == pytest.approx(0.91, rel=2e-3)
         assert d == pytest.approx(v0 ** 2 / robot.gravity, rel=1e-12)
@@ -29,16 +29,21 @@ class TestHopDisplacement:
 
     def test_slipping_tail_transfers_nothing(self):
         slipping = replace(PERFECT, tail_slips=True)
-        assert hop_displacement(25.5e-3, RobotParams(), slipping) == 0.0
+        assert skip_scale(PERFECT) == 1.0
+        assert skip_scale(slipping) == 0.0
+
+    def test_skip_efficiency_scales_the_hop_by_its_square(self):
+        half = replace(PERFECT, skip_efficiency=0.5)
+        assert skip_scale(half) == 0.25
 
     def test_ballistic_scaling(self):
-        d1 = hop_displacement(10e-3, RobotParams(), PERFECT)
-        d2 = hop_displacement(20e-3, RobotParams(), PERFECT)
+        d1 = hop_displacement(10e-3, RobotParams())
+        d2 = hop_displacement(20e-3, RobotParams())
         assert d2 / d1 == pytest.approx(4.0, rel=1e-12)
 
     def test_rejects_nonpositive_impulse(self):
         with pytest.raises(ValueError):
-            hop_displacement(0.0, RobotParams(), PERFECT)
+            hop_displacement(0.0, RobotParams())
 
 
 class TestRunTrial:
@@ -228,7 +233,7 @@ OTHER_GAIT = {
 
 class TestTrialSubstrate:
     """A trial reads only its own gait's part of the substrate, the premise
-    of the key calibrate's per-fit batch memo uses."""
+    of calibrate's loss building only the curve each target reads."""
 
     @pytest.mark.parametrize("mode", list(LocomotionMode),
                              ids=lambda m: m.value)
@@ -244,8 +249,6 @@ class TestTrialSubstrate:
         substrate = moisture_response(material, moisture, shipped)
         moved = moisture_response(material, moisture, changed)
         assert moved != substrate  # the change reaches the substrate...
-        assert (trial_substrate(mode, moved)
-                == trial_substrate(mode, substrate))  # ...but not the trial
         for seed in range(3):
             spec = TrialSpec(mode, material, moisture, duration=30.0,
                              seed=seed)
@@ -253,16 +256,7 @@ class TestTrialSubstrate:
             other = run_trial(spec, Model(responses={material: changed}))
             assert (repr(other.trajectory.poses.tolist())
                     == repr(base.trajectory.poses.tolist()))
-            assert other.failure is base.failure
-
-    def test_projection_zeroes_the_other_gait(self):
-        substrate = SubstrateParams(skip_efficiency=0.4, crawl_traction=0.6,
-                                    tail_slips=True, excavates=True)
-        assert trial_substrate(LocomotionMode.SKIP, substrate) == \
-            SubstrateParams(0.4, 0.0, True, False)
-        for mode in (LocomotionMode.SYNC_CRAWL, LocomotionMode.ASYNC_CRAWL):
-            assert trial_substrate(mode, substrate) == \
-                SubstrateParams(0.0, 0.6, False, True)
+            assert other.failure is base.failure  # ...but not the trial
 
 
 class TestTrialDuration:

@@ -1,16 +1,25 @@
-"""Byte-identity of the trial layer against its per-strike and per-cycle
-reference loops, and the safety of the schedule caches under it.
+"""The trial layer against its per-strike and per-cycle reference loops,
+and the safety of the schedule caches under it.
 
-A skip trial applies the substrate to a cached strike schedule
-(`strike_schedule`) and a crawl trial to cached noise draws
-(`crawl_draws`), each in one numpy pass. The loops kept here as oracles
-draw every strike and every cycle's noise afresh and advance the pose one
-`+=` at a time. Every pose float must match exactly, not to a tolerance:
-the tests compare `repr`s, which tell apart any two doubles, -0.0 from 0.0
-included. The golden digests cover only the default settings; these tests
-draw skip efficiencies over the whole fitted range, pitch-over, tail slip,
-excavation, start poses off the origin, all three gait modes, zero noise
-terms, and jammed and rolling blades.
+A skip trial scales a cached unit path (`skip_reach`, built from the
+cached `strike_schedule`) by its squared skip efficiency, and a sync or
+async crawl trial scales its traction-1 path (built from the cached
+`crawl_draws`) by its traction. The loops kept here as oracles draw every
+strike and every cycle's noise afresh, apply the substrate to each step
+and advance the pose one `+=` at a time.
+
+The two sum the same steps in a different association, so poses agree to
+the summation error bound (Higham, Accuracy and Stability of Numerical
+Algorithms, 2nd ed., section 4.2): |got - want| <= n * 2**-53 * S, where
+S is the start coordinate's magnitude plus the magnitudes of the steps
+summed into the pose, and n counts the roundings behind the pose in both
+computations together. Heading and time columns, failure labels, pose
+counts (so the pitch-over strike) and everything `crawl_kinematics` and
+`drift_trial` give stay exact: the tests compare `repr`s, which tell apart
+any two doubles, -0.0 from 0.0 included. The golden digests cover only the
+default settings; these tests draw skip efficiencies over the whole fitted
+range, pitch-over, tail slip, excavation, start poses off the origin, all
+three gait modes, zero noise terms, and jammed and rolling blades.
 """
 
 import math
@@ -27,16 +36,22 @@ from skipsim import locomotion  # noqa: E402
 from skipsim.calibrate import SKIP_EFF_MAX  # noqa: E402
 from skipsim.gait import (AsymmetryNoise, GaitConfig, GaitMode,  # noqa: E402
                           PlanarPose, Trajectory, crawl_draws,
-                          crawl_kinematics, drift_trial)
+                          crawl_kinematics, drift_trial,
+                          nominal_cycle_times)
 from skipsim.locomotion import (LocomotionMode, Model,  # noqa: E402
                                 RobotParams, TrialSpec, hop_displacement,
-                                run_batch, run_trial)
+                                run_batch, run_trial, skip_reach, skip_scale)
 from skipsim.springtail import (EngagedAngleModel,  # noqa: E402
                                 RegimeThresholds, TailConfig, length_regime,
                                 strike_schedule, strike_sequence)
 from skipsim.stats import FailureMode  # noqa: E402
 from skipsim.terrain import (CrawlCurve, Material,  # noqa: E402
                              MoistureResponse, SkipCurve, SubstrateParams)
+
+
+def _net(poses):
+    """Net displacement from the first pose to the last."""
+    return math.hypot(poses[-1][0] - poses[0][0], poses[-1][1] - poses[0][1])
 
 
 def oracle_skip_trial(spec, substrate, model, start):
@@ -50,12 +65,12 @@ def oracle_skip_trial(spec, substrate, model, start):
         v0 = substrate.skip_efficiency * e.impulse / robot.mass
         if spec.material is Material.RIGID and v0 > robot.pitch_speed_limit:
             poses.append(PlanarPose(x, y, heading, start.time + e.time))
-            return np.array(poses), FailureMode.PITCH_OVER
+            return np.array(poses), _net(poses), FailureMode.PITCH_OVER
         d = oracle_hop_displacement(e.impulse, robot, substrate)
         x += d * math.cos(heading)
         y += d * math.sin(heading)
         poses.append(PlanarPose(x, y, heading, start.time + e.time))
-    return (np.array(poses),
+    return (np.array(poses), _net(poses),
             FailureMode.TAIL_SLIP if substrate.tail_slips else None)
 
 
@@ -68,8 +83,9 @@ def oracle_hop_displacement(impulse, robot, substrate):
 
 def oracle_crawl_kinematics(cycle_times, mode, noise, stride, seed,
                             start=None):
-    if stride <= 0:
-        raise ValueError("stride must be positive")
+    # a stride may underflow to zero in oracle_crawl_trial
+    if stride < 0:
+        raise ValueError("stride must be >= 0")
     rng = np.random.default_rng(seed)
     sign = 1.0 if rng.random() < 0.5 else -1.0
     lo, hi = noise.gain_split
@@ -96,19 +112,69 @@ def oracle_crawl_kinematics(cycle_times, mode, noise, stride, seed,
     return Trajectory(poses)
 
 
+def oracle_crawl_trial(spec, substrate, gait, start):
+    if substrate.excavates:
+        return np.array([start]), 0.0, FailureMode.EXCAVATION
+    mode = {LocomotionMode.SYNC_CRAWL: GaitMode.SYNC,
+            LocomotionMode.ASYNC_CRAWL: GaitMode.ASYNC}[spec.mode]
+    events = nominal_cycle_times(mode, spec.duration, gait.fin_speed, gait.dt,
+                                 gait.encoder)
+    if substrate.crawl_traction <= 0.0 or not events:
+        return np.array([start]), 0.0, None
+    stride = gait.stride * substrate.crawl_traction
+    poses = oracle_crawl_kinematics(events, mode, gait.noise, stride,
+                                    spec.seed, start).poses
+    return poses, _net(poses), None
+
+
 def oracle_run_trial(spec, model, start):
-    """run_trial with the oracles in place of the schedule-based steps."""
+    """run_trial with the per-strike and per-cycle loops in place of the
+    scaled unit paths."""
     with mock.patch.object(locomotion, "_skip_trial", oracle_skip_trial), \
-            mock.patch.object(locomotion, "crawl_kinematics",
-                              oracle_crawl_kinematics):
+            mock.patch.object(locomotion, "_crawl_trial", oracle_crawl_trial):
         return run_trial(spec, model, start)
 
 
-def same_result(got, want):
-    assert (repr(got.trajectory.poses.tolist())
-            == repr(want.trajectory.poses.tolist()))
-    assert repr(got.displacement) == repr(want.displacement)
-    assert repr(got.mean_velocity) == repr(want.mean_velocity)
+U = 2.0 ** -53  # unit roundoff of a double
+# A product that underflows is off by up to half the smallest subnormal
+# instead of U relative (Higham, section 2.1); each rounding adds at most
+# this, the smallest subnormal (half of it is not a double).
+ETA = 2.0 ** -1074
+# Roundings of one step's products, at most, in either computation: the
+# oracle's eta*J, /m, the square (libm pow, counted twice), *sin(2*alpha),
+# /g and *cos(heading); the model's J/m, square, *sin(2*alpha), /g,
+# eta*eta, the scale and *cos(heading). A crawl step takes fewer.
+PER_STEP = 7
+
+
+def summation_bound(want):
+    """|got - want| allowed for each x and y of the oracle poses `want`:
+    n * (U * S + ETA) with S the start coordinate's magnitude plus the
+    step magnitudes summed into the pose, and n = 2 * (k + PER_STEP) for
+    the pose k steps after the start (k additions and the products of a
+    step in each computation)."""
+    steps = np.abs(np.diff(want[:, :2], axis=0))
+    magnitude = np.abs(want[0, :2]) + np.concatenate(
+        ([[0.0, 0.0]], np.cumsum(steps, axis=0)))
+    n = 2.0 * (np.arange(len(want)) + PER_STEP)
+    return n[:, None] * (U * magnitude + ETA)
+
+
+def same_result(spec, got, want):
+    """Poses within the summation bound, and the net displacement within
+    that of the end pose; heading, time, pose count, failure and the
+    velocity's derivation from the displacement exactly."""
+    got_poses, want_poses = got.trajectory.poses, want.trajectory.poses
+    assert got_poses.shape == want_poses.shape
+    assert (repr(got_poses[:, 2:].tolist())
+            == repr(want_poses[:, 2:].tolist()))
+    bound = summation_bound(want_poses)
+    assert (np.abs(got_poses[:, :2] - want_poses[:, :2]) <= bound).all()
+    # |d(hypot)| <= |dx| + |dy|, plus the roundings of each side's hypot,
+    # difference and scale
+    slack = bound[-1].sum() + 8 * U * want.displacement
+    assert abs(got.displacement - want.displacement) <= slack
+    assert got.mean_velocity == got.displacement / spec.duration
     assert got.failure is want.failure
 
 
@@ -177,7 +243,7 @@ def skip_cases(draw):
 @given(skip_cases())
 def test_skip_trial_matches_per_strike_loop(case):
     spec, model, start = case
-    same_result(run_trial(spec, model, start),
+    same_result(spec, run_trial(spec, model, start),
                 oracle_run_trial(spec, model, start))
 
 
@@ -206,21 +272,34 @@ def crawl_cases(draw):
 @given(crawl_cases())
 def test_crawl_trial_matches_per_cycle_loop(case):
     spec, model, start = case
-    same_result(run_trial(spec, model, start),
+    same_result(spec, run_trial(spec, model, start),
                 oracle_run_trial(spec, model, start))
 
 
 @pytest.mark.parametrize("efficiency", [0.2706, 0.566203, SKIP_EFF_MAX])
 def test_hop_displacement_matches_scalar_formula_on_many_impulses(efficiency):
-    """Squaring with numpy (v*v) instead of Python's ** (libm pow) changes
-    about one double in 1,200, too rarely for the drawn trials to show."""
+    """A scaled unit hop is the oracle's hop to the products' roundings,
+    the bound of a pose one step from a zero start."""
     impulses = np.random.default_rng(0).uniform(5e-3, 0.05, 20_000)
     substrate = SubstrateParams(efficiency, 1.0, False, False)
     robot = RobotParams()
-    got = hop_displacement(impulses, robot, substrate).tolist()
-    want = [oracle_hop_displacement(j, robot, substrate)
-            for j in impulses.tolist()]
-    assert repr(got) == repr(want)
+    got = skip_scale(substrate) * hop_displacement(impulses, robot)
+    want = np.array([oracle_hop_displacement(j, robot, substrate)
+                     for j in impulses.tolist()])
+    assert (np.abs(got - want) <= 2 * (1 + PER_STEP) * U * want).all()
+
+
+@pytest.mark.parametrize("mode", [LocomotionMode.SKIP,
+                                  LocomotionMode.SYNC_CRAWL],
+                         ids=lambda m: m.value)
+def test_longest_trial_matches_its_loop(mode):
+    """At MAX_TRIAL_S the bound still holds, for 3,600 steps."""
+    spec = TrialSpec(mode, Material.RIGID, duration=locomotion.MAX_TRIAL_S,
+                     seed=7)
+    start = PlanarPose(-1.5, 2.25, 0.3, 10.0)
+    got = run_trial(spec, Model(), start)
+    assert len(got.trajectory) >= 3601
+    same_result(spec, got, oracle_run_trial(spec, Model(), start))
 
 
 @pytest.mark.parametrize("cases,outcomes", [
@@ -272,8 +351,10 @@ def test_drift_trial_matches_per_cycle_loop(noise, mode):
 def test_cached_arrays_are_read_only():
     times, impulses = strike_schedule(TailConfig(), EngagedAngleModel(),
                                       RegimeThresholds(), 10.0, 0)
+    reach = skip_reach(TailConfig(), EngagedAngleModel(), RegimeThresholds(),
+                       RobotParams(), 10.0, 0)
     _, _, turns, factors = crawl_draws((0.002, 0.0065), 0.0005, 0.05, 0, 30)
-    for array in (times, impulses, turns, factors):
+    for array in (times, impulses, reach, turns, factors):
         assert array.size
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1.0
@@ -283,8 +364,10 @@ def test_cached_arrays_are_read_only():
 
 def test_cache_keys_hold_no_substrate():
     """Trials that differ in material, moisture and curves share their
-    strike schedules and noise draws; only seeds and durations miss."""
+    strike schedules, unit paths and noise draws; only seeds and durations
+    miss."""
     strike_schedule.cache_clear()
+    skip_reach.cache_clear()
     crawl_draws.cache_clear()
     shipped, fitted = Model(), Model(responses={
         Material.GRASS: MoistureResponse(
@@ -296,8 +379,12 @@ def test_cache_keys_hold_no_substrate():
     for material, moisture, model in conditions:
         for mode in (LocomotionMode.SKIP, LocomotionMode.SYNC_CRAWL):
             run_batch(TrialSpec(mode, material, moisture, 30.0), 3, 0, model)
+    # a skip trial reads its schedule, and a unit path built on a miss
+    # reads the same schedule again
     assert strike_schedule.cache_info().misses == 3
-    assert strike_schedule.cache_info().hits == 9
+    assert strike_schedule.cache_info().hits == 9 + 3
+    assert skip_reach.cache_info().misses == 3
+    assert skip_reach.cache_info().hits == 9
     assert crawl_draws.cache_info().misses == 3
     assert crawl_draws.cache_info().hits == 9
     run_batch(TrialSpec(LocomotionMode.SKIP, Material.GRASS, duration=20.0),
@@ -307,6 +394,7 @@ def test_cache_keys_hold_no_substrate():
 
 def test_caches_are_bounded():
     assert strike_schedule.cache_info().maxsize == 256
+    assert skip_reach.cache_info().maxsize == 256
     assert crawl_draws.cache_info().maxsize == 256
 
 
@@ -314,6 +402,7 @@ def _held_by_caches(specs, n_trials):
     """Bytes still allocated after running each spec over n_trials seeds
     and dropping the results: what the caches hold."""
     strike_schedule.cache_clear()
+    skip_reach.cache_clear()
     crawl_draws.cache_clear()
     tracemalloc.start()
     try:
@@ -335,10 +424,11 @@ def test_cache_memory_stays_flat_over_thousands_of_seeds():
     full = _held_by_caches(specs, 256)
     many = _held_by_caches(specs, 2000)
     assert strike_schedule.cache_info().currsize == 256
+    assert skip_reach.cache_info().currsize == 256
     assert crawl_draws.cache_info().currsize == 256
-    # unbounded caches would hold 4000 entries of about 500 bytes each
+    # unbounded caches would hold 6000 entries of 300 to 500 bytes each
     assert many < 1 << 20
-    # both runs end with 512 entries; what may differ is the seeds' int
+    # both runs end with 768 entries; what may differ is the seeds' int
     # objects (16 KB) and up to 2000 spare 2-tuples on the interpreter's
     # free list (112 KB)
     assert many < full + (160 << 10)
