@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from importlib import resources
 
 import numpy as np
@@ -90,6 +91,7 @@ _FREE_PARAM_BOUNDS = {
 }
 
 
+@lru_cache(maxsize=64)
 def _free_parameter(name: str) -> tuple:
     """(material, curve, curve fields) named by a free parameter; a `level`
     sets a flat skip curve's floor and peak together."""
@@ -114,19 +116,29 @@ def default_parameter_vector(responses: dict | None = None) -> ParameterVector:
     return ParameterVector(values=values, bounds=dict(_FREE_PARAM_BOUNDS))
 
 
-def apply_parameters(params: ParameterVector,
-                     responses: dict | None = None) -> dict:
-    """Material -> MoistureResponse map: `responses` (default: the shipped
-    curves) with the free parameters applied, each curve rebuilt once."""
-    responses, fields = _curves(responses), {}
+def _block_fields(params: ParameterVector) -> dict:
+    """(material, curve) -> {curve field: value}: the fields the free
+    parameters set, block by block, a later parameter over an earlier."""
+    fields = {}
     for name, value in params.values.items():
         material, curve, fnames = _free_parameter(name)
         fields.setdefault((material, curve), {}).update(
             dict.fromkeys(fnames, value))
-    for (material, curve), values in fields.items():
-        response = responses[material]
-        responses[material] = replace(response, **{
-            curve: replace(getattr(response, curve), **values)})
+    return fields
+
+
+def _with_fields(response, curve: str, values: dict):
+    return replace(response, **{curve: replace(getattr(response, curve),
+                                               **values)})
+
+
+def apply_parameters(params: ParameterVector,
+                     responses: dict | None = None) -> dict:
+    """Material -> MoistureResponse map: `responses` (default: the shipped
+    curves) with the free parameters applied, each curve rebuilt once."""
+    responses = _curves(responses)
+    for (material, curve), values in _block_fields(params).items():
+        responses[material] = _with_fields(responses[material], curve, values)
     return responses
 
 
@@ -150,37 +162,62 @@ def unit_displacements(targets, n_trials: int, seed: int, duration: float,
         for k in range(n_trials)] for t in targets]).transpose(2, 0, 1)
 
 
+def _block(target: CalibrationTarget) -> tuple:
+    """The (material, curve) whose free parameters a target reads."""
+    return target.material, ("skip" if target.mode is LocomotionMode.SKIP
+                             else "crawl")
+
+
 def loss(params: ParameterVector, targets, n_trials: int = 3,
          seed: int = 0, duration: float = 30.0, model: Model = Model(), *,
-         _units: np.ndarray | None = None, **fields) -> float:
+         _units: np.ndarray | None = None, _memo: dict | None = None,
+         **fields) -> float:
     """Weighted squared velocity error over all targets, seeded so the
     surface is deterministic: that of `simulate_target` under
     `apply_parameters` (the free parameters on top of `model`'s curves),
     bit for bit, from the targets' `unit_displacements`, which `fit`
-    passes as `_units`. `fields` replaces parts of `model` by name."""
+    passes as `_units`. `fields` replaces parts of `model` by name.
+
+    A target's simulated velocity reads only the free parameters of its
+    own (material, curve) block. `_memo`, which `fit` keeps for one fit,
+    maps (target index, block values) to it, so only targets whose block
+    has new values are scored."""
     params.check()
-    model = replace(model, **fields)
+    if fields:
+        model = replace(model, **fields)
     unit, impulse = (unit_displacements(targets, n_trials, seed, duration,
                                         model) if _units is None else _units)
-    responses, robot = apply_parameters(params, model.responses), model.robot
-    scales, hard = np.empty(len(targets)), np.empty(unit.shape, dtype=bool)
-    for i, t in enumerate(targets):
-        substrate = moisture_response(t.material, t.moisture,
-                                      responses[t.material])
-        if t.mode is not LocomotionMode.SKIP:
-            scales[i], hard[i] = substrate.crawl_traction, substrate.excavates
-            continue
-        scales[i], hard[i] = skip_scale(substrate), substrate.tail_slips
-        if t.material is Material.RIGID:
-            # any over-limit strike pitches over, so the strongest decides
-            hard[i] |= (takeoff_speed(impulse[i], robot, substrate)
-                        > robot.pitch_speed_limit)
-    displacement = scales[:, None] * unit
-    won = ~hard & (displacement >= FAILURE_THRESHOLD_M)
-    sims = np.where(won, displacement / duration, 0.0).mean(axis=1) * 100.0
+    memo = {} if _memo is None else _memo
+    blocks = _block_fields(params)
+    keys = [(i, tuple(blocks.get(_block(t), {}).items()))
+            for i, t in enumerate(targets)]
+    new = [key for key in keys if key not in memo]
+    if new:
+        responses, robot = _curves(model.responses), model.robot
+        scales, hard = np.empty(len(new)), np.empty((len(new), n_trials),
+                                                    dtype=bool)
+        for j, (i, values) in enumerate(new):
+            t = targets[i]
+            response = responses[t.material]
+            if values:
+                response = _with_fields(response, _block(t)[1], dict(values))
+            substrate = moisture_response(t.material, t.moisture, response)
+            if t.mode is not LocomotionMode.SKIP:
+                scales[j], hard[j] = (substrate.crawl_traction,
+                                      substrate.excavates)
+                continue
+            scales[j], hard[j] = skip_scale(substrate), substrate.tail_slips
+            if t.material is Material.RIGID:
+                # any over-limit strike pitches over, so the strongest decides
+                hard[j] |= (takeoff_speed(impulse[i], robot, substrate)
+                            > robot.pitch_speed_limit)
+        displacement = scales[:, None] * unit[[i for i, _ in new]]
+        won = ~hard & (displacement >= FAILURE_THRESHOLD_M)
+        sims = np.where(won, displacement / duration, 0.0).mean(axis=1) * 100.0
+        memo.update(zip(new, sims.tolist()))
     total = 0.0
-    for target, sim in zip(targets, sims.tolist()):
-        total += target.weight * (sim - target.target_cmps) ** 2
+    for target, key in zip(targets, keys):
+        total += target.weight * (memo[key] - target.target_cmps) ** 2
     return total
 
 
@@ -268,10 +305,11 @@ def fit(targets, initial: ParameterVector | None = None, budget: int = 400,
     curves where it holds none) to velocity targets."""
     initial = initial or default_parameter_vector(model.responses)
     units = unit_displacements(targets, n_trials, seed, duration, model)
+    memo = {}
 
     def objective(params):
         return loss(params, targets, n_trials, seed, duration, model,
-                    _units=units)
+                    _units=units, _memo=memo)
 
     return minimize(objective, initial, budget=budget, seed=seed,
                     restarts=restarts)

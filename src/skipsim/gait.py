@@ -11,6 +11,7 @@ as the baseline.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
@@ -33,17 +34,6 @@ class GaitMode(Enum):
     OPEN_LOOP = "open_loop"
 
 
-def wrap_angle(angle: float) -> float:
-    """Wrap an angle to [0, 2*pi)."""
-    return angle % TWO_PI
-
-
-def angle_distance(a: float, b: float) -> float:
-    """Smallest absolute separation between two angles (rad)."""
-    d = abs(a - b) % TWO_PI
-    return min(d, TWO_PI - d)
-
-
 @dataclass(frozen=True)
 class EncoderModel:
     """Magnet/hall-sensor pair per fin: detection is true whenever the fin
@@ -57,7 +47,7 @@ class EncoderModel:
             raise ValueError("encoder needs at least one magnet")
         if self.detection_window <= 0:
             raise ValueError("detection_window must be positive")
-        angles = sorted(wrap_angle(a) for a in self.magnet_angles)
+        angles = sorted(a % TWO_PI for a in self.magnet_angles)
         # detection windows must not overlap, including across the wrap point
         for i, a in enumerate(angles):
             b = angles[(i + 1) % len(angles)]
@@ -66,19 +56,42 @@ class EncoderModel:
                 raise ValueError("magnet detection windows overlap")
         object.__setattr__(self, "magnet_angles", tuple(angles))
 
-    def detects(self, angle: float) -> bool:
-        angle = wrap_angle(angle)
-        return any(
-            angle_distance(angle, m) <= self.detection_window
-            for m in self.magnet_angles
-        )
+    def detects(self, angle):
+        """Whether the sensor sees a magnet at `angle` (rad), or at each of
+        an array of angles: the angle, wrapped to [0, 2*pi), lies within
+        detection_window of a magnet the short way round."""
+        angles = np.asarray(angle, dtype=float) % TWO_PI
+        seen = np.zeros(angles.shape, dtype=bool)
+        for magnet in self.magnet_angles:
+            # angle and magnet lie in [0, 2*pi], so their distance does too
+            d = np.abs(angles - magnet)
+            seen |= np.minimum(d, TWO_PI - d) <= self.detection_window
+        return seen if seen.ndim else bool(seen)
+
+
+# Most ticks a fin plans ahead, or a controller's clock holds: no array
+# grows with a schedule's length.
+CHUNK_TICKS = 1 << 16
+# Most controller ticks in one schedule (`run_cycles`). A schedule lasts at
+# most MAX_TRIAL_S, so a gait dt below MAX_TRIAL_S / MAX_TICKS is refused.
+MAX_TICKS = 1 << 22
+
+
+def _repeat_add(x: float, dx: float, n: int) -> np.ndarray:
+    """[x + dx, x + dx + dx, ...], n sums, each one addition on the last."""
+    return accumulate(x, np.full(n, dx))[1:]
 
 
 class Fin:
     """One fin and its hall-effect sensor: the angle in [0, 2*pi), the
     commanded and nominal speeds (rad/s), whether the sensor sees a magnet,
     rising edges since the last completed cycle, the unwrapped rotation and
-    the time spent paused."""
+    the time spent paused.
+
+    A tick turns the fin by its commanded speed times dt, wraps the angle
+    and reads the sensor. The fin plans its ticks at one speed ahead in
+    numpy (`_ahead`) and a controller walks it along the plan from event to
+    event (`ticks_to_event`, `advance`)."""
 
     def __init__(self, speed: float, encoder: EncoderModel):
         if speed < 0:
@@ -90,16 +103,70 @@ class Fin:
         self.edges = 0
         self.total_angle = 0.0
         self.pause_time = 0.0
+        self._plan = None
+        self._taken = 0  # ticks of the plan already turned
 
-    def advance(self, dt: float) -> bool:
-        """Turn for one tick; returns True on a rising encoder edge."""
+    def _ahead(self, dt: float, limit: int) -> tuple:
+        """The fin's plan from where it stands at its commanded speed:
+        (step, then per tick the angle, total angle and sensor reading, and
+        the ticks that rise onto a magnet). It runs `limit` ticks, or to its
+        first wrap if that is further, and at most CHUNK_TICKS. It is kept
+        while its step holds and ticks of it remain."""
+        step = self.angular_speed * dt
+        plan = self._plan
+        if plan is not None and plan[0] == step and self._taken < len(plan[1]):
+            return plan
+        room = (TWO_PI - self.angle) / step + 2.0 if step > 0.0 else math.inf
+        n = int(min(CHUNK_TICKS, max(limit, room)))
+        angles = np.full(n + 1, step)
+        angles[0] = self.angle
+        at = 0  # angles[:at + 1] are final, the rest still hold the step
+        while at < n:
+            # up to its next wrap a fin's angle is one sequential sum, and
+            # x % 2*pi is x - 2*pi exactly for x in [2*pi, 4*pi)
+            room = (TWO_PI - angles[at]) / step + 2.0 if step > 0.0 else n
+            turn = angles[at:int(min(n, at + room)) + 1]
+            np.add.accumulate(turn, out=turn)
+            wrap = 1 + int(np.searchsorted(turn[1:], TWO_PI))
+            if wrap < len(turn):
+                turn[wrap] %= TWO_PI
+                turn[wrap + 1:] = step
+            at += min(wrap, len(turn) - 1)
+        seen = self.encoder.detects(angles)
+        seen[0] = self.in_window
+        totals = accumulate(self.total_angle, np.full(n, step))
+        self._plan = (step, angles[1:], totals[1:], seen[1:],
+                      np.flatnonzero(seen[1:] & ~seen[:-1]).tolist())
+        self._taken = 0
+        return self._plan
+
+    def ticks_to_event(self, dt: float, limit: int,
+                       total: float = math.inf) -> int:
+        """Ticks, 1 to `limit`, up to and including the fin's next rising
+        edge, its first tick with a total angle of at least `total`, or the
+        end of its plan; `limit` for a fin that does not turn."""
+        if self.angular_speed <= 0.0:
+            return limit
+        _, angles, totals, _, rises = self._ahead(dt, limit)
+        taken = self._taken
+        k = bisect_left(rises, taken)
+        end = rises[k] + 1 if k < len(rises) else len(angles)
+        if total < math.inf:
+            end = min(end, taken + 1 + int(np.searchsorted(totals[taken:],
+                                                           total)))
+        return min(limit, end - taken)
+
+    def advance(self, dt: float, ticks: int = 1) -> bool:
+        """Turn `ticks` ticks, no more than `ticks_to_event` gives; returns
+        True on a rising encoder edge at the last."""
         if self.angular_speed <= 0.0:
             return False
-        step = self.angular_speed * dt
-        self.angle = wrap_angle(self.angle + step)
-        self.total_angle += step
-        was_in = self.in_window
-        self.in_window = self.encoder.detects(self.angle)
+        _, angles, totals, seen, _ = self._ahead(dt, ticks)
+        last = self._taken + ticks - 1
+        was_in = seen[last - 1].item() if ticks > 1 else self.in_window
+        self.angle, self.total_angle = angles[last].item(), totals[last].item()
+        self.in_window = seen[last].item()
+        self._taken = last + 1
         if self.in_window and not was_in:
             self.edges += 1
             return True
@@ -108,9 +175,11 @@ class Fin:
 
 class _FinPair:
     """Two fins, each watched by its own encoder and stepped finely enough
-    that no magnet passage is missed. A gait says how the fins move in one
-    tick (`_move`, by default both free-run) and may replace the rule that
-    a cycle completes once both fins have validated a revolution."""
+    that no magnet passage is missed. A gait says how the fins move up to
+    their next event (`_move`, by default both free-run) and may replace
+    the rule that a cycle completes once both fins have validated a
+    revolution. Between events no speed, edge count or cycle changes, so
+    the pair turns its fins from event to event."""
 
     def __init__(self, left_speed: float = TWO_PI, right_speed: float | None = None,
                  encoder: EncoderModel | None = None, dt_hint: float = 0.01):
@@ -128,15 +197,38 @@ class _FinPair:
 
     def step(self, dt: float) -> bool:
         """Advance one tick; returns True when it completes a gait cycle."""
+        return bool(self.advance(dt, 1))
+
+    def advance(self, dt: float, ticks: int) -> list:
+        """Advance `ticks` ticks of `dt`, returning the times of the cycles
+        they complete."""
         if dt <= 0:
             raise ValueError("dt must be positive")
-        self._move(dt)
-        self.time += dt
-        return self._cycle_complete()
+        times = []
+        while ticks > 0:
+            # the controller's clock over the next ticks, one sequential sum
+            clock = _repeat_add(self.time, dt, min(ticks, CHUNK_TICKS))
+            ticks -= len(clock)
+            done = 0
+            while done < len(clock):
+                done += self._move(dt, len(clock) - done)
+                self.time = clock[done - 1].item()
+                if self._cycle_complete():
+                    times.append(self.time)
+        return times
 
-    def _move(self, dt: float):
-        self.left.advance(dt)
-        self.right.advance(dt)
+    def _span(self, dt: float, ticks: int) -> int:
+        """Ticks up to the next event, at most `ticks`."""
+        return min(self.left.ticks_to_event(dt, ticks),
+                   self.right.ticks_to_event(dt, ticks))
+
+    def _move(self, dt: float, ticks: int) -> int:
+        """Turn the fins up to their next event, at most `ticks` ticks;
+        returns the ticks turned."""
+        span = self._span(dt, ticks)
+        self.left.advance(dt, span)
+        self.right.advance(dt, span)
+        return span
 
     def _cycle_complete(self) -> bool:
         n = self.edges_per_cycle
@@ -151,17 +243,18 @@ class SyncGait(_FinPair):
     """Both fins rotate together; the fin that reaches its magnet first
     pauses until the other side's detection validates the passage."""
 
-    def _move(self, dt: float):
+    def _move(self, dt: float, ticks: int) -> int:
         # the leading fin waits for the lagging side's detection
         lead = self.left.edges - self.right.edges
-        for fin, waits in ((self.left, lead > 0), (self.right, lead < 0)):
+        fins = ((self.left, lead > 0), (self.right, lead < 0))
+        for fin, waits in fins:
             fin.angular_speed = 0.0 if waits else fin.nominal_speed
+        span = super()._move(dt, ticks)
+        for fin, waits in fins:
             if waits:
-                fin.pause_time += dt
-            fin.advance(dt)
-
-    def angle_error(self) -> float:
-        return angle_distance(self.left.angle, self.right.angle)
+                fin.pause_time = _repeat_add(fin.pause_time, dt,
+                                             span)[-1].item()
+        return span
 
     @property
     def pause_time(self) -> float:
@@ -176,13 +269,15 @@ class AsyncGait(_FinPair):
         super().__init__(*args, **kwargs)
         self.active = self.left
 
-    def _move(self, dt: float):
+    def _move(self, dt: float, ticks: int) -> int:
         idler = self.right if self.active is self.left else self.left
         # mutual exclusion: only the scheduled fin may move
         idler.angular_speed = 0.0
         self.active.angular_speed = self.active.nominal_speed
-        if self.active.advance(dt):
+        span = self.active.ticks_to_event(dt, ticks)
+        if self.active.advance(dt, span):
             self.active = idler
+        return span
 
 
 class OpenLoopGait(_FinPair):
@@ -191,25 +286,37 @@ class OpenLoopGait(_FinPair):
 
     _cycles_marked = 0
 
+    def _mark(self) -> float:
+        return (self._cycles_marked + 1) * TWO_PI
+
+    def _span(self, dt: float, ticks: int) -> int:
+        # the left fin's next mark is an event too
+        return min(super()._span(dt, ticks),
+                   self.left.ticks_to_event(dt, ticks, self._mark()))
+
     def _cycle_complete(self) -> bool:
-        if self.left.total_angle >= (self._cycles_marked + 1) * TWO_PI:
+        if self.left.total_angle >= self._mark():
             self._cycles_marked += 1
             return True
         return False
 
-    def phase_error(self) -> float:
-        """Unwrapped rotation mismatch between the fins (rad)."""
-        return abs(self.left.total_angle - self.right.total_angle)
+
+def schedule_ticks(duration: float, dt: float) -> int:
+    """Controller ticks in `duration` seconds, round(duration / dt); more
+    than MAX_TICKS is an error."""
+    if not dt > 0:
+        raise ValueError("dt must be positive")
+    ticks = duration / dt
+    if not ticks <= MAX_TICKS:
+        raise ValueError(f"a {duration:g} s schedule at dt {dt:g} s would "
+                         f"take {ticks:g} controller ticks, over the "
+                         f"{MAX_TICKS} limit")
+    return int(round(ticks))
 
 
 def run_cycles(controller, duration: float, dt: float = 0.01) -> list:
     """Step a controller for `duration` seconds, returning cycle-complete times."""
-    times = []
-    n_steps = int(round(duration / dt))
-    for _ in range(n_steps):
-        if controller.step(dt):
-            times.append(controller.time)
-    return times
+    return controller.advance(dt, schedule_ticks(duration, dt))
 
 
 @lru_cache(maxsize=64)
@@ -328,6 +435,11 @@ class GaitConfig:
         for name in ("fin_speed", "stride", "dt"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"gait {name} must be positive")
+        if MAX_TRIAL_S / self.dt > MAX_TICKS:
+            raise ValueError(f"gait dt must be at least "
+                             f"{MAX_TRIAL_S / MAX_TICKS:g} s: a "
+                             f"{MAX_TRIAL_S:g} s schedule may take at most "
+                             f"{MAX_TICKS} controller ticks")
 
 
 def accumulate(origin, steps) -> np.ndarray:

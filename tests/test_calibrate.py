@@ -271,7 +271,7 @@ class TestLossAgreesWithModel:
         assert cal.simulate_target(slipping, model) == 0.0
         assert cal.simulate_target(moving, model) > 0.0
 
-    @pytest.mark.parametrize("n_trials", [1, 2, 10])
+    @pytest.mark.parametrize("n_trials", [1, 2, 10, 30])
     def test_other_trial_counts(self, n_trials):
         for params in _random_points(5, n_trials):
             assert (cal.loss(params, EDGE_TARGETS, n_trials, seed=3,
@@ -334,6 +334,103 @@ class TestFitRunsTrialsOnce:
             assert cal.fit(targets, budget=budget, seed=0).evaluations == budget
             counts.append(len(trials))
         assert counts == [3 * len(targets)] * 2
+
+
+def _search_walk(n, seed):
+    """Points in the order a coordinate search visits them: each moves one
+    parameter of the last, now and then back to where it was, and every
+    15th is a fresh random point, as at a restart."""
+    rng = np.random.default_rng(seed)
+    names = sorted(EDGE_BOUNDS)
+    walk = [_edge_vector()]
+    for k in range(1, n):
+        if k % 15 == 0:
+            walk += _random_points(1, seed + k)
+            continue
+        name = names[rng.integers(len(names))]
+        value = (walk[-2].values[name] if k % 4 == 0 and k > 1
+                 else rng.uniform(*EDGE_BOUNDS[name]))
+        walk.append(_edge_vector({**walk[-1].values, name: value}))
+    return walk
+
+
+def _block_values(params, target):
+    """The free parameters of the (material, curve) a target reads."""
+    curve = "skip" if target.mode is LocomotionMode.SKIP else "crawl"
+    prefix = f"{target.material.value}.{curve}."
+    return tuple(sorted((name, value) for name, value in params.values.items()
+                        if name.startswith(prefix)))
+
+
+class TestLossMemo:
+    """`fit` scores a target again only when its block's parameters move;
+    what it sums is what a fresh `loss` gives."""
+
+    @pytest.mark.parametrize("n_trials", [1, 2, 10, 30])
+    def test_memoised_loss_equals_a_fresh_one(self, n_trials):
+        units = cal.unit_displacements(EDGE_TARGETS, n_trials, 3, 30.0,
+                                       EDGE_MODEL)
+        walk = _search_walk(60, n_trials) + [
+            p for _, on, below in EDGES for p in (on, below)]
+        memo = {}
+        for params in walk:
+            memoised = cal.loss(params, EDGE_TARGETS, n_trials, seed=3,
+                                model=EDGE_MODEL, _units=units, _memo=memo)
+            assert memoised == cal.loss(params, EDGE_TARGETS, n_trials,
+                                        seed=3, model=EDGE_MODEL)
+        # each point scored about one target afresh, not all of them
+        assert len(memo) == len({(i, _block_values(p, t)) for p in walk
+                                 for i, t in enumerate(EDGE_TARGETS)})
+        assert len(memo) < len(walk) * len(EDGE_TARGETS) / 4
+
+    def test_one_substrate_per_target_and_block_values(self, monkeypatch):
+        """A default fit evaluates each target's substrate once for each
+        distinct set of its block's values (4,000 times without the memo,
+        once per target and evaluation)."""
+        substrates, evaluated = [], []
+        moisture_response, fresh_loss = cal.moisture_response, cal.loss
+
+        def counting(material, moisture, response=None):
+            substrates.append((material, moisture, response))
+            return moisture_response(material, moisture, response)
+
+        def recording(params, *args, **kwargs):
+            evaluated.append(params.copy())
+            return fresh_loss(params, *args, **kwargs)
+
+        monkeypatch.setattr(cal, "moisture_response", counting)
+        monkeypatch.setattr(cal, "loss", recording)
+        targets = cal.bundled_targets()
+        assert cal.fit(targets, seed=0).evaluations == len(evaluated) == 400
+        distinct = {(i, _block_values(p, t)) for p in evaluated
+                    for i, t in enumerate(targets)}
+        # README's figure for the default fit
+        assert len(substrates) == len(distinct) == 450
+
+    def test_memo_lasts_one_fit(self, monkeypatch):
+        """Two fits from the same free parameters under curves that differ
+        elsewhere each see their own curves' losses."""
+        sand = default_curves(Material.UNIFORM_SAND)
+        shifted = Model(responses={Material.UNIFORM_SAND: replace(
+            sand, skip=replace(sand.skip, center=0.2))})
+        evaluated = []
+        fresh_loss = cal.loss
+
+        def recording(params, targets, *args, **kwargs):
+            value = fresh_loss(params, targets, *args, **kwargs)
+            evaluated.append((params.copy(), kwargs.get("model", args[-1]),
+                              value))
+            return value
+
+        monkeypatch.setattr(cal, "loss", recording)
+        targets = cal.bundled_targets()
+        fits = [cal.fit(targets, budget=30, seed=0, model=model)
+                for model in (Model(), shifted)]
+        monkeypatch.undo()
+        assert evaluated[0][0].values == evaluated[30][0].values
+        assert fits[0].trace[0] != fits[1].trace[0]
+        for params, model, value in evaluated:
+            assert value == cal.loss(params, targets, model=model)
 
 
 def _calibrate(tmp_path, substrates, budget="2"):

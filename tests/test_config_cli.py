@@ -5,12 +5,13 @@ import re
 
 import pytest
 
-from skipsim import experiments
+from skipsim import experiments, gait
 from skipsim.cli import main
 from skipsim.config import ConfigError, default_dict, load_config
 from skipsim.fileio import write_json
-from skipsim.gait import (MAX_TRIAL_S, GaitConfig, GaitMode, drift_duration,
-                          drift_trial)
+from skipsim.gait import (MAX_TICKS, MAX_TRIAL_S, GaitConfig, GaitMode,
+                          drift_duration, drift_trial, run_cycles,
+                          schedule_ticks)
 from skipsim.stats import ForceTrace
 from skipsim.terrain import Material
 
@@ -378,6 +379,58 @@ class TestDriftDistanceLimit:
     @pytest.mark.parametrize("distance", [1e6, 1e308, math.inf])
     def test_huge_distances_are_refused(self, distance):
         assert _drift_too_long(distance)
+
+
+FINEST_DT = MAX_TRIAL_S / MAX_TICKS
+TOO_FINE = math.nextafter(FINEST_DT, 0.0)
+
+
+class TestTickLimit:
+    """A schedule steps its controller at most MAX_TICKS times, so a gait
+    dt at which the longest trial would take more is refused. Nothing here
+    steps a large schedule."""
+
+    def test_bound_sits_at_the_longest_schedule(self):
+        assert GaitConfig(dt=FINEST_DT).dt == FINEST_DT
+        assert schedule_ticks(MAX_TRIAL_S, FINEST_DT) == MAX_TICKS
+        with pytest.raises(ValueError, match="gait dt must be at least"):
+            GaitConfig(dt=TOO_FINE)
+
+    @pytest.mark.parametrize("duration,dt", [
+        (MAX_TRIAL_S, TOO_FINE), (30.0, 5e-324), (30.0, 1e-7),
+        (math.inf, 0.01), (1e308, 1e-308)])
+    def test_run_cycles_refuses_before_stepping(self, duration, dt):
+        class Unsteppable:
+            def advance(self, dt, ticks):
+                raise AssertionError("the controller was stepped")
+
+        with pytest.raises(ValueError, match="controller ticks"):
+            run_cycles(Unsteppable(), duration, dt)
+
+    @pytest.mark.parametrize("dt", [5e-324, 1e-7, TOO_FINE],
+                             ids=["subnormal", "1e-7", "just-too-fine"])
+    @pytest.mark.parametrize("command", ["scenario", "calibrate",
+                                         "moisture-sweep", "gait-drift"])
+    def test_too_fine_dt_exits_2_before_any_schedule(
+            self, tmp_path, capsys, monkeypatch, command, dt):
+        def no_schedule(*args, **kwargs):
+            raise AssertionError("a schedule was stepped")
+
+        monkeypatch.setattr(gait, "run_cycles", no_schedule)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"gait": {"dt_s": dt}}))
+        out = tmp_path / "o"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: gait dt must be at least")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_finest_dt_runs(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"gait": {"dt_s": FINEST_DT}}))
+        assert main(["scenario", "--config", str(cfg), "--out",
+                     str(tmp_path / "o")]) == 0
 
 
 def _tree_bytes(root):

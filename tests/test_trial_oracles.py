@@ -1,5 +1,6 @@
 """The trial layer against its per-strike and per-cycle reference loops,
-and the safety of the schedule caches under it.
+the gait controllers against their per-tick loop, and the safety of the
+schedule caches under them.
 
 A skip trial scales a cached unit path (`skip_reach`, built from the
 cached `strike_schedule`) by its squared skip efficiency, and a sync or
@@ -20,6 +21,11 @@ any two doubles, -0.0 from 0.0 included. The golden digests cover only the
 default settings; these tests draw skip efficiencies over the whole fitted
 range, pitch-over, tail slip, excavation, start poses off the origin, all
 three gait modes, zero noise terms, and jammed and rolling blades.
+
+A gait controller turns its fins from event to event, each stretch of
+ticks one numpy sum; the per-tick loop kept here turns them one `+=` and
+one wrap at a time. Both perform the same float operations in the same
+order, so cycle times and every fin's state agree exactly.
 """
 
 import math
@@ -34,10 +40,11 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from skipsim import locomotion  # noqa: E402
 from skipsim.calibrate import SKIP_EFF_MAX  # noqa: E402
-from skipsim.gait import (AsymmetryNoise, GaitConfig, GaitMode,  # noqa: E402
-                          PlanarPose, Trajectory, crawl_draws,
-                          crawl_kinematics, drift_trial,
-                          nominal_cycle_times)
+from skipsim.gait import (TWO_PI, AsymmetryNoise, AsyncGait,  # noqa: E402
+                          EncoderModel, GaitConfig, GaitMode, OpenLoopGait,
+                          PlanarPose, SyncGait, Trajectory, crawl_draws,
+                          crawl_kinematics, drift_trial, nominal_cycle_times,
+                          run_cycles)
 from skipsim.locomotion import (LocomotionMode, Model,  # noqa: E402
                                 RobotParams, TrialSpec, hop_displacement,
                                 run_batch, run_trial, skip_reach, skip_scale)
@@ -432,3 +439,199 @@ def test_cache_memory_stays_flat_over_thousands_of_seeds():
     # objects (16 KB) and up to 2000 spare 2-tuples on the interpreter's
     # free list (112 KB)
     assert many < full + (160 << 10)
+
+
+def oracle_detects(encoder, angle):
+    angle = angle % TWO_PI
+    for magnet in encoder.magnet_angles:
+        d = abs(angle - magnet) % TWO_PI
+        if min(d, TWO_PI - d) <= encoder.detection_window:
+            return True
+    return False
+
+
+class OracleFin:
+    def __init__(self, speed, encoder):
+        self.encoder = encoder
+        self.angle = 0.0
+        self.angular_speed = self.nominal_speed = speed
+        self.in_window = oracle_detects(encoder, 0.0)
+        self.edges = 0
+        self.total_angle = 0.0
+        self.pause_time = 0.0
+
+    def advance(self, dt):
+        if self.angular_speed <= 0.0:
+            return False
+        step = self.angular_speed * dt
+        self.angle = (self.angle + step) % TWO_PI
+        self.total_angle += step
+        was_in = self.in_window
+        self.in_window = oracle_detects(self.encoder, self.angle)
+        if self.in_window and not was_in:
+            self.edges += 1
+            return True
+        return False
+
+
+class OracleGait:
+    """The per-tick controllers: `mode` picks the gait's tick rule."""
+
+    def __init__(self, mode, left_speed, right_speed, encoder):
+        self.mode = mode
+        self.left = OracleFin(left_speed, encoder)
+        self.right = OracleFin(right_speed, encoder)
+        self.edges_per_cycle = len(encoder.magnet_angles)
+        self.time = 0.0
+        if mode is GaitMode.ASYNC:
+            self.active = self.left
+        self.cycles_marked = 0
+
+    def step(self, dt):
+        if self.mode is GaitMode.SYNC:
+            lead = self.left.edges - self.right.edges
+            for fin, waits in ((self.left, lead > 0), (self.right, lead < 0)):
+                fin.angular_speed = 0.0 if waits else fin.nominal_speed
+                if waits:
+                    fin.pause_time += dt
+                fin.advance(dt)
+        elif self.mode is GaitMode.ASYNC:
+            idler = self.right if self.active is self.left else self.left
+            idler.angular_speed = 0.0
+            self.active.angular_speed = self.active.nominal_speed
+            if self.active.advance(dt):
+                self.active = idler
+        else:
+            self.left.advance(dt)
+            self.right.advance(dt)
+        self.time += dt
+        if self.mode is GaitMode.OPEN_LOOP:
+            if self.left.total_angle >= (self.cycles_marked + 1) * TWO_PI:
+                self.cycles_marked += 1
+                return True
+            return False
+        n = self.edges_per_cycle
+        if self.left.edges >= n and self.right.edges >= n:
+            self.left.edges -= n
+            self.right.edges -= n
+            return True
+        return False
+
+
+def oracle_run_cycles(controller, duration, dt):
+    times = []
+    for _ in range(int(round(duration / dt))):
+        if controller.step(dt):
+            times.append(controller.time)
+    return times
+
+
+GAITS = {GaitMode.SYNC: SyncGait, GaitMode.ASYNC: AsyncGait,
+         GaitMode.OPEN_LOOP: OpenLoopGait}
+
+
+def gait_pair(mode, left_speed, right_speed, magnets, dt):
+    """The controller and its per-tick oracle at the same settings."""
+    encoder = EncoderModel(magnet_angles=magnets)
+    return (GAITS[mode](left_speed, right_speed, encoder, dt_hint=dt),
+            OracleGait(mode, left_speed, right_speed, encoder))
+
+
+def gait_state(gait):
+    """Everything a controller holds, as a repr that tells doubles apart;
+    for the async gait also which fin moves next."""
+    fins = [(f.angle, f.total_angle, f.edges, f.in_window, f.pause_time,
+             f.angular_speed) for f in (gait.left, gait.right)]
+    return repr((gait.time, fins,
+                 gait.active is gait.left if hasattr(gait, "active") else None))
+
+
+MAGNETS = st.sampled_from([(0.0,), (0.0, math.pi), (0.3, 2.0, 4.1),
+                           (1.0, 5.5)])
+GAIT_DTS = st.one_of(st.sampled_from([0.003, 0.01, 0.02]),
+                     st.floats(0.003, 0.02))
+
+
+@st.composite
+def gait_cases(draw):
+    """A gait at any dt from 0.003 to 0.02 s and 1 to 3 magnets; sync and
+    open loop also at unequal fin speeds. Each fin turns less than a
+    detection window per tick."""
+    mode = draw(st.sampled_from(list(GaitMode)))
+    dt = draw(GAIT_DTS)
+    top = 0.149 / dt
+    left = draw(st.one_of(st.just(TWO_PI), st.floats(0.5, top)))
+    right = left
+    if mode is not GaitMode.ASYNC:
+        right = draw(st.one_of(st.just(left), st.floats(0.5, top)))
+    return mode, left, right, draw(MAGNETS), dt
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(case=gait_cases(),
+       duration=st.one_of(st.sampled_from([0.5, 1.0, 30.0, 60.0]),
+                          st.floats(0.5, 60.0)))
+def test_cycle_times_match_per_tick_loop(case, duration):
+    mode, left, right, magnets, dt = case
+    gait, oracle = gait_pair(mode, left, right, magnets, dt)
+    assert (repr(run_cycles(gait, duration, dt))
+            == repr(oracle_run_cycles(oracle, duration, dt)))
+    assert gait_state(gait) == gait_state(oracle)
+
+
+def test_unequal_sync_speeds_pause_exactly():
+    """The leading fin's pause is the per-tick sum of every waiting tick."""
+    gait, oracle = gait_pair(GaitMode.SYNC, TWO_PI, 0.9 * TWO_PI,
+                             (0.0, math.pi), 0.01)
+    assert (repr(run_cycles(gait, 60.0, 0.01))
+            == repr(oracle_run_cycles(oracle, 60.0, 0.01)))
+    assert gait.left.pause_time > 5.0
+    assert gait_state(gait) == gait_state(oracle)
+
+
+@pytest.mark.parametrize("mode,magnets,dt,duration", [
+    (GaitMode.SYNC, (0.0, math.pi), 0.02, locomotion.MAX_TRIAL_S),
+    (GaitMode.ASYNC, (0.0,), 0.02, locomotion.MAX_TRIAL_S),
+    (GaitMode.OPEN_LOOP, (0.3, 2.0, 4.1), 0.02, locomotion.MAX_TRIAL_S),
+    (GaitMode.ASYNC, (0.3, 2.0, 4.1), 0.003, 400.0),
+], ids=["sync", "async", "open_loop", "async-fine"])
+def test_long_schedule_matches_per_tick_loop(mode, magnets, dt, duration):
+    """Over 2**16 ticks a controller crosses its chunks, and the schedule
+    is still the loop's."""
+    gait, oracle = gait_pair(mode, TWO_PI, TWO_PI, magnets, dt)
+    assert (repr(run_cycles(gait, duration, dt))
+            == repr(oracle_run_cycles(oracle, duration, dt)))
+    assert gait_state(gait) == gait_state(oracle)
+
+
+@pytest.mark.parametrize("mode", list(GaitMode), ids=lambda m: m.value)
+@pytest.mark.parametrize("duration", [1.0, 30.0, 301.5])
+def test_nominal_schedule_matches_per_tick_loop(mode, duration):
+    gait = GaitConfig()
+    _, oracle = gait_pair(mode, gait.fin_speed, gait.fin_speed,
+                          gait.encoder.magnet_angles, gait.dt)
+    assert (repr(nominal_cycle_times(mode, duration, gait.fin_speed, gait.dt,
+                                     gait.encoder))
+            == repr(tuple(oracle_run_cycles(oracle, duration, gait.dt))))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(case=gait_cases(),
+       calls=st.lists(st.tuples(st.integers(1, 150), GAIT_DTS), min_size=1,
+                      max_size=6))
+def test_each_tick_matches_per_tick_loop(case, calls):
+    """Stepped one tick at a time, a controller holds the loop's state after
+    every tick; a multi-tick advance between the single steps, and a dt
+    that changes from call to call, leave it there too."""
+    mode, left, right, magnets, dt = case
+    gait, oracle = gait_pair(mode, left, right, magnets, dt)
+    for ticks, dt in calls:
+        # keep the per-tick angle below the detection window
+        dt = min(dt, 0.149 / max(left, right))
+        for _ in range(ticks):
+            assert gait.step(dt) == oracle.step(dt)
+            assert gait_state(gait) == gait_state(oracle)
+        want = [t for t in (oracle.step(dt) and oracle.time
+                            for _ in range(ticks)) if t is not False]
+        assert repr(gait.advance(dt, ticks)) == repr(want)
+        assert gait_state(gait) == gait_state(oracle)
