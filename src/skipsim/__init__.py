@@ -9,7 +9,7 @@ from .locomotion import (BatchSummary, LocomotionMode, Model, RobotParams,
                          ScenarioSegment, TrialResult, TrialSpec, run_batch,
                          run_trial, scenario_heterogeneous)
 from .springtail import (EngagedAngleModel, LengthRegime, RegimeThresholds,
-                         StrikeEvent, TailConfig, TailPhase)
+                         StrikeEvent, TailConfig)
 from .stats import BootstrapCI, FailureMode, ForceTrace, PeakSet
 from .terrain import Material, MoistureResponse, SubstrateParams
 
@@ -19,7 +19,7 @@ __all__ = [
     "GaitConfig", "GaitMode", "LengthRegime", "LocomotionMode", "Material",
     "Model", "MoistureResponse", "PeakSet", "PlanarPose", "RegimeThresholds",
     "RobotParams", "ScenarioSegment", "StrikeEvent",
-    "SubstrateParams", "TailConfig", "TailPhase", "Trajectory",
+    "SubstrateParams", "TailConfig", "Trajectory",
     "TrialResult", "TrialSpec", "run_batch", "run_trial",
     "scenario_heterogeneous",
 ]

@@ -59,7 +59,9 @@ def _measure(trace, analysis, seed):
 def run_tail_characterize(config: ExperimentConfig, out_dir, seed,
                           check=False) -> dict:
     """Strike-force sweep over blade lengths: all peaks per length plus the
-    bootstrap CI of the detected peak forces."""
+    bootstrap CI of the detected peak forces. Every length draws from the
+    same seed (common random numbers), so lengths differ only by what the
+    model makes of them."""
     params = config.experiments["tail_characterize"]
     lengths_mm = params["lengths_mm"]
     if not lengths_mm:
@@ -68,14 +70,14 @@ def run_tail_characterize(config: ExperimentConfig, out_dir, seed,
     analysis = config.analysis
     rows = []
     summary = {}
-    for idx, length_mm in enumerate(lengths_mm):
+    for length_mm in lengths_mm:
         tail = replace(config.tail, free_length=length_mm * 1e-3)
         regime = length_regime(tail.free_length, config.thresholds)
         events = strike_sequence(tail, config.angle_model, regime, record_s,
-                                 seed + idx, config.thresholds)
+                                 seed, config.thresholds)
         trace = strike_trace(events, analysis["trace_sample_rate_hz"],
                              tail.pulse_width)
-        peaks, entry = _measure(trace, analysis, seed + idx)
+        peaks, entry = _measure(trace, analysis, seed)
         rows += [(float(length_mm), k, v) for k, v in enumerate(peaks.values)]
         summary[f"{length_mm:g}mm"] = {"mean_N": 0.0, "ci_lo_N": 0.0,
                                        "ci_hi_N": 0.0, **entry,

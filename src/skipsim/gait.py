@@ -11,7 +11,7 @@ as the baseline.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
@@ -69,105 +69,85 @@ class EncoderModel:
         return seen if seen.ndim else bool(seen)
 
 
-# Most ticks a fin plans ahead, or a controller's clock holds: no array
-# grows with a schedule's length.
+# Most ticks a fin plans ahead: no array grows with a schedule's length.
 CHUNK_TICKS = 1 << 16
 # Most controller ticks in one schedule (`run_cycles`). A schedule lasts at
 # most MAX_TRIAL_S, so a gait dt below MAX_TRIAL_S / MAX_TICKS is refused.
 MAX_TICKS = 1 << 22
 
 
-def _repeat_add(x: float, dx: float, n: int) -> np.ndarray:
-    """[x + dx, x + dx + dx, ...], n sums, each one addition on the last."""
-    return accumulate(x, np.full(n, dx))[1:]
-
-
 class Fin:
-    """One fin and its hall-effect sensor: the angle in [0, 2*pi), the
-    commanded and nominal speeds (rad/s), whether the sensor sees a magnet,
-    rising edges since the last completed cycle, the unwrapped rotation and
-    the time spent paused.
+    """One fin and its hall-effect sensor, stepped in ticks of `dt`.
 
-    A tick turns the fin by its commanded speed times dt, wraps the angle
-    and reads the sensor. The fin plans its ticks at one speed ahead in
-    numpy (`_ahead`) and a controller walks it along the plan from event to
-    event (`ticks_to_event`, `advance`)."""
+    Its state is two counts: `turned`, the ticks it has turned at its
+    nominal speed, and `paused_ticks`, the ticks it has waited. Its total
+    angle is turned * step, with step = nominal speed * dt, its angle that
+    wrapped to [0, 2*pi), and `edges` counts the rising sensor edges since
+    the last completed cycle. A controller gates it through
+    `angular_speed`: the nominal speed to turn, 0.0 to hold.
 
-    def __init__(self, speed: float, encoder: EncoderModel):
+    The angle depends only on the count, so the fin plans the counts at
+    which its sensor rises, up to CHUNK_TICKS ahead, and a controller walks
+    it from event to event (`ticks_to_event`, `advance`)."""
+
+    def __init__(self, speed: float, encoder: EncoderModel, dt: float):
         if speed < 0:
             raise ValueError("fin angular_speed must be >= 0")
         self.encoder = encoder
-        self.angle = 0.0
         self.angular_speed = self.nominal_speed = speed
-        self.in_window = encoder.detects(0.0)
-        self.edges = 0
-        self.total_angle = 0.0
-        self.pause_time = 0.0
-        self._plan = None
-        self._taken = 0  # ticks of the plan already turned
+        self.dt = dt
+        self.step = speed * dt
+        self.turned = self.paused_ticks = self.edges = 0
+        self._rises = []  # planned rising counts, sorted
+        self._planned = 0  # the last count the plan covers
 
-    def _ahead(self, dt: float, limit: int) -> tuple:
-        """The fin's plan from where it stands at its commanded speed:
-        (step, then per tick the angle, total angle and sensor reading, and
-        the ticks that rise onto a magnet). It runs `limit` ticks, or to its
-        first wrap if that is further, and at most CHUNK_TICKS. It is kept
-        while its step holds and ticks of it remain."""
-        step = self.angular_speed * dt
-        plan = self._plan
-        if plan is not None and plan[0] == step and self._taken < len(plan[1]):
-            return plan
-        room = (TWO_PI - self.angle) / step + 2.0 if step > 0.0 else math.inf
-        n = int(min(CHUNK_TICKS, max(limit, room)))
-        angles = np.full(n + 1, step)
-        angles[0] = self.angle
-        at = 0  # angles[:at + 1] are final, the rest still hold the step
-        while at < n:
-            # up to its next wrap a fin's angle is one sequential sum, and
-            # x % 2*pi is x - 2*pi exactly for x in [2*pi, 4*pi)
-            room = (TWO_PI - angles[at]) / step + 2.0 if step > 0.0 else n
-            turn = angles[at:int(min(n, at + room)) + 1]
-            np.add.accumulate(turn, out=turn)
-            wrap = 1 + int(np.searchsorted(turn[1:], TWO_PI))
-            if wrap < len(turn):
-                turn[wrap] %= TWO_PI
-                turn[wrap + 1:] = step
-            at += min(wrap, len(turn) - 1)
-        seen = self.encoder.detects(angles)
-        seen[0] = self.in_window
-        totals = accumulate(self.total_angle, np.full(n, step))
-        self._plan = (step, angles[1:], totals[1:], seen[1:],
-                      np.flatnonzero(seen[1:] & ~seen[:-1]).tolist())
-        self._taken = 0
-        return self._plan
+    @property
+    def total_angle(self) -> float:
+        return self.turned * self.step
 
-    def ticks_to_event(self, dt: float, limit: int,
-                       total: float = math.inf) -> int:
+    @property
+    def angle(self) -> float:
+        return self.total_angle % TWO_PI
+
+    @property
+    def pause_time(self) -> float:
+        return self.paused_ticks * self.dt
+
+    def _plan(self, limit: int):
+        """Plan the rising counts from the fin's count on, `limit` ticks or
+        one revolution ahead, whichever is further, and at most
+        CHUNK_TICKS."""
+        n = int(min(CHUNK_TICKS, max(limit, TWO_PI / self.step + 2.0)))
+        counts = np.arange(self.turned, self.turned + n + 1)
+        seen = self.encoder.detects(counts * self.step)
+        self._rises = counts[1:][seen[1:] & ~seen[:-1]].tolist()
+        self._planned = self.turned + n
+
+    def ticks_to_event(self, limit: int, total: float = math.inf) -> int:
         """Ticks, 1 to `limit`, up to and including the fin's next rising
-        edge, its first tick with a total angle of at least `total`, or the
-        end of its plan; `limit` for a fin that does not turn."""
-        if self.angular_speed <= 0.0:
+        edge, its first count with a total angle of at least `total`, or
+        the end of its plan; `limit` for a fin that does not turn."""
+        if self.angular_speed <= 0.0 or self.step <= 0.0:
             return limit
-        _, angles, totals, _, rises = self._ahead(dt, limit)
-        taken = self._taken
-        k = bisect_left(rises, taken)
-        end = rises[k] + 1 if k < len(rises) else len(angles)
-        if total < math.inf:
-            end = min(end, taken + 1 + int(np.searchsorted(totals[taken:],
-                                                           total)))
-        return min(limit, end - taken)
+        if self._planned <= self.turned:
+            self._plan(limit)
+        k = bisect_right(self._rises, self.turned)
+        end = self._rises[k] if k < len(self._rises) else self._planned
+        if end * self.step >= total:
+            # the first count up to `end` whose total angle reaches `total`
+            counts = range(self.turned + 1, end + 1)
+            end = counts[bisect_left(counts, total,
+                                     key=lambda count: count * self.step)]
+        return min(limit, end - self.turned)
 
-    def advance(self, dt: float, ticks: int = 1) -> bool:
+    def advance(self, ticks: int) -> bool:
         """Turn `ticks` ticks, no more than `ticks_to_event` gives; returns
         True on a rising encoder edge at the last."""
         if self.angular_speed <= 0.0:
             return False
-        _, angles, totals, seen, _ = self._ahead(dt, ticks)
-        last = self._taken + ticks - 1
-        was_in = seen[last - 1].item() if ticks > 1 else self.in_window
-        self.angle, self.total_angle = angles[last].item(), totals[last].item()
-        self.in_window = seen[last].item()
-        self._taken = last + 1
-        if self.in_window and not was_in:
+        self.turned += ticks
+        k = bisect_left(self._rises, self.turned)
+        if k < len(self._rises) and self._rises[k] == self.turned:
             self.edges += 1
             return True
         return False
@@ -175,59 +155,60 @@ class Fin:
 
 class _FinPair:
     """Two fins, each watched by its own encoder and stepped finely enough
-    that no magnet passage is missed. A gait says how the fins move up to
-    their next event (`_move`, by default both free-run) and may replace
-    the rule that a cycle completes once both fins have validated a
-    revolution. Between events no speed, edge count or cycle changes, so
-    the pair turns its fins from event to event."""
+    that no magnet passage is missed. The clock is `ticks`, the ticks taken
+    at one `dt`. A gait says how the fins move up to their next event
+    (`_move`, by default both free-run) and may replace the rule that a
+    cycle completes once both fins have validated a revolution. Between
+    events no speed, edge count or cycle changes, so the pair turns its
+    fins from event to event."""
 
     def __init__(self, left_speed: float = TWO_PI, right_speed: float | None = None,
-                 encoder: EncoderModel | None = None, dt_hint: float = 0.01):
+                 encoder: EncoderModel | None = None, dt: float = 0.01):
         if right_speed is None:
             right_speed = left_speed
+        if not dt > 0:
+            raise ValueError("dt must be positive")
         self.encoder = encoder or EncoderModel()
         # a coarser step could sweep straight across a detection window
-        if max(left_speed, right_speed) * dt_hint >= self.encoder.detection_window:
+        if max(left_speed, right_speed) * dt >= self.encoder.detection_window:
             raise ValueError("dt too coarse: angular step per tick must stay "
                              "below the encoder detection window")
-        self.left = Fin(left_speed, self.encoder)
-        self.right = Fin(right_speed, self.encoder)
+        self.dt = dt
+        self.left = Fin(left_speed, self.encoder, dt)
+        self.right = Fin(right_speed, self.encoder, dt)
         self.edges_per_cycle = len(self.encoder.magnet_angles)
-        self.time = 0.0
+        self.ticks = 0
 
-    def step(self, dt: float) -> bool:
+    @property
+    def time(self) -> float:
+        return self.ticks * self.dt
+
+    def step(self) -> bool:
         """Advance one tick; returns True when it completes a gait cycle."""
-        return bool(self.advance(dt, 1))
+        return bool(self.advance(1))
 
-    def advance(self, dt: float, ticks: int) -> list:
-        """Advance `ticks` ticks of `dt`, returning the times of the cycles
-        they complete."""
-        if dt <= 0:
-            raise ValueError("dt must be positive")
+    def advance(self, ticks: int) -> list:
+        """Advance `ticks` ticks, returning the times of the cycles they
+        complete."""
         times = []
-        while ticks > 0:
-            # the controller's clock over the next ticks, one sequential sum
-            clock = _repeat_add(self.time, dt, min(ticks, CHUNK_TICKS))
-            ticks -= len(clock)
-            done = 0
-            while done < len(clock):
-                done += self._move(dt, len(clock) - done)
-                self.time = clock[done - 1].item()
-                if self._cycle_complete():
-                    times.append(self.time)
+        end = self.ticks + ticks
+        while self.ticks < end:
+            self.ticks += self._move(end - self.ticks)
+            if self._cycle_complete():
+                times.append(self.time)
         return times
 
-    def _span(self, dt: float, ticks: int) -> int:
+    def _span(self, ticks: int) -> int:
         """Ticks up to the next event, at most `ticks`."""
-        return min(self.left.ticks_to_event(dt, ticks),
-                   self.right.ticks_to_event(dt, ticks))
+        return min(self.left.ticks_to_event(ticks),
+                   self.right.ticks_to_event(ticks))
 
-    def _move(self, dt: float, ticks: int) -> int:
+    def _move(self, ticks: int) -> int:
         """Turn the fins up to their next event, at most `ticks` ticks;
         returns the ticks turned."""
-        span = self._span(dt, ticks)
-        self.left.advance(dt, span)
-        self.right.advance(dt, span)
+        span = self._span(ticks)
+        self.left.advance(span)
+        self.right.advance(span)
         return span
 
     def _cycle_complete(self) -> bool:
@@ -243,17 +224,16 @@ class SyncGait(_FinPair):
     """Both fins rotate together; the fin that reaches its magnet first
     pauses until the other side's detection validates the passage."""
 
-    def _move(self, dt: float, ticks: int) -> int:
+    def _move(self, ticks: int) -> int:
         # the leading fin waits for the lagging side's detection
         lead = self.left.edges - self.right.edges
         fins = ((self.left, lead > 0), (self.right, lead < 0))
         for fin, waits in fins:
             fin.angular_speed = 0.0 if waits else fin.nominal_speed
-        span = super()._move(dt, ticks)
+        span = super()._move(ticks)
         for fin, waits in fins:
             if waits:
-                fin.pause_time = _repeat_add(fin.pause_time, dt,
-                                             span)[-1].item()
+                fin.paused_ticks += span
         return span
 
     @property
@@ -269,13 +249,13 @@ class AsyncGait(_FinPair):
         super().__init__(*args, **kwargs)
         self.active = self.left
 
-    def _move(self, dt: float, ticks: int) -> int:
+    def _move(self, ticks: int) -> int:
         idler = self.right if self.active is self.left else self.left
         # mutual exclusion: only the scheduled fin may move
         idler.angular_speed = 0.0
         self.active.angular_speed = self.active.nominal_speed
-        span = self.active.ticks_to_event(dt, ticks)
-        if self.active.advance(dt, span):
+        span = self.active.ticks_to_event(ticks)
+        if self.active.advance(span):
             self.active = idler
         return span
 
@@ -289,10 +269,10 @@ class OpenLoopGait(_FinPair):
     def _mark(self) -> float:
         return (self._cycles_marked + 1) * TWO_PI
 
-    def _span(self, dt: float, ticks: int) -> int:
+    def _span(self, ticks: int) -> int:
         # the left fin's next mark is an event too
-        return min(super()._span(dt, ticks),
-                   self.left.ticks_to_event(dt, ticks, self._mark()))
+        return min(self.left.ticks_to_event(ticks, self._mark()),
+                   self.right.ticks_to_event(ticks))
 
     def _cycle_complete(self) -> bool:
         if self.left.total_angle >= self._mark():
@@ -314,9 +294,14 @@ def schedule_ticks(duration: float, dt: float) -> int:
     return int(round(ticks))
 
 
-def run_cycles(controller, duration: float, dt: float = 0.01) -> list:
-    """Step a controller for `duration` seconds, returning cycle-complete times."""
-    return controller.advance(dt, schedule_ticks(duration, dt))
+def run_cycles(controller, duration: float, dt: float) -> list:
+    """Step a controller built with tick `dt` for `duration` seconds,
+    returning cycle-complete times."""
+    ticks = schedule_ticks(duration, dt)
+    if dt != controller.dt:
+        raise ValueError(f"a schedule at dt {dt:g} s cannot step a "
+                         f"controller built for dt {controller.dt:g} s")
+    return controller.advance(ticks)
 
 
 @lru_cache(maxsize=64)
@@ -326,7 +311,7 @@ def nominal_cycle_times(mode: GaitMode, duration: float, fin_speed: float = TWO_
     schedule is identical for every trial at the same settings)."""
     gait = {GaitMode.SYNC: SyncGait, GaitMode.ASYNC: AsyncGait,
             GaitMode.OPEN_LOOP: OpenLoopGait}[mode]
-    return tuple(run_cycles(gait(fin_speed, encoder=encoder, dt_hint=dt),
+    return tuple(run_cycles(gait(fin_speed, encoder=encoder, dt=dt),
                             duration, dt))
 
 
@@ -369,10 +354,6 @@ class Trajectory:
     def net_displacement(self) -> float:
         start, end = self.start, self.end
         return math.hypot(end.x - start.x, end.y - start.y)
-
-    def path_length(self) -> float:
-        steps = np.diff(self.poses[:, :2], axis=0)
-        return float(np.hypot(steps[:, 0], steps[:, 1]).sum())
 
     def duration(self) -> float:
         return self.end.time - self.start.time

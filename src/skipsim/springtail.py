@@ -21,13 +21,6 @@ from .stats import ForceTrace
 TWO_PI = 2.0 * math.pi
 
 
-class TailPhase(Enum):
-    FREE_ROTATION = "free_rotation"
-    LOAD = "load"
-    LATCH = "latch"
-    UNLATCH = "unlatch"
-
-
 class LengthRegime(Enum):
     JAM = "jam"
     NOMINAL = "nominal"
@@ -197,34 +190,6 @@ def half_sine_impulse(peak_force: float, pulse_width: float) -> float:
     if peak_force <= 0 or pulse_width <= 0:
         raise ValueError("peak_force and pulse_width must be positive")
     return 2.0 * peak_force * pulse_width / math.pi
-
-
-DEFAULT_UNLATCH_SPAN = 0.05  # rad, release sub-interval at the arc exit
-
-
-def phase_at(rotor_angle: float, config: TailConfig,
-             unlatch_span: float = DEFAULT_UNLATCH_SPAN) -> TailPhase:
-    """Phase of the blade at a rotor angle.
-
-    One revolution partitions into free rotation (outside the housing),
-    load (blade conforming progressively over an arc equal to its own
-    length), latch (fully conformed), and the release sub-interval ending
-    at the arc exit (rotor angle 2*pi).
-    """
-    if unlatch_span <= 0:
-        raise ValueError("unlatch_span must be positive")
-    angle = rotor_angle % TWO_PI
-    free_span = TWO_PI - config.housing_arc
-    load_span = config.free_length / config.housing_radius
-    if load_span >= config.housing_arc - unlatch_span:
-        raise ValueError("housing arc too short for load and unlatch spans")
-    if angle < free_span:
-        return TailPhase.FREE_ROTATION
-    if angle < free_span + load_span:
-        return TailPhase.LOAD
-    if angle < TWO_PI - unlatch_span:
-        return TailPhase.LATCH
-    return TailPhase.UNLATCH
 
 
 def length_regime(free_length: float,

@@ -4,7 +4,6 @@ confidence intervals, trajectory metrics, and trial failure classification."""
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -143,7 +142,8 @@ def detect_peaks(trace: ForceTrace, threshold: float = 1.0,
 def _percentile(sorted_values: np.ndarray, q: float) -> float:
     """Order-statistic (inverse CDF) percentile on pre-sorted data: the
     smallest value whose empirical CDF reaches q. This definition makes the
-    Monte Carlo endpoints converge to the exhaustive-enumeration endpoints."""
+    Monte Carlo endpoints converge to those of the full set of n^n
+    resamples."""
     n = sorted_values.size
     k = min(max(int(math.ceil(q * n)), 1), n)
     return float(sorted_values[k - 1])
@@ -152,13 +152,11 @@ def _percentile(sorted_values: np.ndarray, q: float) -> float:
 # huge samples overflow to an infinite mean, which the JSON writer refuses
 @np.errstate(over="ignore")
 def bootstrap_ci(samples, level: float = 0.95, resamples: int = 10000,
-                 seed: int = 0, exhaustive: bool = False) -> BootstrapCI:
+                 seed: int = 0) -> BootstrapCI:
     """Percentile bootstrap CI for the mean.
 
     Resamples with replacement, takes the (1-level)/2 and (1+level)/2
-    empirical quantiles (order statistics) of the resampled means. With
-    exhaustive=True all n^n resamples are enumerated instead of drawing
-    (only sensible for small n).
+    empirical quantiles (order statistics) of the resampled means.
 
     The resample indices are drawn in chunks of about BOOTSTRAP_CHUNK_DRAWS
     (2**16), so that matrix never needs resamples * n integers at once. The
@@ -169,33 +167,24 @@ def bootstrap_ci(samples, level: float = 0.95, resamples: int = 10000,
         raise ValueError("bootstrap_ci requires at least one sample")
     if not 0.0 < level < 1.0:
         raise ValueError("level must be in (0, 1)")
+    if resamples < 1:
+        raise ValueError("resamples must be >= 1")
     n = arr.size
-    if exhaustive:
-        if n > 6:
-            raise ValueError("exhaustive enumeration limited to n <= 6")
-        means = np.fromiter(
-            (sum(combo) / n for combo in itertools.product(arr, repeat=n)),
-            dtype=float, count=n ** n)
-        n_resamples = n ** n
-    else:
-        if resamples < 1:
-            raise ValueError("resamples must be >= 1")
-        rng = np.random.default_rng(seed)
-        # successive draws continue one stream, so the chunks hold exactly
-        # the rows of a single (resamples, n) draw
-        rows = max(BOOTSTRAP_CHUNK_DRAWS // n, 1)
-        means = np.empty(resamples)
-        for start in range(0, resamples, rows):
-            stop = min(start + rows, resamples)
-            idx = rng.integers(0, n, size=(stop - start, n))
-            means[start:stop] = arr[idx].mean(axis=1)
-        n_resamples = resamples
+    rng = np.random.default_rng(seed)
+    # successive draws continue one stream, so the chunks hold exactly the
+    # rows of a single (resamples, n) draw
+    rows = max(BOOTSTRAP_CHUNK_DRAWS // n, 1)
+    means = np.empty(resamples)
+    for start in range(0, resamples, rows):
+        stop = min(start + rows, resamples)
+        idx = rng.integers(0, n, size=(stop - start, n))
+        means[start:stop] = arr[idx].mean(axis=1)
     means.sort()
     q_lo = (1.0 - level) / 2.0
     lower = _percentile(means, q_lo)
     upper = _percentile(means, 1.0 - q_lo)
     return BootstrapCI(mean=float(arr.mean()), lower=lower, upper=upper,
-                       level=level, resamples=n_resamples)
+                       level=level, resamples=resamples)
 
 
 def mean_velocity(trajectory: Trajectory) -> float:

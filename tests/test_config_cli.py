@@ -401,7 +401,7 @@ class TestTickLimit:
         (math.inf, 0.01), (1e308, 1e-308)])
     def test_run_cycles_refuses_before_stepping(self, duration, dt):
         class Unsteppable:
-            def advance(self, dt, ticks):
+            def advance(self, ticks):
                 raise AssertionError("the controller was stepped")
 
         with pytest.raises(ValueError, match="controller ticks"):

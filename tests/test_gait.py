@@ -67,11 +67,9 @@ class TestSyncGait:
     def test_slower_right_fin_pauses_left(self):
         gait = SyncGait(left_speed=TWO_PI, right_speed=0.9 * TWO_PI)
         errors = []
-        t = 0.0
-        while t < 20.0:
-            if gait.step(DT):
+        for _ in range(2000):  # 20 s
+            if gait.step():
                 errors.append(angle_error(gait))
-            t += DT
         assert gait.pause_time > 0.0
         assert len(errors) >= 15
         # steady-state phase error at cycle boundaries stays inside the window
@@ -81,11 +79,9 @@ class TestSyncGait:
     def test_open_loop_phase_error_grows_linearly(self):
         gait = OpenLoopGait(left_speed=TWO_PI, right_speed=0.9 * TWO_PI)
         samples = []
-        t = 0.0
-        while t < 10.0:
-            gait.step(DT)
-            t += DT
-            samples.append((t, phase_error(gait)))
+        for _ in range(1000):  # 10 s
+            gait.step()
+            samples.append((gait.time, phase_error(gait)))
         times = np.array([s[0] for s in samples])
         errs = np.array([s[1] for s in samples])
         slope = np.polyfit(times, errs, 1)[0]
@@ -94,26 +90,35 @@ class TestSyncGait:
 
     def test_dt_coarser_than_window_rejected(self):
         with pytest.raises(ValueError):
-            SyncGait(left_speed=TWO_PI, dt_hint=0.05)
+            SyncGait(left_speed=TWO_PI, dt=0.05)
 
 
 @pytest.mark.parametrize("gait", [SyncGait, AsyncGait, OpenLoopGait])
-def test_step_rejects_a_zero_dt(gait):
-    controller = gait()
+@pytest.mark.parametrize("dt", [0.0, -0.01, math.nan])
+def test_constructor_rejects_a_dt_that_is_not_positive(gait, dt):
     with pytest.raises(ValueError, match="dt must be positive"):
-        controller.step(0.0)
-    assert controller.time == 0.0
+        gait(dt=dt)
+
+
+@pytest.mark.parametrize("gait", [SyncGait, AsyncGait, OpenLoopGait])
+@pytest.mark.parametrize("dt", [0.07, 0.005])
+def test_schedule_refuses_a_dt_other_than_the_controllers(gait, dt):
+    """A controller steps in the ticks it was built for: stepped at 0.07 s,
+    a sync gait checked at 0.01 s would sweep across detection windows and
+    count 7 cycles in 10 s."""
+    controller = gait(dt=DT)
+    with pytest.raises(ValueError, match="controller built for dt 0.01"):
+        run_cycles(controller, 10.0, dt)
+    assert controller.ticks == 0
 
 
 class TestAsyncGait:
     def test_mover_flips_at_every_detection(self):
         gait = AsyncGait()
         movers = [gait.active]
-        t = 0.0
         prev_active = gait.active
-        while t < 6.0:
-            gait.step(DT)
-            t += DT
+        for _ in range(600):  # 6 s
+            gait.step()
             if gait.active is not prev_active:
                 movers.append(gait.active)
                 prev_active = gait.active
@@ -123,10 +128,8 @@ class TestAsyncGait:
 
     def test_mutual_exclusion(self):
         gait = AsyncGait()
-        t = 0.0
-        while t < 5.0:
-            gait.step(DT)
-            t += DT
+        for _ in range(500):  # 5 s
+            gait.step()
             moving = [f for f in (gait.left, gait.right) if f.angular_speed > 0]
             assert len(moving) <= 1
 
@@ -135,7 +138,7 @@ class TestAsyncGait:
         idle = gait.right if gait.active is gait.left else gait.left
         idle.angular_speed = TWO_PI  # attempt to move the unscheduled fin
         before = idle.angle
-        gait.step(DT)
+        gait.step()
         assert idle.angle == before
         assert idle.angular_speed == 0.0
 

@@ -3,16 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from skipsim.springtail import (DEFAULT_UNLATCH_SPAN, EngagedAngleModel,
-                                LengthRegime, RegimeThresholds, TailConfig,
-                                TailPhase, area_moment, effective_length,
-                                half_sine_impulse, latch_deflection,
-                                latch_energy, length_regime, phase_at,
+from skipsim.springtail import (EngagedAngleModel, LengthRegime,
+                                RegimeThresholds, TailConfig, area_moment,
+                                effective_length, half_sine_impulse,
+                                latch_deflection, latch_energy, length_regime,
                                 stored_energy, strike_sequence, strike_trace,
                                 tip_stiffness, unlatch_force)
 from skipsim.stats import detect_peaks
-
-TWO_PI = 2.0 * math.pi
 
 
 @pytest.fixture
@@ -135,35 +132,6 @@ class TestStoredEnergy:
         # full conformation stores more than any engaged segment at release
         for theta in np.linspace(0.05, 2.0, 50):
             assert stored_energy(config, theta) < latch_energy(config)
-
-
-class TestPhases:
-    def test_partition_covers_revolution(self, config):
-        grid = np.linspace(0.0, TWO_PI, 20001, endpoint=False)
-        phases = [phase_at(a, config) for a in grid]
-        seen = {p for p in phases}
-        assert seen == set(TailPhase)
-        # contiguous blocks in cycle order, one visit each
-        changes = [(a, b) for a, b in zip(phases, phases[1:]) if a is not b]
-        assert changes == [
-            (TailPhase.FREE_ROTATION, TailPhase.LOAD),
-            (TailPhase.LOAD, TailPhase.LATCH),
-            (TailPhase.LATCH, TailPhase.UNLATCH),
-        ]
-
-    def test_cycle_closure_past_unlatch(self, config):
-        assert phase_at(TWO_PI - 1e-9, config) is TailPhase.UNLATCH
-        assert phase_at(TWO_PI + 1e-9, config) is TailPhase.FREE_ROTATION
-
-    def test_unlatch_ends_at_arc_exit(self, config):
-        # release sub-interval sits at the end of the revolution
-        assert phase_at(TWO_PI - DEFAULT_UNLATCH_SPAN / 2, config) is TailPhase.UNLATCH
-        assert phase_at(TWO_PI - DEFAULT_UNLATCH_SPAN - 1e-9, config) is TailPhase.LATCH
-
-    def test_load_begins_at_arc_entry(self, config):
-        entry = TWO_PI - config.housing_arc
-        assert phase_at(entry - 1e-9, config) is TailPhase.FREE_ROTATION
-        assert phase_at(entry, config) is TailPhase.LOAD
 
 
 class TestLengthRegime:

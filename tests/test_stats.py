@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from skipsim.gait import PlanarPose, Trajectory
-from skipsim.stats import (FailureMode, ForceTrace, bootstrap_ci,
+from skipsim.stats import (FailureMode, ForceTrace, _percentile, bootstrap_ci,
                            classify_trial, detect_peaks, lateral_drift,
                            mean_velocity)
 
@@ -105,6 +105,19 @@ def exhaustive_percentile_ci(samples, level):
     return order_statistic(means, q), order_statistic(means, 1.0 - q)
 
 
+def exhaustive_ci(samples, level):
+    """The percentile bootstrap over all n^n resamples, the limit of the
+    Monte Carlo draw: every resample's mean, sorted, read by the package's
+    percentile rule. Only sensible for small n."""
+    n = len(samples)
+    means = np.fromiter(
+        (sum(combo) / n for combo in itertools.product(samples, repeat=n)),
+        dtype=float, count=n ** n)
+    means.sort()
+    q = (1.0 - level) / 2.0
+    return _percentile(means, q), _percentile(means, 1.0 - q)
+
+
 CORPUS = [
     (2.0, 4.0, 6.0),
     (3.2,),
@@ -122,18 +135,18 @@ class TestBootstrap:
         assert (ci.mean, ci.lower, ci.upper) == (3.0, 3.0, 3.0)
 
     @pytest.mark.parametrize("samples", CORPUS)
-    def test_exhaustive_matches_independent_enumeration(self, samples):
-        ci = bootstrap_ci(samples, level=0.95, exhaustive=True)
+    def test_percentile_rule_matches_independent_enumeration(self, samples):
+        lower, upper = exhaustive_ci(samples, 0.95)
         lo, hi = exhaustive_percentile_ci(list(samples), 0.95)
-        assert ci.lower == pytest.approx(lo, rel=1e-12, abs=1e-12)
-        assert ci.upper == pytest.approx(hi, rel=1e-12, abs=1e-12)
+        assert lower == pytest.approx(lo, rel=1e-12, abs=1e-12)
+        assert upper == pytest.approx(hi, rel=1e-12, abs=1e-12)
 
     @pytest.mark.parametrize("samples", CORPUS)
     def test_monte_carlo_approaches_exhaustive(self, samples):
         mc = bootstrap_ci(samples, level=0.95, resamples=100000, seed=0)
-        ex = bootstrap_ci(samples, level=0.95, exhaustive=True)
-        assert abs(mc.lower - ex.lower) <= 0.05
-        assert abs(mc.upper - ex.upper) <= 0.05
+        lower, upper = exhaustive_ci(samples, 0.95)
+        assert abs(mc.lower - lower) <= 0.05
+        assert abs(mc.upper - upper) <= 0.05
 
     @pytest.mark.parametrize("samples", CORPUS)
     def test_interval_brackets_the_mean(self, samples):
@@ -178,7 +191,9 @@ class TestTrajectoryMetrics:
         poses = [(0, 0, 0, 0.0), (0.1, 0.05, 0, 1.0), (0.2, -0.02, 0, 2.0),
                  (0.25, 0.1, 0, 3.0)]
         traj = line_trajectory(poses)
-        assert mean_velocity(traj) <= traj.path_length() / traj.duration()
+        steps = np.diff(traj.poses[:, :2], axis=0)
+        path_length = np.hypot(steps[:, 0], steps[:, 1]).sum()
+        assert mean_velocity(traj) <= path_length / traj.duration()
 
     def test_drift_zero_for_straight_line(self):
         traj = line_trajectory([(0, 0, 0, 0.0), (1.0, 0, 0, 10.0)])

@@ -22,10 +22,12 @@ default settings; these tests draw skip efficiencies over the whole fitted
 range, pitch-over, tail slip, excavation, start poses off the origin, all
 three gait modes, zero noise terms, and jammed and rolling blades.
 
-A gait controller turns its fins from event to event, each stretch of
-ticks one numpy sum; the per-tick loop kept here turns them one `+=` and
-one wrap at a time. Both perform the same float operations in the same
-order, so cycle times and every fin's state agree exactly.
+A gait controller's clock is integer tick counts: a fin's angle, total
+angle and pause and the controller's time are each a count times a
+constant. The controller jumps its counts from event to event; the
+per-tick loop kept here takes one `turned += 1` and one `ticks += 1` per
+tick. Both derive every value as the same product of a count, so cycle
+times and every fin's state agree exactly.
 """
 
 import math
@@ -36,7 +38,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from skipsim import locomotion  # noqa: E402
 from skipsim.calibrate import SKIP_EFF_MAX  # noqa: E402
@@ -451,21 +453,28 @@ def oracle_detects(encoder, angle):
 
 
 class OracleFin:
-    def __init__(self, speed, encoder):
+    def __init__(self, speed, encoder, dt):
         self.encoder = encoder
-        self.angle = 0.0
         self.angular_speed = self.nominal_speed = speed
+        self.dt = dt
+        self.step = speed * dt
+        self.turned = self.paused_ticks = self.edges = 0
+        self.angle = 0.0
         self.in_window = oracle_detects(encoder, 0.0)
-        self.edges = 0
-        self.total_angle = 0.0
-        self.pause_time = 0.0
 
-    def advance(self, dt):
+    @property
+    def total_angle(self):
+        return self.turned * self.step
+
+    @property
+    def pause_time(self):
+        return self.paused_ticks * self.dt
+
+    def advance(self):
         if self.angular_speed <= 0.0:
             return False
-        step = self.angular_speed * dt
-        self.angle = (self.angle + step) % TWO_PI
-        self.total_angle += step
+        self.turned += 1
+        self.angle = self.turned * self.step % TWO_PI
         was_in = self.in_window
         self.in_window = oracle_detects(self.encoder, self.angle)
         if self.in_window and not was_in:
@@ -477,34 +486,39 @@ class OracleFin:
 class OracleGait:
     """The per-tick controllers: `mode` picks the gait's tick rule."""
 
-    def __init__(self, mode, left_speed, right_speed, encoder):
+    def __init__(self, mode, left_speed, right_speed, encoder, dt):
         self.mode = mode
-        self.left = OracleFin(left_speed, encoder)
-        self.right = OracleFin(right_speed, encoder)
+        self.dt = dt
+        self.left = OracleFin(left_speed, encoder, dt)
+        self.right = OracleFin(right_speed, encoder, dt)
         self.edges_per_cycle = len(encoder.magnet_angles)
-        self.time = 0.0
+        self.ticks = 0
         if mode is GaitMode.ASYNC:
             self.active = self.left
         self.cycles_marked = 0
 
-    def step(self, dt):
+    @property
+    def time(self):
+        return self.ticks * self.dt
+
+    def step(self):
         if self.mode is GaitMode.SYNC:
             lead = self.left.edges - self.right.edges
             for fin, waits in ((self.left, lead > 0), (self.right, lead < 0)):
                 fin.angular_speed = 0.0 if waits else fin.nominal_speed
                 if waits:
-                    fin.pause_time += dt
-                fin.advance(dt)
+                    fin.paused_ticks += 1
+                fin.advance()
         elif self.mode is GaitMode.ASYNC:
             idler = self.right if self.active is self.left else self.left
             idler.angular_speed = 0.0
             self.active.angular_speed = self.active.nominal_speed
-            if self.active.advance(dt):
+            if self.active.advance():
                 self.active = idler
         else:
-            self.left.advance(dt)
-            self.right.advance(dt)
-        self.time += dt
+            self.left.advance()
+            self.right.advance()
+        self.ticks += 1
         if self.mode is GaitMode.OPEN_LOOP:
             if self.left.total_angle >= (self.cycles_marked + 1) * TWO_PI:
                 self.cycles_marked += 1
@@ -518,10 +532,10 @@ class OracleGait:
         return False
 
 
-def oracle_run_cycles(controller, duration, dt):
+def oracle_run_cycles(controller, duration):
     times = []
-    for _ in range(int(round(duration / dt))):
-        if controller.step(dt):
+    for _ in range(int(round(duration / controller.dt))):
+        if controller.step():
             times.append(controller.time)
     return times
 
@@ -533,16 +547,16 @@ GAITS = {GaitMode.SYNC: SyncGait, GaitMode.ASYNC: AsyncGait,
 def gait_pair(mode, left_speed, right_speed, magnets, dt):
     """The controller and its per-tick oracle at the same settings."""
     encoder = EncoderModel(magnet_angles=magnets)
-    return (GAITS[mode](left_speed, right_speed, encoder, dt_hint=dt),
-            OracleGait(mode, left_speed, right_speed, encoder))
+    return (GAITS[mode](left_speed, right_speed, encoder, dt=dt),
+            OracleGait(mode, left_speed, right_speed, encoder, dt))
 
 
 def gait_state(gait):
     """Everything a controller holds, as a repr that tells doubles apart;
     for the async gait also which fin moves next."""
-    fins = [(f.angle, f.total_angle, f.edges, f.in_window, f.pause_time,
-             f.angular_speed) for f in (gait.left, gait.right)]
-    return repr((gait.time, fins,
+    fins = [(f.turned, f.paused_ticks, f.angle, f.total_angle, f.edges,
+             f.pause_time, f.angular_speed) for f in (gait.left, gait.right)]
+    return repr((gait.ticks, gait.time, fins,
                  gait.active is gait.left if hasattr(gait, "active") else None))
 
 
@@ -571,20 +585,24 @@ def gait_cases(draw):
 @given(case=gait_cases(),
        duration=st.one_of(st.sampled_from([0.5, 1.0, 30.0, 60.0]),
                           st.floats(0.5, 60.0)))
+# the 21st open-loop mark falls on tick 3000, though 21*2*pi / step
+# rounds to just above 3000
+@example(case=(GaitMode.OPEN_LOOP, TWO_PI, TWO_PI, (0.0, math.pi), 0.007),
+         duration=30.0)
 def test_cycle_times_match_per_tick_loop(case, duration):
     mode, left, right, magnets, dt = case
     gait, oracle = gait_pair(mode, left, right, magnets, dt)
     assert (repr(run_cycles(gait, duration, dt))
-            == repr(oracle_run_cycles(oracle, duration, dt)))
+            == repr(oracle_run_cycles(oracle, duration)))
     assert gait_state(gait) == gait_state(oracle)
 
 
 def test_unequal_sync_speeds_pause_exactly():
-    """The leading fin's pause is the per-tick sum of every waiting tick."""
+    """The leading fin's pause is its waiting ticks times dt."""
     gait, oracle = gait_pair(GaitMode.SYNC, TWO_PI, 0.9 * TWO_PI,
                              (0.0, math.pi), 0.01)
     assert (repr(run_cycles(gait, 60.0, 0.01))
-            == repr(oracle_run_cycles(oracle, 60.0, 0.01)))
+            == repr(oracle_run_cycles(oracle, 60.0)))
     assert gait.left.pause_time > 5.0
     assert gait_state(gait) == gait_state(oracle)
 
@@ -600,7 +618,7 @@ def test_long_schedule_matches_per_tick_loop(mode, magnets, dt, duration):
     is still the loop's."""
     gait, oracle = gait_pair(mode, TWO_PI, TWO_PI, magnets, dt)
     assert (repr(run_cycles(gait, duration, dt))
-            == repr(oracle_run_cycles(oracle, duration, dt)))
+            == repr(oracle_run_cycles(oracle, duration)))
     assert gait_state(gait) == gait_state(oracle)
 
 
@@ -612,26 +630,38 @@ def test_nominal_schedule_matches_per_tick_loop(mode, duration):
                           gait.encoder.magnet_angles, gait.dt)
     assert (repr(nominal_cycle_times(mode, duration, gait.fin_speed, gait.dt,
                                      gait.encoder))
-            == repr(tuple(oracle_run_cycles(oracle, duration, gait.dt))))
+            == repr(tuple(oracle_run_cycles(oracle, duration))))
+
+
+def test_sixty_second_schedules_fall_on_whole_ticks():
+    """At the defaults over 60 s: sync completes 60 cycles, the last at
+    tick 5998; async 30; open loop 60, the first at exactly 1.0 s. Every
+    cycle time is its tick count times dt."""
+    gait = GaitConfig()
+    sync, asyn, open_loop = (
+        nominal_cycle_times(mode, 60.0, gait.fin_speed, gait.dt, gait.encoder)
+        for mode in (GaitMode.SYNC, GaitMode.ASYNC, GaitMode.OPEN_LOOP))
+    assert len(sync) == 60 and repr(sync[-1]) == repr(5998 * 0.01)
+    assert len(asyn) == 30
+    assert len(open_loop) == 60 and repr(open_loop[0]) == "1.0"
+    for t in sync + asyn + open_loop:
+        assert t == round(t / gait.dt) * gait.dt
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)
-@given(case=gait_cases(),
-       calls=st.lists(st.tuples(st.integers(1, 150), GAIT_DTS), min_size=1,
-                      max_size=6))
+@given(case=gait_cases(), calls=st.lists(st.integers(1, 150), min_size=1,
+                                         max_size=6))
 def test_each_tick_matches_per_tick_loop(case, calls):
     """Stepped one tick at a time, a controller holds the loop's state after
-    every tick; a multi-tick advance between the single steps, and a dt
-    that changes from call to call, leave it there too."""
+    every tick; a multi-tick advance between the single steps leaves it
+    there too."""
     mode, left, right, magnets, dt = case
     gait, oracle = gait_pair(mode, left, right, magnets, dt)
-    for ticks, dt in calls:
-        # keep the per-tick angle below the detection window
-        dt = min(dt, 0.149 / max(left, right))
+    for ticks in calls:
         for _ in range(ticks):
-            assert gait.step(dt) == oracle.step(dt)
+            assert gait.step() == oracle.step()
             assert gait_state(gait) == gait_state(oracle)
-        want = [t for t in (oracle.step(dt) and oracle.time
+        want = [t for t in (oracle.step() and oracle.time
                             for _ in range(ticks)) if t is not False]
-        assert repr(gait.advance(dt, ticks)) == repr(want)
+        assert repr(gait.advance(ticks)) == repr(want)
         assert gait_state(gait) == gait_state(oracle)
