@@ -66,11 +66,16 @@ def run_tail_characterize(config: ExperimentConfig, out_dir, seed,
     lengths_mm = params["lengths_mm"]
     if not lengths_mm:
         raise ValueError("tail_characterize.lengths_mm must not be empty")
+    keys = [f"{length_mm:g}mm" for length_mm in lengths_mm]
+    for key in keys:
+        if keys.count(key) > 1:
+            raise ValueError("experiments.tail_characterize.lengths_mm lists "
+                             f"{key} more than once")
     record_s = params["record_s"]
     analysis = config.analysis
     rows = []
     summary = {}
-    for length_mm in lengths_mm:
+    for length_mm, key in zip(lengths_mm, keys):
         tail = replace(config.tail, free_length=length_mm * 1e-3)
         regime = length_regime(tail.free_length, config.thresholds)
         events = strike_sequence(tail, config.angle_model, regime, record_s,
@@ -79,9 +84,8 @@ def run_tail_characterize(config: ExperimentConfig, out_dir, seed,
                              tail.pulse_width)
         peaks, entry = _measure(trace, analysis, seed)
         rows += [(float(length_mm), k, v) for k, v in enumerate(peaks.values)]
-        summary[f"{length_mm:g}mm"] = {"mean_N": 0.0, "ci_lo_N": 0.0,
-                                       "ci_hi_N": 0.0, **entry,
-                                       "regime": regime.value}
+        summary[key] = {"mean_N": 0.0, "ci_lo_N": 0.0, "ci_hi_N": 0.0,
+                        **entry, "regime": regime.value}
     write_csv(os.path.join(out_dir, "peaks.csv"),
               ["length_mm", "strike_idx", "peak_N"], rows)
     write_json(os.path.join(out_dir, "summary.json"), summary)

@@ -421,6 +421,10 @@ class GaitConfig:
                              f"{MAX_TRIAL_S / MAX_TICKS:g} s: a "
                              f"{MAX_TRIAL_S:g} s schedule may take at most "
                              f"{MAX_TICKS} controller ticks")
+        # a coarser step could sweep straight across a detection window
+        if self.fin_speed * self.dt >= self.encoder.detection_window:
+            raise ValueError("gait dt too coarse: fin_speed * dt must stay "
+                             "below the encoder detection window")
 
 
 def accumulate(origin, steps) -> np.ndarray:
@@ -431,38 +435,6 @@ def accumulate(origin, steps) -> np.ndarray:
     terms[0] = origin
     terms[1:] = steps
     return np.add.accumulate(terms)
-
-
-@lru_cache(maxsize=256)
-def crawl_draws(gain_split: tuple, heading_jitter_std: float,
-                stride_jitter_std: float, seed: int, n_cycles: int) -> tuple:
-    """The random part of a crawl trial: (gain_left, gain_right, heading
-    jitter per cycle, stride factor per cycle), the arrays read-only.
-
-    Cached: the draws never depend on the substrate or the stride, so every
-    material, moisture and calibration step at the same seed and cycle
-    count reuses them. The key is exactly the noise fields drawn from. The
-    stream is the model's: the split's sign and magnitude, then per cycle
-    the heading jitter and the stride jitter, each drawn only if its std
-    is positive. A jitter not drawn is a heading step of 0.0 and a stride
-    factor of 1.0, which leave every pose unchanged."""
-    rng = np.random.default_rng(seed)
-    sign = 1.0 if rng.random() < 0.5 else -1.0
-    lo, hi = gain_split
-    split = sign * (rng.uniform(lo, hi) if hi > lo else lo)
-    drawn = [std for std in (heading_jitter_std, stride_jitter_std)
-             if std > 0.0]
-    jitter = rng.normal(0.0, drawn, size=(n_cycles, len(drawn)))
-    turns = np.zeros(n_cycles)
-    if heading_jitter_std > 0.0:
-        turns = jitter[:, 0].copy()
-    factors = np.ones(n_cycles)
-    if stride_jitter_std > 0.0:
-        factors = 1.0 + jitter[:, -1]
-        factors = np.where(factors > 0.0, factors, 0.0)  # max(0.0, factor)
-    turns.setflags(write=False)
-    factors.setflags(write=False)
-    return 1.0 + split / 2.0, 1.0 - split / 2.0, turns, factors
 
 
 def crawl_kinematics(cycle_times, mode: GaitMode, noise: AsymmetryNoise,
@@ -478,18 +450,34 @@ def crawl_kinematics(cycle_times, mode: GaitMode, noise: AsymmetryNoise,
     """
     if stride <= 0:
         raise ValueError("stride must be positive")
-    gain_left, gain_right, turns, factors = crawl_draws(
-        noise.gain_split, noise.heading_jitter_std, noise.stride_jitter_std,
-        seed, len(cycle_times))
+    # the split's sign and magnitude, then per cycle the heading jitter and
+    # the stride jitter, each drawn only if its std is positive; one not
+    # drawn is a heading step of 0.0 or a stride factor of 1.0
+    rng = np.random.default_rng(seed)
+    sign = 1.0 if rng.random() < 0.5 else -1.0
+    lo, hi = noise.gain_split
+    split = sign * (rng.uniform(lo, hi) if hi > lo else lo)
+    gain_left, gain_right = 1.0 + split / 2.0, 1.0 - split / 2.0
+    n_cycles = len(cycle_times)
+    drawn = [std for std in (noise.heading_jitter_std, noise.stride_jitter_std)
+             if std > 0.0]
+    jitter = rng.normal(0.0, drawn, size=(n_cycles, len(drawn)))
+    turns = np.zeros(n_cycles)
+    if noise.heading_jitter_std > 0.0:
+        turns = jitter[:, 0]
+    factors = np.ones(n_cycles)
+    if noise.stride_jitter_std > 0.0:
+        factors = 1.0 + jitter[:, -1]
+        factors = np.where(factors > 0.0, factors, 0.0)  # max(0.0, factor)
     turn_bias = 0.0
     if mode is GaitMode.OPEN_LOOP:
         turn_bias = stride * (gain_left - gain_right) / noise.track_width
 
     if start is None:
         start = ORIGIN
-    poses = np.empty((len(turns) + 1, 4))
+    poses = np.empty((n_cycles + 1, 4))
     # each cycle adds its jitter to the heading, then the turn bias
-    heading_steps = np.empty(2 * len(turns))
+    heading_steps = np.empty(2 * n_cycles)
     heading_steps[0::2] = turns
     heading_steps[1::2] = turn_bias
     poses[:, 2] = accumulate(start.heading, heading_steps)[0::2]

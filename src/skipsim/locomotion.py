@@ -20,7 +20,7 @@ from .gait import (MAX_TRIAL_S, ORIGIN, GaitConfig, GaitMode, PlanarPose,
                    Trajectory, accumulate, crawl_kinematics,
                    nominal_cycle_times)
 from .springtail import (EngagedAngleModel, RegimeThresholds, TailConfig,
-                         strike_schedule)
+                         length_regime, strike_sequence)
 from .stats import FailureMode, classify_trial
 from .terrain import Material, SubstrateParams, moisture_response
 
@@ -133,27 +133,32 @@ def takeoff_speed(impulse, params: RobotParams, substrate: SubstrateParams):
 
 
 @lru_cache(maxsize=256)
-def skip_reach(tail: TailConfig, angle_model: EngagedAngleModel,
-               thresholds: RegimeThresholds, robot: RobotParams,
-               duration: float, seed: int) -> np.ndarray:
-    """A skip trial's unit path: entry k is the forward distance its first
-    k hops cover at skip efficiency 1, summed hop by hop, as a read-only
-    array one longer than `strike_schedule`'s.
+def skip_path(tail: TailConfig, angle_model: EngagedAngleModel,
+              thresholds: RegimeThresholds, robot: RobotParams,
+              duration: float, seed: int) -> tuple:
+    """A skip trial's unit path: (strike times, impulses, reach) as
+    read-only arrays, where reach[k] is the forward distance its first k
+    hops cover at skip efficiency 1, summed hop by hop.
 
-    Cached like the schedule it is built from, and keyed on it and the
-    robot: every substrate at the same seed and duration scales it."""
-    _, impulses = strike_schedule(tail, angle_model, thresholds, duration,
-                                  seed)
+    Cached: the strikes never depend on the substrate, so every material,
+    moisture and calibration step at the same seed and duration scales the
+    same path. The key is exactly what `strike_sequence` and the hop read."""
+    regime = length_regime(tail.free_length, thresholds)
+    events = strike_sequence(tail, angle_model, regime, duration, seed,
+                             thresholds)
+    times = np.array([e.time for e in events], dtype=float)
+    impulses = np.array([e.impulse for e in events], dtype=float)
     reach = accumulate(0.0, hop_displacement(impulses, robot))
-    reach.setflags(write=False)
-    return reach
+    for array in (times, impulses, reach):
+        array.setflags(write=False)
+    return times, impulses, reach
 
 
 def _skip_trial(spec, substrate, model, start):
     robot = model.robot
-    times, impulses = strike_schedule(model.tail, model.angle_model,
-                                      model.thresholds, spec.duration,
-                                      spec.seed)
+    times, impulses, reach = skip_path(model.tail, model.angle_model,
+                                       model.thresholds, robot, spec.duration,
+                                       spec.seed)
     hops = len(impulses)
     hard = FailureMode.TAIL_SLIP if substrate.tail_slips else None
     if spec.material is Material.RIGID:
@@ -163,9 +168,7 @@ def _skip_trial(spec, substrate, model, start):
                               > robot.pitch_speed_limit)
         if over.size:
             hops, hard = int(over[0]), FailureMode.PITCH_OVER
-    forward = skip_scale(substrate) * skip_reach(
-        model.tail, model.angle_model, model.thresholds, robot,
-        spec.duration, spec.seed)[:hops + 1]
+    forward = skip_scale(substrate) * reach[:hops + 1]
     heading = start.heading
     # a pitch-over adds a pose at the over-limit strike, where motion stopped
     poses = np.empty((hops + 1 + (hard is FailureMode.PITCH_OVER), 4))
@@ -178,17 +181,20 @@ def _skip_trial(spec, substrate, model, start):
     return poses, float(forward[-1]), hard
 
 
-def crawl_unit_path(spec: TrialSpec, gait: GaitConfig,
-                    start: PlanarPose = ORIGIN) -> np.ndarray:
-    """A sync or async crawl trial's unit path: its poses at crawl traction
-    1, from (0, 0) at `start`'s heading and time. Encoder feedback keeps
-    the stride out of the heading, so every traction scales this path."""
-    mode = _GAIT_MODE[spec.mode]
-    events = nominal_cycle_times(mode, spec.duration, gait.fin_speed, gait.dt,
+@lru_cache(maxsize=256)
+def crawl_unit_path(mode: GaitMode, duration: float, gait: GaitConfig,
+                    seed: int, heading: float, time: float) -> np.ndarray:
+    """A sync or async crawl trial's unit path: its poses, read-only, at
+    crawl traction 1 from (0, 0) at the start `heading` and `time`.
+    Encoder feedback keeps the stride out of the heading, so every
+    traction scales this path.
+
+    Cached like `skip_path`: the key is exactly what the path reads, and
+    holds no substrate."""
+    events = nominal_cycle_times(mode, duration, gait.fin_speed, gait.dt,
                                  gait.encoder)
-    return crawl_kinematics(events, mode, gait.noise, gait.stride, spec.seed,
-                            PlanarPose(0.0, 0.0, start.heading,
-                                       start.time)).poses
+    return crawl_kinematics(events, mode, gait.noise, gait.stride, seed,
+                            PlanarPose(0.0, 0.0, heading, time)).poses
 
 
 def _crawl_trial(spec, substrate, gait, start):
@@ -196,11 +202,14 @@ def _crawl_trial(spec, substrate, gait, start):
         # the fins dig the robot into the bed; no forward motion
         return np.array([start]), 0.0, FailureMode.EXCAVATION
     traction = substrate.crawl_traction
-    path = crawl_unit_path(spec, gait, start)
+    path = crawl_unit_path(_GAIT_MODE[spec.mode], spec.duration, gait,
+                           spec.seed, start.heading, start.time)
     if traction <= 0.0 or len(path) == 1:
         return np.array([start]), 0.0, None
     poses = path.copy()
     poses[:, :2] = (start.x, start.y) + traction * path[:, :2]
+    # the cache keys a -0.0 heading or time as 0.0: the start is row 0
+    poses[0] = start
     return poses, traction * math.hypot(*path[-1, :2].tolist()), None
 
 
@@ -211,13 +220,12 @@ def unit_displacement(spec: TrialSpec, model: Model) -> tuple:
     not excavate its traction times it. The impulse (0.0 for a crawl
     trial) is what decides a pitch-over on rigid ground."""
     if spec.mode is LocomotionMode.SKIP:
-        _, impulses = strike_schedule(model.tail, model.angle_model,
-                                      model.thresholds, spec.duration,
-                                      spec.seed)
-        reach = skip_reach(model.tail, model.angle_model, model.thresholds,
-                           model.robot, spec.duration, spec.seed)
+        _, impulses, reach = skip_path(model.tail, model.angle_model,
+                                       model.thresholds, model.robot,
+                                       spec.duration, spec.seed)
         return float(reach[-1]), float(impulses.max(initial=0.0))
-    path = crawl_unit_path(spec, model.gait)
+    path = crawl_unit_path(_GAIT_MODE[spec.mode], spec.duration, model.gait,
+                           spec.seed, ORIGIN.heading, ORIGIN.time)
     return math.hypot(*path[-1, :2].tolist()), 0.0
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 
@@ -239,26 +238,6 @@ def strike_sequence(config: TailConfig,
             engaged_angle=theta,
         ))
     return events
-
-
-@lru_cache(maxsize=256)
-def strike_schedule(config: TailConfig, angle_model: EngagedAngleModel,
-                    thresholds: RegimeThresholds, duration: float,
-                    seed: int) -> tuple:
-    """(times, impulses) of the strikes of a blade in its own length regime,
-    as read-only arrays.
-
-    Cached: strikes never depend on the substrate, so every material,
-    moisture and calibration step at the same seed and duration reuses
-    them. The key is exactly what `strike_sequence` reads."""
-    regime = length_regime(config.free_length, thresholds)
-    events = strike_sequence(config, angle_model, regime, duration, seed,
-                             thresholds)
-    times = np.array([e.time for e in events], dtype=float)
-    impulses = np.array([e.impulse for e in events], dtype=float)
-    times.setflags(write=False)
-    impulses.setflags(write=False)
-    return times, impulses
 
 
 def strike_trace(events, sample_rate: float, pulse_width: float = 0.010,

@@ -199,6 +199,45 @@ def test_criterion_5_moisture_curves():
            sand_ok and crawl_fail_ok and clay_ok and slip_ok and unimodal_ok)
 
 
+# README's skipping-against-crawling table (cm/s), pinned at the two
+# decimals it states: (material, moisture) -> (skip, sync, async)
+SKIP_VS_CRAWL = {
+    ("uniform_sand", 0.0): (0.92, 0.00, 0.00),
+    ("uniform_sand", 0.05): (1.60, 2.03, 1.00),
+    ("uniform_sand", 0.1): (2.74, 3.06, 1.51),
+    ("uniform_sand", 0.15): (3.40, 3.15, 1.56),
+    ("uniform_sand", 0.2): (2.74, 3.11, 1.54),
+    ("uniform_sand", 0.25): (1.60, 3.07, 1.52),
+    ("uniform_sand", 0.3): (0.92, 3.02, 1.50),
+    ("bentonite_clay", 0.0): (0.68, 0.00, 0.00),
+    ("bentonite_clay", 0.2): (2.61, 1.03, 0.51),
+    ("bentonite_clay", 0.4): (0.68, 1.64, 0.81),
+    ("bentonite_clay", 0.6): (0.40, 1.64, 0.81),
+    ("bentonite_clay", 0.8): (0.00, 1.40, 0.70),
+    ("bentonite_clay", 1.0): (0.00, 1.16, 0.57),
+}
+SKIP_LEADS = {("uniform_sand", 0.0), ("uniform_sand", 0.15),
+              ("bentonite_clay", 0.0), ("bentonite_clay", 0.2)}
+
+
+def test_skipping_leads_crawling_only_where_readme_says(tmp_path):
+    """README: at --seed 0 skipping is fastest at 4 of the 13 moisture-sweep
+    points and synchronous crawling at the other 9."""
+    assert cli_main(["moisture-sweep", "--seed", "0", "--out",
+                     str(tmp_path)]) == 0
+    sweep = {}
+    with open(tmp_path / "sweep.csv") as fh:
+        for row in csv.DictReader(fh):
+            sweep.setdefault((row["material"], float(row["moisture"])),
+                             {})[row["mode"]] = float(row["mean_cmps"])
+    assert sweep.keys() == SKIP_VS_CRAWL.keys()
+    for point, means in sweep.items():
+        got = tuple(means[m] for m in ("skip", "sync_crawl", "async_crawl"))
+        assert tuple(round(v, 2) for v in got) == SKIP_VS_CRAWL[point]
+        leader = max(means, key=means.get)
+        assert leader == ("skip" if point in SKIP_LEADS else "sync_crawl")
+
+
 def order_statistic(values, q):
     n = len(values)
     k = min(max(math.ceil(q * n), 1), n)

@@ -267,6 +267,48 @@ class TestCli:
         assert "uniform_sand" in err
         assert not (out / "summary.json").exists()
 
+    @pytest.mark.parametrize("lengths_mm, key", [
+        ([25.0, 25.0000001, 30.0], "25mm"), ([20.0, 30.0, 20.0], "20mm")],
+        ids=["colliding", "duplicate"])
+    def test_tail_characterize_rejects_lengths_sharing_a_key(
+            self, tmp_path, capsys, monkeypatch, lengths_mm, key):
+        # summary.json holds one entry per f"{length_mm:g}mm" key, so two
+        # lengths under one key would merge
+        def no_strikes(*args, **kwargs):
+            raise AssertionError("a strike was drawn")
+
+        monkeypatch.setattr(experiments, "strike_sequence", no_strikes)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiments": {"tail_characterize": {
+            "lengths_mm": lengths_mm}}}))
+        out = tmp_path / "o"
+        assert main(["tail-characterize", "--config", str(cfg),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert f"lists {key} more than once" in err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["tail-characterize", "gait-drift",
+                                         "moisture-sweep", "substrate-bench",
+                                         "scenario", "calibrate", "analyze"])
+    def test_coarse_gait_step_exits_2_at_config_load(self, tmp_path, capsys,
+                                                     command):
+        # a fin turning a detection window or more per tick could sweep
+        # across a magnet unseen; every command refuses it, crawling or not
+        trajectory = tmp_path / "trajectory.csv"
+        trajectory.write_text("time_s,x_m,y_m,heading_rad\n0,0,0,0\n1,1,0,0\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"gait": {"fin_speed_rad_s": 100}}))
+        out = tmp_path / "o"
+        extra = ["--trajectory", str(trajectory)] if command == "analyze" else []
+        assert main([command, "--config", str(cfg), "--out", str(out),
+                     *extra]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: gait dt too coarse")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_analyze_without_inputs_exits_2(self, tmp_path):
         assert main(["analyze", "--out", str(tmp_path / "o")]) == 2
 

@@ -1,13 +1,12 @@
 """The trial layer against its per-strike and per-cycle reference loops,
 the gait controllers against their per-tick loop, and the safety of the
-schedule caches under them.
+path caches under them.
 
-A skip trial scales a cached unit path (`skip_reach`, built from the
-cached `strike_schedule`) by its squared skip efficiency, and a sync or
-async crawl trial scales its traction-1 path (built from the cached
-`crawl_draws`) by its traction. The loops kept here as oracles draw every
-strike and every cycle's noise afresh, apply the substrate to each step
-and advance the pose one `+=` at a time.
+A skip trial scales its cached unit path (`skip_path`) by its squared
+skip efficiency, and a sync or async crawl trial scales its cached
+traction-1 path (`crawl_unit_path`) by its traction. The loops kept here
+as oracles draw every strike and every cycle's noise afresh, apply the
+substrate to each step and advance the pose one `+=` at a time.
 
 The two sum the same steps in a different association, so poses agree to
 the summation error bound (Higham, Accuracy and Stability of Numerical
@@ -30,6 +29,7 @@ tick. Both derive every value as the same product of a count, so cycle
 times and every fin's state agree exactly.
 """
 
+import gc
 import math
 import tracemalloc
 from unittest import mock
@@ -41,18 +41,19 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from skipsim import locomotion  # noqa: E402
-from skipsim.calibrate import SKIP_EFF_MAX  # noqa: E402
+from skipsim.calibrate import (SKIP_EFF_MAX,  # noqa: E402
+                               CalibrationTarget, unit_displacements)
 from skipsim.gait import (TWO_PI, AsymmetryNoise, AsyncGait,  # noqa: E402
                           EncoderModel, GaitConfig, GaitMode, OpenLoopGait,
-                          PlanarPose, SyncGait, Trajectory, crawl_draws,
-                          crawl_kinematics, drift_trial, nominal_cycle_times,
-                          run_cycles)
+                          PlanarPose, SyncGait, Trajectory, crawl_kinematics,
+                          drift_trial, nominal_cycle_times, run_cycles)
 from skipsim.locomotion import (LocomotionMode, Model,  # noqa: E402
                                 RobotParams, TrialSpec, hop_displacement,
-                                run_batch, run_trial, skip_reach, skip_scale)
+                                crawl_unit_path, run_batch, run_trial,
+                                skip_path, skip_scale)
 from skipsim.springtail import (EngagedAngleModel,  # noqa: E402
                                 RegimeThresholds, TailConfig, length_regime,
-                                strike_schedule, strike_sequence)
+                                strike_sequence)
 from skipsim.stats import FailureMode  # noqa: E402
 from skipsim.terrain import (CrawlCurve, Material,  # noqa: E402
                              MoistureResponse, SkipCurve, SubstrateParams)
@@ -357,13 +358,17 @@ def test_drift_trial_matches_per_cycle_loop(noise, mode):
     assert repr(got.poses.tolist()) == repr(want.poses.tolist())
 
 
+def _clear_path_caches():
+    skip_path.cache_clear()
+    crawl_unit_path.cache_clear()
+
+
 def test_cached_arrays_are_read_only():
-    times, impulses = strike_schedule(TailConfig(), EngagedAngleModel(),
-                                      RegimeThresholds(), 10.0, 0)
-    reach = skip_reach(TailConfig(), EngagedAngleModel(), RegimeThresholds(),
-                       RobotParams(), 10.0, 0)
-    _, _, turns, factors = crawl_draws((0.002, 0.0065), 0.0005, 0.05, 0, 30)
-    for array in (times, impulses, reach, turns, factors):
+    times, impulses, reach = skip_path(TailConfig(), EngagedAngleModel(),
+                                       RegimeThresholds(), RobotParams(),
+                                       10.0, 0)
+    path = crawl_unit_path(GaitMode.SYNC, 10.0, GaitConfig(), 0, 0.0, 0.0)
+    for array in (times, impulses, reach, path):
         assert array.size
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1.0
@@ -372,12 +377,9 @@ def test_cached_arrays_are_read_only():
 
 
 def test_cache_keys_hold_no_substrate():
-    """Trials that differ in material, moisture and curves share their
-    strike schedules, unit paths and noise draws; only seeds and durations
-    miss."""
-    strike_schedule.cache_clear()
-    skip_reach.cache_clear()
-    crawl_draws.cache_clear()
+    """Trials that differ in material, moisture and curves share their unit
+    paths; only seeds, durations and crawl start poses miss."""
+    _clear_path_caches()
     shipped, fitted = Model(), Model(responses={
         Material.GRASS: MoistureResponse(
             skip=SkipCurve(0.3, 0.3, 0.0, 1.0),
@@ -388,35 +390,74 @@ def test_cache_keys_hold_no_substrate():
     for material, moisture, model in conditions:
         for mode in (LocomotionMode.SKIP, LocomotionMode.SYNC_CRAWL):
             run_batch(TrialSpec(mode, material, moisture, 30.0), 3, 0, model)
-    # a skip trial reads its schedule, and a unit path built on a miss
-    # reads the same schedule again
-    assert strike_schedule.cache_info().misses == 3
-    assert strike_schedule.cache_info().hits == 9 + 3
-    assert skip_reach.cache_info().misses == 3
-    assert skip_reach.cache_info().hits == 9
-    assert crawl_draws.cache_info().misses == 3
-    assert crawl_draws.cache_info().hits == 9
-    run_batch(TrialSpec(LocomotionMode.SKIP, Material.GRASS, duration=20.0),
-              3, 0)
-    assert strike_schedule.cache_info().misses == 6
+    assert skip_path.cache_info()[:2] == (9, 3)  # (hits, misses)
+    assert crawl_unit_path.cache_info()[:2] == (9, 3)
+    for mode in (LocomotionMode.SKIP, LocomotionMode.SYNC_CRAWL):
+        run_batch(TrialSpec(mode, Material.GRASS, duration=20.0), 3, 0)
+    assert skip_path.cache_info()[:2] == (9, 6)
+    assert crawl_unit_path.cache_info()[:2] == (9, 6)
+    spec = TrialSpec(LocomotionMode.SYNC_CRAWL, Material.RIGID)
+    run_trial(spec, Model(), PlanarPose(1.0, 2.0, 0.5, 0.0))
+    run_trial(spec, Model(), PlanarPose(1.0, 2.0, 0.0, 4.0))
+    assert crawl_unit_path.cache_info()[:2] == (9, 8)
+
+
+def test_a_signed_zero_start_keeps_its_sign():
+    """The cache keys -0.0 as 0.0; a trial starting at -0.0 after one at
+    0.0 reads that entry yet starts at its own pose, as the loop does."""
+    _clear_path_caches()
+    spec = TrialSpec(LocomotionMode.ASYNC_CRAWL, Material.RIGID,
+                     duration=5.0)
+    run_trial(spec, Model(), PlanarPose(0.0, 0.0, 0.0, 0.0))
+    for start in (PlanarPose(-0.0, -0.0, -0.0, -0.0),
+                  PlanarPose(0.0, 0.0, 0.0, 0.0)):
+        got = run_trial(spec, Model(), start)
+        want = oracle_run_trial(spec, Model(), start)
+        assert (repr(got.trajectory.poses[:, 2:].tolist())
+                == repr(want.trajectory.poses[:, 2:].tolist()))
+        assert repr(got.trajectory.start) == repr(start)
+    assert crawl_unit_path.cache_info()[:2] == (2, 1)
+
+
+def test_trials_and_calibration_share_one_entry_per_path():
+    """run_batch and calibrate.unit_displacements key each path alike, so
+    whichever runs first builds it and the other only hits."""
+    targets = [CalibrationTarget(mode, Material.UNIFORM_SAND, 0.15, 1.0)
+               for mode in (LocomotionMode.SKIP, LocomotionMode.SYNC_CRAWL,
+                            LocomotionMode.ASYNC_CRAWL)]
+
+    def units():
+        unit_displacements(targets, 3, 0, 30.0, Model())
+
+    def batches():
+        for t in targets:
+            run_batch(TrialSpec(t.mode, t.material, t.moisture, 30.0), 3, 0,
+                      Model())
+
+    for first, second in ((units, batches), (batches, units)):
+        _clear_path_caches()
+        first()
+        second()
+        assert skip_path.cache_info()[:2] == (3, 3)
+        assert crawl_unit_path.cache_info()[:2] == (6, 6)
 
 
 def test_caches_are_bounded():
-    assert strike_schedule.cache_info().maxsize == 256
-    assert skip_reach.cache_info().maxsize == 256
-    assert crawl_draws.cache_info().maxsize == 256
+    assert skip_path.cache_info().maxsize == 256
+    assert crawl_unit_path.cache_info().maxsize == 256
 
 
 def _held_by_caches(specs, n_trials):
     """Bytes still allocated after running each spec over n_trials seeds
     and dropping the results: what the caches hold."""
-    strike_schedule.cache_clear()
-    skip_reach.cache_clear()
-    crawl_draws.cache_clear()
+    _clear_path_caches()
     tracemalloc.start()
     try:
         for spec in specs:
             run_batch(spec, n_trials, 0)
+        # a full collection also empties the interpreter's free lists, which
+        # would otherwise count spare small objects as held
+        gc.collect()
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -427,19 +468,17 @@ def test_cache_memory_stays_flat_over_thousands_of_seeds():
     specs = [TrialSpec(LocomotionMode.SKIP, Material.GRASS, duration=10.0),
              TrialSpec(LocomotionMode.SYNC_CRAWL, Material.RIGID,
                        duration=10.0)]
-    # a first pass lets lazy imports and the interpreter's free lists of
-    # small objects settle, which would otherwise count as growth
-    _held_by_caches(specs, 2000)
+    # a first pass lets lazy imports settle, which would otherwise count as
+    # growth
+    _held_by_caches(specs, 256)
     full = _held_by_caches(specs, 256)
     many = _held_by_caches(specs, 2000)
-    assert strike_schedule.cache_info().currsize == 256
-    assert skip_reach.cache_info().currsize == 256
-    assert crawl_draws.cache_info().currsize == 256
-    # unbounded caches would hold 6000 entries of 300 to 500 bytes each
+    assert skip_path.cache_info().currsize == 256
+    assert crawl_unit_path.cache_info().currsize == 256
+    # unbounded caches would hold 4000 entries of 0.5 to 1 KB each
     assert many < 1 << 20
-    # both runs end with 768 entries; what may differ is the seeds' int
-    # objects (16 KB) and up to 2000 spare 2-tuples on the interpreter's
-    # free list (112 KB)
+    # both runs end with 512 entries; what may differ is the seeds' int
+    # objects (16 KB) and the interpreter's own slack
     assert many < full + (160 << 10)
 
 
