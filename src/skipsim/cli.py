@@ -4,11 +4,20 @@ error, 3 failed built-in check in --assert mode."""
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 
 from . import experiments
 from .config import ConfigError, load_config
+
+# Move the objects created at import (numpy, the stdlib, skipsim: about
+# 22,000) into the collector's permanent generation, so the interpreter's
+# final collection skips them and exit takes about 10 ms, not 45. Safe: every
+# output file is closed by its `with` block, stdout and stderr are still
+# flushed at exit, and no skipsim object has a finalizer. Here rather than
+# in main(), which tests call many times in one process.
+gc.freeze()
 
 EXIT_OK = 0
 EXIT_CONFIG = 2

@@ -14,12 +14,11 @@ import numpy as np
 
 
 def write_csv(path, header, rows):
-    """Write `header` and then `rows`; floats go out in repr form."""
+    """Write `header` and then `rows`; a Python or numpy float as its str."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows([repr(v) if isinstance(v, float) else v for v in row]
-                         for row in rows)
+        writer.writerows(rows)
 
 
 def write_json(path, payload):

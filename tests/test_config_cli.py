@@ -1,7 +1,10 @@
+import hashlib
 import json
 import math
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -368,6 +371,74 @@ class TestCli:
         err = capsys.readouterr().err
         assert "error:" in err and named in err
         assert "empty sequence" not in err and "Traceback" not in err
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src")
+DIGESTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden",
+                       "digests.json")
+
+
+def _python(*args):
+    """Run this interpreter on `args` in a fresh process, skipsim imported
+    from this checkout's source."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], env=env, text=True,
+                          capture_output=True, timeout=120)
+
+
+class TestCliProcess:
+    """The CLI as a process: exit codes, stdout and stderr, and files
+    complete once the interpreter has exited."""
+
+    def test_scenario_exits_0_with_golden_outputs(self, tmp_path):
+        out = tmp_path / "scenario"
+        proc = _python("-m", "skipsim.cli", "scenario", "--assert",
+                       "--seed", "0", "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("scenario: 1 switches, ")
+        assert proc.stdout.endswith(f" m -> {out}\n")
+        assert proc.stdout.count("\n") == 1
+        assert proc.stderr == ""
+        with open(DIGESTS) as fh:
+            pinned = {rel.split("/", 1)[1]: digest
+                      for rel, digest in json.load(fh).items()
+                      if rel.startswith("scenario/")}
+        assert {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                for path in out.iterdir()} == pinned
+
+    def test_unknown_config_key_exits_2(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tail": {"lenght_m": 0.02}}))
+        proc = _python("-m", "skipsim.cli", "substrate-bench", "--config",
+                       str(cfg), "--out", str(tmp_path / "o"))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:")
+        assert proc.stderr.count("\n") == 1 and "tail.lenght_m" in proc.stderr
+        assert proc.stdout == ""
+
+    def test_failed_assertion_exits_3(self, tmp_path):
+        # the stride split of TestCli.test_failed_assertion_exits_3
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"noise": {"gain_split_lo": 0.05,
+                                             "gain_split_hi": 0.08}}))
+        proc = _python("-m", "skipsim.cli", "gait-drift", "--config", str(cfg),
+                       "--out", str(tmp_path / "o"), "--assert")
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("check failed:")
+        assert proc.stderr.count("\n") == 1
+        assert proc.stdout == ""
+
+    def test_only_the_cli_freezes_the_collector(self):
+        # importing the library leaves the collector alone; importing the
+        # CLI moves its import-time objects into the permanent generation
+        proc = _python("-c", "import gc, skipsim; "
+                       "library = gc.get_freeze_count(); import skipsim.cli; "
+                       "print(library, gc.get_freeze_count())")
+        assert proc.returncode == 0, proc.stderr
+        library, cli = map(int, proc.stdout.split())
+        assert library == 0 and cli > 0
 
 
 def _drift_too_long(distance, mode=GaitMode.ASYNC):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from skipsim.cli import main
+from skipsim.fileio import read_csv_table, write_csv
 from skipsim.gait import (TWO_PI, AsymmetryNoise, AsyncGait, EncoderModel,
                           GaitConfig, GaitMode, OpenLoopGait, PlanarPose,
                           SyncGait, Trajectory, crawl_kinematics, drift_trial,
@@ -248,6 +249,19 @@ class TestTrajectory:
                 == golden["gait-drift/" + name])
         Trajectory.read_csv(tmp_path / name).write_csv(tmp_path / "again.csv")
         assert (tmp_path / "again.csv").read_bytes() == original
+
+    def test_numpy_floats_write_like_python_floats(self, tmp_path):
+        rows = drift_trial(GaitMode.SYNC, seed=0).poses[:5].copy()
+        rows[0] = [-0.0, 5e-324, 1e16, 1e-5]
+        rows[1, 0] = np.finfo(float).max
+        header = list(Trajectory.COLUMNS)
+        write_csv(tmp_path / "numpy.csv", header, rows)  # np.float64 values
+        write_csv(tmp_path / "python.csv", header, rows.tolist())
+        text = (tmp_path / "numpy.csv").read_bytes()
+        assert text == (tmp_path / "python.csv").read_bytes()
+        assert b"np." not in text
+        back = read_csv_table(tmp_path / "numpy.csv", header, "numpy")
+        assert repr(back.tolist()) == repr(rows.tolist())
 
 
 class TestCycleCache:
