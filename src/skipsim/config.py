@@ -10,6 +10,7 @@ from dataclasses import dataclass, field, fields
 from .gait import AsymmetryNoise, EncoderModel, GaitConfig
 from .locomotion import Model, RobotParams
 from .springtail import EngagedAngleModel, RegimeThresholds, TailConfig
+from .stats import MAX_BOOTSTRAP_RESAMPLES
 from .terrain import CrawlCurve, Material, MoistureResponse, SkipCurve, default_curves
 
 SCHEMA_VERSION = 1
@@ -234,6 +235,10 @@ def _build(doc: dict) -> ExperimentConfig:
     seed = _typed(doc["seed"], int, "seed")
     if seed < 0:
         raise ConfigError("config key seed must be >= 0")
+    resamples = doc["analysis"]["bootstrap_resamples"]
+    if not 1 <= resamples <= MAX_BOOTSTRAP_RESAMPLES:
+        raise ConfigError("config key analysis.bootstrap_resamples must lie "
+                          f"in [1, {MAX_BOOTSTRAP_RESAMPLES}]")
     try:
         responses = {}
         for key in doc["substrates"]:

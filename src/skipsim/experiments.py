@@ -43,17 +43,21 @@ def _run_batches(config, specs, n_trials, seed, out_dir) -> list:
     return batches
 
 
-def _measure(trace, analysis, seed):
-    """The peaks of `trace` and their summary: count, and with any peaks the
-    mean and bootstrap CI."""
-    peaks = detect_peaks(trace, analysis["peak_threshold_n"],
-                         analysis["min_separation_s"])
-    entry = {"n": peaks.count}
-    if peaks.count:
-        ci = bootstrap_ci(peaks.values, analysis["ci_level"],
+def _peak_summaries(peak_sets, analysis, seed) -> list:
+    """The summary of each peak set: count, and with any peaks the mean and
+    bootstrap CI. Sets of one size share one bootstrap_ci call, which draws
+    the seed's index stream for that size once."""
+    entries = [{"n": peaks.count} for peaks in peak_sets]
+    by_count = {}
+    for entry, peaks in zip(entries, peak_sets):
+        if peaks.count:
+            by_count.setdefault(peaks.count, []).append((entry, peaks.values))
+    for group in by_count.values():
+        ci = bootstrap_ci([values for _, values in group], analysis["ci_level"],
                           analysis["bootstrap_resamples"], seed)
-        entry.update(mean_N=ci.mean, ci_lo_N=ci.lower, ci_hi_N=ci.upper)
-    return peaks, entry
+        for (entry, _), *row in zip(group, ci.mean, ci.lower, ci.upper):
+            entry.update(zip(("mean_N", "ci_lo_N", "ci_hi_N"), row))
+    return entries
 
 
 def run_tail_characterize(config: ExperimentConfig, out_dir, seed,
@@ -73,8 +77,7 @@ def run_tail_characterize(config: ExperimentConfig, out_dir, seed,
                              f"{key} more than once")
     record_s = params["record_s"]
     analysis = config.analysis
-    rows = []
-    summary = {}
+    rows, peak_sets, summary = [], [], {}
     for length_mm, key in zip(lengths_mm, keys):
         tail = replace(config.tail, free_length=length_mm * 1e-3)
         regime = length_regime(tail.free_length, config.thresholds)
@@ -82,10 +85,15 @@ def run_tail_characterize(config: ExperimentConfig, out_dir, seed,
                                  seed, config.thresholds)
         trace = strike_trace(events, analysis["trace_sample_rate_hz"],
                              tail.pulse_width)
-        peaks, entry = _measure(trace, analysis, seed)
+        peaks = detect_peaks(trace, analysis["peak_threshold_n"],
+                             analysis["min_separation_s"])
+        peak_sets.append(peaks)
         rows += [(float(length_mm), k, v) for k, v in enumerate(peaks.values)]
         summary[key] = {"mean_N": 0.0, "ci_lo_N": 0.0, "ci_hi_N": 0.0,
-                        **entry, "regime": regime.value}
+                        "regime": regime.value}
+    for entry, measured in zip(summary.values(),
+                               _peak_summaries(peak_sets, analysis, seed)):
+        entry.update(measured)
     write_csv(os.path.join(out_dir, "peaks.csv"),
               ["length_mm", "strike_idx", "peak_N"], rows)
     write_json(os.path.join(out_dir, "summary.json"), summary)
@@ -295,9 +303,11 @@ def run_analyze(config: ExperimentConfig, out_dir, seed, trace_path=None,
         raise ValueError("analyze needs a force-trace or trajectory CSV")
     report = {}
     if trace_path is not None:
-        peaks, entry = _measure(ForceTrace.read_csv(trace_path),
-                                config.analysis, seed)
-        report["trace"] = {**entry, "peaks_N": list(peaks.values)}
+        peaks = detect_peaks(ForceTrace.read_csv(trace_path),
+                             config.analysis["peak_threshold_n"],
+                             config.analysis["min_separation_s"])
+        report["trace"] = {**_peak_summaries([peaks], config.analysis, seed)[0],
+                           "peaks_N": list(peaks.values)}
     if trajectory_path is not None:
         traj = Trajectory.read_csv(trajectory_path)
         report["trajectory"] = {

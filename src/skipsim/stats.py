@@ -15,6 +15,8 @@ from .gait import Trajectory
 
 FAILURE_THRESHOLD_M = 0.10  # net displacement below this counts as a failure
 BOOTSTRAP_CHUNK_DRAWS = 1 << 16  # resample indices bootstrap_ci draws at once
+# the configured resamples at most: 8 MB of sorted means per distinct sample set
+MAX_BOOTSTRAP_RESAMPLES = 10 ** 6
 
 
 class FailureMode(Enum):
@@ -89,7 +91,7 @@ class PeakSet:
 
 @dataclass(frozen=True)
 class BootstrapCI:
-    mean: float
+    mean: float  # mean, lower and upper: tuples for 2-D samples
     lower: float
     upper: float
     level: float
@@ -158,33 +160,47 @@ def bootstrap_ci(samples, level: float = 0.95, resamples: int = 10000,
     Resamples with replacement, takes the (1-level)/2 and (1+level)/2
     empirical quantiles (order statistics) of the resampled means.
 
+    A 2-D `samples` holds equal-size rows, each bootstrapped with the same
+    index stream, so each row's CI equals a 1-D call on that row bit for
+    bit; `mean`, `lower` and `upper` are then tuples, one float per row.
+    Other shapes are flattened.
+
     The resample indices are drawn in chunks of about BOOTSTRAP_CHUNK_DRAWS
     (2**16), so that matrix never needs resamples * n integers at once. The
-    resampled means are still held whole for sorting: 8 bytes per resample.
+    resampled means are still held whole for sorting: 8 bytes per resample
+    for each distinct row (byte-equal rows share theirs).
     """
-    arr = np.asarray(samples, dtype=float).ravel()
-    if arr.size == 0:
+    arr = np.ascontiguousarray(samples, dtype=float)
+    table = arr if arr.ndim == 2 else arr.reshape(1, -1)
+    if table.size == 0:
         raise ValueError("bootstrap_ci requires at least one sample")
     if not 0.0 < level < 1.0:
         raise ValueError("level must be in (0, 1)")
     if resamples < 1:
         raise ValueError("resamples must be >= 1")
-    n = arr.size
+    n = table.shape[1]
+    # row -> its slot among the distinct rows, keyed by bytes: exact copies
+    # (NaN rows too) share their means, merely equal rows (-0.0, 0.0) do not
+    slots = {}
+    slot = [slots.setdefault(row.tobytes(), len(slots)) for row in table]
+    distinct = table[[slot.index(k) for k in range(len(slots))]]
     rng = np.random.default_rng(seed)
     # successive draws continue one stream, so the chunks hold exactly the
     # rows of a single (resamples, n) draw
     rows = max(BOOTSTRAP_CHUNK_DRAWS // n, 1)
-    means = np.empty(resamples)
+    means = np.empty((len(distinct), resamples))
     for start in range(0, resamples, rows):
         stop = min(start + rows, resamples)
         idx = rng.integers(0, n, size=(stop - start, n))
-        means[start:stop] = arr[idx].mean(axis=1)
-    means.sort()
+        for row, row_means in zip(distinct, means):
+            row_means[start:stop] = row[idx].mean(axis=1)
+    means.sort(axis=1)
     q_lo = (1.0 - level) / 2.0
-    lower = _percentile(means, q_lo)
-    upper = _percentile(means, 1.0 - q_lo)
-    return BootstrapCI(mean=float(arr.mean()), lower=lower, upper=upper,
-                       level=level, resamples=resamples)
+    ci = [(float(row.mean()), _percentile(means[k], q_lo),
+           _percentile(means[k], 1.0 - q_lo)) for row, k in zip(table, slot)]
+    mean, lower, upper = zip(*ci) if arr.ndim == 2 else ci[0]
+    return BootstrapCI(mean=mean, lower=lower, upper=upper, level=level,
+                       resamples=resamples)
 
 
 def mean_velocity(trajectory: Trajectory) -> float:

@@ -15,7 +15,7 @@ from skipsim.fileio import write_json
 from skipsim.gait import (MAX_TICKS, MAX_TRIAL_S, GaitConfig, GaitMode,
                           drift_duration, drift_trial, run_cycles,
                           schedule_ticks)
-from skipsim.stats import ForceTrace
+from skipsim.stats import MAX_BOOTSTRAP_RESAMPLES, ForceTrace
 from skipsim.terrain import Material
 
 
@@ -544,6 +544,38 @@ class TestTickLimit:
         cfg.write_text(json.dumps({"gait": {"dt_s": FINEST_DT}}))
         assert main(["scenario", "--config", str(cfg), "--out",
                      str(tmp_path / "o")]) == 0
+
+
+class TestBootstrapResamplesLimit:
+    @pytest.mark.parametrize("resamples", [0, -1, MAX_BOOTSTRAP_RESAMPLES + 1])
+    @pytest.mark.parametrize("command", ["tail-characterize", "analyze"])
+    def test_out_of_range_exits_2_before_any_work(
+            self, tmp_path, capsys, monkeypatch, command, resamples):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work ran before the config was checked")
+
+        monkeypatch.setattr(experiments, "strike_sequence", no_work)
+        monkeypatch.setattr(ForceTrace, "read_csv", no_work)
+        trace = tmp_path / "trace.csv"
+        trace.write_text("time_s,force_N\n0,0\n0.5,2\n1,0\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(
+            {"analysis": {"bootstrap_resamples": resamples}}))
+        out = tmp_path / "o"
+        out.mkdir()
+        extra = ["--trace", str(trace)] if command == "analyze" else []
+        assert main([command, "--config", str(cfg), "--out", str(out),
+                     *extra]) == 2
+        err = capsys.readouterr().err
+        assert err == ("error: config key analysis.bootstrap_resamples must "
+                       f"lie in [1, {MAX_BOOTSTRAP_RESAMPLES}]\n")
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("resamples", [1, MAX_BOOTSTRAP_RESAMPLES])
+    def test_bounds_load(self, resamples):
+        config = load_config(overrides={
+            "analysis": {"bootstrap_resamples": resamples}})
+        assert config.analysis["bootstrap_resamples"] == resamples
 
 
 def _tree_bytes(root):

@@ -7,9 +7,12 @@ full-length time mask per strike, an O(k^2) scan over candidates sorted by
 (resamples, n) index draw. Outputs must match exactly, not to a tolerance.
 The golden digests cover only the default settings; these tests draw
 plateaus, ties, zero separation, overlapping pulses, pulses cut off at
-either end and non-integer sample rates.
+either end, strikes far off the trace, non-integer sample rates, and 2-D
+bootstraps whose rows must each match the oracle's single draw.
 """
 
+import csv
+import json
 import math
 import tracemalloc
 from unittest import mock
@@ -21,6 +24,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from skipsim import stats  # noqa: E402
+from skipsim.cli import main  # noqa: E402
+from skipsim.config import load_config  # noqa: E402
 from skipsim.springtail import StrikeEvent, strike_trace  # noqa: E402
 from skipsim.stats import (BootstrapCI, ForceTrace, PeakSet,  # noqa: E402
                            bootstrap_ci, detect_peaks)
@@ -122,26 +127,39 @@ def test_detect_peaks_matches_oracle_on_plateaus_and_ties(
     assert np.array(got.values).tobytes() == np.array(want.values).tobytes()
 
 
+# strikes that cover no sample of any trace: times that are not finite, or
+# so far off that time * rate is beyond any index (or overflows)
+OFF_TRACE_TIMES = [math.nan, math.inf, -math.inf, 1e300, -1e300, 5e305,
+                   -5e305, 1.7e308, -1.7e308]
+
+
 @st.composite
 def strike_sets(draw):
     """Strikes off and on the sample grid, overlapping when close, some
-    before time zero, with a duration that may cut the last pulse short
-    (and, given a duration, strikes at non-finite times)."""
+    before time zero, sometimes a few hundred of them, with a duration that
+    may cut the last pulse short (and, given a duration, strikes at
+    non-finite or far-off times)."""
     pulse_width = draw(st.floats(0.001, 0.5))
     rate = draw(st.floats(2.0 / pulse_width, 2.0 / pulse_width + 2000.0))
     on_grid = st.integers(0, int(3.0 * rate)).map(lambda k: k / rate)
     times = draw(st.lists(st.one_of(st.floats(-1.0, 3.0), on_grid),
                           max_size=12))
-    events = [StrikeEvent(time=t, peak_force=draw(st.floats(0.1, 8.0)),
-                          impulse=0.0, engaged_angle=0.5) for t in times]
+    forces = [draw(st.floats(0.1, 8.0)) for _ in times]
+    if draw(st.booleans()):
+        many = np.random.default_rng(draw(st.integers(0, 2 ** 32)))
+        k = draw(st.integers(100, 400))
+        times += many.uniform(-1.0, 3.0, k).tolist()
+        forces += many.uniform(0.1, 8.0, k).tolist()
+    events = [StrikeEvent(time=t, peak_force=f, impulse=0.0,
+                          engaged_angle=0.5) for t, f in zip(times, forces)]
     last = max(max(times, default=0.0) + pulse_width, 0.0)
     duration = draw(st.one_of(st.none(), st.floats(0.0, last)))
     if duration is not None:
-        # without a duration a non-finite time has no trace length
+        # without a duration an off-trace time has no finite trace length
         events += [StrikeEvent(time=t, peak_force=1.0, impulse=0.0,
                                engaged_angle=0.5)
-                   for t in draw(st.lists(st.sampled_from(
-                       [math.nan, math.inf, -math.inf]), max_size=2))]
+                   for t in draw(st.lists(st.sampled_from(OFF_TRACE_TIMES),
+                                          max_size=3))]
     return events, rate, pulse_width, duration
 
 
@@ -166,6 +184,76 @@ def test_bootstrap_ci_matches_single_draw_for_any_chunk(
         got = with_sorted_means(
             lambda: bootstrap_ci(samples, level, resamples, seed))
     assert got == want
+
+
+@st.composite
+def sample_tables(draw):
+    """Rows of one size, some repeated, and sometimes a row of 0.0 beside a
+    row of -0.0 (equal as numbers, different as bytes)."""
+    n = draw(st.integers(1, 12))
+    value = st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(-1e3, 1e3))
+    pool = draw(st.lists(st.lists(value, min_size=n, max_size=n),
+                         min_size=1, max_size=4))
+    rows = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6))
+    if draw(st.booleans()):
+        rows += [[0.0] * n, [-0.0] * n]
+    return rows
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(rows=sample_tables(), level=st.floats(0.5, 0.99),
+       resamples=st.integers(1, 300), seed=st.integers(0, 2 ** 32),
+       chunk=st.integers(1, 64))
+def test_2d_bootstrap_ci_matches_oracle_per_row(rows, level, resamples, seed,
+                                                chunk):
+    seen = []
+    percentile = stats._percentile
+
+    def spy(sorted_values, q):
+        seen.append(sorted_values.tobytes())
+        return percentile(sorted_values, q)
+
+    with mock.patch.object(stats, "BOOTSTRAP_CHUNK_DRAWS", chunk), \
+            mock.patch.object(stats, "_percentile", spy):
+        got = bootstrap_ci(rows, level, resamples, seed)
+    assert got.resamples == resamples
+    for field in (got.mean, got.lower, got.upper):
+        assert type(field) is tuple and len(field) == len(rows)
+        assert all(type(v) is float for v in field)
+    # _percentile is called for each row in turn, lower bound first
+    for k, row in enumerate(rows):
+        one = BootstrapCI(mean=got.mean[k], lower=got.lower[k],
+                          upper=got.upper[k], level=level,
+                          resamples=resamples)
+        assert (repr(one), seen[2 * k]) == with_sorted_means(
+            lambda: oracle_bootstrap_ci(row, level, resamples, seed))
+
+
+class CountingRng:
+    """A default_rng stand-in that records the size of each index draw."""
+
+    draws = []
+    real = np.random.default_rng
+
+    def __init__(self, seed):
+        self.rng = CountingRng.real(seed)
+
+    def integers(self, low, high, size):
+        CountingRng.draws.append(size)
+        return self.rng.integers(low, high, size=size)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 5], ids=["1-row", "2-rows",
+                                                 "5-rows-2-distinct"])
+def test_one_index_draw_per_chunk_whatever_the_rows(monkeypatch, rows):
+    n, resamples = 7, 13  # a chunk of 28 draws holds 4 resamples: 4 chunks
+    table = np.random.default_rng(rows).normal(4.0, 1.0, (rows, n))
+    table[2:] = table[0]
+    monkeypatch.setattr(stats, "BOOTSTRAP_CHUNK_DRAWS", 4 * n)
+    monkeypatch.setattr(CountingRng, "draws", [])
+    monkeypatch.setattr(np.random, "default_rng", CountingRng)
+    bootstrap_ci(table, 0.95, resamples, seed=3)
+    assert CountingRng.draws == [(4, n), (4, n), (4, n), (1, n)]
 
 
 ROWS_7 = stats.BOOTSTRAP_CHUNK_DRAWS // 7
@@ -198,3 +286,46 @@ def test_bootstrap_ci_memory_is_one_float_per_resample_plus_a_chunk():
     # a single draw would hold 2 * 8 * resamples * n bytes (32 MB) at once
     chunk = 2 * 8 * stats.BOOTSTRAP_CHUNK_DRAWS
     assert peak < 8 * resamples + chunk + (1 << 20)
+
+
+def test_2d_memory_is_one_float_per_resample_per_distinct_row_plus_a_chunk():
+    resamples, n = 200_000, 10
+    base = np.arange(n, dtype=float)
+    table = np.stack([base, base + 1, base, base * 2, base + 1, base])
+    distinct = 3
+    tracemalloc.start()
+    try:
+        bootstrap_ci(table, 0.95, resamples, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # means for all six rows, or a (rows, chunk, n) gather, would not fit
+    chunk = 2 * 8 * stats.BOOTSTRAP_CHUNK_DRAWS
+    assert peak < 8 * resamples * distinct + chunk + (1 << 20)
+
+
+def test_tail_characterize_cis_equal_one_bootstrap_per_length(tmp_path):
+    """Lengths that share a peak count share one bootstrap_ci call; each
+    length's CI still equals a 1-D bootstrap of its own peaks.csv values."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(
+        {"experiments": {"tail_characterize": {"record_s": 60.0}}}))
+    out = tmp_path / "o"
+    assert main(["tail-characterize", "--config", str(cfg), "--seed", "5",
+                 "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    with open(out / "peaks.csv", newline="") as fh:
+        peaks = {}
+        for row in csv.DictReader(fh):
+            peaks.setdefault(float(row["length_mm"]), []).append(
+                float(row["peak_N"]))
+    analysis = load_config().analysis
+    counts = {len(values) for values in peaks.values()}
+    assert len(counts) < len(peaks)  # some lengths do share a call
+    for length_mm, values in peaks.items():
+        ci = bootstrap_ci(values, analysis["ci_level"],
+                          analysis["bootstrap_resamples"], 5)
+        entry = summary[f"{length_mm:g}mm"]
+        assert entry["n"] == len(values)
+        assert (entry["mean_N"], entry["ci_lo_N"], entry["ci_hi_N"]) == (
+            ci.mean, ci.lower, ci.upper)
