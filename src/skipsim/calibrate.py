@@ -15,9 +15,8 @@ from importlib import resources
 
 import numpy as np
 
-from .locomotion import (LocomotionMode, Model, TrialSpec, run_batch,
-                         skip_scale, takeoff_speed, unit_displacement)
-from .stats import FAILURE_THRESHOLD_M
+from .locomotion import (LocomotionMode, Model, TrialSpec, build_units,
+                         effective_velocities, trial_outcomes)
 from .terrain import MOISTURE_MAX, Material, default_curves, moisture_response
 
 TARGETS_RESOURCE = "calibration_targets.csv"
@@ -142,24 +141,12 @@ def apply_parameters(params: ParameterVector,
     return responses
 
 
-def simulate_target(target: CalibrationTarget, model: Model,
-                    n_trials: int = 3, seed: int = 0,
-                    duration: float = 30.0) -> float:
-    """Simulated batch mean velocity (cm/s) for one target condition."""
-    spec = TrialSpec(target.mode, target.material, target.moisture, duration)
-    return run_batch(spec, n_trials, seed, model)[1].mean_velocity * 100.0
-
-
-def unit_displacements(targets, n_trials: int, seed: int, duration: float,
-                       model: Model) -> np.ndarray:
-    """Array (2, targets, n_trials) over each target's trial seeds: the net
-    displacement at skip efficiency or crawl traction 1, and the strongest
-    impulse (`locomotion.unit_displacement`). No substrate curve enters."""
-    if n_trials < 1:
-        raise ValueError("n_trials must be >= 1")
-    return np.array([[unit_displacement(TrialSpec(
-        t.mode, t.material, t.moisture, duration, seed + k), model)
-        for k in range(n_trials)] for t in targets]).transpose(2, 0, 1)
+def target_units(targets, n_trials: int, seed: int, duration: float,
+                 model: Model) -> dict:
+    """`locomotion.build_units` over the targets' trials: each trial kind's
+    paths once, however many targets share it. No substrate curve enters."""
+    return build_units([TrialSpec(t.mode, t.material, t.moisture, duration)
+                        for t in targets], seed, n_trials, model)
 
 
 def _block(target: CalibrationTarget) -> tuple:
@@ -170,54 +157,36 @@ def _block(target: CalibrationTarget) -> tuple:
 
 def loss(params: ParameterVector, targets, n_trials: int = 3,
          seed: int = 0, duration: float = 30.0, model: Model = Model(), *,
-         _units: np.ndarray | None = None, _memo: dict | None = None,
+         _units: dict | None = None, _memo: dict | None = None,
          **fields) -> float:
     """Weighted squared velocity error over all targets, seeded so the
-    surface is deterministic: that of `simulate_target` under
-    `apply_parameters` (the free parameters on top of `model`'s curves),
-    bit for bit, from the targets' `unit_displacements`, which `fit`
-    passes as `_units`. `fields` replaces parts of `model` by name.
-
-    A target's simulated velocity reads only the free parameters of its
-    own (material, curve) block. `_memo`, which `fit` keeps for one fit,
-    maps (target index, block values) to it, so only targets whose block
-    has new values are scored."""
+    surface is deterministic: a target's simulated velocity is its batch's
+    mean under `apply_parameters` (the free parameters on top of `model`'s
+    curves), from the `target_units` that `fit` passes as `_units`.
+    `fields` replaces parts of `model` by name. A target reads only the
+    free parameters of its (material, curve) block; `_memo`, which `fit`
+    keeps for one fit, maps (target index, block values) to its velocity,
+    so only targets whose block has new values are scored."""
     params.check()
     if fields:
         model = replace(model, **fields)
-    unit, impulse = (unit_displacements(targets, n_trials, seed, duration,
-                                        model) if _units is None else _units)
+    units = (target_units(targets, n_trials, seed, duration, model)
+             if _units is None else _units)
     memo = {} if _memo is None else _memo
-    blocks = _block_fields(params)
-    keys = [(i, tuple(blocks.get(_block(t), {}).items()))
-            for i, t in enumerate(targets)]
-    new = [key for key in keys if key not in memo]
-    if new:
-        responses, robot = _curves(model.responses), model.robot
-        scales, hard = np.empty(len(new)), np.empty((len(new), n_trials),
-                                                    dtype=bool)
-        for j, (i, values) in enumerate(new):
-            t = targets[i]
+    blocks, responses, total = _block_fields(params), None, 0.0
+    for i, t in enumerate(targets):
+        values = tuple(blocks.get(_block(t), {}).items())
+        if (i, values) not in memo:
+            responses = responses or _curves(model.responses)
             response = responses[t.material]
             if values:
                 response = _with_fields(response, _block(t)[1], dict(values))
             substrate = moisture_response(t.material, t.moisture, response)
-            if t.mode is not LocomotionMode.SKIP:
-                scales[j], hard[j] = (substrate.crawl_traction,
-                                      substrate.excavates)
-                continue
-            scales[j], hard[j] = skip_scale(substrate), substrate.tail_slips
-            if t.material is Material.RIGID:
-                # any over-limit strike pitches over, so the strongest decides
-                hard[j] |= (takeoff_speed(impulse[i], robot, substrate)
-                            > robot.pitch_speed_limit)
-        displacement = scales[:, None] * unit[[i for i, _ in new]]
-        won = ~hard & (displacement >= FAILURE_THRESHOLD_M)
-        sims = np.where(won, displacement / duration, 0.0).mean(axis=1) * 100.0
-        memo.update(zip(new, sims.tolist()))
-    total = 0.0
-    for target, key in zip(targets, keys):
-        total += target.weight * (memo[key] - target.target_cmps) ** 2
+            outcomes = trial_outcomes(units[t.mode, duration], t.mode,
+                                      t.material, substrate, model.robot)
+            memo[i, values] = float(
+                effective_velocities(outcomes, duration).mean()) * 100.0
+        total += t.weight * (memo[i, values] - t.target_cmps) ** 2
     return total
 
 
@@ -304,7 +273,7 @@ def fit(targets, initial: ParameterVector | None = None, budget: int = 400,
     """Fit the free substrate parameters of `model`'s curves (the shipped
     curves where it holds none) to velocity targets."""
     initial = initial or default_parameter_vector(model.responses)
-    units = unit_displacements(targets, n_trials, seed, duration, model)
+    units = target_units(targets, n_trials, seed, duration, model)
     memo = {}
 
     def objective(params):

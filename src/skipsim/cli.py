@@ -5,11 +5,13 @@ from __future__ import annotations
 
 import argparse
 import gc
+import math
 import os
 import sys
 
 from . import experiments
 from .config import ConfigError, load_config
+from .locomotion import MAX_TRIALS
 
 # Move the objects created at import (numpy, the stdlib, skipsim: about
 # 22,000) into the collector's permanent generation, so the interpreter's
@@ -24,18 +26,19 @@ EXIT_CONFIG = 2
 EXIT_ASSERT = 3
 
 
-def _at_least(minimum):
-    """argparse type: an integer >= `minimum`."""
+def _integer(minimum, maximum=math.inf):
+    """argparse type: an integer in [`minimum`, `maximum`]."""
     def integer(text):
-        if int(text) < minimum:
-            raise argparse.ArgumentTypeError(
-                f"must be >= {minimum}, got {text}")
+        if not minimum <= int(text) <= maximum:
+            bound = f">= {minimum}" if int(text) < minimum else f"<= {maximum}"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {text}")
         return int(text)
     return integer
 
 
-TRIALS = ("--trials", {"type": _at_least(1),
-                       "help": "override trials per condition"})
+TRIALS = ("--trials", {"type": _integer(1, MAX_TRIALS),
+                       "help": "override trials per condition "
+                               f"(at most {MAX_TRIALS})"})
 ASSERT = ("--assert", {"dest": "check", "action": "store_true",
                        "help": "run built-in result checks, exit 3 on failure"})
 
@@ -63,7 +66,7 @@ COMMANDS = {
         "fit substrate parameters to velocity targets", [
             ("--targets", {"dest": "targets_path", "metavar": "CSV",
                            "help": "targets CSV (default: bundled)"}),
-            ("--budget", {"type": _at_least(1), "help": "evaluation budget"})],
+            ("--budget", {"type": _integer(1), "help": "evaluation budget"})],
         lambda summary: f"final loss {summary['final_loss']:.6f} "
                         f"({summary['evaluations']} evaluations)"),
     "analyze": (
@@ -80,7 +83,7 @@ COMMANDS = {
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file overriding defaults")
-    common.add_argument("--seed", type=_at_least(0), help="base random seed")
+    common.add_argument("--seed", type=_integer(0), help="base random seed")
     common.add_argument("--out", default="skipsim_out",
                         help="output directory (default: skipsim_out)")
     parser = argparse.ArgumentParser(

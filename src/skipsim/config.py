@@ -8,7 +8,7 @@ import json
 from dataclasses import dataclass, field, fields
 
 from .gait import AsymmetryNoise, EncoderModel, GaitConfig
-from .locomotion import Model, RobotParams
+from .locomotion import MAX_TRIALS, Model, RobotParams
 from .springtail import EngagedAngleModel, RegimeThresholds, TailConfig
 from .stats import MAX_BOOTSTRAP_RESAMPLES
 from .terrain import CrawlCurve, Material, MoistureResponse, SkipCurve, default_curves
@@ -239,6 +239,11 @@ def _build(doc: dict) -> ExperimentConfig:
     if not 1 <= resamples <= MAX_BOOTSTRAP_RESAMPLES:
         raise ConfigError("config key analysis.bootstrap_resamples must lie "
                           f"in [1, {MAX_BOOTSTRAP_RESAMPLES}]")
+    for name, section in doc["experiments"].items():
+        for key in ("trials", "n_trials"):
+            if key in section and not 1 <= section[key] <= MAX_TRIALS:
+                raise ConfigError(f"config key experiments.{name}.{key} must "
+                                  f"lie in [1, {MAX_TRIALS}]")
     try:
         responses = {}
         for key in doc["substrates"]:

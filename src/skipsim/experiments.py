@@ -13,7 +13,7 @@ from .config import ExperimentConfig, config_with_responses
 from .fileio import write_csv, write_json
 from .gait import GaitMode, Trajectory, drift_duration, drift_trial
 from .locomotion import (LocomotionMode, ScenarioSegment, TrialSpec,
-                         run_batch, scenario_heterogeneous)
+                         build_units, run_batch, scenario_heterogeneous)
 from .springtail import length_regime, strike_sequence, strike_trace
 from .stats import (ForceTrace, bootstrap_ci, detect_peaks, lateral_drift,
                     mean_velocity)
@@ -29,16 +29,19 @@ TRIAL_COLUMNS = ["mode", "material", "moisture", "seed", "displacement_m",
 
 
 def _run_batches(config, specs, n_trials, seed, out_dir) -> list:
-    """One run_batch per spec, with every trial written to trials.csv; the
-    batch summaries in spec order."""
+    """One run_batch per spec over unit paths built once for all of them,
+    every trial written to trials.csv; the batch summaries in spec order."""
+    units = build_units(specs, seed, n_trials, config)
     batches, trial_rows = [], []
     for spec in specs:
-        results, batch = run_batch(spec, n_trials, seed, config)
+        outcomes, batch = run_batch(spec, n_trials, seed, config,
+                                    units[spec.mode, spec.duration])
         batches.append(batch)
         trial_rows += [(spec.mode.value, spec.material.value,
-                        float(spec.moisture), seed + k, r.displacement,
-                        r.mean_velocity, r.failure.value)
-                       for k, r in enumerate(results)]
+                        float(spec.moisture), seed + k, d, d / spec.duration,
+                        failure.value)
+                       for k, (d, failure) in enumerate(zip(
+                           outcomes.displacement.tolist(), outcomes.failure))]
     write_csv(os.path.join(out_dir, "trials.csv"), TRIAL_COLUMNS, trial_rows)
     return batches
 

@@ -23,8 +23,7 @@ from .fileio import read_csv_table, write_csv
 
 TWO_PI = 2.0 * math.pi
 
-# Longest trial, in s. A trial cache entry grows with the strikes or
-# cycles of one trial, so this bounds each entry.
+# Longest trial, in s: it bounds the one unit path a batch holds at a time
 MAX_TRIAL_S = 3600.0
 
 

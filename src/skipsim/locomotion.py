@@ -5,14 +5,17 @@ The substrate enters a skip or sync/async crawl trial as one scale: a hop
 of impulse J covers (eta*J/m)^2*sin(2*alpha)/g, so a skip trial travels
 eta^2 times its path at skip efficiency eta = 1, and a crawl trial travels
 its crawl traction times its path at traction 1. A trial is that unit path
-times its scale, placed at its start pose."""
+times its scale, placed at its start pose. A batch keeps of each unit
+path only what the failure rules read (`Units`); `trial_outcomes` applies
+them for batches, single trials and the calibration loss alike."""
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,8 +24,10 @@ from .gait import (MAX_TRIAL_S, ORIGIN, GaitConfig, GaitMode, PlanarPose,
                    nominal_cycle_times)
 from .springtail import (EngagedAngleModel, RegimeThresholds, TailConfig,
                          length_regime, strike_sequence)
-from .stats import FailureMode, classify_trial
+from .stats import FAILURE_THRESHOLD_M, FailureMode
 from .terrain import Material, SubstrateParams, moisture_response
+
+MAX_TRIALS = 10_000  # per condition: 390,000 rows for a 39-point sweep
 
 
 class LocomotionMode(Enum):
@@ -89,11 +94,6 @@ class TrialResult:
     mean_velocity: float  # m/s
     failure: FailureMode
 
-    @property
-    def effective_velocity(self) -> float:
-        """Velocity with failed trials scored as zero (reporting convention)."""
-        return 0.0 if self.failure is not FailureMode.NONE else self.mean_velocity
-
 
 @dataclass
 class BatchSummary:
@@ -127,157 +127,193 @@ def skip_scale(substrate: SubstrateParams) -> float:
     return substrate.skip_efficiency * substrate.skip_efficiency
 
 
-def takeoff_speed(impulse, params: RobotParams, substrate: SubstrateParams):
-    """Takeoff speed of one impulse, or of each of an array of them."""
-    return substrate.skip_efficiency * impulse / params.mass
+class Units(NamedTuple):
+    """What the failure rules read of a batch's unit paths: each seed's net
+    displacement at scale 1, and, flat over the seeds, each skip strike
+    whose impulse tops every earlier one (only such a record can be the
+    first over the pitch speed limit): its seed's index, its index among
+    the strikes, its impulse and the reach of the hops before it."""
+
+    reach: np.ndarray
+    owner: np.ndarray
+    hop: np.ndarray
+    impulse: np.ndarray
+    before: np.ndarray
 
 
-@lru_cache(maxsize=256)
-def skip_path(tail: TailConfig, angle_model: EngagedAngleModel,
-              thresholds: RegimeThresholds, robot: RobotParams,
-              duration: float, seed: int) -> tuple:
-    """A skip trial's unit path: (strike times, impulses, reach) as
-    read-only arrays, where reach[k] is the forward distance its first k
-    hops cover at skip efficiency 1, summed hop by hop.
-
-    Cached: the strikes never depend on the substrate, so every material,
-    moisture and calibration step at the same seed and duration scales the
-    same path. The key is exactly what `strike_sequence` and the hop read."""
-    regime = length_regime(tail.free_length, thresholds)
-    events = strike_sequence(tail, angle_model, regime, duration, seed,
-                             thresholds)
-    times = np.array([e.time for e in events], dtype=float)
+def unit_path(mode: LocomotionMode, model: Model, duration: float, seed: int,
+              heading: float = 0.0, time: float = 0.0) -> tuple:
+    """(path, kept): a trial's unit path, in which no substrate enters, and
+    what `Units` keeps of it, (reach, hop, impulse, before). A skip path is
+    (strike times, impulses, reach), reach[k] the forward distance of its
+    first k hops at skip efficiency 1, summed hop by hop. A crawl path is
+    its poses at traction 1 from (0, 0) at the start `heading` and `time`:
+    encoder feedback keeps the stride out of the heading."""
+    if mode is not LocomotionMode.SKIP:
+        gait, gait_mode = model.gait, _GAIT_MODE[mode]
+        events = nominal_cycle_times(gait_mode, duration, gait.fin_speed,
+                                     gait.dt, gait.encoder)
+        path = crawl_kinematics(events, gait_mode, gait.noise, gait.stride,
+                                seed, PlanarPose(0.0, 0.0, heading, time)).poses
+        return path, (math.hypot(*path[-1, :2].tolist()), *np.empty((3, 0)))
+    tail, thresholds = model.tail, model.thresholds
+    events = strike_sequence(tail, model.angle_model,
+                             length_regime(tail.free_length, thresholds),
+                             duration, seed, thresholds)
     impulses = np.array([e.impulse for e in events], dtype=float)
-    reach = accumulate(0.0, hop_displacement(impulses, robot))
-    for array in (times, impulses, reach):
-        array.setflags(write=False)
-    return times, impulses, reach
+    reach = accumulate(0.0, hop_displacement(impulses, model.robot))
+    # the records: impulses are positive, so the first tops a running 0
+    hop = np.flatnonzero(
+        impulses > np.maximum.accumulate(np.append(0.0, impulses))[:-1])
+    times = np.array([e.time for e in events], dtype=float)
+    return (times, impulses, reach), (float(reach[-1]), hop, impulses[hop],
+                                      reach[hop])
 
 
-def _skip_trial(spec, substrate, model, start):
-    robot = model.robot
-    times, impulses, reach = skip_path(model.tail, model.angle_model,
-                                       model.thresholds, robot, spec.duration,
-                                       spec.seed)
-    hops = len(impulses)
-    hard = FailureMode.TAIL_SLIP if substrate.tail_slips else None
-    if spec.material is Material.RIGID:
+def build_units(specs, seed_base: int, n_trials: int, model: Model) -> dict:
+    """(mode, duration) -> the `Units` of each trial kind among `specs` over
+    the seeds seed_base..seed_base+n_trials-1. Seed-major: each seed builds
+    its path of every kind once and drops it once reduced, so what stays is
+    a few numbers per trial (8 bytes each, in typed arrays) and one path."""
+    if n_trials < 1:
+        raise ValueError("n_trials must be >= 1")
+    kinds = {kind: Units(*map(array, "dqqdd"))
+             for kind in dict.fromkeys((s.mode, s.duration) for s in specs)}
+    for index, seed in enumerate(range(seed_base, seed_base + n_trials)):
+        for (mode, duration), kept in kinds.items():
+            reach, hop, impulse, before = unit_path(mode, model, duration,
+                                                    seed)[1]
+            kept.reach.append(reach)
+            for column, values in zip(kept[1:], (np.full(len(hop), index),
+                                                 hop, impulse, before)):
+                column.frombytes(values.astype(column.typecode).tobytes())
+    return {kind: Units(*(np.frombuffer(c, c.typecode) for c in kept))
+            for kind, kept in kinds.items()}
+
+
+class Outcomes(NamedTuple):
+    """A batch's trials, seed by seed."""
+
+    displacement: np.ndarray  # m, net
+    failure: list  # FailureMode
+    stop: np.ndarray  # the strike a pitch-over stopped the trial at, or -1
+
+
+def trial_outcomes(units: Units, mode: LocomotionMode, material: Material,
+                   substrate: SubstrateParams,
+                   robot: RobotParams) -> Outcomes:
+    """Every trial of a batch from its units and the batch's one substrate,
+    by the failure rules, stated here and nowhere else:
+    - a crawl trial on a substrate that excavates digs in and stays put;
+    - a skip trial whose tail slips transfers nothing (its scale is 0);
+    - on rigid ground a skip trial stops at its first strike whose takeoff
+      speed exceeds the pitch speed limit: it pitches over (over a slip);
+    - any other trial under FAILURE_THRESHOLD_M fails below threshold (one
+      of exactly 0.10 m succeeds)."""
+    if mode is LocomotionMode.SKIP:
+        scale = skip_scale(substrate)
+        hard = FailureMode.TAIL_SLIP if substrate.tail_slips else None
+    elif substrate.excavates:
+        # the fins dig the robot into the bed; no forward motion
+        scale, hard = 0.0, FailureMode.EXCAVATION
+    else:
+        scale, hard = substrate.crawl_traction, None
+    displacement = scale * units.reach
+    if hard is None:
+        failure = [FailureMode.BELOW_THRESHOLD if d < FAILURE_THRESHOLD_M
+                   else FailureMode.NONE for d in displacement.tolist()]
+    else:
+        failure = [hard] * len(displacement)
+    stop = np.full(len(displacement), -1)
+    if mode is LocomotionMode.SKIP and material is Material.RIGID:
         # a strike this fast lifts the forebody; the robot leans on its tail
         # and stops advancing
-        over = np.flatnonzero(takeoff_speed(impulses, robot, substrate)
-                              > robot.pitch_speed_limit)
-        if over.size:
-            hops, hard = int(over[0]), FailureMode.PITCH_OVER
-    forward = skip_scale(substrate) * reach[:hops + 1]
+        over = (substrate.skip_efficiency * units.impulse / robot.mass
+                > robot.pitch_speed_limit)
+        trials, first = np.unique(units.owner[over], return_index=True)
+        displacement[trials] = scale * units.before[over][first]
+        stop[trials] = units.hop[over][first]
+        for trial in trials.tolist():
+            failure[trial] = FailureMode.PITCH_OVER
+    return Outcomes(displacement, failure, stop)
+
+
+def effective_velocities(outcomes: Outcomes, duration: float) -> np.ndarray:
+    """Each trial's mean velocity (m/s), a failed trial's scored as zero
+    (the reporting convention)."""
+    return np.where([f is FailureMode.NONE for f in outcomes.failure],
+                    outcomes.displacement / duration, 0.0)
+
+
+def _skip_poses(path, scale, stop, start):
+    times, _, reach = path
+    hops = len(times) if stop < 0 else stop
+    forward = scale * reach[:hops + 1]
     heading = start.heading
     # a pitch-over adds a pose at the over-limit strike, where motion stopped
-    poses = np.empty((hops + 1 + (hard is FailureMode.PITCH_OVER), 4))
+    poses = np.empty((hops + 1 + (stop >= 0), 4))
     poses[:hops + 1, 0] = start.x + forward * math.cos(heading)
     poses[:hops + 1, 1] = start.y + forward * math.sin(heading)
     poses[hops + 1:, :2] = poses[hops, :2]
     poses[:, 2] = heading
     poses[0, 3] = start.time
     poses[1:, 3] = start.time + times[:len(poses) - 1]
-    return poses, float(forward[-1]), hard
-
-
-@lru_cache(maxsize=256)
-def crawl_unit_path(mode: GaitMode, duration: float, gait: GaitConfig,
-                    seed: int, heading: float, time: float) -> np.ndarray:
-    """A sync or async crawl trial's unit path: its poses, read-only, at
-    crawl traction 1 from (0, 0) at the start `heading` and `time`.
-    Encoder feedback keeps the stride out of the heading, so every
-    traction scales this path.
-
-    Cached like `skip_path`: the key is exactly what the path reads, and
-    holds no substrate."""
-    events = nominal_cycle_times(mode, duration, gait.fin_speed, gait.dt,
-                                 gait.encoder)
-    return crawl_kinematics(events, mode, gait.noise, gait.stride, seed,
-                            PlanarPose(0.0, 0.0, heading, time)).poses
-
-
-def _crawl_trial(spec, substrate, gait, start):
-    if substrate.excavates:
-        # the fins dig the robot into the bed; no forward motion
-        return np.array([start]), 0.0, FailureMode.EXCAVATION
-    traction = substrate.crawl_traction
-    path = crawl_unit_path(_GAIT_MODE[spec.mode], spec.duration, gait,
-                           spec.seed, start.heading, start.time)
-    if traction <= 0.0 or len(path) == 1:
-        return np.array([start]), 0.0, None
-    poses = path.copy()
-    poses[:, :2] = (start.x, start.y) + traction * path[:, :2]
-    # the cache keys a -0.0 heading or time as 0.0: the start is row 0
-    poses[0] = start
-    return poses, traction * math.hypot(*path[-1, :2].tolist()), None
-
-
-def unit_displacement(spec: TrialSpec, model: Model) -> tuple:
-    """(net displacement at scale 1, strongest impulse) of `spec`'s trial
-    run to the end: a skip trial that neither slips nor pitches over
-    travels `skip_scale` times the displacement, a crawl trial that does
-    not excavate its traction times it. The impulse (0.0 for a crawl
-    trial) is what decides a pitch-over on rigid ground."""
-    if spec.mode is LocomotionMode.SKIP:
-        _, impulses, reach = skip_path(model.tail, model.angle_model,
-                                       model.thresholds, model.robot,
-                                       spec.duration, spec.seed)
-        return float(reach[-1]), float(impulses.max(initial=0.0))
-    path = crawl_unit_path(_GAIT_MODE[spec.mode], spec.duration, model.gait,
-                           spec.seed, ORIGIN.heading, ORIGIN.time)
-    return math.hypot(*path[-1, :2].tolist()), 0.0
+    return poses
 
 
 def run_trial(spec: TrialSpec, model: Model = Model(),
               start: PlanarPose = ORIGIN) -> TrialResult:
-    """Run one locomotion trial under `model` and classify its outcome. Its
-    net displacement is its scale times its unit path's."""
+    """Run one locomotion trial under `model` from `start`: its poses are its
+    start plus its scale times its unit path; `trial_outcomes` labels it."""
     substrate = moisture_response(spec.material, spec.moisture,
                                   model.responses.get(spec.material))
+    path, (reach, hop, impulse, before) = unit_path(
+        spec.mode, model, spec.duration, spec.seed, start.heading, start.time)
+    outcome = trial_outcomes(
+        Units(np.array([reach]), np.zeros(len(hop), dtype=np.int64), hop,
+              impulse, before),
+        spec.mode, spec.material, substrate, model.robot)
+    displacement, failure = float(outcome.displacement[0]), outcome.failure[0]
+    traction = substrate.crawl_traction
     if spec.mode is LocomotionMode.SKIP:
-        poses, displacement, hard = _skip_trial(spec, substrate, model, start)
+        poses = _skip_poses(path, skip_scale(substrate), int(outcome.stop[0]),
+                            start)
+    elif failure is FailureMode.EXCAVATION or traction <= 0.0 or len(path) == 1:
+        poses = np.array([start])
     else:
-        poses, displacement, hard = _crawl_trial(spec, substrate, model.gait,
-                                                 start)
+        poses = path.copy()
+        poses[:, :2] = (start.x, start.y) + traction * path[:, :2]
+        # row 0 of the unit path is (0.0, 0.0), and a -0.0 start coordinate
+        # plus 0.0 is +0.0: the start is row 0
+        poses[0] = start
     end_time = start.time + spec.duration
     if poses[-1, 3] < end_time:
         # the robot holds its last pose until the trial ends
         poses = np.concatenate((poses, [(*poses[-1, :3], end_time)]))
-    trajectory = Trajectory(poses)
-
-    velocity = displacement / spec.duration
-    failure = classify_trial(displacement, hard)
-    return TrialResult(trajectory=trajectory, displacement=displacement,
-                       mean_velocity=velocity, failure=failure)
+    return TrialResult(trajectory=Trajectory(poses), displacement=displacement,
+                       mean_velocity=displacement / spec.duration,
+                       failure=failure)
 
 
 def run_batch(spec: TrialSpec, n_trials: int, seed_base: int,
-              model: Model = Model()) -> tuple:
-    """Run n_trials with seeds seed_base..seed_base+n-1.
-
-    Returns (results, summary); the summary scores failed trials as zero
-    velocity and uses the sample standard deviation.
-    """
-    if n_trials < 1:
-        raise ValueError("n_trials must be >= 1")
-    results = []
-    for k in range(n_trials):
-        results.append(run_trial(TrialSpec(spec.mode, spec.material,
-                                           spec.moisture, spec.duration,
-                                           seed_base + k), model))
-    velocities = np.array([r.effective_velocity for r in results])
-    if n_trials == 1 or velocities.min() == velocities.max():
-        std = 0.0
-    else:
-        std = float(np.std(velocities, ddof=1))
-    summary = BatchSummary(
-        mean_velocity=float(velocities.mean()),
-        std_velocity=std,
-        n_trials=n_trials,
-        failures=sum(1 for r in results if r.failure is not FailureMode.NONE),
-    )
-    return results, summary
+              model: Model = Model(), units: Units | None = None) -> tuple:
+    """Run n_trials with seeds seed_base..seed_base+n-1 on one substrate:
+    (outcomes, summary). The summary scores failed trials as zero velocity
+    and uses the sample standard deviation. `units` are the batch's, when
+    the caller built them with other batches' (`build_units`)."""
+    if units is None:
+        units = build_units([spec], seed_base, n_trials,
+                            model)[spec.mode, spec.duration]
+    substrate = moisture_response(spec.material, spec.moisture,
+                                  model.responses.get(spec.material))
+    outcomes = trial_outcomes(units, spec.mode, spec.material, substrate,
+                              model.robot)
+    velocities = effective_velocities(outcomes, spec.duration)
+    std = (0.0 if n_trials == 1 or velocities.min() == velocities.max()
+           else float(np.std(velocities, ddof=1)))
+    return outcomes, BatchSummary(
+        float(velocities.mean()), std, n_trials,
+        sum(f is not FailureMode.NONE for f in outcomes.failure))
 
 
 @dataclass(frozen=True)

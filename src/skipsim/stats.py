@@ -1,5 +1,5 @@
 """Measurement pipeline: force-trace peak detection, percentile bootstrap
-confidence intervals, trajectory metrics, and trial failure classification."""
+confidence intervals, trajectory metrics, and the trial failure labels."""
 
 from __future__ import annotations
 
@@ -25,10 +25,6 @@ class FailureMode(Enum):
     PITCH_OVER = "pitch_over"
     TAIL_SLIP = "tail_slip"
     BELOW_THRESHOLD = "below_threshold"
-
-
-HARD_FAILURES = (FailureMode.EXCAVATION, FailureMode.PITCH_OVER,
-                 FailureMode.TAIL_SLIP)
 
 
 @dataclass
@@ -224,18 +220,3 @@ def lateral_drift(trajectory: Trajectory) -> float:
     # an overflowing offset (-0.0 * inf) is NaN and stays NaN through max
     with np.errstate(over="ignore", invalid="ignore"):
         return float(np.abs(nx * (xs - p0.x) + ny * (ys - p0.y)).max())
-
-
-def classify_trial(displacement: float,
-                   hard_failure: FailureMode | None = None) -> FailureMode:
-    """Failure label for a trial: hard failures dominate, then the net
-    displacement threshold (success at exactly 0.10 m)."""
-    if displacement < 0:
-        raise ValueError("displacement must be >= 0")
-    if hard_failure is not None and hard_failure is not FailureMode.NONE:
-        if hard_failure not in HARD_FAILURES:
-            raise ValueError(f"not a hard failure label: {hard_failure}")
-        return hard_failure
-    if displacement < FAILURE_THRESHOLD_M:
-        return FailureMode.BELOW_THRESHOLD
-    return FailureMode.NONE

@@ -16,14 +16,15 @@ import pytest
 from skipsim import calibrate as cal
 from skipsim.cli import main as cli_main
 from skipsim.gait import GaitMode, drift_trial
-from skipsim.locomotion import LocomotionMode, TrialSpec, run_batch
+from skipsim.locomotion import (LocomotionMode, RobotParams, TrialSpec, Units,
+                                run_batch, trial_outcomes)
 from skipsim.springtail import (EngagedAngleModel, LengthRegime,
                                 RegimeThresholds, StrikeEvent, TailConfig,
                                 effective_length, strike_sequence,
                                 strike_trace, unlatch_force)
 from skipsim.stats import (FailureMode, _percentile, bootstrap_ci,
-                           classify_trial, detect_peaks, lateral_drift)
-from skipsim.terrain import Material, default_curves
+                           detect_peaks, lateral_drift)
+from skipsim.terrain import Material, SubstrateParams, default_curves
 
 
 def report(criterion: int, description: str, passed: bool):
@@ -152,9 +153,8 @@ def _sweep(material, grid, mode):
     out = {}
     for m in grid:
         spec = TrialSpec(mode, material, m, 30.0)
-        results, summary = run_batch(spec, 3, 0)
-        out[m] = (summary.mean_velocity * 100.0,
-                  [r.failure for r in results])
+        outcomes, summary = run_batch(spec, 3, 0)
+        out[m] = (summary.mean_velocity * 100.0, outcomes.failure)
     return out
 
 
@@ -340,15 +340,24 @@ def test_criterion_8_cli_determinism(tmp_path):
               "byte-identical outputs", ok)
 
 
+def _labels(reach, excavates=False):
+    """The failure labels `trial_outcomes` gives crawl trials of these net
+    displacements at traction 1."""
+    units = Units(np.array(reach), *np.empty((4, 0)))
+    substrate = SubstrateParams(1.0, 1.0, tail_slips=False,
+                                excavates=excavates)
+    return trial_outcomes(units, LocomotionMode.SYNC_CRAWL, Material.GRASS,
+                          substrate, RobotParams()).failure
+
+
 def test_criterion_9_failure_rule_conformance():
-    below = classify_trial(0.099) is FailureMode.BELOW_THRESHOLD
-    boundary = classify_trial(0.10) is FailureMode.NONE
-    precedence = classify_trial(0.5, FailureMode.EXCAVATION) is \
-        FailureMode.EXCAVATION
-    grid_ok = all(
-        classify_trial(d) is (FailureMode.BELOW_THRESHOLD if d < 0.10
-                              else FailureMode.NONE)
-        for d in np.arange(0.0, 0.3, 0.001))
+    below = _labels([0.099]) == [FailureMode.BELOW_THRESHOLD]
+    boundary = _labels([0.10]) == [FailureMode.NONE]
+    precedence = _labels([0.5], excavates=True) == [FailureMode.EXCAVATION]
+    grid = np.arange(0.0, 0.3, 0.001)
+    grid_ok = _labels(grid) == [
+        FailureMode.BELOW_THRESHOLD if d < 0.10 else FailureMode.NONE
+        for d in grid.tolist()]
     report(9, "displacement threshold and hard-failure precedence rules hold",
            below and boundary and precedence and grid_ok)
 

@@ -9,9 +9,25 @@ import pytest
 from skipsim import calibrate as cal
 from skipsim.cli import main
 from skipsim.config import load_config
+from skipsim import locomotion
 from skipsim.locomotion import (LocomotionMode, Model, RobotParams,
-                                TrialSpec, run_batch)
+                                TrialSpec, run_batch, run_trial)
+from skipsim.stats import FailureMode
 from skipsim.terrain import Material, default_curves
+
+
+def oracle_simulate_target(target, model, n_trials=3, seed=0,
+                           duration=30.0):
+    """A target's simulated batch mean velocity (cm/s), one `run_trial` at
+    a time, failed trials scored as zero."""
+    velocities = []
+    for k in range(n_trials):
+        result = run_trial(TrialSpec(target.mode, target.material,
+                                     target.moisture, duration, seed + k),
+                           model)
+        velocities.append(result.mean_velocity
+                          if result.failure is FailureMode.NONE else 0.0)
+    return float(np.array(velocities).mean()) * 100.0
 
 
 def quadratic_vector():
@@ -71,8 +87,8 @@ class TestLoss:
         responses = cal.apply_parameters(params)
         target = cal.CalibrationTarget(LocomotionMode.SKIP, Material.GRASS,
                                        0.0, target_cmps=0.0)
-        sim = cal.simulate_target(target, Model(responses=responses),
-                                  n_trials=3, seed=0)
+        sim = oracle_simulate_target(target, Model(responses=responses),
+                                     n_trials=3, seed=0)
         matched = cal.CalibrationTarget(LocomotionMode.SKIP, Material.GRASS,
                                         0.0, target_cmps=sim)
         assert cal.loss(params, [matched], seed=0) == pytest.approx(0.0, abs=1e-18)
@@ -143,13 +159,14 @@ class TestFullModelFit:
 
 def model_loss(params, targets, model=Model(), n_trials=3, seed=0,
                duration=30.0):
-    """The loss as the model gives it: every target's batch run through
-    `simulate_target` under the curves `apply_parameters` builds."""
+    """The loss as the model gives it: every target's trials run one at a
+    time (`oracle_simulate_target`) under the curves `apply_parameters`
+    builds."""
     model = replace(model, responses=cal.apply_parameters(params,
                                                           model.responses))
     total = 0.0
     for t in targets:
-        sim = cal.simulate_target(t, model, n_trials, seed, duration)
+        sim = oracle_simulate_target(t, model, n_trials, seed, duration)
         total += t.weight * (sim - t.target_cmps) ** 2
     return total
 
@@ -214,19 +231,19 @@ def _edges():
             return (response.crawl_traction(t.moisture)
                     >= response.excavation_traction)
         edges.append((t, name, _lowest(reaches, 0.0, 1.0)))
-    unit, impulse = cal.unit_displacements(EDGE_TARGETS, 3, 0, 30.0,
-                                           EDGE_MODEL)
+    units = cal.target_units(EDGE_TARGETS, 3, 0, 30.0,
+                             EDGE_MODEL)[LocomotionMode.SKIP, 30.0]
     robot = EDGE_MODEL.robot
     rigid, grass = EDGE_TARGETS[-1], EDGE_TARGETS[3]
     assert (rigid.material, grass.material) == (Material.RIGID, Material.GRASS)
-    strongest = impulse[-1].max()
+    strongest = units.impulse.max()
     edges.append((rigid, "rigid.skip.level", _lowest(
         lambda eta: eta * strongest / robot.mass > robot.pitch_speed_limit,
         0.0, cal.SKIP_EFF_MAX)))
     # a level at which a grass trial travels exactly 0.10 m, which counts
     # as progress (seed 2's unit displacement has one)
     levels = [(_lowest(lambda eta, u=u: eta * eta * u >= 0.10, 0.0,
-                       cal.SKIP_EFF_MAX), u) for u in unit[3]]
+                       cal.SKIP_EFF_MAX), u) for u in units.reach]
     edges.append((grass, "grass.skip.level", [
         eta for eta, u in levels if eta * eta * u == 0.10][0]))
     return [(t, _edge_vector({name: value}),
@@ -258,8 +275,7 @@ class TestLossAgreesWithModel:
         for params in (on, below):
             model = Model(robot=EDGE_MODEL.robot,
                           responses=cal.apply_parameters(params))
-            results, _ = run_batch(spec, 3, 0, model)
-            outcomes.append([r.failure for r in results])
+            outcomes.append(run_batch(spec, 3, 0, model)[0].failure)
         assert outcomes[0] != outcomes[1]
 
     def test_slip_moisture_edge(self):
@@ -268,8 +284,8 @@ class TestLossAgreesWithModel:
         model = Model(responses=cal.apply_parameters(
             cal.default_parameter_vector()))
         slipping, moving = EDGE_TARGETS[-3:-1]
-        assert cal.simulate_target(slipping, model) == 0.0
-        assert cal.simulate_target(moving, model) > 0.0
+        assert oracle_simulate_target(slipping, model) == 0.0
+        assert oracle_simulate_target(moving, model) > 0.0
 
     @pytest.mark.parametrize("n_trials", [1, 2, 10, 30])
     def test_other_trial_counts(self, n_trials):
@@ -313,27 +329,31 @@ class TestFitRunsTrialsOnce:
         assert result.loss == cal.loss(result.params, targets, seed=0)
 
     def test_same_trials_at_any_budget(self, monkeypatch):
-        """A fit at --budget 20 runs as many trials as one at 400: one unit
-        trial per target and seed, and no batch."""
-        trials = []
-        unit_displacement = cal.unit_displacement
+        """A fit at --budget 20 builds as many unit paths as one at 400:
+        one per trial kind and seed, however many targets share it."""
+        built = []
+        strike_sequence = locomotion.strike_sequence
+        crawl_kinematics = locomotion.crawl_kinematics
 
-        def counting(spec, model):
-            trials.append(spec)
-            return unit_displacement(spec, model)
+        def strikes(tail, angle_model, regime, duration, seed, thresholds):
+            built.append(("skip", seed))
+            return strike_sequence(tail, angle_model, regime, duration, seed,
+                                   thresholds)
 
-        def no_batch(*args, **kwargs):
-            raise AssertionError("fit ran a batch")
+        def cycles(cycle_times, mode, noise, stride, seed, start):
+            built.append((mode.value, seed))
+            return crawl_kinematics(cycle_times, mode, noise, stride, seed,
+                                    start)
 
-        monkeypatch.setattr(cal, "unit_displacement", counting)
-        monkeypatch.setattr(cal, "run_batch", no_batch)
+        monkeypatch.setattr(locomotion, "strike_sequence", strikes)
+        monkeypatch.setattr(locomotion, "crawl_kinematics", cycles)
         targets = cal.bundled_targets()
-        counts = []
         for budget in (20, 400):
-            trials.clear()
+            built.clear()
             assert cal.fit(targets, budget=budget, seed=0).evaluations == budget
-            counts.append(len(trials))
-        assert counts == [3 * len(targets)] * 2
+            assert sorted(built) == [(kind, seed)
+                                     for kind in ("async", "skip", "sync")
+                                     for seed in range(3)]
 
 
 def _search_walk(n, seed):
@@ -368,8 +388,8 @@ class TestLossMemo:
 
     @pytest.mark.parametrize("n_trials", [1, 2, 10, 30])
     def test_memoised_loss_equals_a_fresh_one(self, n_trials):
-        units = cal.unit_displacements(EDGE_TARGETS, n_trials, 3, 30.0,
-                                       EDGE_MODEL)
+        units = cal.target_units(EDGE_TARGETS, n_trials, 3, 30.0,
+                                 EDGE_MODEL)
         walk = _search_walk(60, n_trials) + [
             p for _, on, below in EDGES for p in (on, below)]
         memo = {}

@@ -8,13 +8,14 @@ import sys
 
 import pytest
 
-from skipsim import experiments, gait
-from skipsim.cli import main
+from skipsim import experiments, gait, locomotion
+from skipsim.cli import build_parser, main
 from skipsim.config import ConfigError, default_dict, load_config
 from skipsim.fileio import write_json
 from skipsim.gait import (MAX_TICKS, MAX_TRIAL_S, GaitConfig, GaitMode,
                           drift_duration, drift_trial, run_cycles,
                           schedule_ticks)
+from skipsim.locomotion import MAX_TRIALS
 from skipsim.stats import MAX_BOOTSTRAP_RESAMPLES, ForceTrace
 from skipsim.terrain import Material
 
@@ -324,7 +325,7 @@ class TestCli:
         (["scenario", "--trials", "0"], None, "--trials"),
         (["calibrate", "--assert"], None, "--assert"),
         (["gait-drift"], {"experiments": {"gait_drift": {"trials": 0}}},
-         "n_trials"),
+         "experiments.gait_drift.trials"),
         (["gait-drift", "--seed", "-1"], None, "--seed"),
         (["gait-drift"], {"seed": -4}, "key seed"),
         (["substrate-bench"], {"robot": {"mass_kg": math.nan}}, "NaN"),
@@ -576,6 +577,65 @@ class TestBootstrapResamplesLimit:
         config = load_config(overrides={
             "analysis": {"bootstrap_resamples": resamples}})
         assert config.analysis["bootstrap_resamples"] == resamples
+
+
+class TestTrialsLimit:
+    """Trials per condition lie in [1, MAX_TRIALS], from --trials or the
+    config, checked before any path is built. Nothing here runs a trial at
+    the limit."""
+
+    @pytest.fixture
+    def no_paths(self, monkeypatch):
+        def no_path(*args, **kwargs):
+            raise AssertionError("a path was built")
+
+        monkeypatch.setattr(locomotion, "unit_path", no_path)
+        monkeypatch.setattr(experiments, "drift_trial", no_path)
+
+    @pytest.mark.parametrize("command", ["gait-drift", "moisture-sweep",
+                                         "substrate-bench"])
+    def test_flag_over_the_limit_exits_2(self, tmp_path, capsys, no_paths,
+                                         command):
+        out = tmp_path / "o"
+        out.mkdir()
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--trials", str(MAX_TRIALS + 1), "--out",
+                  str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if "error:" in line] == [
+            f"skipsim {command}: error: argument --trials: must be <= "
+            f"{MAX_TRIALS}, got {MAX_TRIALS + 1}"]
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command, section, key", [
+        ("gait-drift", "gait_drift", "trials"),
+        ("moisture-sweep", "moisture_sweep", "trials"),
+        ("substrate-bench", "substrate_bench", "trials"),
+        ("calibrate", "calibrate", "n_trials"),
+    ])
+    @pytest.mark.parametrize("trials", [0, MAX_TRIALS + 1])
+    def test_config_outside_the_range_exits_2(self, tmp_path, capsys,
+                                              no_paths, command, section,
+                                              key, trials):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiments": {section: {key: trials}}}))
+        out = tmp_path / "o"
+        out.mkdir()
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: config key experiments.{section}.{key} must lie in "
+            f"[1, {MAX_TRIALS}]\n")
+        assert list(out.iterdir()) == []
+
+    def test_the_limit_itself_loads(self):
+        args = build_parser().parse_args(["moisture-sweep", "--trials",
+                                          str(MAX_TRIALS)])
+        assert args.trials == MAX_TRIALS
+        config = load_config(overrides={"experiments": {
+            "calibrate": {"n_trials": MAX_TRIALS},
+            "moisture_sweep": {"trials": MAX_TRIALS}}})
+        assert config.experiments["calibrate"]["n_trials"] == MAX_TRIALS
 
 
 def _tree_bytes(root):

@@ -1,13 +1,15 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from skipsim.gait import AsymmetryNoise, GaitConfig
 from skipsim.locomotion import (MAX_TRIAL_S, LocomotionMode, Model,
                                 RobotParams, ScenarioSegment, TrialSpec,
-                                hop_displacement, run_batch, run_trial,
-                                scenario_heterogeneous, skip_scale)
+                                Units, build_units, hop_displacement,
+                                run_batch, run_trial, scenario_heterogeneous,
+                                skip_scale, trial_outcomes, unit_path)
 from skipsim.springtail import (EngagedAngleModel, TailConfig, latch_energy,
                                 strike_sequence)
 from skipsim.stats import FailureMode
@@ -113,8 +115,10 @@ class TestRunBatch:
     def test_summary_mean_recomputed_independently(self):
         spec = TrialSpec(LocomotionMode.SKIP, Material.NONUNIFORM_SAND,
                          duration=30.0)
-        results, summary = run_batch(spec, 3, 5)
-        velocities = [r.effective_velocity for r in results]
+        outcomes, summary = run_batch(spec, 3, 5)
+        velocities = [d / spec.duration if f is FailureMode.NONE else 0.0
+                      for d, f in zip(outcomes.displacement.tolist(),
+                                      outcomes.failure)]
         assert summary.mean_velocity == pytest.approx(
             sum(velocities) / len(velocities), rel=1e-12)
 
@@ -210,15 +214,104 @@ class TestScenario:
 
 
 class TestTrialPurity:
-    def test_batch_equals_individual_trials(self):
-        spec = TrialSpec(LocomotionMode.SKIP, Material.NONUNIFORM_SAND,
-                         duration=30.0)
-        results, _ = run_batch(spec, 3, 11)
-        for k, batched in enumerate(results):
+    @pytest.mark.parametrize("mode", list(LocomotionMode),
+                             ids=lambda m: m.value)
+    @pytest.mark.parametrize("material, moisture", [
+        (Material.NONUNIFORM_SAND, 0.0), (Material.UNIFORM_SAND, 0.0),
+        (Material.BENTONITE_CLAY, 0.9), (Material.RIGID, 0.0)])
+    def test_batch_equals_individual_trials(self, mode, material, moisture):
+        """Rigid ground at a low pitch speed limit pitches over, dry sand
+        excavates and wet clay slips."""
+        model = Model(robot=RobotParams(pitch_speed_limit=0.6))
+        spec = TrialSpec(mode, material, moisture, duration=30.0)
+        outcomes, _ = run_batch(spec, 3, 11, model)
+        for k, (displacement, failure) in enumerate(zip(
+                outcomes.displacement.tolist(), outcomes.failure)):
             solo = run_trial(TrialSpec(spec.mode, spec.material, spec.moisture,
-                                       spec.duration, seed=11 + k))
-            assert solo.mean_velocity == batched.mean_velocity
-            assert solo.failure is batched.failure
+                                       spec.duration, seed=11 + k), model)
+            assert repr(solo.displacement) == repr(displacement)
+            assert solo.mean_velocity == displacement / spec.duration
+            assert solo.failure is failure
+
+
+def _units(reach, impulses=()):
+    """Units of one unit path per `reach`; the first path's strikes, if
+    any, are `impulses` after reaches 0, 1, 2, ... m."""
+    hop = np.arange(len(impulses))
+    return Units(np.array(reach, dtype=float),
+                 np.zeros(len(impulses), dtype=np.int64), hop,
+                 np.array(impulses, dtype=float), hop.astype(float))
+
+
+FIRM = SubstrateParams(skip_efficiency=1.0, crawl_traction=1.0,
+                       tail_slips=False, excavates=False)
+
+
+class TestTrialOutcomes:
+    """The failure rules, stated once in `trial_outcomes`."""
+
+    @pytest.mark.parametrize("mode", list(LocomotionMode),
+                             ids=lambda m: m.value)
+    def test_threshold_rule(self, mode):
+        """At scale 1 a trial under 0.10 m fails, one of exactly 0.10 m
+        succeeds."""
+        reach = [0.0, 0.099, np.nextafter(0.10, 0.0), 0.10, 0.5]
+        got = trial_outcomes(_units(reach), mode, Material.GRASS, FIRM,
+                             RobotParams())
+        assert got.displacement.tolist() == reach
+        assert got.failure == [FailureMode.BELOW_THRESHOLD] * 3 + [
+            FailureMode.NONE] * 2
+
+    @pytest.mark.parametrize("mode, substrate, failure", [
+        (LocomotionMode.SYNC_CRAWL, replace(FIRM, excavates=True),
+         FailureMode.EXCAVATION),
+        (LocomotionMode.ASYNC_CRAWL, replace(FIRM, excavates=True),
+         FailureMode.EXCAVATION),
+        (LocomotionMode.SKIP, replace(FIRM, tail_slips=True),
+         FailureMode.TAIL_SLIP),
+    ], ids=["sync-excavation", "async-excavation", "tail-slip"])
+    def test_hard_failures_dominate_and_go_nowhere(self, mode, substrate,
+                                                   failure):
+        got = trial_outcomes(_units([0.05, 0.5]), mode, Material.GRASS,
+                             substrate, RobotParams())
+        assert got.displacement.tolist() == [0.0, 0.0]
+        assert got.failure == [failure, failure]
+
+    @pytest.mark.parametrize("material", [Material.RIGID, Material.GRASS])
+    def test_rigid_ground_stops_at_the_first_strike_over_the_limit(
+            self, material):
+        """Takeoff speed J/m at skip efficiency 1: the third strike is the
+        first over 1.5 m/s, and it outranks a tail slip. Off rigid ground
+        no strike pitches over."""
+        robot = RobotParams(mass=1.0, pitch_speed_limit=1.5)
+        units = _units([9.0], [1.0, 1.5, 2.0, 3.0])
+        for slips in (False, True):
+            got = trial_outcomes(units, LocomotionMode.SKIP, material,
+                                 replace(FIRM, tail_slips=slips), robot)
+            if material is Material.RIGID:
+                assert got.failure == [FailureMode.PITCH_OVER]
+                assert got.displacement.tolist() == [0.0 if slips else 2.0]
+                assert got.stop.tolist() == [2]
+            else:
+                assert got.stop.tolist() == [-1]
+                assert got.failure == [
+                    FailureMode.TAIL_SLIP if slips else FailureMode.NONE]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_skip_units_keep_the_running_maxima(self, seed):
+        """A skip path keeps each strike whose impulse tops every earlier
+        one, with the reach of the hops before it."""
+        (_, impulses, reach), _ = unit_path(LocomotionMode.SKIP, Model(),
+                                            60.0, seed)
+        units = build_units([TrialSpec(LocomotionMode.SKIP, Material.RIGID,
+                                       duration=60.0)], seed, 1,
+                            Model())[LocomotionMode.SKIP, 60.0]
+        want = [k for k, j in enumerate(impulses.tolist())
+                if all(j > i for i in impulses[:k].tolist())]
+        assert units.hop.tolist() == want
+        assert units.impulse.tolist() == impulses[want].tolist()
+        assert units.before.tolist() == reach[want].tolist()
+        assert units.reach.tolist() == [reach[-1]]
 
 
 # A skip trial reads neither the crawl curve nor the excavation threshold;

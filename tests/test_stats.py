@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from skipsim.gait import PlanarPose, Trajectory
-from skipsim.stats import (FailureMode, ForceTrace, _percentile, bootstrap_ci,
-                           classify_trial, detect_peaks, lateral_drift,
-                           mean_velocity)
+from skipsim.stats import (ForceTrace, _percentile, bootstrap_ci,
+                           detect_peaks, lateral_drift, mean_velocity)
 
 
 def half_sine_trace(pulses, rate=2000.0, width=0.010, duration=None):
@@ -210,22 +209,3 @@ class TestTrajectoryMetrics:
         poses = [(0, 0, heading, 0.0),
                  (math.cos(heading), math.sin(heading), heading, 10.0)]
         assert lateral_drift(line_trajectory(poses)) == pytest.approx(0.0, abs=1e-12)
-
-
-class TestClassifyTrial:
-    def test_threshold_rule(self):
-        assert classify_trial(0.099) is FailureMode.BELOW_THRESHOLD
-        assert classify_trial(0.10) is FailureMode.NONE
-        assert classify_trial(0.5) is FailureMode.NONE
-
-    def test_hard_failures_dominate(self):
-        assert classify_trial(0.5, FailureMode.EXCAVATION) is FailureMode.EXCAVATION
-        assert classify_trial(0.0, FailureMode.TAIL_SLIP) is FailureMode.TAIL_SLIP
-
-    def test_negative_displacement_rejected(self):
-        with pytest.raises(ValueError):
-            classify_trial(-0.1)
-
-    def test_soft_labels_cannot_pass_through(self):
-        with pytest.raises(ValueError):
-            classify_trial(0.5, FailureMode.BELOW_THRESHOLD)

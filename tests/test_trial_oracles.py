@@ -1,12 +1,13 @@
 """The trial layer against its per-strike and per-cycle reference loops,
-the gait controllers against their per-tick loop, and the safety of the
-path caches under them.
+the gait controllers against their per-tick loop, and the batch kernel's
+paths built once each in flat memory.
 
-A skip trial scales its cached unit path (`skip_path`) by its squared
-skip efficiency, and a sync or async crawl trial scales its cached
-traction-1 path (`crawl_unit_path`) by its traction. The loops kept here
-as oracles draw every strike and every cycle's noise afresh, apply the
-substrate to each step and advance the pose one `+=` at a time.
+A skip trial scales its unit path (`skip_path`) by its squared skip
+efficiency, and a sync or async crawl trial scales its traction-1 path
+(`crawl_unit_path`) by its traction; `trial_outcomes` applies the failure
+rules. The loops kept here as oracles draw every strike and every cycle's
+noise, apply the substrate to each step, advance the pose one `+=` at a
+time and state the failure rules again, each trial on its own.
 
 The two sum the same steps in a different association, so poses agree to
 the summation error bound (Higham, Accuracy and Stability of Numerical
@@ -29,8 +30,12 @@ tick. Both derive every value as the same product of a count, so cycle
 times and every fin's state agree exactly.
 """
 
+import csv
 import gc
+import json
 import math
+import os
+import tempfile
 import tracemalloc
 from unittest import mock
 
@@ -40,23 +45,25 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
+from skipsim import calibrate as cal  # noqa: E402
 from skipsim import locomotion  # noqa: E402
-from skipsim.calibrate import (SKIP_EFF_MAX,  # noqa: E402
-                               CalibrationTarget, unit_displacements)
+from skipsim.calibrate import SKIP_EFF_MAX  # noqa: E402
+from skipsim.cli import main  # noqa: E402
 from skipsim.gait import (TWO_PI, AsymmetryNoise, AsyncGait,  # noqa: E402
                           EncoderModel, GaitConfig, GaitMode, OpenLoopGait,
                           PlanarPose, SyncGait, Trajectory, crawl_kinematics,
                           drift_trial, nominal_cycle_times, run_cycles)
 from skipsim.locomotion import (LocomotionMode, Model,  # noqa: E402
-                                RobotParams, TrialSpec, hop_displacement,
-                                crawl_unit_path, run_batch, run_trial,
-                                skip_path, skip_scale)
+                                RobotParams, TrialResult, TrialSpec,
+                                hop_displacement, run_batch, run_trial,
+                                skip_scale)
 from skipsim.springtail import (EngagedAngleModel,  # noqa: E402
                                 RegimeThresholds, TailConfig, length_regime,
                                 strike_sequence)
-from skipsim.stats import FailureMode  # noqa: E402
+from skipsim.stats import FAILURE_THRESHOLD_M, FailureMode  # noqa: E402
 from skipsim.terrain import (CrawlCurve, Material,  # noqa: E402
-                             MoistureResponse, SkipCurve, SubstrateParams)
+                             MoistureResponse, SkipCurve, SubstrateParams,
+                             moisture_response)
 
 
 def _net(poses):
@@ -137,12 +144,26 @@ def oracle_crawl_trial(spec, substrate, gait, start):
     return poses, _net(poses), None
 
 
-def oracle_run_trial(spec, model, start):
-    """run_trial with the per-strike and per-cycle loops in place of the
-    scaled unit paths."""
-    with mock.patch.object(locomotion, "_skip_trial", oracle_skip_trial), \
-            mock.patch.object(locomotion, "_crawl_trial", oracle_crawl_trial):
-        return run_trial(spec, model, start)
+def oracle_run_trial(spec, model, start=locomotion.ORIGIN):
+    """run_trial as per-strike and per-cycle loops: the robot holds its
+    last pose until the trial ends, a hard failure dominates, and a trial
+    under the threshold fails."""
+    substrate = moisture_response(spec.material, spec.moisture,
+                                  model.responses.get(spec.material))
+    if spec.mode is LocomotionMode.SKIP:
+        poses, displacement, hard = oracle_skip_trial(spec, substrate, model,
+                                                      start)
+    else:
+        poses, displacement, hard = oracle_crawl_trial(spec, substrate,
+                                                       model.gait, start)
+    end_time = start.time + spec.duration
+    if poses[-1][3] < end_time:
+        poses = np.concatenate((poses, [(*poses[-1][:3], end_time)]))
+    if hard is None:
+        hard = (FailureMode.BELOW_THRESHOLD
+                if displacement < FAILURE_THRESHOLD_M else FailureMode.NONE)
+    return TrialResult(Trajectory(poses), displacement,
+                       displacement / spec.duration, hard)
 
 
 U = 2.0 ** -53  # unit roundoff of a double
@@ -358,57 +379,11 @@ def test_drift_trial_matches_per_cycle_loop(noise, mode):
     assert repr(got.poses.tolist()) == repr(want.poses.tolist())
 
 
-def _clear_path_caches():
-    skip_path.cache_clear()
-    crawl_unit_path.cache_clear()
-
-
-def test_cached_arrays_are_read_only():
-    times, impulses, reach = skip_path(TailConfig(), EngagedAngleModel(),
-                                       RegimeThresholds(), RobotParams(),
-                                       10.0, 0)
-    path = crawl_unit_path(GaitMode.SYNC, 10.0, GaitConfig(), 0, 0.0, 0.0)
-    for array in (times, impulses, reach, path):
-        assert array.size
-        with pytest.raises(ValueError, match="read-only"):
-            array[0] = 1.0
-        with pytest.raises(ValueError, match="read-only"):
-            array += 1.0
-
-
-def test_cache_keys_hold_no_substrate():
-    """Trials that differ in material, moisture and curves share their unit
-    paths; only seeds, durations and crawl start poses miss."""
-    _clear_path_caches()
-    shipped, fitted = Model(), Model(responses={
-        Material.GRASS: MoistureResponse(
-            skip=SkipCurve(0.3, 0.3, 0.0, 1.0),
-            crawl=CrawlCurve(0.9, -1.0, 0.05, 0.0))})
-    conditions = [(Material.GRASS, 0.0, shipped), (Material.GRASS, 0.0, fitted),
-                  (Material.UNIFORM_SAND, 0.15, fitted),
-                  (Material.BENTONITE_CLAY, 0.4, shipped)]
-    for material, moisture, model in conditions:
-        for mode in (LocomotionMode.SKIP, LocomotionMode.SYNC_CRAWL):
-            run_batch(TrialSpec(mode, material, moisture, 30.0), 3, 0, model)
-    assert skip_path.cache_info()[:2] == (9, 3)  # (hits, misses)
-    assert crawl_unit_path.cache_info()[:2] == (9, 3)
-    for mode in (LocomotionMode.SKIP, LocomotionMode.SYNC_CRAWL):
-        run_batch(TrialSpec(mode, Material.GRASS, duration=20.0), 3, 0)
-    assert skip_path.cache_info()[:2] == (9, 6)
-    assert crawl_unit_path.cache_info()[:2] == (9, 6)
-    spec = TrialSpec(LocomotionMode.SYNC_CRAWL, Material.RIGID)
-    run_trial(spec, Model(), PlanarPose(1.0, 2.0, 0.5, 0.0))
-    run_trial(spec, Model(), PlanarPose(1.0, 2.0, 0.0, 4.0))
-    assert crawl_unit_path.cache_info()[:2] == (9, 8)
-
-
 def test_a_signed_zero_start_keeps_its_sign():
-    """The cache keys -0.0 as 0.0; a trial starting at -0.0 after one at
-    0.0 reads that entry yet starts at its own pose, as the loop does."""
-    _clear_path_caches()
+    """A trial starting at -0.0 starts at its own pose, as the loop does:
+    the unit path starts at (0.0, 0.0), and -0.0 + 0.0 is +0.0."""
     spec = TrialSpec(LocomotionMode.ASYNC_CRAWL, Material.RIGID,
                      duration=5.0)
-    run_trial(spec, Model(), PlanarPose(0.0, 0.0, 0.0, 0.0))
     for start in (PlanarPose(-0.0, -0.0, -0.0, -0.0),
                   PlanarPose(0.0, 0.0, 0.0, 0.0)):
         got = run_trial(spec, Model(), start)
@@ -416,70 +391,121 @@ def test_a_signed_zero_start_keeps_its_sign():
         assert (repr(got.trajectory.poses[:, 2:].tolist())
                 == repr(want.trajectory.poses[:, 2:].tolist()))
         assert repr(got.trajectory.start) == repr(start)
-    assert crawl_unit_path.cache_info()[:2] == (2, 1)
 
 
-def test_trials_and_calibration_share_one_entry_per_path():
-    """run_batch and calibrate.unit_displacements key each path alike, so
-    whichever runs first builds it and the other only hits."""
-    targets = [CalibrationTarget(mode, Material.UNIFORM_SAND, 0.15, 1.0)
-               for mode in (LocomotionMode.SKIP, LocomotionMode.SYNC_CRAWL,
-                            LocomotionMode.ASYNC_CRAWL)]
-
-    def units():
-        unit_displacements(targets, 3, 0, 30.0, Model())
-
-    def batches():
-        for t in targets:
-            run_batch(TrialSpec(t.mode, t.material, t.moisture, 30.0), 3, 0,
-                      Model())
-
-    for first, second in ((units, batches), (batches, units)):
-        _clear_path_caches()
-        first()
-        second()
-        assert skip_path.cache_info()[:2] == (3, 3)
-        assert crawl_unit_path.cache_info()[:2] == (6, 6)
+SWEEP_TRIALS = 300  # more seeds than a 256-entry path LRU would hold
+# rigid ground at a pitch speed limit its strikes exceed; the other four are
+# the bench's shipped conditions
+BENCH_CONFIG = {"robot": {"pitch_speed_limit_m_s": 0.6},
+                "experiments": {"substrate_bench": {"conditions": [
+                    ["uniform_sand", 0.0], ["nonuniform_sand", 0.0],
+                    ["bentonite_clay", 0.3333], ["grass", 0.0],
+                    ["rigid", 0.0]]}}}
 
 
-def test_caches_are_bounded():
-    assert skip_path.cache_info().maxsize == 256
-    assert crawl_unit_path.cache_info().maxsize == 256
+@pytest.fixture(scope="module")
+def built_paths():
+    """Runs moisture-sweep and substrate-bench at SWEEP_TRIALS trials, and a
+    fit at as many trials per target, recording every unit path each builds
+    as (kind, seed). Yields (paths by run, the runs' trials.csv rows)."""
+    built = []
+    strike_sequence = locomotion.strike_sequence
+    crawl_kinematics = locomotion.crawl_kinematics
+
+    def strikes(tail, angle_model, regime, duration, seed, thresholds):
+        built.append(("skip", seed))
+        return strike_sequence(tail, angle_model, regime, duration, seed,
+                               thresholds)
+
+    def cycles(cycle_times, mode, noise, stride, seed, start):
+        built.append((mode.value, seed))
+        return crawl_kinematics(cycle_times, mode, noise, stride, seed, start)
+
+    paths, rows = {}, {}
+    with tempfile.TemporaryDirectory() as work, \
+            mock.patch.object(locomotion, "strike_sequence", strikes), \
+            mock.patch.object(locomotion, "crawl_kinematics", cycles):
+        cfg = os.path.join(work, "bench.json")
+        with open(cfg, "w") as fh:
+            json.dump(BENCH_CONFIG, fh)
+        for name, argv in (("moisture-sweep", []),
+                           ("substrate-bench", ["--config", cfg])):
+            out = os.path.join(work, name)
+            built.clear()
+            assert main([name, "--trials", str(SWEEP_TRIALS), "--out", out,
+                         *argv]) == 0
+            paths[name] = list(built)
+            with open(os.path.join(out, "trials.csv"), newline="") as fh:
+                rows[name] = list(csv.DictReader(fh))
+        built.clear()
+        cal.fit(cal.bundled_targets(), budget=20, n_trials=SWEEP_TRIALS)
+        paths["calibrate"] = list(built)
+    yield paths, rows
 
 
-def _held_by_caches(specs, n_trials):
-    """Bytes still allocated after running each spec over n_trials seeds
-    and dropping the results: what the caches hold."""
-    _clear_path_caches()
+@pytest.mark.parametrize("run, kinds", [
+    ("moisture-sweep", ("async", "skip", "sync")),
+    ("substrate-bench", ("skip",)),
+    ("calibrate", ("async", "skip", "sync")),
+])
+def test_each_path_is_built_once_per_kind_and_seed(built_paths, run, kinds):
+    """A command builds each (kind, seed) unit path once however many
+    conditions or targets share it, and seed by seed."""
+    paths, _ = built_paths
+    assert sorted(paths[run]) == [(kind, seed) for kind in kinds
+                                  for seed in range(SWEEP_TRIALS)]
+    seeds = [seed for _, seed in paths[run]]
+    assert seeds == sorted(seeds)
+
+
+@pytest.mark.parametrize("run, conditions, model, failures", [
+    ("moisture-sweep", 39, Model(),
+     {FailureMode.EXCAVATION, FailureMode.TAIL_SLIP}),
+    ("substrate-bench", 5, Model(robot=RobotParams(pitch_speed_limit=0.6)),
+     {FailureMode.PITCH_OVER}),
+], ids=["moisture-sweep", "substrate-bench"])
+def test_every_trial_row_is_the_loops_trial(built_paths, run, conditions,
+                                            model, failures):
+    """Each trials.csv row holds its trial's failure as the per-strike or
+    per-cycle loop gives it, and its displacement to that loop's summation
+    bound; displacement and failure are `run_trial`'s exactly, and the
+    velocity is the displacement over the duration."""
+    _, rows = built_paths
+    assert len(rows[run]) == SWEEP_TRIALS * conditions
+    seen = set()
+    for row in rows[run]:
+        spec = TrialSpec(LocomotionMode(row["mode"]),
+                         Material(row["material"]), float(row["moisture"]),
+                         30.0, int(row["seed"]))
+        want, solo = oracle_run_trial(spec, model), run_trial(spec, model)
+        displacement = float(row["displacement_m"])
+        assert row["failure"] == want.failure.value == solo.failure.value
+        slack = (summation_bound(want.trajectory.poses)[-1].sum()
+                 + 8 * U * want.displacement)
+        assert abs(displacement - want.displacement) <= slack
+        assert row["displacement_m"] == repr(solo.displacement)
+        assert float(row["velocity_mps"]) == displacement / spec.duration
+        seen.add(want.failure)
+    assert failures <= seen
+
+
+@pytest.mark.parametrize("mode", [LocomotionMode.SKIP,
+                                  LocomotionMode.SYNC_CRAWL],
+                         ids=lambda m: m.value)
+def test_a_large_batch_holds_a_few_numbers_per_trial(mode):
+    """A 2000-seed batch of 10 s trials peaks under 256 bytes a trial: its
+    paths are dropped as they are reduced (a batch that kept each trial's
+    poses would hold about 2 MB)."""
+    spec = TrialSpec(mode, Material.RIGID, duration=10.0)
+    run_batch(spec, 10, 0)  # lazy imports settle first
+    gc.collect()
     tracemalloc.start()
     try:
-        for spec in specs:
-            run_batch(spec, n_trials, 0)
-        # a full collection also empties the interpreter's free lists, which
-        # would otherwise count spare small objects as held
-        gc.collect()
-        held, _ = tracemalloc.get_traced_memory()
+        run_batch(spec, 2000, 0)
+        _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return held
-
-
-def test_cache_memory_stays_flat_over_thousands_of_seeds():
-    specs = [TrialSpec(LocomotionMode.SKIP, Material.GRASS, duration=10.0),
-             TrialSpec(LocomotionMode.SYNC_CRAWL, Material.RIGID,
-                       duration=10.0)]
-    # a first pass lets lazy imports settle, which would otherwise count as
-    # growth
-    _held_by_caches(specs, 256)
-    full = _held_by_caches(specs, 256)
-    many = _held_by_caches(specs, 2000)
-    assert skip_path.cache_info().currsize == 256
-    assert crawl_unit_path.cache_info().currsize == 256
-    # unbounded caches would hold 4000 entries of 0.5 to 1 KB each
-    assert many < 1 << 20
-    # both runs end with 512 entries; what may differ is the seeds' int
-    # objects (16 KB) and the interpreter's own slack
-    assert many < full + (160 << 10)
+    assert peak < 2000 * 256
 
 
 def oracle_detects(encoder, angle):
