@@ -234,10 +234,9 @@ def minimize(fn, initial: ParameterVector, budget: int = 400, seed: int = 0,
         trace.append(best_loss)
         return result
 
-    for r in range(restarts):
+    # a restart past the budget-th would get no evaluation (and draw nothing)
+    for r in range(min(restarts, budget)):
         allowance = budget // restarts + (r < budget % restarts)
-        if allowance < 1:
-            continue
         point = (dict(initial.values) if r == 0 else
                  {n: rng.uniform(*initial.bounds[n]) for n in names})
         current = evaluate(point)

@@ -5,13 +5,11 @@ from __future__ import annotations
 
 import argparse
 import gc
-import math
 import os
 import sys
 
 from . import experiments
 from .config import ConfigError, load_config
-from .locomotion import MAX_TRIALS
 
 # Move the objects created at import (numpy, the stdlib, skipsim: about
 # 22,000) into the collector's permanent generation, so the interpreter's
@@ -26,24 +24,14 @@ EXIT_CONFIG = 2
 EXIT_ASSERT = 3
 
 
-def _integer(minimum, maximum=math.inf):
-    """argparse type: an integer in [`minimum`, `maximum`]."""
-    def integer(text):
-        if not minimum <= int(text) <= maximum:
-            bound = f">= {minimum}" if int(text) < minimum else f"<= {maximum}"
-            raise argparse.ArgumentTypeError(f"must be {bound}, got {text}")
-        return int(text)
-    return integer
-
-
-TRIALS = ("--trials", {"type": _integer(1, MAX_TRIALS),
-                       "help": "override trials per condition "
-                               f"(at most {MAX_TRIALS})"})
+TRIALS = ("--trials", {"type": int, "help": "trials per condition "
+                       "(config key experiments.<command>.trials)"})
 ASSERT = ("--assert", {"dest": "check", "action": "store_true",
                        "help": "run built-in result checks, exit 3 on failure"})
 
 # name -> (help, flags beyond --config/--seed/--out, one-line report). Each
-# flag's dest is the keyword its runner, experiments.run_<name>, reads.
+# flag's dest is a config key it sets (seed, trials, budget) or a keyword of
+# experiments.run_<name>; a flag not given stays out of the namespace.
 COMMANDS = {
     "tail-characterize": (
         "strike-force sweep over blade lengths", [ASSERT],
@@ -66,7 +54,8 @@ COMMANDS = {
         "fit substrate parameters to velocity targets", [
             ("--targets", {"dest": "targets_path", "metavar": "CSV",
                            "help": "targets CSV (default: bundled)"}),
-            ("--budget", {"type": _integer(1), "help": "evaluation budget"})],
+            ("--budget", {"type": int, "help": "evaluation budget (config "
+                          "key experiments.calibrate.budget)"})],
         lambda summary: f"final loss {summary['final_loss']:.6f} "
                         f"({summary['evaluations']} evaluations)"),
     "analyze": (
@@ -81,9 +70,11 @@ COMMANDS = {
 
 
 def build_parser():
-    common = argparse.ArgumentParser(add_help=False)
+    common = argparse.ArgumentParser(add_help=False,
+                                     argument_default=argparse.SUPPRESS)
     common.add_argument("--config", help="JSON config file overriding defaults")
-    common.add_argument("--seed", type=_integer(0), help="base random seed")
+    common.add_argument("--seed", type=int,
+                        help="base random seed (config key seed)")
     common.add_argument("--out", default="skipsim_out",
                         help="output directory (default: skipsim_out)")
     parser = argparse.ArgumentParser(
@@ -91,7 +82,8 @@ def build_parser():
         description="Skipping/crawling robot simulation experiments")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, flags, _) in COMMANDS.items():
-        command = sub.add_parser(name, parents=[common], help=help_text)
+        command = sub.add_parser(name, parents=[common], help=help_text,
+                                 argument_default=argparse.SUPPRESS)
         for flag, options in flags:
             command.add_argument(flag, **options)
     return parser
@@ -100,16 +92,21 @@ def build_parser():
 def main(argv=None) -> int:
     kwargs = vars(build_parser().parse_args(argv))
     name, out = kwargs.pop("command"), kwargs.pop("out")
+    section = name.replace("-", "_")
+    # a value flag overrides its key, checked at load with the file's values
+    counts = {key: kwargs.pop(key) for key in ("trials", "budget")
+              if key in kwargs}
+    overrides = {"experiments": {section: counts}} if counts else {}
+    if "seed" in kwargs:
+        overrides["seed"] = kwargs.pop("seed")
     try:
-        config = load_config(kwargs.pop("config"))
+        config = load_config(kwargs.pop("config", None), overrides)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    if kwargs["seed"] is None:
-        kwargs["seed"] = config.seed
 
     # looked up per call, so that wrappers installed on the module apply
-    run = getattr(experiments, "run_" + name.replace("-", "_"))
+    run = getattr(experiments, "run_" + section)
     try:
         os.makedirs(out, exist_ok=True)
         result = run(config, out, **kwargs)

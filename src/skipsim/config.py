@@ -5,6 +5,7 @@ unknown keys are always rejected so typos cannot silently fall back."""
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields
 
 from .gait import AsymmetryNoise, EncoderModel, GaitConfig
@@ -14,7 +15,6 @@ from .stats import MAX_BOOTSTRAP_RESAMPLES
 from .terrain import CrawlCurve, Material, MoistureResponse, SkipCurve, default_curves
 
 SCHEMA_VERSION = 1
-DEFAULT_SEED = 0
 
 
 class ConfigError(ValueError):
@@ -86,7 +86,7 @@ def default_dict() -> dict:
     gait = GaitConfig()
     return {
         "schema_version": SCHEMA_VERSION,
-        "seed": DEFAULT_SEED,
+        "seed": 0,
         "tail": _dump(TailConfig(), TAIL),
         "engaged_angle": _dump(EngagedAngleModel(), ENGAGED_ANGLE),
         "regimes": _dump(RegimeThresholds(), REGIMES),
@@ -240,10 +240,12 @@ def _build(doc: dict) -> ExperimentConfig:
         raise ConfigError("config key analysis.bootstrap_resamples must lie "
                           f"in [1, {MAX_BOOTSTRAP_RESAMPLES}]")
     for name, section in doc["experiments"].items():
-        for key in ("trials", "n_trials"):
-            if key in section and not 1 <= section[key] <= MAX_TRIALS:
-                raise ConfigError(f"config key experiments.{name}.{key} must "
-                                  f"lie in [1, {MAX_TRIALS}]")
+        for key, most in (("trials", MAX_TRIALS), ("n_trials", MAX_TRIALS),
+                          ("budget", math.inf), ("restarts", math.inf)):
+            if key in section and not 1 <= section[key] <= most:
+                bound = "be >= 1" if most == math.inf else f"lie in [1, {most}]"
+                raise ConfigError(
+                    f"config key experiments.{name}.{key} must {bound}")
     try:
         responses = {}
         for key in doc["substrates"]:

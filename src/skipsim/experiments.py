@@ -28,28 +28,33 @@ TRIAL_COLUMNS = ["mode", "material", "moisture", "seed", "displacement_m",
                  "velocity_mps", "failure"]
 
 
-def _run_batches(config, specs, n_trials, seed, out_dir) -> list:
+def _run_batches(config, specs, n_trials, out_dir) -> list:
     """One run_batch per spec over unit paths built once for all of them,
-    every trial written to trials.csv; the batch summaries in spec order."""
+    every trial written to trials.csv as its batch runs, so one batch's
+    outcomes are held at a time; the batch summaries in spec order."""
+    seed, batches = config.seed, []
     units = build_units(specs, seed, n_trials, config)
-    batches, trial_rows = [], []
-    for spec in specs:
-        outcomes, batch = run_batch(spec, n_trials, seed, config,
-                                    units[spec.mode, spec.duration])
-        batches.append(batch)
-        trial_rows += [(spec.mode.value, spec.material.value,
-                        float(spec.moisture), seed + k, d, d / spec.duration,
-                        failure.value)
-                       for k, (d, failure) in enumerate(zip(
-                           outcomes.displacement.tolist(), outcomes.failure))]
-    write_csv(os.path.join(out_dir, "trials.csv"), TRIAL_COLUMNS, trial_rows)
+
+    def trial_rows():
+        for spec in specs:
+            outcomes, batch = run_batch(spec, n_trials, seed, config,
+                                        units[spec.mode, spec.duration])
+            batches.append(batch)
+            yield from ((spec.mode.value, spec.material.value,
+                         float(spec.moisture), seed + k, d, d / spec.duration,
+                         failure.value)
+                        for k, (d, failure) in enumerate(zip(
+                            outcomes.displacement.tolist(), outcomes.failure)))
+
+    write_csv(os.path.join(out_dir, "trials.csv"), TRIAL_COLUMNS, trial_rows())
     return batches
 
 
-def _peak_summaries(peak_sets, analysis, seed) -> list:
+def _peak_summaries(peak_sets, config) -> list:
     """The summary of each peak set: count, and with any peaks the mean and
     bootstrap CI. Sets of one size share one bootstrap_ci call, which draws
     the seed's index stream for that size once."""
+    analysis = config.analysis
     entries = [{"n": peaks.count} for peaks in peak_sets]
     by_count = {}
     for entry, peaks in zip(entries, peak_sets):
@@ -57,13 +62,13 @@ def _peak_summaries(peak_sets, analysis, seed) -> list:
             by_count.setdefault(peaks.count, []).append((entry, peaks.values))
     for group in by_count.values():
         ci = bootstrap_ci([values for _, values in group], analysis["ci_level"],
-                          analysis["bootstrap_resamples"], seed)
+                          analysis["bootstrap_resamples"], config.seed)
         for (entry, _), *row in zip(group, ci.mean, ci.lower, ci.upper):
             entry.update(zip(("mean_N", "ci_lo_N", "ci_hi_N"), row))
     return entries
 
 
-def run_tail_characterize(config: ExperimentConfig, out_dir, seed,
+def run_tail_characterize(config: ExperimentConfig, out_dir,
                           check=False) -> dict:
     """Strike-force sweep over blade lengths: all peaks per length plus the
     bootstrap CI of the detected peak forces. Every length draws from the
@@ -85,7 +90,7 @@ def run_tail_characterize(config: ExperimentConfig, out_dir, seed,
         tail = replace(config.tail, free_length=length_mm * 1e-3)
         regime = length_regime(tail.free_length, config.thresholds)
         events = strike_sequence(tail, config.angle_model, regime, record_s,
-                                 seed, config.thresholds)
+                                 config.seed, config.thresholds)
         trace = strike_trace(events, analysis["trace_sample_rate_hz"],
                              tail.pulse_width)
         peaks = detect_peaks(trace, analysis["peak_threshold_n"],
@@ -95,7 +100,7 @@ def run_tail_characterize(config: ExperimentConfig, out_dir, seed,
         summary[key] = {"mean_N": 0.0, "ci_lo_N": 0.0, "ci_hi_N": 0.0,
                         "regime": regime.value}
     for entry, measured in zip(summary.values(),
-                               _peak_summaries(peak_sets, analysis, seed)):
+                               _peak_summaries(peak_sets, config)):
         entry.update(measured)
     write_csv(os.path.join(out_dir, "peaks.csv"),
               ["length_mm", "strike_idx", "peak_N"], rows)
@@ -114,21 +119,17 @@ def run_tail_characterize(config: ExperimentConfig, out_dir, seed,
     return summary
 
 
-def run_gait_drift(config: ExperimentConfig, out_dir, seed, trials=None,
-                   check=False) -> dict:
+def run_gait_drift(config: ExperimentConfig, out_dir, check=False) -> dict:
     """Straight-line drift comparison: encoder gaits versus open loop."""
     params = config.experiments["gait_drift"]
-    n_trials = trials if trials is not None else params["trials"]
-    if n_trials < 1:
-        raise ValueError("n_trials must be >= 1")
     distance = params["distance_m"]
     for mode in GaitMode:
         drift_duration(mode, config.gait, distance)  # before any trial runs
     summary = {}
     for mode in GaitMode:
         drifts = []
-        for k in range(n_trials):
-            traj = drift_trial(mode, config.gait, seed + k, distance)
+        for k in range(params["trials"]):
+            traj = drift_trial(mode, config.gait, config.seed + k, distance)
             traj.write_csv(os.path.join(out_dir,
                                         f"trial_{mode.value}_{k}.csv"))
             drifts.append(lateral_drift(traj))
@@ -147,11 +148,9 @@ def run_gait_drift(config: ExperimentConfig, out_dir, seed, trials=None,
     return summary
 
 
-def run_moisture_sweep(config: ExperimentConfig, out_dir, seed, trials=None,
-                       check=False) -> list:
+def run_moisture_sweep(config: ExperimentConfig, out_dir, check=False) -> list:
     """Velocity versus moisture grid for all three locomotion modes."""
     params = config.experiments["moisture_sweep"]
-    n_trials = trials if trials is not None else params["trials"]
     duration = params["duration_s"]
     materials = [Material(m) for m in params["materials"]]
     for material in materials:
@@ -167,7 +166,7 @@ def run_moisture_sweep(config: ExperimentConfig, out_dir, seed, trials=None,
         specs += [TrialSpec(mode=mode, material=material, moisture=moisture,
                             duration=duration)
                   for moisture in grid for mode in LocomotionMode]
-    batches = _run_batches(config, specs, n_trials, seed, out_dir)
+    batches = _run_batches(config, specs, params["trials"], out_dir)
     rows = [(s.material.value, float(s.moisture), s.mode.value,
              b.mean_velocity * 100.0, b.std_velocity * 100.0, b.failures)
             for s, b in zip(specs, batches)]
@@ -205,13 +204,12 @@ def _check_sweep(rows):
 BENCH_ORDER = ("grass", "nonuniform_sand", "bentonite_clay", "uniform_sand")
 
 
-def run_substrate_bench(config: ExperimentConfig, out_dir, seed, trials=None,
+def run_substrate_bench(config: ExperimentConfig, out_dir,
                         check=False) -> dict:
     """Mean skip velocity per substrate with the velocity-ordering check and,
     where the bundled calibration targets hold a skip velocity for a row's
     condition, a 0.5 cm/s band around it."""
     params = config.experiments["substrate_bench"]
-    n_trials = trials if trials is not None else params["trials"]
     duration = params["duration_s"]
     specs = [TrialSpec(mode=LocomotionMode.SKIP, material=Material(key),
                        moisture=moisture, duration=duration)
@@ -221,7 +219,7 @@ def run_substrate_bench(config: ExperimentConfig, out_dir, seed, trials=None,
         if materials.count(key) > 1:
             raise ValueError("experiments.substrate_bench.conditions lists "
                              f"{key} more than once")
-    batches = _run_batches(config, specs, n_trials, seed, out_dir)
+    batches = _run_batches(config, specs, params["trials"], out_dir)
     rows = [(s.material.value, float(s.moisture), b.mean_velocity * 100.0,
              b.std_velocity * 100.0, b.n_trials)
             for s, b in zip(specs, batches)]
@@ -247,14 +245,13 @@ def run_substrate_bench(config: ExperimentConfig, out_dir, seed, trials=None,
     return summary
 
 
-def run_scenario(config: ExperimentConfig, out_dir, seed,
-                 check=False) -> dict:
+def run_scenario(config: ExperimentConfig, out_dir, check=False) -> dict:
     """Heterogeneous-terrain run with mode switches between segments."""
     params = config.experiments["scenario"]
     segments = [ScenarioSegment(material=Material(m), mode=LocomotionMode(md),
                                 duration=float(dur), moisture=float(moist))
                 for m, md, dur, moist in params["segments"]]
-    trajectory, switches = scenario_heterogeneous(segments, seed, config)
+    trajectory, switches = scenario_heterogeneous(segments, config.seed, config)
     trajectory.write_csv(os.path.join(out_dir, "trajectory.csv"))
     log = [{"time_s": s.time, "material": s.material.value,
             "mode": s.mode.value} for s in switches]
@@ -273,15 +270,14 @@ def run_scenario(config: ExperimentConfig, out_dir, seed,
     return summary
 
 
-def run_calibrate(config: ExperimentConfig, out_dir, seed, targets_path=None,
-                  budget=None) -> dict:
+def run_calibrate(config: ExperimentConfig, out_dir,
+                  targets_path=None) -> dict:
     """Fit the free parameters of the configured substrate curves and write
-    the config with the fitted curves."""
+    the config, its seed and budget included, with the fitted curves."""
     params = config.experiments["calibrate"]
-    budget = budget if budget is not None else params["budget"]
     targets = (cal.load_targets(targets_path) if targets_path
                else cal.bundled_targets())
-    result = cal.fit(targets, budget=budget, seed=seed,
+    result = cal.fit(targets, budget=params["budget"], seed=config.seed,
                      n_trials=params["n_trials"],
                      restarts=params["restarts"],
                      duration=params["duration_s"], model=config)
@@ -299,7 +295,7 @@ def run_calibrate(config: ExperimentConfig, out_dir, seed, targets_path=None,
     return {"final_loss": result.loss, "evaluations": result.evaluations}
 
 
-def run_analyze(config: ExperimentConfig, out_dir, seed, trace_path=None,
+def run_analyze(config: ExperimentConfig, out_dir, trace_path=None,
                 trajectory_path=None) -> dict:
     """Run the measurement pipeline on externally produced CSV data."""
     if trace_path is None and trajectory_path is None:
@@ -309,7 +305,7 @@ def run_analyze(config: ExperimentConfig, out_dir, seed, trace_path=None,
         peaks = detect_peaks(ForceTrace.read_csv(trace_path),
                              config.analysis["peak_threshold_n"],
                              config.analysis["min_separation_s"])
-        report["trace"] = {**_peak_summaries([peaks], config.analysis, seed)[0],
+        report["trace"] = {**_peak_summaries([peaks], config)[0],
                            "peaks_N": list(peaks.values)}
     if trajectory_path is not None:
         traj = Trajectory.read_csv(trajectory_path)

@@ -25,7 +25,8 @@ from .gait import (MAX_TRIAL_S, ORIGIN, GaitConfig, GaitMode, PlanarPose,
 from .springtail import (EngagedAngleModel, RegimeThresholds, TailConfig,
                          length_regime, strike_sequence)
 from .stats import FAILURE_THRESHOLD_M, FailureMode
-from .terrain import Material, SubstrateParams, moisture_response
+from .terrain import (Material, SubstrateParams, check_moisture,
+                      moisture_response)
 
 MAX_TRIALS = 10_000  # per condition: 390,000 rows for a 39-point sweep
 
@@ -82,6 +83,7 @@ class TrialSpec:
     seed: int = 0
 
     def __post_init__(self):
+        check_moisture(self.moisture)  # before a batch builds any path
         if not 0.0 < self.duration <= MAX_TRIAL_S:
             raise ValueError(f"duration must lie in (0, {MAX_TRIAL_S:g}] s, "
                              f"got {self.duration!r}")

@@ -146,6 +146,11 @@ def default_curves(material: Material) -> MoistureResponse:
     return _DEFAULT_RESPONSES[material]
 
 
+def check_moisture(moisture: float) -> None:
+    if not 0.0 <= moisture <= MOISTURE_MAX:
+        raise ValueError(f"moisture {moisture} outside supported range [0, {MOISTURE_MAX}]")
+
+
 def moisture_response(material: Material, moisture: float,
                       response: MoistureResponse | None = None) -> SubstrateParams:
     """Evaluate a material's response at a moisture content.
@@ -154,9 +159,7 @@ def moisture_response(material: Material, moisture: float,
     traction falls below the material's excavation threshold (grass and
     rigid ground never excavate).
     """
-    if not 0.0 <= moisture <= MOISTURE_MAX:
-        raise ValueError(
-            f"moisture {moisture} outside supported range [0, {MOISTURE_MAX}]")
+    check_moisture(moisture)
     r = response or default_curves(material)
     skip = r.skip_efficiency(moisture)
     crawl = r.crawl_traction(moisture)

@@ -80,6 +80,16 @@ class TestMinimize:
         assert a.params.values == b.params.values
         assert a.trace == b.trace
 
+    def test_restarts_past_the_budget_cost_nothing(self):
+        # a restart past the budget-th gets no evaluation and draws nothing,
+        # so the loop stops there instead of spinning through the rest
+        few = cal.minimize(quadratic_loss, quadratic_vector(), budget=5,
+                           seed=3, restarts=5)
+        many = cal.minimize(quadratic_loss, quadratic_vector(), budget=5,
+                            seed=3, restarts=10 ** 18)
+        assert many.trace == few.trace
+        assert many.params.values == few.params.values
+
 
 class TestLoss:
     def test_zero_when_targets_match_simulation(self):

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -317,16 +318,22 @@ class TestCli:
         assert main(["analyze", "--out", str(tmp_path / "o")]) == 2
 
     @pytest.mark.parametrize("argv, doc, named", [
-        (["gait-drift", "--trials", "-3"], None, "--trials"),
-        (["gait-drift", "--trials", "0"], None, "--trials"),
+        (["gait-drift", "--trials", "-3"], None,
+         "error: config key experiments.gait_drift.trials must lie in "
+         f"[1, {MAX_TRIALS}]\n"),
+        (["gait-drift", "--trials", "0"], None,
+         "error: config key experiments.gait_drift.trials must lie in "
+         f"[1, {MAX_TRIALS}]\n"),
         (["moisture-sweep", "--trials", "two"], None, "--trials"),
-        (["calibrate", "--budget", "0"], None, "--budget"),
+        (["calibrate", "--budget", "0"], None,
+         "error: config key experiments.calibrate.budget must be >= 1\n"),
         (["tail-characterize", "--trials", "5"], None, "--trials"),
         (["scenario", "--trials", "0"], None, "--trials"),
         (["calibrate", "--assert"], None, "--assert"),
         (["gait-drift"], {"experiments": {"gait_drift": {"trials": 0}}},
          "experiments.gait_drift.trials"),
-        (["gait-drift", "--seed", "-1"], None, "--seed"),
+        (["gait-drift", "--seed", "-1"], None,
+         "error: config key seed must be >= 0\n"),
         (["gait-drift"], {"seed": -4}, "key seed"),
         (["substrate-bench"], {"robot": {"mass_kg": math.nan}}, "NaN"),
         (["tail-characterize"], {"analysis": {"ci_level": "x"}},
@@ -596,16 +603,15 @@ class TestTrialsLimit:
                                          "substrate-bench"])
     def test_flag_over_the_limit_exits_2(self, tmp_path, capsys, no_paths,
                                          command):
+        # the flag sets its config key, which load_config checks
         out = tmp_path / "o"
         out.mkdir()
-        with pytest.raises(SystemExit) as exc:
-            main([command, "--trials", str(MAX_TRIALS + 1), "--out",
-                  str(out)])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert [line for line in err.splitlines() if "error:" in line] == [
-            f"skipsim {command}: error: argument --trials: must be <= "
-            f"{MAX_TRIALS}, got {MAX_TRIALS + 1}"]
+        assert main([command, "--trials", str(MAX_TRIALS + 1), "--out",
+                     str(out)]) == 2
+        section = command.replace("-", "_")
+        assert capsys.readouterr().err == (
+            f"error: config key experiments.{section}.trials must lie in "
+            f"[1, {MAX_TRIALS}]\n")
         assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("command, section, key", [
@@ -674,3 +680,141 @@ class TestFittedConfigRoundTrip:
         bench_out = tmp_path / "bench"
         assert main(["substrate-bench", "--config", str(fitted),
                      "--out", str(bench_out), "--assert"]) == 0
+
+
+# Small sizes, so that each command below runs in well under a second.
+SMALL = {"experiments": {
+    "tail_characterize": {"record_s": 3.0},
+    "gait_drift": {"trials": 1},
+    "moisture_sweep": {"trials": 1, "duration_s": 5.0},
+    "substrate_bench": {"trials": 1, "duration_s": 5.0},
+    "calibrate": {"budget": 2, "n_trials": 1, "duration_s": 5.0},
+}}
+VALUE_FLAGS = [(command, "--seed", ("seed",), 3) for command in (
+    "tail-characterize", "gait-drift", "moisture-sweep", "substrate-bench",
+    "scenario", "calibrate", "analyze")] + [
+    (command, "--trials", ("experiments", command.replace("-", "_"),
+                           "trials"), 2)
+    for command in ("gait-drift", "moisture-sweep", "substrate-bench")] + [
+    ("calibrate", "--budget", ("experiments", "calibrate", "budget"), 3)]
+
+
+class TestValueFlags:
+    """--seed, --trials and --budget each set one config key, which
+    load_config checks with the file's values; a runner reads only the
+    config."""
+
+    @pytest.fixture
+    def path_calls(self, monkeypatch):
+        calls = []
+
+        def spy(original):
+            def called(*args, **kwargs):
+                calls.append(args)
+                return original(*args, **kwargs)
+            return called
+
+        monkeypatch.setattr(locomotion, "unit_path",
+                            spy(locomotion.unit_path))
+        monkeypatch.setattr(experiments, "drift_trial",
+                            spy(experiments.drift_trial))
+        return calls
+
+    @pytest.mark.parametrize("command, flag, key, value", VALUE_FLAGS,
+                             ids=[f"{c}{f}" for c, f, _, _ in VALUE_FLAGS])
+    def test_flag_writes_what_its_config_key_writes(self, tmp_path, command,
+                                                    flag, key, value):
+        trace = tmp_path / "trace.csv"
+        trace.write_text("time_s,force_N\n0,0\n0.5,2\n1,0\n1.5,3\n2,0\n")
+        extra = ["--trace", str(trace)] if command == "analyze" else []
+        doc = json.loads(json.dumps(SMALL))
+        plain = tmp_path / "plain.json"
+        plain.write_text(json.dumps(doc))
+        node = doc
+        for part in key[:-1]:
+            node = node.setdefault(part, {})
+        node[key[-1]] = value
+        keyed = tmp_path / "keyed.json"
+        keyed.write_text(json.dumps(doc))
+        by_flag, by_key = tmp_path / "flag", tmp_path / "key"
+        assert main([command, "--config", str(plain), flag, str(value),
+                     "--out", str(by_flag), *extra]) == 0
+        assert main([command, "--config", str(keyed), "--out", str(by_key),
+                     *extra]) == 0
+        assert _tree_bytes(by_flag) == _tree_bytes(by_key)
+
+    def test_fitted_config_records_the_flags(self, tmp_path):
+        out = tmp_path / "cal"
+        assert main(["calibrate", "--seed", "5", "--budget", "7",
+                     "--out", str(out)]) == 0
+        fitted = out / "fitted_config.json"
+        doc = json.loads(fitted.read_text())
+        assert doc["seed"] == 5
+        assert doc["experiments"]["calibrate"]["budget"] == 7
+        config = load_config(fitted)
+        assert config.seed == 5
+        assert config.experiments["calibrate"]["budget"] == 7
+        assert json.loads((out / "fit_summary.json").read_text())[
+            "evaluations"] == 7
+
+    @pytest.mark.parametrize("argv, doc, line", [
+        (["calibrate", "--budget", "0"], None,
+         "config key experiments.calibrate.budget must be >= 1"),
+        (["calibrate"], {"experiments": {"calibrate": {"budget": 0}}},
+         "config key experiments.calibrate.budget must be >= 1"),
+        (["calibrate"], {"experiments": {"calibrate": {"restarts": 0}}},
+         "config key experiments.calibrate.restarts must be >= 1"),
+        (["scenario", "--seed", "-2"], None, "config key seed must be >= 0"),
+        (["moisture-sweep"],
+         {"experiments": {"moisture_sweep": {"uniform_sand_grid": [0.1, 5.0]}}},
+         "moisture 5.0 outside supported range [0, 1.2]"),
+        (["substrate-bench"], {"experiments": {"substrate_bench": {
+            "conditions": [["uniform_sand", 0.0], ["grass", -0.5]]}}},
+         "moisture -0.5 outside supported range [0, 1.2]"),
+    ], ids=["budget-flag-0", "budget-key-0", "restarts-key-0", "seed-flag-neg",
+            "sweep-grid-moisture", "bench-moisture"])
+    def test_bad_value_exits_2_before_any_path(self, tmp_path, capsys,
+                                               path_calls, argv, doc, line):
+        out = tmp_path / "o"
+        out.mkdir()
+        if doc is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(doc))
+            argv = argv + ["--config", str(cfg)]
+        assert main(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {line}\n"
+        assert list(out.iterdir()) == []
+        assert path_calls == []
+
+    @pytest.mark.parametrize("argv", [
+        ["moisture-sweep", "--trials", "two"],
+        ["scenario", "--seed", "1.5"],
+        ["tail-characterize", "--trials", "5"],
+        ["analyze", "--budget", "3"],
+    ], ids=["trials-word", "seed-fraction", "tail-trials", "analyze-budget"])
+    def test_malformed_or_foreign_flag_is_a_usage_error(self, tmp_path,
+                                                        capsys, argv):
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        # a flag the command lacks is left to the top-level parser
+        assert re.match(f"skipsim( {argv[0]})?: error: ", err.splitlines()[-1])
+        assert argv[1] in err
+        assert not out.exists()
+
+    def test_sweep_holds_one_batch_of_trial_rows(self, tmp_path):
+        # all 39,000 rows of a 1000-trial sweep take about 7 MB as a list;
+        # one batch's outcomes and the units take under 0.5 MB (1.4 MB cold)
+        out = tmp_path / "o"
+        tracemalloc.start()
+        try:
+            assert main(["moisture-sweep", "--trials", "1000",
+                         "--out", str(out)]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        with open(out / "trials.csv") as fh:
+            assert sum(1 for _ in fh) == 1 + 39 * 1000
+        assert peak < 3 << 20
