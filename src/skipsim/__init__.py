@@ -6,8 +6,8 @@ __version__ = "0.1.0"
 from .gait import (AsymmetryNoise, EncoderModel, Fin, GaitConfig, GaitMode,
                    PlanarPose, Trajectory)
 from .locomotion import (BatchSummary, LocomotionMode, Model, RobotParams,
-                         ScenarioSegment, TrialResult, TrialSpec, run_batch,
-                         run_trial, scenario_heterogeneous)
+                         TrialResult, TrialSpec, run_batch, run_trial,
+                         scenario_heterogeneous)
 from .springtail import (EngagedAngleModel, LengthRegime, RegimeThresholds,
                          StrikeEvent, TailConfig)
 from .stats import BootstrapCI, FailureMode, ForceTrace, PeakSet
@@ -18,7 +18,7 @@ __all__ = [
     "EngagedAngleModel", "FailureMode", "Fin", "ForceTrace",
     "GaitConfig", "GaitMode", "LengthRegime", "LocomotionMode", "Material",
     "Model", "MoistureResponse", "PeakSet", "PlanarPose", "RegimeThresholds",
-    "RobotParams", "ScenarioSegment", "StrikeEvent",
+    "RobotParams", "StrikeEvent",
     "SubstrateParams", "TailConfig", "Trajectory",
     "TrialResult", "TrialSpec", "run_batch", "run_trial",
     "scenario_heterogeneous",

@@ -234,26 +234,28 @@ def minimize(fn, initial: ParameterVector, budget: int = 400, seed: int = 0,
         trace.append(best_loss)
         return result
 
-    # a restart past the budget-th would get no evaluation (and draw nothing)
-    for r in range(min(restarts, budget)):
-        allowance = budget // restarts + (r < budget % restarts)
+    # the restarts share one budget: restart r may spend up to
+    # ceil((budget - spent) / (restarts - r)), so one that converges early
+    # leaves the rest to later ones, and none starts once it is spent
+    for r in range(restarts):
+        if len(trace) >= budget:
+            break
+        stop = len(trace) - (len(trace) - budget) // (restarts - r)
         point = (dict(initial.values) if r == 0 else
                  {n: rng.uniform(*initial.bounds[n]) for n in names})
         current = evaluate(point)
-        allowance -= 1
         steps = {n: INIT_STEP * spans[n] for n in names}
-        while allowance > 0 and any(
+        while len(trace) < stop and any(
                 spans[n] > 0 and steps[n] > MIN_STEP * spans[n] for n in names):
             improved = False
             for name in names:
                 for direction in (1.0, -1.0):
                     lo, hi = initial.bounds[name]
                     moved = min(hi, max(lo, point[name] + direction * steps[name]))
-                    if allowance <= 0 or moved == point[name]:
+                    if len(trace) >= stop or moved == point[name]:
                         continue
                     candidate = {**point, name: moved}
                     value = evaluate(candidate)
-                    allowance -= 1
                     if value < current:
                         point, current = candidate, value
                         improved = True

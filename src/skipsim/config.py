@@ -10,7 +10,8 @@ from dataclasses import dataclass, field, fields
 
 from .gait import AsymmetryNoise, EncoderModel, GaitConfig
 from .locomotion import MAX_TRIALS, Model, RobotParams
-from .springtail import EngagedAngleModel, RegimeThresholds, TailConfig
+from .springtail import (MAX_TRACE_SAMPLES, EngagedAngleModel,
+                         RegimeThresholds, TailConfig)
 from .stats import MAX_BOOTSTRAP_RESAMPLES
 from .terrain import CrawlCurve, Material, MoistureResponse, SkipCurve, default_curves
 
@@ -64,6 +65,43 @@ _TYPE_NAMES = {float: "a number", int: "an integer", str: "a string",
                list: "a list shaped like its default"}
 
 
+def _default_analysis() -> dict:
+    return {"peak_threshold_n": 1.0, "min_separation_s": 0.3,
+            "bootstrap_resamples": 10000, "ci_level": 0.95,
+            "trace_sample_rate_hz": 2000.0}
+
+
+def _default_experiments() -> dict:
+    return {
+        "tail_characterize": {"lengths_mm": [15.0, 20.0, 25.0, 30.0, 35.0],
+                              "record_s": 10.0},
+        "gait_drift": {"distance_m": 1.0, "trials": 3},
+        "moisture_sweep": {
+            "materials": ["uniform_sand", "bentonite_clay"],
+            "uniform_sand_grid": [0.0, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3],
+            "bentonite_clay_grid": [0.0, 0.2, 0.4, 0.6, 0.8, 1.0],
+            "duration_s": 30.0, "trials": 3},
+        "substrate_bench": {
+            "conditions": [["uniform_sand", 0.0], ["nonuniform_sand", 0.0],
+                           ["bentonite_clay", 0.3333], ["grass", 0.0]],
+            "duration_s": 30.0, "trials": 3},
+        "scenario": {"segments": [["grass", "skip", 12.0, 0.0],
+                                  ["rigid", "sync_crawl", 6.0, 0.0]]},
+        "calibrate": {"budget": 400, "n_trials": 3, "duration_s": 30.0,
+                      "restarts": 3},
+    }
+
+
+@dataclass(frozen=True, kw_only=True)
+class ExperimentConfig(Model):
+    """Typed view of the configuration document: the trial model plus the
+    analysis and experiment sections. `document` writes it back."""
+
+    analysis: dict = field(default_factory=_default_analysis)
+    experiments: dict = field(default_factory=_default_experiments)
+    seed: int = 0
+
+
 def _dump(obj, table) -> dict:
     """The fields of `obj` named in `table`, keyed by their JSON names."""
     out = {}
@@ -81,68 +119,34 @@ def _substrate_dict(r: MoistureResponse) -> dict:
             **_dump(r, RESPONSE)}
 
 
-def default_dict() -> dict:
-    """The complete default configuration as a plain JSON-ready dict."""
-    gait = GaitConfig()
+def document(config: ExperimentConfig) -> dict:
+    """`config` as its JSON document, written from the typed fields (so a
+    typed number is a float, and magnet angles are wrapped and sorted), with
+    a material the config holds no curves for at its shipped curves. The
+    `analysis` and `experiments` sections are the config's own dicts."""
+    gait = config.gait
     return {
         "schema_version": SCHEMA_VERSION,
-        "seed": 0,
-        "tail": _dump(TailConfig(), TAIL),
-        "engaged_angle": _dump(EngagedAngleModel(), ENGAGED_ANGLE),
-        "regimes": _dump(RegimeThresholds(), REGIMES),
+        "seed": config.seed,
+        "tail": _dump(config.tail, TAIL),
+        "engaged_angle": _dump(config.angle_model, ENGAGED_ANGLE),
+        "regimes": _dump(config.thresholds, REGIMES),
         "gait": {**_dump(gait, GAIT), **_dump(gait.encoder, ENCODER)},
         "noise": _dump(gait.noise, NOISE),
-        "robot": _dump(RobotParams(), ROBOT),
+        "robot": _dump(config.robot, ROBOT),
         "substrates": {
-            m.value: _substrate_dict(default_curves(m)) for m in Material
+            m.value: _substrate_dict(config.responses.get(m)
+                                     or default_curves(m))
+            for m in Material
         },
-        "analysis": {
-            "peak_threshold_n": 1.0,
-            "min_separation_s": 0.3,
-            "bootstrap_resamples": 10000,
-            "ci_level": 0.95,
-            "trace_sample_rate_hz": 2000.0,
-        },
-        "experiments": {
-            "tail_characterize": {
-                "lengths_mm": [15.0, 20.0, 25.0, 30.0, 35.0],
-                "record_s": 10.0,
-            },
-            "gait_drift": {
-                "distance_m": 1.0,
-                "trials": 3,
-            },
-            "moisture_sweep": {
-                "materials": ["uniform_sand", "bentonite_clay"],
-                "uniform_sand_grid": [0.0, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3],
-                "bentonite_clay_grid": [0.0, 0.2, 0.4, 0.6, 0.8, 1.0],
-                "duration_s": 30.0,
-                "trials": 3,
-            },
-            "substrate_bench": {
-                "conditions": [
-                    ["uniform_sand", 0.0],
-                    ["nonuniform_sand", 0.0],
-                    ["bentonite_clay", 0.3333],
-                    ["grass", 0.0],
-                ],
-                "duration_s": 30.0,
-                "trials": 3,
-            },
-            "scenario": {
-                "segments": [
-                    ["grass", "skip", 12.0, 0.0],
-                    ["rigid", "sync_crawl", 6.0, 0.0],
-                ],
-            },
-            "calibrate": {
-                "budget": 400,
-                "n_trials": 3,
-                "duration_s": 30.0,
-                "restarts": 3,
-            },
-        },
+        "analysis": config.analysis,
+        "experiments": config.experiments,
     }
+
+
+def default_dict() -> dict:
+    """The complete default configuration as a plain JSON-ready dict."""
+    return document(ExperimentConfig())
 
 
 def _merge(base, override, path=""):
@@ -217,17 +221,6 @@ def _parse(cls, table, doc, path, **nested):
     return cls(**nested)
 
 
-@dataclass(frozen=True, kw_only=True)
-class ExperimentConfig(Model):
-    """Typed view of the configuration document: the trial model plus the
-    analysis and experiment sections."""
-
-    analysis: dict
-    experiments: dict
-    seed: int
-    raw: dict = field(repr=False, default_factory=dict)
-
-
 def _build(doc: dict) -> ExperimentConfig:
     if doc["schema_version"] != SCHEMA_VERSION:
         raise ConfigError(
@@ -239,6 +232,12 @@ def _build(doc: dict) -> ExperimentConfig:
     if not 1 <= resamples <= MAX_BOOTSTRAP_RESAMPLES:
         raise ConfigError("config key analysis.bootstrap_resamples must lie "
                           f"in [1, {MAX_BOOTSTRAP_RESAMPLES}]")
+    if (doc["experiments"]["tail_characterize"]["record_s"]
+            * doc["analysis"]["trace_sample_rate_hz"] > MAX_TRACE_SAMPLES):
+        raise ConfigError(
+            "config key experiments.tail_characterize.record_s times "
+            f"analysis.trace_sample_rate_hz must be at most {MAX_TRACE_SAMPLES}"
+            " samples")
     for name, section in doc["experiments"].items():
         for key, most in (("trials", MAX_TRIALS), ("n_trials", MAX_TRIALS),
                           ("budget", math.inf), ("restarts", math.inf)):
@@ -263,9 +262,8 @@ def _build(doc: dict) -> ExperimentConfig:
                         encoder=_parse(EncoderModel, ENCODER, doc, "gait"),
                         noise=_parse(AsymmetryNoise, NOISE, doc, "noise")),
             robot=_parse(RobotParams, ROBOT, doc, "robot"),
-            responses=responses, analysis=dict(doc["analysis"]),
-            experiments=doc["experiments"],
-            seed=seed, raw=doc)
+            responses=responses, analysis=doc["analysis"],
+            experiments=doc["experiments"], seed=seed)
     except ConfigError:
         raise
     except (ValueError, TypeError, KeyError) as exc:
@@ -294,11 +292,3 @@ def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
     if overrides:
         _merge(doc, overrides)
     return _build(doc)
-
-
-def config_with_responses(config: ExperimentConfig, responses: dict) -> dict:
-    """Serializable copy of a config document with new substrate curves."""
-    doc = json.loads(json.dumps(config.raw))
-    for material, response in responses.items():
-        doc["substrates"][material.value] = _substrate_dict(response)
-    return doc

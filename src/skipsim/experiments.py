@@ -9,11 +9,11 @@ import os
 from dataclasses import replace
 
 from . import calibrate as cal
-from .config import ExperimentConfig, config_with_responses
+from .config import ExperimentConfig, document
 from .fileio import write_csv, write_json
 from .gait import GaitMode, Trajectory, drift_duration, drift_trial
-from .locomotion import (LocomotionMode, ScenarioSegment, TrialSpec,
-                         build_units, run_batch, scenario_heterogeneous)
+from .locomotion import (LocomotionMode, TrialSpec, build_units, run_batch,
+                         scenario_heterogeneous)
 from .springtail import length_regime, strike_sequence, strike_trace
 from .stats import (ForceTrace, bootstrap_ci, detect_peaks, lateral_drift,
                     mean_velocity)
@@ -246,15 +246,18 @@ def run_substrate_bench(config: ExperimentConfig, out_dir,
 
 
 def run_scenario(config: ExperimentConfig, out_dir, check=False) -> dict:
-    """Heterogeneous-terrain run with mode switches between segments."""
-    params = config.experiments["scenario"]
-    segments = [ScenarioSegment(material=Material(m), mode=LocomotionMode(md),
-                                duration=float(dur), moisture=float(moist))
-                for m, md, dur, moist in params["segments"]]
-    trajectory, switches = scenario_heterogeneous(segments, config.seed, config)
+    """Heterogeneous-terrain run with mode switches between segments: one
+    trial per segment, segment k at seed seed + k, every spec checked
+    before any trial runs."""
+    specs = [TrialSpec(mode=LocomotionMode(mode), material=Material(material),
+                       moisture=float(moisture), duration=float(duration),
+                       seed=config.seed + k)
+             for k, (material, mode, duration, moisture)
+             in enumerate(config.experiments["scenario"]["segments"])]
+    trajectory, starts = scenario_heterogeneous(specs, config)
     trajectory.write_csv(os.path.join(out_dir, "trajectory.csv"))
-    log = [{"time_s": s.time, "material": s.material.value,
-            "mode": s.mode.value} for s in switches]
+    log = [{"time_s": time, "material": spec.material.value,
+            "mode": spec.mode.value} for time, spec in zip(starts, specs[1:])]
     summary = {
         "switches": log,
         "total_duration_s": trajectory.duration(),
@@ -262,10 +265,10 @@ def run_scenario(config: ExperimentConfig, out_dir, check=False) -> dict:
     }
     write_json(os.path.join(out_dir, "switch_log.json"), summary)
     if check:
-        expected = sum(s.duration for s in segments)
+        expected = sum(spec.duration for spec in specs)
         if abs(summary["total_duration_s"] - expected) > 1e-9:
             raise AssertionFailure("scenario duration mismatch")
-        if len(log) != len(segments) - 1:
+        if len(log) != len(specs) - 1:
             raise AssertionFailure("unexpected number of mode switches")
     return summary
 
@@ -283,7 +286,7 @@ def run_calibrate(config: ExperimentConfig, out_dir,
                      duration=params["duration_s"], model=config)
     fitted = cal.apply_parameters(result.params, config.responses)
     write_json(os.path.join(out_dir, "fitted_config.json"),
-               config_with_responses(config, fitted))
+               document(replace(config, responses=fitted)))
     write_csv(os.path.join(out_dir, "loss_trace.csv"),
               ["evaluation", "best_loss"],
               [(i + 1, v) for i, v in enumerate(result.trace)])

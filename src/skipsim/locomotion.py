@@ -318,41 +318,16 @@ def run_batch(spec: TrialSpec, n_trials: int, seed_base: int,
         sum(f is not FailureMode.NONE for f in outcomes.failure))
 
 
-@dataclass(frozen=True)
-class ScenarioSegment:
-    material: Material
-    mode: LocomotionMode
-    duration: float
-    moisture: float = 0.0
-
-
-@dataclass(frozen=True)
-class SwitchEvent:
-    time: float
-    material: Material
-    mode: LocomotionMode
-
-
-def scenario_heterogeneous(segments, seed: int = 0,
-                           model: Model = Model()) -> tuple:
-    """Run consecutive segments carrying the pose across boundaries.
-
-    Returns (trajectory, switch_log); one switch event is logged at each
-    segment boundary after the first segment.
-    """
-    if not segments:
+def scenario_heterogeneous(specs, model: Model = Model()) -> tuple:
+    """Run `specs` back to back, each trial starting at the pose where the
+    last one ended: (trajectory, the time at which each spec after the
+    first starts)."""
+    if not specs:
         raise ValueError("scenario needs at least one segment")
-    pose = ORIGIN
-    parts = [np.array([pose])]
-    switches = []
-    for idx, seg in enumerate(segments):
-        if idx > 0:
-            switches.append(SwitchEvent(time=pose.time, material=seg.material,
-                                        mode=seg.mode))
-        spec = TrialSpec(mode=seg.mode, material=seg.material,
-                         moisture=seg.moisture, duration=seg.duration,
-                         seed=seed + idx)
-        result = run_trial(spec, model, pose)
-        parts.append(result.trajectory.poses[1:])
-        pose = result.trajectory.end
-    return Trajectory(np.concatenate(parts)), switches
+    pose, parts, starts = ORIGIN, [np.array([ORIGIN])], []
+    for spec in specs:
+        starts.append(pose.time)
+        trajectory = run_trial(spec, model, pose).trajectory
+        parts.append(trajectory.poses[1:])
+        pose = trajectory.end
+    return Trajectory(np.concatenate(parts)), starts[1:]

@@ -18,6 +18,9 @@ import numpy as np
 from .stats import ForceTrace
 
 TWO_PI = 2.0 * math.pi
+# the samples a configured recording (record_s x trace_sample_rate_hz) may
+# span: 64 MB of float64, room for a 3600 s recording at 2 kHz
+MAX_TRACE_SAMPLES = 1 << 23
 
 
 class LengthRegime(Enum):

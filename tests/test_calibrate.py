@@ -90,6 +90,17 @@ class TestMinimize:
         assert many.trace == few.trace
         assert many.params.values == few.params.values
 
+    def test_an_early_finish_leaves_its_evaluations_to_later_restarts(self):
+        # alone, the first restart converges in 70 evaluations, under its
+        # share of ceil(220 / 3) = 74; the two random restarts then share
+        # the remaining 150 and spend them all
+        alone = cal.minimize(quadratic_loss, quadratic_vector(), budget=10 ** 6,
+                             restarts=1)
+        assert alone.evaluations == 70
+        result = cal.minimize(quadratic_loss, quadratic_vector(), budget=220,
+                              seed=0, restarts=3)
+        assert result.evaluations == len(result.trace) == 220
+
 
 class TestLoss:
     def test_zero_when_targets_match_simulation(self):

@@ -11,12 +11,13 @@ import pytest
 
 from skipsim import experiments, gait, locomotion
 from skipsim.cli import build_parser, main
-from skipsim.config import ConfigError, default_dict, load_config
+from skipsim.config import ConfigError, default_dict, document, load_config
 from skipsim.fileio import write_json
 from skipsim.gait import (MAX_TICKS, MAX_TRIAL_S, GaitConfig, GaitMode,
                           drift_duration, drift_trial, run_cycles,
                           schedule_ticks)
 from skipsim.locomotion import MAX_TRIALS
+from skipsim.springtail import MAX_TRACE_SAMPLES
 from skipsim.stats import MAX_BOOTSTRAP_RESAMPLES, ForceTrace
 from skipsim.terrain import Material
 
@@ -82,11 +83,42 @@ class TestConfig:
         path = tmp_path / "defaults.json"
         write_json(path, default_dict())
         assert load_config(path) == load_config()
+        assert document(load_config()) == default_dict()
 
     def test_defaults_are_schema_complete(self):
         doc = default_dict()
         assert doc["schema_version"] == 1
         assert set(doc["substrates"]) == {m.value for m in Material}
+
+
+class TestDocument:
+    """A config is written from its typed fields, so how a typed number was
+    spelled does not reach the written document."""
+
+    def test_integer_spelling_loads_and_writes_the_same(self, tmp_path):
+        outs = []
+        for spelled in ("1", "1.0"):
+            cfg = tmp_path / f"cfg{spelled}.json"
+            cfg.write_text('{"tail": {"motor_rev_per_s": %s}}' % spelled)
+            outs.append(tmp_path / spelled)
+            assert main(["calibrate", "--config", str(cfg), "--budget", "2",
+                         "--out", str(outs[-1])]) == 0
+        assert load_config(tmp_path / "cfg1.json") == load_config(
+            tmp_path / "cfg1.0.json")
+        first, second = (out / "fitted_config.json" for out in outs)
+        assert first.read_bytes() == second.read_bytes()
+        assert json.loads(first.read_text())["tail"]["motor_rev_per_s"] == 1.0
+
+    def test_written_document_is_typed_and_rebuilds_the_config(self):
+        config = load_config(overrides={
+            "gait": {"magnet_angles_rad": [7, -1]}, "robot": {"mass_kg": 1}})
+        doc = json.loads(json.dumps(document(config)))
+        assert doc["robot"]["mass_kg"] == 1.0
+        assert isinstance(doc["robot"]["mass_kg"], float)
+        # wrapped into [0, 2*pi) and sorted, as the encoder holds them
+        assert doc["gait"]["magnet_angles_rad"] == sorted(
+            a % (2 * math.pi) for a in (7.0, -1.0))
+        assert load_config(overrides=doc) == config
 
 
 class TestCli:
@@ -644,6 +676,45 @@ class TestTrialsLimit:
         assert config.experiments["calibrate"]["n_trials"] == MAX_TRIALS
 
 
+class TestRecordLimit:
+    """A tail-characterize recording spans at most MAX_TRACE_SAMPLES samples
+    (record_s x trace_sample_rate_hz), checked at config load. Nothing here
+    synthesizes a trace at the limit."""
+
+    # 2048 Hz: every record_s below is exact in binary, and so is its product
+    RATE = 2048.0
+
+    def test_one_sample_over_exits_2_before_any_strike(self, tmp_path, capsys,
+                                                       monkeypatch):
+        def no_strikes(*args, **kwargs):
+            raise AssertionError("a strike was drawn")
+
+        monkeypatch.setattr(experiments, "strike_sequence", no_strikes)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "analysis": {"trace_sample_rate_hz": self.RATE},
+            "experiments": {"tail_characterize": {
+                "record_s": (MAX_TRACE_SAMPLES + 1) / self.RATE}}}))
+        out = tmp_path / "o"
+        out.mkdir()
+        assert main(["tail-characterize", "--config", str(cfg),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: config key experiments.tail_characterize.record_s times "
+            "analysis.trace_sample_rate_hz must be at most "
+            f"{MAX_TRACE_SAMPLES} samples\n")
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("record_s, rate", [
+        (MAX_TRACE_SAMPLES / RATE, RATE), (MAX_TRIAL_S, 2000.0)],
+        ids=["the-limit", "longest-trial-at-2khz"])
+    def test_up_to_the_limit_loads(self, record_s, rate):
+        config = load_config(overrides={
+            "analysis": {"trace_sample_rate_hz": rate},
+            "experiments": {"tail_characterize": {"record_s": record_s}}})
+        assert config.experiments["tail_characterize"]["record_s"] == record_s
+
+
 def _tree_bytes(root):
     found = {}
     for dirpath, _, files in os.walk(root):
@@ -771,8 +842,17 @@ class TestValueFlags:
         (["substrate-bench"], {"experiments": {"substrate_bench": {
             "conditions": [["uniform_sand", 0.0], ["grass", -0.5]]}}},
          "moisture -0.5 outside supported range [0, 1.2]"),
+        (["scenario"], {"experiments": {"scenario": {"segments": [
+            ["grass", "skip", 12.0, 0.0], ["rigid", "sync_crawl", 6.0, 0.0],
+            ["uniform_sand", "skip", 6.0, 5.0]]}}},
+         "moisture 5.0 outside supported range [0, 1.2]"),
+        (["scenario"], {"experiments": {"scenario": {"segments": [
+            ["grass", "skip", 12.0, 0.0], ["rigid", "sync_crawl", 6.0, 0.0],
+            ["uniform_sand", "skip", 3601, 0.1]]}}},
+         "duration must lie in (0, 3600] s, got 3601.0"),
     ], ids=["budget-flag-0", "budget-key-0", "restarts-key-0", "seed-flag-neg",
-            "sweep-grid-moisture", "bench-moisture"])
+            "sweep-grid-moisture", "bench-moisture", "scenario-last-moisture",
+            "scenario-last-duration"])
     def test_bad_value_exits_2_before_any_path(self, tmp_path, capsys,
                                                path_calls, argv, doc, line):
         out = tmp_path / "o"

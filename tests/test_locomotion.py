@@ -6,7 +6,7 @@ import pytest
 
 from skipsim.gait import AsymmetryNoise, GaitConfig
 from skipsim.locomotion import (MAX_TRIAL_S, LocomotionMode, Model,
-                                RobotParams, ScenarioSegment, TrialSpec,
+                                RobotParams, TrialSpec,
                                 Units, build_units, hop_displacement,
                                 run_batch, run_trial, scenario_heterogeneous,
                                 skip_scale, trial_outcomes, unit_path)
@@ -177,33 +177,29 @@ class TestOrderingAndDominance:
                     assert 0.5 * robot.mass * v0 ** 2 <= limit
 
 
+SCENARIO = [TrialSpec(LocomotionMode.SKIP, Material.GRASS, duration=12.0),
+            TrialSpec(LocomotionMode.SYNC_CRAWL, Material.RIGID, duration=6.0,
+                      seed=1)]
+
+
 class TestScenario:
     def test_default_two_segment_run(self):
-        segments = [ScenarioSegment(Material.GRASS, LocomotionMode.SKIP, 12.0),
-                    ScenarioSegment(Material.RIGID, LocomotionMode.SYNC_CRAWL, 6.0)]
-        trajectory, switches = scenario_heterogeneous(segments, seed=0)
+        trajectory, starts = scenario_heterogeneous(SCENARIO)
         assert trajectory.duration() == pytest.approx(18.0)
-        assert len(switches) == 1
-        assert switches[0].time == pytest.approx(12.0)
-        assert switches[0].material is Material.RIGID
+        assert starts == [pytest.approx(12.0)]
 
     def test_single_segment_equals_plain_trial(self):
-        segment = ScenarioSegment(Material.GRASS, LocomotionMode.SKIP, 10.0)
-        trajectory, switches = scenario_heterogeneous([segment], seed=3)
-        direct = run_trial(TrialSpec(LocomotionMode.SKIP, Material.GRASS,
-                                     duration=10.0, seed=3))
-        assert switches == []
-        assert trajectory.poses.tolist() == direct.trajectory.poses.tolist()
+        spec = TrialSpec(LocomotionMode.SKIP, Material.GRASS, duration=10.0,
+                         seed=3)
+        trajectory, starts = scenario_heterogeneous([spec])
+        assert starts == []
+        assert (trajectory.poses.tolist()
+                == run_trial(spec).trajectory.poses.tolist())
 
     def test_displacement_adds_across_segments(self):
-        segments = [ScenarioSegment(Material.GRASS, LocomotionMode.SKIP, 12.0),
-                    ScenarioSegment(Material.RIGID, LocomotionMode.SYNC_CRAWL, 6.0)]
-        gait = GaitConfig(noise=AsymmetryNoise.zero())
-        trajectory, _ = scenario_heterogeneous(segments, 0, Model(gait=gait))
-        seg1 = run_trial(TrialSpec(LocomotionMode.SKIP, Material.GRASS,
-                                   duration=12.0, seed=0), Model(gait=gait))
-        seg2 = run_trial(TrialSpec(LocomotionMode.SYNC_CRAWL, Material.RIGID,
-                                   duration=6.0, seed=1), Model(gait=gait))
+        model = Model(gait=GaitConfig(noise=AsymmetryNoise.zero()))
+        trajectory, _ = scenario_heterogeneous(SCENARIO, model)
+        seg1, seg2 = (run_trial(spec, model) for spec in SCENARIO)
         # noise-free straight-line segments: net displacements add exactly
         assert trajectory.net_displacement() == pytest.approx(
             seg1.displacement + seg2.displacement, rel=1e-12)
