@@ -17,7 +17,7 @@ import numpy as np
 
 from .locomotion import (LocomotionMode, Model, TrialSpec, build_units,
                          effective_velocities, trial_outcomes)
-from .terrain import MOISTURE_MAX, Material, default_curves, moisture_response
+from .terrain import Material, check_moisture, default_curves, moisture_response
 
 TARGETS_RESOURCE = "calibration_targets.csv"
 
@@ -37,8 +37,7 @@ class CalibrationTarget:
         for name in ("moisture", "target_cmps", "std_cmps", "weight"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-        if not 0.0 <= self.moisture <= MOISTURE_MAX:
-            raise ValueError(f"moisture must lie in [0, {MOISTURE_MAX}]")
+        check_moisture(self.moisture)
         if self.weight <= 0:
             raise ValueError("weight must be positive")
         if self.target_cmps < 0 or self.std_cmps < 0:
@@ -52,13 +51,10 @@ class ParameterVector:
     values: dict
     bounds: dict
 
-    def __post_init__(self):
+    def check(self):
+        """Raise unless values and bounds share names, each value in bounds."""
         if set(self.values) != set(self.bounds):
             raise ValueError("values and bounds must cover the same names")
-        self.check()
-
-    def check(self):
-        """Raise unless every value lies within its bounds."""
         for name, v in self.values.items():
             lo, hi = self.bounds[name]
             if lo > hi:
@@ -92,10 +88,10 @@ _FREE_PARAM_BOUNDS = {
 
 @lru_cache(maxsize=64)
 def _free_parameter(name: str) -> tuple:
-    """(material, curve, curve fields) named by a free parameter; a `level`
-    sets a flat skip curve's floor and peak together."""
+    """(block, curve fields) a free parameter sets, its block the (material
+    value, curve); a `level` sets a flat skip curve's floor and peak."""
     material, curve, fname = name.split(".")
-    return Material(material), curve, (
+    return (Material(material).value, curve), (
         ("floor", "peak") if fname == "level" else (fname,))
 
 
@@ -110,25 +106,26 @@ def default_parameter_vector(responses: dict | None = None) -> ParameterVector:
     responses = _curves(responses)
     values = {}
     for name in _FREE_PARAM_BOUNDS:
-        material, curve, fnames = _free_parameter(name)
-        values[name] = getattr(getattr(responses[material], curve), fnames[0])
+        (material, curve), fnames = _free_parameter(name)
+        values[name] = getattr(getattr(responses[Material(material)], curve),
+                               fnames[0])
     return ParameterVector(values=values, bounds=dict(_FREE_PARAM_BOUNDS))
 
 
 def _block_fields(params: ParameterVector) -> dict:
-    """(material, curve) -> {curve field: value}: the fields the free
-    parameters set, block by block, a later parameter over an earlier."""
-    fields = {}
+    """Block -> ((free parameter, value), ...), in parameter order."""
+    blocks = {}
     for name, value in params.values.items():
-        material, curve, fnames = _free_parameter(name)
-        fields.setdefault((material, curve), {}).update(
-            dict.fromkeys(fnames, value))
-    return fields
+        block = _free_parameter(name)[0]
+        blocks[block] = blocks.get(block, ()) + ((name, value),)
+    return blocks
 
 
-def _with_fields(response, curve: str, values: dict):
+def _with_fields(response, curve: str, values: tuple):
+    """`response` with the free parameters `values` set on its `curve`."""
+    fields = {f: v for name, v in values for f in _free_parameter(name)[1]}
     return replace(response, **{curve: replace(getattr(response, curve),
-                                               **values)})
+                                               **fields)})
 
 
 def apply_parameters(params: ParameterVector,
@@ -137,56 +134,59 @@ def apply_parameters(params: ParameterVector,
     curves) with the free parameters applied, each curve rebuilt once."""
     responses = _curves(responses)
     for (material, curve), values in _block_fields(params).items():
+        material = Material(material)
         responses[material] = _with_fields(responses[material], curve, values)
     return responses
 
 
-def target_units(targets, n_trials: int, seed: int, duration: float,
-                 model: Model) -> dict:
-    """`locomotion.build_units` over the targets' trials: each trial kind's
-    paths once, however many targets share it. No substrate curve enters."""
-    return build_units([TrialSpec(t.mode, t.material, t.moisture, duration)
-                        for t in targets], seed, n_trials, model)
+class _Context:
+    """What a fit's evaluations share. `blocks`: each block a target reads
+    (its material's skip curve if it skips, else its crawl curve) -> its
+    curves under the model and its targets with their units; `terms`: each
+    target's block, index there, weight and target; `memo`: (block, values)
+    -> the block's targets' velocities under those values."""
 
-
-def _block(target: CalibrationTarget) -> tuple:
-    """The (material, curve) whose free parameters a target reads."""
-    return target.material, ("skip" if target.mode is LocomotionMode.SKIP
-                             else "crawl")
+    def __init__(self, targets, n_trials: int, seed: int, duration: float,
+                 model: Model):
+        units = build_units([TrialSpec(t.mode, t.material, t.moisture,
+                                       duration) for t in targets],
+                            seed, n_trials, model)
+        curves = _curves(model.responses)
+        self.duration, self.robot = duration, model.robot
+        self.blocks, self.terms, self.memo = {}, [], {}
+        for t in targets:
+            block = (t.material.value,
+                     "skip" if t.mode is LocomotionMode.SKIP else "crawl")
+            members = self.blocks.setdefault(block, (curves[t.material], []))[1]
+            self.terms.append((block, len(members), t.weight, t.target_cmps))
+            members.append((t, units[t.mode, duration]))
 
 
 def loss(params: ParameterVector, targets, n_trials: int = 3,
          seed: int = 0, duration: float = 30.0, model: Model = Model(), *,
-         _units: dict | None = None, _memo: dict | None = None,
-         **fields) -> float:
+         _context: _Context | None = None, **fields) -> float:
     """Weighted squared velocity error over all targets, seeded so the
-    surface is deterministic: a target's simulated velocity is its batch's
-    mean under `apply_parameters` (the free parameters on top of `model`'s
-    curves), from the `target_units` that `fit` passes as `_units`.
-    `fields` replaces parts of `model` by name. A target reads only the
-    free parameters of its (material, curve) block; `_memo`, which `fit`
-    keeps for one fit, maps (target index, block values) to its velocity,
-    so only targets whose block has new values are scored."""
+    surface is deterministic: a target's velocity is its batch's mean under
+    `apply_parameters` (the free parameters on top of `model`'s curves),
+    scored by `trial_outcomes`; `fields` replaces parts of `model` by name.
+    A `_Context` builds a block's curve and scores its targets once per
+    distinct values: a fresh one, or `fit`'s, standing for all but `params`."""
     params.check()
-    if fields:
-        model = replace(model, **fields)
-    units = (target_units(targets, n_trials, seed, duration, model)
-             if _units is None else _units)
-    memo = {} if _memo is None else _memo
-    blocks, responses, total = _block_fields(params), None, 0.0
-    for i, t in enumerate(targets):
-        values = tuple(blocks.get(_block(t), {}).items())
-        if (i, values) not in memo:
-            responses = responses or _curves(model.responses)
-            response = responses[t.material]
-            if values:
-                response = _with_fields(response, _block(t)[1], dict(values))
-            substrate = moisture_response(t.material, t.moisture, response)
-            outcomes = trial_outcomes(units[t.mode, duration], t.mode,
-                                      t.material, substrate, model.robot)
-            memo[i, values] = float(
-                effective_velocities(outcomes, duration).mean()) * 100.0
-        total += t.weight * (memo[i, values] - t.target_cmps) ** 2
+    _context = _context or _Context(targets, n_trials, seed, duration,
+                                    replace(model, **fields))
+    memo, blocks, total = _context.memo, _block_fields(params), 0.0
+    for block, k, weight, target in _context.terms:
+        values = blocks.get(block, ())
+        velocities = memo.get((block, values))
+        if velocities is None:
+            response, members = _context.blocks[block]
+            response = _with_fields(response, block[1], values)
+            velocities = memo[block, values] = [float(effective_velocities(
+                trial_outcomes(units, t.mode, t.material,
+                               moisture_response(t.material, t.moisture,
+                                                 response), _context.robot),
+                _context.duration).mean()) * 100.0 for t, units in members]
+        total += weight * (velocities[k] - target) ** 2
     return total
 
 
@@ -219,18 +219,18 @@ def minimize(fn, initial: ParameterVector, budget: int = 400, seed: int = 0,
         raise ValueError("restarts must be >= 1")
     rng = np.random.default_rng(seed)
     names = initial.names
-    spans = {n: initial.bounds[n][1] - initial.bounds[n][0] for n in names}
+    bounds = dict(initial.bounds)
+    spans = {n: bounds[n][1] - bounds[n][0] for n in names}
 
-    best_params = initial.copy()
-    best_loss = None
+    best_params = best_loss = None
     trace = []
 
     def evaluate(values: dict) -> float:
         nonlocal best_loss, best_params
-        result = fn(ParameterVector(dict(values), dict(initial.bounds)))
+        params = ParameterVector(values, bounds)
+        result = fn(params)
         if best_loss is None or result < best_loss:
-            best_loss = result
-            best_params = ParameterVector(dict(values), dict(initial.bounds))
+            best_loss, best_params = result, params
         trace.append(best_loss)
         return result
 
@@ -242,7 +242,7 @@ def minimize(fn, initial: ParameterVector, budget: int = 400, seed: int = 0,
             break
         stop = len(trace) - (len(trace) - budget) // (restarts - r)
         point = (dict(initial.values) if r == 0 else
-                 {n: rng.uniform(*initial.bounds[n]) for n in names})
+                 {n: rng.uniform(*bounds[n]) for n in names})
         current = evaluate(point)
         steps = {n: INIT_STEP * spans[n] for n in names}
         while len(trace) < stop and any(
@@ -250,7 +250,7 @@ def minimize(fn, initial: ParameterVector, budget: int = 400, seed: int = 0,
             improved = False
             for name in names:
                 for direction in (1.0, -1.0):
-                    lo, hi = initial.bounds[name]
+                    lo, hi = bounds[name]
                     moved = min(hi, max(lo, point[name] + direction * steps[name]))
                     if len(trace) >= stop or moved == point[name]:
                         continue
@@ -272,14 +272,13 @@ def fit(targets, initial: ParameterVector | None = None, budget: int = 400,
         seed: int = 0, n_trials: int = 3, restarts: int = 3,
         duration: float = 30.0, model: Model = Model()) -> FitResult:
     """Fit the free substrate parameters of `model`'s curves (the shipped
-    curves where it holds none) to velocity targets."""
+    curves where it holds none) to velocity targets, in one `_Context`."""
     initial = initial or default_parameter_vector(model.responses)
-    units = target_units(targets, n_trials, seed, duration, model)
-    memo = {}
+    context = _Context(targets, n_trials, seed, duration, model)
 
     def objective(params):
         return loss(params, targets, n_trials, seed, duration, model,
-                    _units=units, _memo=memo)
+                    _context=context)
 
     return minimize(objective, initial, budget=budget, seed=seed,
                     restarts=restarts)

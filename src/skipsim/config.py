@@ -6,9 +6,10 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field, fields
 
-from .gait import AsymmetryNoise, EncoderModel, GaitConfig
+from .gait import MAX_TRIAL_S, AsymmetryNoise, EncoderModel, GaitConfig
 from .locomotion import MAX_TRIALS, Model, RobotParams
 from .springtail import (MAX_TRACE_SAMPLES, EngagedAngleModel,
                          RegimeThresholds, TailConfig)
@@ -151,7 +152,8 @@ def default_dict() -> dict:
 
 def _merge(base, override, path=""):
     """Recursive dict merge; override keys must already exist in base. In
-    the sections no table types, each value must fit its default's shape."""
+    the sections no table types, each value must fit its default's shape,
+    and is stored `_like` the default."""
     for key, value in override.items():
         dotted = f"{path}.{key}" if path else key
         if key not in base:
@@ -160,31 +162,42 @@ def _merge(base, override, path=""):
             if not isinstance(value, dict):
                 raise ConfigError(f"config key {dotted} must be an object")
             _merge(base[key], value, dotted)
-        elif (dotted.split(".")[0] in ("analysis", "experiments")
-              and not _fits(value, base[key])):
-            raise ConfigError(f"config key {dotted} must be "
-                              f"{_TYPE_NAMES[type(base[key])]}")
+        elif dotted.split(".")[0] in ("analysis", "experiments"):
+            try:
+                base[key] = _like(value, base[key])
+            except TypeError:
+                raise ConfigError(f"config key {dotted} must be "
+                                  f"{_TYPE_NAMES[type(base[key])]}") from None
         else:
             base[key] = value
     return base
 
 
-def _fits(value, default, record=False) -> bool:
-    """Whether `value` has the JSON shape of `default`: its scalar type (an
-    integer passes for a number), a list whose items each fit the first
-    default item, or, as such an item, a record that fits field by field."""
+def _like(value, default, record=False):
+    """`value` stored like `default`, each number a float where the
+    default's is (so equal configs write equal documents); a TypeError
+    unless it has the JSON shape of `default`: its scalar type (an integer
+    passes for a number), a list whose items each fit the first default
+    item, or, as such an item, a record that fits field by field."""
     if isinstance(default, float):
-        return _is_number(value)
-    if not isinstance(default, list) or not isinstance(value, list):
-        return type(value) is type(default)
-    like = default if record else default[:1] * len(value)
-    return len(value) == len(like) and all(
-        _fits(v, d, not record) for v, d in zip(value, like))
+        if _is_number(value):
+            return float(value)
+    elif not isinstance(default, list) or not isinstance(value, list):
+        if type(value) is type(default):
+            return value
+    else:
+        like = default if record else default[:1] * len(value)
+        if len(value) == len(like):
+            return [_like(v, d, not record) for v, d in zip(value, like)]
+    raise TypeError("the value does not fit its default")
 
 
 def _is_number(value) -> bool:
-    # bool is an int subclass, but never a valid number
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    # bool is an int subclass, but never a valid number; an integer must
+    # convert to a float
+    return isinstance(value, float) or (
+        isinstance(value, int) and not isinstance(value, bool)
+        and abs(value) <= sys.float_info.max)
 
 
 def _typed(value, kind, dotted):
@@ -232,13 +245,24 @@ def _build(doc: dict) -> ExperimentConfig:
     if not 1 <= resamples <= MAX_BOOTSTRAP_RESAMPLES:
         raise ConfigError("config key analysis.bootstrap_resamples must lie "
                           f"in [1, {MAX_BOOTSTRAP_RESAMPLES}]")
-    if (doc["experiments"]["tail_characterize"]["record_s"]
-            * doc["analysis"]["trace_sample_rate_hz"] > MAX_TRACE_SAMPLES):
+    experiments = doc["experiments"]
+    record_s = experiments["tail_characterize"]["record_s"]
+    if record_s < 0:
+        raise ConfigError("config key experiments.tail_characterize.record_s "
+                          "must be >= 0")
+    if record_s * doc["analysis"]["trace_sample_rate_hz"] > MAX_TRACE_SAMPLES:
         raise ConfigError(
             "config key experiments.tail_characterize.record_s times "
             f"analysis.trace_sample_rate_hz must be at most {MAX_TRACE_SAMPLES}"
             " samples")
-    for name, section in doc["experiments"].items():
+    if not experiments["gait_drift"]["distance_m"] > 0:
+        raise ConfigError("config key experiments.gait_drift.distance_m must "
+                          "be positive")
+    for name, section in experiments.items():
+        if "duration_s" in section and not (
+                0 < section["duration_s"] <= MAX_TRIAL_S):
+            raise ConfigError(f"config key experiments.{name}.duration_s must "
+                              f"lie in (0, {MAX_TRIAL_S:g}] s")
         for key, most in (("trials", MAX_TRIALS), ("n_trials", MAX_TRIALS),
                           ("budget", math.inf), ("restarts", math.inf)):
             if key in section and not 1 <= section[key] <= most:

@@ -11,7 +11,7 @@ from skipsim.cli import main
 from skipsim.config import load_config
 from skipsim import locomotion
 from skipsim.locomotion import (LocomotionMode, Model, RobotParams,
-                                TrialSpec, run_batch, run_trial)
+                                TrialSpec, build_units, run_batch, run_trial)
 from skipsim.stats import FailureMode
 from skipsim.terrain import Material, default_curves
 
@@ -252,8 +252,8 @@ def _edges():
             return (response.crawl_traction(t.moisture)
                     >= response.excavation_traction)
         edges.append((t, name, _lowest(reaches, 0.0, 1.0)))
-    units = cal.target_units(EDGE_TARGETS, 3, 0, 30.0,
-                             EDGE_MODEL)[LocomotionMode.SKIP, 30.0]
+    units = build_units([TrialSpec(LocomotionMode.SKIP, Material.GRASS)], 0,
+                        3, EDGE_MODEL)[LocomotionMode.SKIP, 30.0]
     robot = EDGE_MODEL.robot
     rigid, grass = EDGE_TARGETS[-1], EDGE_TARGETS[3]
     assert (rigid.material, grass.material) == (Material.RIGID, Material.GRASS)
@@ -409,20 +409,19 @@ class TestLossMemo:
 
     @pytest.mark.parametrize("n_trials", [1, 2, 10, 30])
     def test_memoised_loss_equals_a_fresh_one(self, n_trials):
-        units = cal.target_units(EDGE_TARGETS, n_trials, 3, 30.0,
-                                 EDGE_MODEL)
+        context = cal._Context(EDGE_TARGETS, n_trials, 3, 30.0, EDGE_MODEL)
         walk = _search_walk(60, n_trials) + [
             p for _, on, below in EDGES for p in (on, below)]
-        memo = {}
         for params in walk:
             memoised = cal.loss(params, EDGE_TARGETS, n_trials, seed=3,
-                                model=EDGE_MODEL, _units=units, _memo=memo)
+                                model=EDGE_MODEL, _context=context)
             assert memoised == cal.loss(params, EDGE_TARGETS, n_trials,
                                         seed=3, model=EDGE_MODEL)
         # each point scored about one target afresh, not all of them
-        assert len(memo) == len({(i, _block_values(p, t)) for p in walk
-                                 for i, t in enumerate(EDGE_TARGETS)})
-        assert len(memo) < len(walk) * len(EDGE_TARGETS) / 4
+        scored = sum(map(len, context.memo.values()))
+        assert scored == len({(i, _block_values(p, t)) for p in walk
+                              for i, t in enumerate(EDGE_TARGETS)})
+        assert scored < len(walk) * len(EDGE_TARGETS) / 4
 
     def test_one_substrate_per_target_and_block_values(self, monkeypatch):
         """A default fit evaluates each target's substrate once for each
@@ -447,6 +446,28 @@ class TestLossMemo:
                     for i, t in enumerate(targets)}
         # README's figure for the default fit
         assert len(substrates) == len(distinct) == 450
+
+    def test_one_curve_per_block_and_values(self, monkeypatch):
+        """A default fit builds a block's curve once for each distinct set
+        of the block's values, however many of its targets read it."""
+        built, evaluated = [], []
+        with_fields, fresh_loss = cal._with_fields, cal.loss
+
+        def counting(response, curve, values):
+            built.append((response, curve, values))
+            return with_fields(response, curve, values)
+
+        def recording(params, *args, **kwargs):
+            evaluated.append(params.copy())
+            return fresh_loss(params, *args, **kwargs)
+
+        monkeypatch.setattr(cal, "_with_fields", counting)
+        monkeypatch.setattr(cal, "loss", recording)
+        targets = cal.bundled_targets()
+        assert cal.fit(targets, seed=0).evaluations == len(evaluated) == 400
+        distinct = {_block_values(p, t) for p in evaluated for t in targets}
+        # README's figure for the default fit
+        assert len(built) == len(set(built)) == len(distinct) == 256
 
     def test_memo_lasts_one_fit(self, monkeypatch):
         """Two fits from the same free parameters under curves that differ
@@ -537,3 +558,22 @@ class TestConfiguredCurves:
             tmp_path, {"grass": {"skip": {"floor": 0.9, "peak": 0.9}}})
         assert code == 2
         assert "grass.skip.level" in capsys.readouterr().err
+
+
+def test_loss_from_model_parts_is_the_written_final_loss(tmp_path):
+    """The benchmark's calibrate-fit check: a default fit at seed 0 makes
+    its 400 evaluations, and `loss` at the written parameters, given the
+    model as keyword parts, is the written final loss to the bit."""
+    out = tmp_path / "cal"
+    assert main(["calibrate", "--seed", "0", "--out", str(out)]) == 0
+    summary = json.loads((out / "fit_summary.json").read_text())
+    assert summary["evaluations"] == 400
+    config = load_config()
+    params = config.experiments["calibrate"]
+    fitted = cal.ParameterVector(values=summary["parameters"],
+                                 bounds=cal.default_parameter_vector().bounds)
+    assert cal.loss(
+        fitted, cal.bundled_targets(), n_trials=params["n_trials"], seed=0,
+        duration=params["duration_s"], tail=config.tail, gait=config.gait,
+        robot=config.robot, angle_model=config.angle_model,
+        thresholds=config.thresholds) == summary["final_loss"]

@@ -22,6 +22,15 @@ from skipsim.stats import MAX_BOOTSTRAP_RESAMPLES, ForceTrace
 from skipsim.terrain import Material
 
 
+def _floats(value):
+    """`value` with every integer in it spelled as a float."""
+    if isinstance(value, dict):
+        return {k: _floats(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_floats(v) for v in value]
+    return float(value) if type(value) is int else value
+
+
 def _leaves(doc, path=""):
     for key, value in doc.items():
         dotted = f"{path}.{key}" if path else key
@@ -108,6 +117,43 @@ class TestDocument:
         first, second = (out / "fitted_config.json" for out in outs)
         assert first.read_bytes() == second.read_bytes()
         assert json.loads(first.read_text())["tail"]["motor_rev_per_s"] == 1.0
+
+    @pytest.mark.parametrize("doc", [
+        {"analysis": {"trace_sample_rate_hz": 2000}},
+        {"experiments": {"tail_characterize": {"lengths_mm": [15, 20.5],
+                                               "record_s": 10}}},
+        {"experiments": {"moisture_sweep": {"uniform_sand_grid": [0, 0.15],
+                                            "duration_s": 30}}},
+        {"experiments": {"substrate_bench": {"conditions": [["grass", 0]]}}},
+        {"experiments": {"scenario": {"segments": [["grass", "skip", 12, 0]]}}},
+    ], ids=["analysis-scalar", "lengths", "grid-and-duration", "condition",
+            "segment"])
+    def test_untyped_integer_spelling_writes_the_same(self, tmp_path, doc):
+        """In `analysis` and `experiments` too, an integer where the default
+        holds a float is stored as a float."""
+        outs = []
+        for name, spelled in (("int", doc), ("float", _floats(doc))):
+            cfg = tmp_path / f"{name}.json"
+            cfg.write_text(json.dumps(spelled))
+            outs.append(tmp_path / name)
+            assert main(["calibrate", "--config", str(cfg), "--budget", "2",
+                         "--out", str(outs[-1])]) == 0
+        assert load_config(tmp_path / "int.json") == load_config(
+            tmp_path / "float.json")
+        first, second = (out / "fitted_config.json" for out in outs)
+        assert first.read_bytes() == second.read_bytes()
+
+    def test_integer_defaults_stay_integers(self):
+        config = load_config(overrides={
+            "analysis": {"bootstrap_resamples": 500},
+            "experiments": {"gait_drift": {"trials": 4},
+                            "calibrate": {"budget": 7, "restarts": 2}}})
+        experiments = document(config)["experiments"]
+        assert [type(v) for v in (
+            document(config)["analysis"]["bootstrap_resamples"],
+            experiments["gait_drift"]["trials"],
+            experiments["calibrate"]["budget"],
+            experiments["calibrate"]["restarts"])] == [int] * 4
 
     def test_written_document_is_typed_and_rebuilds_the_config(self):
         config = load_config(overrides={
@@ -379,15 +425,19 @@ class TestCli:
          "unknown config key: substrates.grass.entanglement"),
         (["moisture-sweep"],
          {"experiments": {"moisture_sweep": {"duration_s": 3600.5}}},
-         "duration must lie in (0, 3600] s"),
+         "experiments.moisture_sweep.duration_s must lie in (0, 3600] s"),
         (["substrate-bench"],
          {"experiments": {"substrate_bench": {"duration_s": 1e6}}},
-         "duration must lie in (0, 3600] s"),
+         "experiments.substrate_bench.duration_s must lie in (0, 3600] s"),
         (["calibrate"], {"experiments": {"calibrate": {"duration_s": 1e308}}},
-         "duration must lie in (0, 3600] s"),
+         "experiments.calibrate.duration_s must lie in (0, 3600] s"),
         (["scenario"], {"experiments": {"scenario": {"segments": [
             ["grass", "skip", 12.0, 0.0], ["rigid", "sync_crawl", 1e5, 0.0]]}}},
          "duration must lie in (0, 3600] s"),
+        (["scenario"], {"analysis": {"ci_level": 10 ** 400}},
+         "config key analysis.ci_level must be a number"),
+        (["scenario"], {"tail": {"width_m": -10 ** 400}},
+         "config key tail.width_m must be a number"),
     ], ids=["drift-trials-neg", "drift-trials-0", "sweep-trials-word",
             "budget-0", "tail-trials", "scenario-trials", "calibrate-assert",
             "config-drift-trials-0", "seed-neg", "config-seed-neg",
@@ -395,7 +445,8 @@ class TestCli:
             "config-gait-fin-speed-0", "config-gait-dt-0",
             "removed-key-body-length", "removed-key-entanglement",
             "sweep-duration-long", "bench-duration-long",
-            "calibrate-duration-long", "scenario-segment-long"])
+            "calibrate-duration-long", "scenario-segment-long",
+            "config-huge-integer-analysis", "config-huge-integer-typed"])
     def test_bad_counts_and_flags_exit_2(self, tmp_path, capsys, argv, doc,
                                          named):
         argv = argv + ["--out", str(tmp_path / "o")]
@@ -713,6 +764,45 @@ class TestRecordLimit:
             "analysis": {"trace_sample_rate_hz": rate},
             "experiments": {"tail_characterize": {"record_s": record_s}}})
         assert config.experiments["tail_characterize"]["record_s"] == record_s
+
+
+class TestDurationAndDistanceSigns:
+    """A recording, trial or drift whose length has the wrong sign is
+    refused at config load, naming its key, before `--out` is made."""
+
+    @pytest.mark.parametrize("command, key, value, bound", [
+        ("tail-characterize", "tail_characterize.record_s", -1, "be >= 0"),
+        ("gait-drift", "gait_drift.distance_m", -1, "be positive"),
+        ("gait-drift", "gait_drift.distance_m", 0, "be positive"),
+        ("moisture-sweep", "moisture_sweep.duration_s", -1,
+         "lie in (0, 3600] s"),
+        ("substrate-bench", "substrate_bench.duration_s", -1,
+         "lie in (0, 3600] s"),
+        ("calibrate", "calibrate.duration_s", -1, "lie in (0, 3600] s"),
+        ("calibrate", "calibrate.duration_s", 0, "lie in (0, 3600] s"),
+    ])
+    def test_exits_2_naming_the_key(self, tmp_path, capsys, monkeypatch,
+                                    command, key, value, bound):
+        def never(*args, **kwargs):
+            raise AssertionError("the command ran")
+
+        section = command.replace("-", "_")
+        monkeypatch.setattr(experiments, f"run_{section}", never)
+        name = key.split(".")[1]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiments": {section: {name: value}}}))
+        out = tmp_path / "o"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: config key experiments.{key} must {bound}\n")
+        assert not out.exists()
+
+    def test_the_bounds_load(self):
+        config = load_config(overrides={"experiments": {
+            "tail_characterize": {"record_s": 0},
+            "gait_drift": {"distance_m": 5e-324},
+            "calibrate": {"duration_s": MAX_TRIAL_S}}})
+        assert config.experiments["calibrate"]["duration_s"] == MAX_TRIAL_S
 
 
 def _tree_bytes(root):
