@@ -290,20 +290,27 @@ _TARGET_COLUMNS = ("mode", "material", "moisture", "target_cmps", "std_cmps",
 
 def load_targets(path) -> list:
     """Read calibration targets from CSV (mode, material, moisture,
-    target_cmps, std_cmps, weight). Errors report the offending row."""
+    target_cmps, std_cmps, weight). Errors report the offending CSV line;
+    a row must have as many fields as the header."""
     targets = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        if set(reader.fieldnames or ()) != set(_TARGET_COLUMNS):
+        if sorted(reader.fieldnames or ()) != sorted(_TARGET_COLUMNS):
             raise ValueError("targets file must have columns "
                              f"{sorted(_TARGET_COLUMNS)}")
-        for row_num, row in enumerate(reader, start=2):
+        for row in reader:
             try:
+                # DictReader fills a short row's missing fields with None
+                # and keeps a long row's extra fields under the key None
+                if None in row or None in row.values():
+                    raise ValueError(f"a row must have {len(reader.fieldnames)}"
+                                     " fields, as the header has")
                 targets.append(CalibrationTarget(
                     LocomotionMode(row["mode"]), Material(row["material"]),
                     *(float(row[c]) for c in _TARGET_COLUMNS[2:])))
             except (ValueError, KeyError) as exc:
-                raise ValueError(f"targets row {row_num}: {exc}") from exc
+                raise ValueError(
+                    f"targets CSV line {reader.line_num}: {exc}") from exc
     if not targets:
         raise ValueError("targets file contains no rows")
     return targets

@@ -193,9 +193,9 @@ def _like(value, default, record=False):
 
 
 def _is_number(value) -> bool:
-    # bool is an int subclass, but never a valid number; an integer must
-    # convert to a float
-    return isinstance(value, float) or (
+    # bool is an int subclass, but never a valid number; a float must be
+    # finite (json reads 1e400 as inf), and an integer must convert to one
+    return (isinstance(value, float) and math.isfinite(value)) or (
         isinstance(value, int) and not isinstance(value, bool)
         and abs(value) <= sys.float_info.max)
 

@@ -8,6 +8,8 @@ import math
 import os
 from dataclasses import replace
 
+import numpy as np
+
 from . import calibrate as cal
 from .config import ExperimentConfig, document
 from .fileio import write_csv, write_json
@@ -73,7 +75,9 @@ def run_tail_characterize(config: ExperimentConfig, out_dir,
     """Strike-force sweep over blade lengths: all peaks per length plus the
     bootstrap CI of the detected peak forces. Every length draws from the
     same seed (common random numbers), so lengths differ only by what the
-    model makes of them."""
+    model makes of them. Lengths whose strike sequences agree (strike times,
+    peak forces and pulse width) share one trace and one PeakSet, so a sweep
+    synthesizes one trace per distinct sequence, not per length."""
     params = config.experiments["tail_characterize"]
     lengths_mm = params["lengths_mm"]
     if not lengths_mm:
@@ -85,16 +89,20 @@ def run_tail_characterize(config: ExperimentConfig, out_dir,
                              f"{key} more than once")
     record_s = params["record_s"]
     analysis = config.analysis
-    rows, peak_sets, summary = [], [], {}
+    rows, peak_sets, summary, measured = [], [], {}, {}
     for length_mm, key in zip(lengths_mm, keys):
         tail = replace(config.tail, free_length=length_mm * 1e-3)
         regime = length_regime(tail.free_length, config.thresholds)
         events = strike_sequence(tail, config.angle_model, regime, record_s,
                                  config.seed, config.thresholds)
-        trace = strike_trace(events, analysis["trace_sample_rate_hz"],
-                             tail.pulse_width)
-        peaks = detect_peaks(trace, analysis["peak_threshold_n"],
-                             analysis["min_separation_s"])
+        sequence = (np.array([(e.time, e.peak_force) for e in events],
+                             dtype=float).tobytes(), tail.pulse_width)
+        if sequence not in measured:
+            measured[sequence] = detect_peaks(
+                strike_trace(events, analysis["trace_sample_rate_hz"],
+                             tail.pulse_width),
+                analysis["peak_threshold_n"], analysis["min_separation_s"])
+        peaks = measured[sequence]
         peak_sets.append(peaks)
         rows += [(float(length_mm), k, v) for k, v in enumerate(peaks.values)]
         summary[key] = {"mean_N": 0.0, "ci_lo_N": 0.0, "ci_hi_N": 0.0,

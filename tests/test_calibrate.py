@@ -151,19 +151,34 @@ class TestTargets:
         "skip,unobtainium,0.0,1.0,0.1,1.0", "skip,grass,0.0,nan,0.71,1.0",
         "skip,grass,0.0,5.38,0.71,inf", "skip,grass,nan,5.38,0.71,1.0",
         "skip,grass,5.0,5.38,0.71,1.0", "skip,grass,-0.1,5.38,0.71,1.0",
+        "skip,grass,0.0", "skip,grass,0.0,5.38,0.71,1.0,5",
     ], ids=["material", "nan-target", "inf-weight", "nan-moisture",
-            "moisture-above-max", "moisture-negative"])
+            "moisture-above-max", "moisture-negative", "short-row",
+            "extra-field"])
     def test_malformed_row_reports_line(self, tmp_path, row):
         path = tmp_path / "targets.csv"
         path.write_text(
             "mode,material,moisture,target_cmps,std_cmps,weight\n"
             f"skip,grass,0.0,5.38,0.71,1.0\n{row}\n")
-        with pytest.raises(ValueError, match="row 3"):
+        with pytest.raises(ValueError, match="line 3"):
             cal.load_targets(path)
 
-    def test_wrong_columns_rejected(self, tmp_path):
+    def test_blank_lines_do_not_shift_the_reported_line(self, tmp_path):
         path = tmp_path / "targets.csv"
-        path.write_text("a,b\n1,2\n")
+        path.write_text(
+            "mode,material,moisture,target_cmps,std_cmps,weight\n\n"
+            "skip,grass,0.0,5.38,0.71,1.0\n\n\nskip,grass,0.0\n")
+        with pytest.raises(ValueError, match="^targets CSV line 6: "):
+            cal.load_targets(path)
+
+    @pytest.mark.parametrize("text", [
+        "a,b\n1,2\n",
+        "mode,material,moisture,target_cmps,std_cmps,weight,weight\n"
+        "skip,grass,0.0,5.38,0.71,1.0,7\n",
+    ], ids=["other-columns", "repeated-column"])
+    def test_wrong_columns_rejected(self, tmp_path, text):
+        path = tmp_path / "targets.csv"
+        path.write_text(text)
         with pytest.raises(ValueError, match="columns"):
             cal.load_targets(path)
 

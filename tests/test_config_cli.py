@@ -292,12 +292,17 @@ class TestCli:
          "skip,grass,0.0,5.38,0.71,1.0\nskip,grass,0.0,5.38,0.71,inf\n"),
         (["calibrate", "--budget", "2", "--targets"], TARGETS_HEADER +
          "skip,grass,0.0,5.38,0.71,1.0\nskip,grass,5.0,5.38,0.71,1.0\n"),
+        (["calibrate", "--budget", "2", "--targets"], TARGETS_HEADER +
+         "skip,grass,0.0\n"),
+        (["calibrate", "--budget", "2", "--targets"], TARGETS_HEADER +
+         "skip,grass,0.0,5.38,0.71,1.0,5\n"),
     ], ids=["trace-equal-times", "trace-uneven-times", "trajectory-no-heading",
             "trace-short-row", "trace-missing", "targets-missing",
             "trajectory-nan", "trajectory-inf", "trajectory-overflow",
             "trajectory-overflow-drift",
             "trace-subnormal-step", "trace-huge-peaks", "targets-nan-target",
-            "targets-inf-weight", "targets-moisture-5"])
+            "targets-inf-weight", "targets-moisture-5", "targets-short-row",
+            "targets-extra-field"])
     def test_bad_csv_inputs_exit_2(self, tmp_path, capsys, argv, text):
         path = tmp_path / "input.csv"
         if text is not None:
@@ -764,6 +769,32 @@ class TestRecordLimit:
             "analysis": {"trace_sample_rate_hz": rate},
             "experiments": {"tail_characterize": {"record_s": record_s}}})
         assert config.experiments["tail_characterize"]["record_s"] == record_s
+
+
+class TestOverflowingNumbers:
+    """JSON reads a number too large for a float, such as 1e400, as
+    infinity; a config holding one is refused at load, naming its key,
+    before `--out` is made."""
+
+    @pytest.mark.parametrize("text, key", [
+        ('{"robot": {"mass_kg": 1e400}}', "robot.mass_kg"),
+        ('{"tail": {"motor_rev_per_s": 1e400}}', "tail.motor_rev_per_s"),
+        ('{"engaged_angle": {"mean_rad": 1e400}}', "engaged_angle.mean_rad"),
+        ('{"gait": {"magnet_angles_rad": [0.0, 1e400]}}',
+         "gait.magnet_angles_rad"),
+        ('{"analysis": {"ci_level": -1e400}}', "analysis.ci_level"),
+    ], ids=["typed", "typed-motor", "typed-optional", "typed-tuple",
+            "analysis"])
+    def test_exits_2_naming_the_key(self, tmp_path, capsys, text, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        out = tmp_path / "o"
+        assert main(["substrate-bench", "--config", str(cfg),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config key {key} must be ")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestDurationAndDistanceSigns:

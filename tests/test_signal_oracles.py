@@ -15,6 +15,7 @@ import csv
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -23,10 +24,12 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from skipsim import stats  # noqa: E402
+from skipsim import experiments, stats  # noqa: E402
 from skipsim.cli import main  # noqa: E402
 from skipsim.config import load_config  # noqa: E402
-from skipsim.springtail import StrikeEvent, strike_trace  # noqa: E402
+from skipsim.fileio import write_csv, write_json  # noqa: E402
+from skipsim.springtail import (StrikeEvent, length_regime,  # noqa: E402
+                                strike_sequence, strike_trace)
 from skipsim.stats import (BootstrapCI, ForceTrace, PeakSet,  # noqa: E402
                            bootstrap_ci, detect_peaks)
 
@@ -329,3 +332,86 @@ def test_tail_characterize_cis_equal_one_bootstrap_per_length(tmp_path):
         assert entry["n"] == len(values)
         assert (entry["mean_N"], entry["ci_lo_N"], entry["ci_hi_N"]) == (
             ci.mean, ci.lower, ci.upper)
+
+
+SWEEP_1MM = [float(mm) for mm in range(15, 36)]
+
+
+def _spy(monkeypatch, name, calls):
+    real = getattr(experiments, name)
+
+    def spy(*args, **kwargs):
+        calls[name] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, name, spy)
+
+
+@pytest.mark.parametrize("lengths_mm", [None, SWEEP_1MM],
+                         ids=["default", "sweep-1mm"])
+def test_tail_characterize_traces_each_distinct_sequence_once(
+        tmp_path, monkeypatch, lengths_mm):
+    """Every length draws its strike sequence, but lengths whose sequences
+    agree share one trace and one peak detection: three regimes, three."""
+    calls = dict.fromkeys(("strike_sequence", "strike_trace", "detect_peaks"),
+                          0)
+    for name in calls:
+        _spy(monkeypatch, name, calls)
+    argv = ["tail-characterize", "--out", str(tmp_path / "o")]
+    if lengths_mm is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(
+            {"experiments": {"tail_characterize": {"lengths_mm": lengths_mm}}}))
+        argv += ["--config", str(cfg)]
+    assert main(argv) == 0
+    n_lengths = len(lengths_mm or load_config().experiments[
+        "tail_characterize"]["lengths_mm"])
+    assert calls == {"strike_sequence": n_lengths, "strike_trace": 3,
+                     "detect_peaks": 3}
+
+
+@pytest.mark.parametrize("doc", [
+    {"experiments": {"tail_characterize": {"lengths_mm": SWEEP_1MM,
+                                           "record_s": 60.0}}},
+    {"experiments": {"tail_characterize": {"lengths_mm": [15.0, 25.0, 35.0],
+                                           "record_s": 60.0}}},
+    {"regimes": {"jam_strike_prob": 0.0},
+     "experiments": {"tail_characterize": {"lengths_mm": [16.0, 25.0, 18.0],
+                                           "record_s": 30.0}}},
+], ids=["sweep-1mm", "no-shared-sequence", "shared-empty-sequence"])
+def test_tail_characterize_matches_one_pipeline_per_length(tmp_path, doc):
+    """peaks.csv and summary.json are byte for byte what running the whole
+    pipeline (sequence, trace, peaks, 1-D bootstrap) per length writes."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    assert main(["tail-characterize", "--config", str(cfg), "--seed", "5",
+                 "--out", str(out)]) == 0
+    config = load_config(cfg, {"seed": 5})
+    analysis = config.analysis
+    params = config.experiments["tail_characterize"]
+    rows, summary = [], {}
+    for length_mm in params["lengths_mm"]:
+        tail = replace(config.tail, free_length=length_mm * 1e-3)
+        regime = length_regime(tail.free_length, config.thresholds)
+        events = strike_sequence(tail, config.angle_model, regime,
+                                 params["record_s"], 5, config.thresholds)
+        peaks = detect_peaks(
+            strike_trace(events, analysis["trace_sample_rate_hz"],
+                         tail.pulse_width),
+            analysis["peak_threshold_n"], analysis["min_separation_s"])
+        rows += [(length_mm, k, v) for k, v in enumerate(peaks.values)]
+        entry = summary[f"{length_mm:g}mm"] = {
+            "n": peaks.count, "mean_N": 0.0, "ci_lo_N": 0.0, "ci_hi_N": 0.0,
+            "regime": regime.value}
+        if peaks.count:
+            ci = bootstrap_ci(peaks.values, analysis["ci_level"],
+                              analysis["bootstrap_resamples"], 5)
+            entry.update(mean_N=ci.mean, ci_lo_N=ci.lower, ci_hi_N=ci.upper)
+    expected = tmp_path / "expected"
+    expected.mkdir()
+    write_csv(expected / "peaks.csv", ["length_mm", "strike_idx", "peak_N"],
+              rows)
+    write_json(expected / "summary.json", summary)
+    for name in ("peaks.csv", "summary.json"):
+        assert (out / name).read_bytes() == (expected / name).read_bytes()
