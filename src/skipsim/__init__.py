@@ -9,7 +9,7 @@ from .locomotion import (BatchSummary, LocomotionMode, Model, RobotParams,
                          TrialResult, TrialSpec, run_batch, run_trial,
                          scenario_heterogeneous)
 from .springtail import (EngagedAngleModel, LengthRegime, RegimeThresholds,
-                         StrikeEvent, TailConfig)
+                         StrikeSequence, TailConfig)
 from .stats import BootstrapCI, FailureMode, ForceTrace, PeakSet
 from .terrain import Material, MoistureResponse, SubstrateParams
 
@@ -18,7 +18,7 @@ __all__ = [
     "EngagedAngleModel", "FailureMode", "Fin", "ForceTrace",
     "GaitConfig", "GaitMode", "LengthRegime", "LocomotionMode", "Material",
     "Model", "MoistureResponse", "PeakSet", "PlanarPose", "RegimeThresholds",
-    "RobotParams", "StrikeEvent",
+    "RobotParams", "StrikeSequence",
     "SubstrateParams", "TailConfig", "Trajectory",
     "TrialResult", "TrialSpec", "run_batch", "run_trial",
     "scenario_heterogeneous",

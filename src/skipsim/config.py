@@ -9,7 +9,8 @@ import math
 import sys
 from dataclasses import dataclass, field, fields
 
-from .gait import MAX_TRIAL_S, AsymmetryNoise, EncoderModel, GaitConfig
+from .gait import (MAX_TRIAL_S, AsymmetryNoise, EncoderModel, GaitConfig,
+                   GaitMode, drift_duration)
 from .locomotion import MAX_TRIALS, Model, RobotParams
 from .springtail import (MAX_TRACE_SAMPLES, EngagedAngleModel,
                          RegimeThresholds, TailConfig)
@@ -58,11 +59,12 @@ RESPONSE = {"slip_moisture": "slip_moisture",
             "moisture_sensitive": "moisture_sensitive"}
 
 # The field annotations the tables meet (strings: the model modules use
-# `from __future__ import annotations`) and how an error names each type.
+# `from __future__ import annotations`) and how an error names each type
+# (json reads a number too large for a float, such as 1e400, as infinity).
 _TYPES = {"float": float, "float | None": float | None, "str": str,
           "bool": bool, "tuple": tuple}
-_TYPE_NAMES = {float: "a number", int: "an integer", str: "a string",
-               bool: "a boolean", tuple: "a list of numbers",
+_TYPE_NAMES = {float: "a finite number", int: "an integer", str: "a string",
+               bool: "a boolean", tuple: "a list of finite numbers",
                list: "a list shaped like its default"}
 
 
@@ -277,7 +279,7 @@ def _build(doc: dict) -> ExperimentConfig:
                 MoistureResponse, RESPONSE, doc, path,
                 skip=_parse(SkipCurve, SKIP, doc, path + ".skip"),
                 crawl=_parse(CrawlCurve, CRAWL, doc, path + ".crawl"))
-        return ExperimentConfig(
+        config = ExperimentConfig(
             tail=_parse(TailConfig, TAIL, doc, "tail"),
             angle_model=_parse(EngagedAngleModel, ENGAGED_ANGLE, doc,
                                "engaged_angle"),
@@ -292,6 +294,14 @@ def _build(doc: dict) -> ExperimentConfig:
         raise
     except (ValueError, TypeError, KeyError) as exc:
         raise ConfigError(str(exc)) from exc
+    for mode in GaitMode:  # every gait-drift trial must fit MAX_TRIAL_S
+        try:
+            drift_duration(mode, config.gait,
+                           experiments["gait_drift"]["distance_m"])
+        except ValueError as exc:
+            raise ConfigError("config key experiments.gait_drift.distance_m "
+                              f"is too long: {exc}") from None
+    return config
 
 
 def _reject_constant(name):

@@ -8,12 +8,10 @@ import math
 import os
 from dataclasses import replace
 
-import numpy as np
-
 from . import calibrate as cal
 from .config import ExperimentConfig, document
 from .fileio import write_csv, write_json
-from .gait import GaitMode, Trajectory, drift_duration, drift_trial
+from .gait import GaitMode, Trajectory, drift_trial
 from .locomotion import (LocomotionMode, TrialSpec, build_units, run_batch,
                          scenario_heterogeneous)
 from .springtail import length_regime, strike_sequence, strike_trace
@@ -93,13 +91,13 @@ def run_tail_characterize(config: ExperimentConfig, out_dir,
     for length_mm, key in zip(lengths_mm, keys):
         tail = replace(config.tail, free_length=length_mm * 1e-3)
         regime = length_regime(tail.free_length, config.thresholds)
-        events = strike_sequence(tail, config.angle_model, regime, record_s,
-                                 config.seed, config.thresholds)
-        sequence = (np.array([(e.time, e.peak_force) for e in events],
-                             dtype=float).tobytes(), tail.pulse_width)
+        strikes = strike_sequence(tail, config.angle_model, regime, record_s,
+                                  config.seed, config.thresholds)
+        sequence = (strikes.time.tobytes(), strikes.peak_force.tobytes(),
+                    tail.pulse_width)
         if sequence not in measured:
             measured[sequence] = detect_peaks(
-                strike_trace(events, analysis["trace_sample_rate_hz"],
+                strike_trace(strikes, analysis["trace_sample_rate_hz"],
                              tail.pulse_width),
                 analysis["peak_threshold_n"], analysis["min_separation_s"])
         peaks = measured[sequence]
@@ -130,9 +128,7 @@ def run_tail_characterize(config: ExperimentConfig, out_dir,
 def run_gait_drift(config: ExperimentConfig, out_dir, check=False) -> dict:
     """Straight-line drift comparison: encoder gaits versus open loop."""
     params = config.experiments["gait_drift"]
-    distance = params["distance_m"]
-    for mode in GaitMode:
-        drift_duration(mode, config.gait, distance)  # before any trial runs
+    distance = params["distance_m"]  # config load checks the trials fit
     summary = {}
     for mode in GaitMode:
         drifts = []

@@ -159,15 +159,14 @@ def unit_path(mode: LocomotionMode, model: Model, duration: float, seed: int,
                                 seed, PlanarPose(0.0, 0.0, heading, time)).poses
         return path, (math.hypot(*path[-1, :2].tolist()), *np.empty((3, 0)))
     tail, thresholds = model.tail, model.thresholds
-    events = strike_sequence(tail, model.angle_model,
-                             length_regime(tail.free_length, thresholds),
-                             duration, seed, thresholds)
-    impulses = np.array([e.impulse for e in events], dtype=float)
+    strikes = strike_sequence(tail, model.angle_model,
+                              length_regime(tail.free_length, thresholds),
+                              duration, seed, thresholds)
+    times, impulses = strikes.time, strikes.impulse
     reach = accumulate(0.0, hop_displacement(impulses, model.robot))
     # the records: impulses are positive, so the first tops a running 0
     hop = np.flatnonzero(
         impulses > np.maximum.accumulate(np.append(0.0, impulses))[:-1])
-    times = np.array([e.time for e in events], dtype=float)
     return (times, impulses, reach), (float(reach[-1]), hop, impulses[hop],
                                       reach[hop])
 

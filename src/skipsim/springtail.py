@@ -84,28 +84,51 @@ class EngagedAngleModel:
             if self.spread is not None and self.spread < 0:
                 raise ValueError("spread must be >= 0")
 
-    def sample(self, rng: np.random.Generator) -> float:
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """`size` engaged angles, drawn from `rng` exactly as `size` draws
+        of one angle each would: the uniform model in one call, a truncated
+        normal draw by draw, each retried up to 1000 times before it falls
+        back to the mean clamped to [lower, upper]."""
         if self.lower == self.upper:
-            return self.lower
+            return np.full(size, self.lower)
         if self.kind == "uniform":
-            return float(rng.uniform(self.lower, self.upper))
+            return rng.uniform(self.lower, self.upper, size)
         mean = self.mean if self.mean is not None else 0.5 * (self.lower + self.upper)
         spread = self.spread if self.spread is not None else 0.25 * (self.upper - self.lower)
+        angles = np.full(size, min(max(mean, self.lower), self.upper))
         if spread == 0.0:
-            return float(min(max(mean, self.lower), self.upper))
-        for _ in range(1000):
-            draw = rng.normal(mean, spread)
-            if self.lower <= draw <= self.upper:
-                return float(draw)
-        return float(min(max(mean, self.lower), self.upper))
+            return angles
+        for k in range(size):
+            for _ in range(1000):
+                draw = rng.normal(mean, spread)
+                if self.lower <= draw <= self.upper:
+                    angles[k] = draw
+                    break
+        return angles
 
 
-@dataclass(frozen=True)
-class StrikeEvent:
-    time: float  # s
-    peak_force: float  # N
-    impulse: float  # N*s
-    engaged_angle: float  # rad
+@dataclass(frozen=True, eq=False)
+class StrikeSequence:
+    """The strikes of a recording window in time order, as read-only
+    float64 columns of one length each; `len()` is the strike count. The
+    constructor copies what it is given."""
+
+    time: np.ndarray  # s
+    peak_force: np.ndarray  # N
+    impulse: np.ndarray  # N*s
+    engaged_angle: np.ndarray  # rad
+
+    def __post_init__(self):
+        names = ("time", "peak_force", "impulse", "engaged_angle")
+        columns = [np.array(getattr(self, name), dtype=float) for name in names]
+        if any(c.ndim != 1 or len(c) != len(columns[0]) for c in columns):
+            raise ValueError("strike columns must be 1-D and of one length")
+        for name, column in zip(names, columns):
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
+
+    def __len__(self):
+        return len(self.time)
 
 
 @dataclass(frozen=True)
@@ -150,18 +173,20 @@ def latch_deflection(length: float, housing_radius: float) -> float:
     return length ** 2 / (2.0 * housing_radius)
 
 
-def effective_length(housing_radius: float, engaged_angle: float) -> float:
-    """Engaged cantilever length R*theta (m)."""
-    if housing_radius <= 0 or engaged_angle <= 0:
+def effective_length(housing_radius: float, engaged_angle):
+    """Engaged cantilever length R*theta (m), of one angle or of each in an
+    array."""
+    if housing_radius <= 0 or np.any(engaged_angle <= 0):
         raise ValueError("housing_radius and engaged_angle must be positive")
     return housing_radius * engaged_angle
 
 
-def unlatch_force(config: TailConfig, engaged_angle: float) -> float:
-    """Peak elastic force at release, 3*E*I/(2*R*L_eff) with L_eff = R*theta (N)."""
-    if engaged_angle <= 0:
+def unlatch_force(config: TailConfig, engaged_angle):
+    """Peak elastic force at release, 3*E*I/(2*R*L_eff) with L_eff = R*theta
+    (N), of one angle or of each in an array."""
+    if np.any(engaged_angle <= 0):
         raise ValueError("engaged_angle must be positive")
-    if engaged_angle >= config.housing_arc:
+    if np.any(engaged_angle >= config.housing_arc):
         raise ValueError("engaged_angle must be smaller than the housing arc")
     length = effective_length(config.housing_radius, engaged_angle)
     return (3.0 * config.youngs_modulus * config.second_moment
@@ -187,9 +212,10 @@ def latch_energy(config: TailConfig) -> float:
             / (2.0 * config.housing_radius ** 2))
 
 
-def half_sine_impulse(peak_force: float, pulse_width: float) -> float:
-    """Analytic impulse of a half-sine pulse, 2*F*tau/pi (N*s)."""
-    if peak_force <= 0 or pulse_width <= 0:
+def half_sine_impulse(peak_force, pulse_width: float):
+    """Analytic impulse of a half-sine pulse, 2*F*tau/pi (N*s), of one peak
+    force or of each in an array."""
+    if np.any(peak_force <= 0) or pulse_width <= 0:
         raise ValueError("peak_force and pulse_width must be positive")
     return 2.0 * peak_force * pulse_width / math.pi
 
@@ -211,12 +237,16 @@ def strike_sequence(config: TailConfig,
                     angle_model: EngagedAngleModel | None = None,
                     regime: LengthRegime = LengthRegime.NOMINAL,
                     duration: float = 10.0, seed: int = 0,
-                    thresholds: RegimeThresholds | None = None) -> list:
+                    thresholds: RegimeThresholds | None = None
+                    ) -> StrikeSequence:
     """Generate the strikes of a recording window.
 
     Nominal blades strike once per revolution; jammed blades strike with
     probability jam_strike_prob per revolution; rolling blades strike every
-    revolution at attenuated force. Deterministic given the seed.
+    revolution at attenuated force. Deterministic given the seed. The
+    angles are drawn as one array and the force law prices them all at
+    once, except that a jammed blade's strike test and angle draw take
+    turns in one stream, revolution by revolution.
     """
     if duration < 0:
         raise ValueError("duration must be >= 0")
@@ -226,44 +256,52 @@ def strike_sequence(config: TailConfig,
         raise ValueError("engaged-angle upper bound must stay below the housing arc")
     rng = np.random.default_rng(seed)
     revolutions = int(math.floor(config.motor_speed * duration))
-    events = []
-    for k in range(revolutions):
-        if regime is LengthRegime.JAM and rng.random() >= thresholds.jam_strike_prob:
-            continue
-        theta = angle_model.sample(rng)
-        force = unlatch_force(config, theta)
-        if regime is LengthRegime.ROLL:
-            force *= thresholds.roll_attenuation
-        events.append(StrikeEvent(
-            time=(k + 1) / config.motor_speed,
-            peak_force=force,
-            impulse=half_sine_impulse(force, config.pulse_width),
-            engaged_angle=theta,
-        ))
-    return events
+    if regime is LengthRegime.JAM:
+        struck, angles = [], []
+        for k in range(revolutions):
+            if rng.random() < thresholds.jam_strike_prob:
+                struck.append(k)
+                angles.append(angle_model.sample(rng, 1)[0])
+        struck, theta = np.array(struck, dtype=np.int64), np.array(angles)
+    else:
+        struck = np.arange(revolutions)
+        theta = angle_model.sample(rng, revolutions)
+    force = unlatch_force(config, theta)
+    if regime is LengthRegime.ROLL:
+        force *= thresholds.roll_attenuation
+    return StrikeSequence(time=(struck + 1) / config.motor_speed,
+                          peak_force=force,
+                          impulse=half_sine_impulse(force, config.pulse_width),
+                          engaged_angle=theta)
 
 
-def strike_trace(events, sample_rate: float, pulse_width: float = 0.010,
+def strike_trace(events: StrikeSequence, sample_rate: float,
+                 pulse_width: float = 0.010,
                  duration: float | None = None) -> ForceTrace:
     """Synthesize the force-sensor signal for a strike sequence: one
     half-sine pulse of width pulse_width per strike, starting at the strike
     time. Pulses must be resolved by at least two samples.
 
+    Without a `duration` the trace ends one pulse width after the latest
+    strike (or at one pulse width, if none is later), and every strike time
+    must then be finite: a ValueError says so otherwise. With one, a strike
+    at a non-finite or far-off time writes nothing.
+
     Each strike touches only its own window of about pulse_width *
     sample_rate samples, laid out for all strikes in one numpy pass, so the
-    cost is linear in the trace length plus the pulse samples written. A
-    strike at a non-finite or far-off time writes nothing."""
+    cost is linear in the trace length plus the pulse samples written."""
     if pulse_width <= 0:
         raise ValueError("pulse_width must be positive")
     if sample_rate < 2.0 / pulse_width:
         raise ValueError("sample_rate must be at least 2/pulse_width")
+    times, forces = events.time, events.peak_force
     if duration is None:
-        duration = max((e.time for e in events), default=0.0) + pulse_width
-        duration = max(duration, pulse_width)
+        if not np.isfinite(times).all():
+            raise ValueError("strike times must be finite when no duration "
+                             "is given")
+        duration = times.max(initial=0.0) + pulse_width
     n = int(round(duration * sample_rate)) + 1
     samples = np.zeros(n)
-    times = np.array([e.time for e in events], dtype=float)
-    forces = np.array([e.peak_force for e in events], dtype=float)
     finite = np.isfinite(times)  # a strike at no finite time covers no sample
     times, forces = times[finite, None], forces[finite, None]
     # One sample of slack each side: the time comparisons below, not this

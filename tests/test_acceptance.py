@@ -20,7 +20,7 @@ from skipsim.locomotion import (LocomotionMode, Model, RobotParams, TrialSpec,
                                 Units, build_units, effective_velocities,
                                 run_batch, trial_outcomes)
 from skipsim.springtail import (EngagedAngleModel, LengthRegime,
-                                RegimeThresholds, StrikeEvent, TailConfig,
+                                RegimeThresholds, StrikeSequence, TailConfig,
                                 effective_length, strike_sequence,
                                 strike_trace, unlatch_force)
 from skipsim.stats import (FailureMode, _percentile, bootstrap_ci,
@@ -62,7 +62,8 @@ def test_criterion_2_strike_statistics():
     f_hi = unlatch_force(config, model.lower)
     # model bounds round to the predicted 2.6 / 5.9 N endpoints
     bounds_ok = abs(f_lo - 2.6) <= 0.05 and abs(f_hi - 5.9) <= 0.05
-    forces_ok = all(f_lo <= e.peak_force <= f_hi for e in events)
+    forces_ok = bool(np.all((f_lo <= events.peak_force)
+                            & (events.peak_force <= f_hi)))
     trace = strike_trace(events, 2000.0, config.pulse_width)
     peaks = detect_peaks(trace, threshold=1.0, min_separation=0.3)
     ci = bootstrap_ci(peaks.values, level=0.95, resamples=10000, seed=0)
@@ -329,10 +330,9 @@ def test_criterion_7_roundtrip_signal_property():
             times.append(t)
             t += 0.4 + rng.uniform(0.0, 0.4)
         amplitudes = rng.uniform(2.6, 5.9, size=count)
-        events = [StrikeEvent(time=ti, peak_force=float(a),
-                              impulse=2.0 * float(a) * width / math.pi,
-                              engaged_angle=0.5)
-                  for ti, a in zip(times, amplitudes)]
+        events = StrikeSequence(time=times, peak_force=amplitudes,
+                                impulse=2.0 * amplitudes * width / math.pi,
+                                engaged_angle=np.full(count, 0.5))
         trace = strike_trace(events, rate, width)
         peaks = detect_peaks(trace, threshold=1.0, min_separation=0.3)
         if peaks.count != count:

@@ -440,9 +440,9 @@ class TestCli:
             ["grass", "skip", 12.0, 0.0], ["rigid", "sync_crawl", 1e5, 0.0]]}}},
          "duration must lie in (0, 3600] s"),
         (["scenario"], {"analysis": {"ci_level": 10 ** 400}},
-         "config key analysis.ci_level must be a number"),
+         "config key analysis.ci_level must be a finite number"),
         (["scenario"], {"tail": {"width_m": -10 ** 400}},
-         "config key tail.width_m must be a number"),
+         "config key tail.width_m must be a finite number"),
     ], ids=["drift-trials-neg", "drift-trials-0", "sweep-trials-word",
             "budget-0", "tail-trials", "scenario-trials", "calibrate-assert",
             "config-drift-trials-0", "seed-neg", "config-seed-neg",
@@ -581,9 +581,28 @@ class TestDriftDistanceLimit:
         assert main(["gait-drift", "--config", str(cfg), "--out",
                      str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error:") and err.count("\n") == 1
-        assert "3600 s limit" in err
-        assert os.listdir(out) == []
+        assert err.startswith("error: config key experiments.gait_drift."
+                              "distance_m is too long: ")
+        assert err.count("\n") == 1 and "3600 s limit" in err
+        assert not out.exists()
+
+    def test_a_1000_m_drift_is_refused_at_config_load(self, tmp_path, capsys,
+                                                      monkeypatch):
+        trials = []
+        monkeypatch.setattr(experiments, "drift_trial",
+                            lambda *args, **kwargs: trials.append(args))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(
+            {"experiments": {"gait_drift": {"distance_m": 1000}}}))
+        out = tmp_path / "o"
+        assert main(["gait-drift", "--config", str(cfg), "--out",
+                     str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: config key experiments.gait_drift.distance_m is too "
+            "long: a sync drift over 1000 m would take 3605 s, over the "
+            "3600 s limit\n")
+        assert trials == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("distance", [1e6, 1e308, math.inf])
     def test_huge_distances_are_refused(self, distance):
@@ -794,6 +813,8 @@ class TestOverflowingNumbers:
         err = capsys.readouterr().err
         assert err.startswith(f"error: config key {key} must be ")
         assert err.count("\n") == 1
+        # the message says what is wrong: the number is not finite
+        assert "finite number" in err
         assert not out.exists()
 
 

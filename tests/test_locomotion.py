@@ -172,8 +172,9 @@ class TestOrderingAndDominance:
         for material, moisture in conditions:
             substrate = moisture_response(material, moisture)
             for seed in range(10):
-                for event in strike_sequence(tail, duration=10.0, seed=seed):
-                    v0 = substrate.skip_efficiency * event.impulse / robot.mass
+                for impulse in strike_sequence(tail, duration=10.0,
+                                               seed=seed).impulse:
+                    v0 = substrate.skip_efficiency * impulse / robot.mass
                     assert 0.5 * robot.mass * v0 ** 2 <= limit
 
 

@@ -28,22 +28,23 @@ from skipsim import experiments, stats  # noqa: E402
 from skipsim.cli import main  # noqa: E402
 from skipsim.config import load_config  # noqa: E402
 from skipsim.fileio import write_csv, write_json  # noqa: E402
-from skipsim.springtail import (StrikeEvent, length_regime,  # noqa: E402
-                                strike_sequence, strike_trace)
+from skipsim.springtail import (StrikeSequence,  # noqa: E402
+                                length_regime, strike_sequence, strike_trace)
 from skipsim.stats import (BootstrapCI, ForceTrace, PeakSet,  # noqa: E402
                            bootstrap_ci, detect_peaks)
 
 
 def oracle_strike_trace(events, sample_rate, pulse_width, duration=None):
+    strikes = list(zip(events.time.tolist(), events.peak_force.tolist()))
     if duration is None:
-        duration = max((e.time for e in events), default=0.0) + pulse_width
+        duration = max((time for time, _ in strikes), default=0.0) + pulse_width
         duration = max(duration, pulse_width)
     n = int(round(duration * sample_rate)) + 1
     t = np.arange(n) / sample_rate
     samples = np.zeros(n)
-    for e in events:
-        mask = (t >= e.time) & (t <= e.time + pulse_width)
-        samples[mask] += e.peak_force * np.sin(math.pi * (t[mask] - e.time) / pulse_width)
+    for time, force in strikes:
+        mask = (t >= time) & (t <= time + pulse_width)
+        samples[mask] += force * np.sin(math.pi * (t[mask] - time) / pulse_width)
     return samples
 
 
@@ -153,16 +154,15 @@ def strike_sets(draw):
         k = draw(st.integers(100, 400))
         times += many.uniform(-1.0, 3.0, k).tolist()
         forces += many.uniform(0.1, 8.0, k).tolist()
-    events = [StrikeEvent(time=t, peak_force=f, impulse=0.0,
-                          engaged_angle=0.5) for t, f in zip(times, forces)]
     last = max(max(times, default=0.0) + pulse_width, 0.0)
     duration = draw(st.one_of(st.none(), st.floats(0.0, last)))
     if duration is not None:
         # without a duration an off-trace time has no finite trace length
-        events += [StrikeEvent(time=t, peak_force=1.0, impulse=0.0,
-                               engaged_angle=0.5)
-                   for t in draw(st.lists(st.sampled_from(OFF_TRACE_TIMES),
-                                          max_size=3))]
+        off = draw(st.lists(st.sampled_from(OFF_TRACE_TIMES), max_size=3))
+        times, forces = times + off, forces + [1.0] * len(off)
+    events = StrikeSequence(time=times, peak_force=forces,
+                            impulse=np.zeros(len(times)),
+                            engaged_angle=np.full(len(times), 0.5))
     return events, rate, pulse_width, duration
 
 

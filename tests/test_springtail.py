@@ -1,10 +1,12 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from skipsim.springtail import (EngagedAngleModel, LengthRegime,
-                                RegimeThresholds, TailConfig, area_moment,
+                                RegimeThresholds, StrikeSequence, TailConfig,
+                                area_moment,
                                 effective_length, half_sine_impulse,
                                 latch_deflection, latch_energy, length_regime,
                                 stored_energy, strike_sequence, strike_trace,
@@ -15,6 +17,23 @@ from skipsim.stats import detect_peaks
 @pytest.fixture
 def config():
     return TailConfig()
+
+
+def strikes(times, forces=None):
+    """A StrikeSequence at `times`, of 1 N each unless `forces` is given."""
+    forces = np.ones(len(times)) if forces is None else forces
+    return StrikeSequence(time=times, peak_force=forces,
+                          impulse=np.zeros(len(times)),
+                          engaged_angle=np.full(len(times), 0.5))
+
+
+def columns(events):
+    return [events.time, events.peak_force, events.impulse,
+            events.engaged_angle]
+
+
+def column_bytes(events):
+    return [column.tobytes() for column in columns(events)]
 
 
 class TestClosedForm:
@@ -152,11 +171,13 @@ class TestStrikeSequence:
     def test_nominal_count_10s(self, config):
         events = strike_sequence(config, duration=10.0, seed=0)
         assert len(events) == 10
-        assert [e.time for e in events] == pytest.approx(
+        assert events.time.tolist() == pytest.approx(
             [k + 1.0 for k in range(10)])
 
     def test_zero_duration_empty(self, config):
-        assert strike_sequence(config, duration=0.0, seed=0) == []
+        events = strike_sequence(config, duration=0.0, seed=0)
+        assert len(events) == 0
+        assert [c.size for c in columns(events)] == [0, 0, 0, 0]
 
     @pytest.mark.parametrize("seed", range(20))
     def test_forces_bounded_by_angle_model(self, config, seed):
@@ -164,11 +185,11 @@ class TestStrikeSequence:
         events = strike_sequence(config, model, duration=10.0, seed=seed)
         f_hi = unlatch_force(config, model.lower)
         f_lo = unlatch_force(config, model.upper)
-        for e in events:
-            assert f_lo <= e.peak_force <= f_hi
-            assert model.lower <= e.engaged_angle <= model.upper
-            assert e.impulse == pytest.approx(
-                2.0 * e.peak_force * config.pulse_width / math.pi, rel=1e-12)
+        assert np.all((f_lo <= events.peak_force) & (events.peak_force <= f_hi))
+        assert np.all((model.lower <= events.engaged_angle)
+                      & (events.engaged_angle <= model.upper))
+        assert events.impulse == pytest.approx(
+            2.0 * events.peak_force * config.pulse_width / math.pi, rel=1e-12)
 
     def test_jam_count_expectation(self, config):
         counts = [len(strike_sequence(config, regime=LengthRegime.JAM,
@@ -181,27 +202,27 @@ class TestStrikeSequence:
         rolled = strike_sequence(config, regime=LengthRegime.ROLL,
                                  duration=10.0, seed=7)
         assert len(rolled) == len(nominal)
-        for a, b in zip(nominal, rolled):
-            assert b.peak_force == pytest.approx(0.5 * a.peak_force, rel=1e-12)
+        assert rolled.peak_force == pytest.approx(0.5 * nominal.peak_force,
+                                                  rel=1e-12)
 
     def test_deterministic_given_seed(self, config):
         a = strike_sequence(config, duration=10.0, seed=42)
         b = strike_sequence(config, duration=10.0, seed=42)
-        assert a == b
+        assert column_bytes(a) == column_bytes(b)
 
     def test_truncated_normal_model_stays_in_bounds(self, config):
         model = EngagedAngleModel(kind="truncated_normal",
                                   lower=math.radians(20),
                                   upper=math.radians(45))
         events = strike_sequence(config, model, duration=10.0, seed=3)
-        assert all(model.lower <= e.engaged_angle <= model.upper
-                   for e in events)
+        assert np.all((model.lower <= events.engaged_angle)
+                      & (events.engaged_angle <= model.upper))
 
     def test_degenerate_angle_model_is_noise_free(self, config):
         model = EngagedAngleModel(lower=0.5, upper=0.5)
         a = strike_sequence(config, model, duration=10.0, seed=1)
         b = strike_sequence(config, model, duration=10.0, seed=99)
-        assert [e.peak_force for e in a] == [e.peak_force for e in b]
+        assert a.peak_force.tolist() == b.peak_force.tolist()
 
 
 class TestStrikeTrace:
@@ -212,18 +233,18 @@ class TestStrikeTrace:
         assert len(events) == 1
         trace = strike_trace(events, 2000.0, config.pulse_width)
         sampled = np.trapezoid(trace.samples, dx=1.0 / trace.sample_rate)
-        assert sampled == pytest.approx(events[0].impulse, rel=1e-2)
+        assert sampled == pytest.approx(events.impulse[0], rel=1e-2)
 
     def test_analytic_pulse_impulse(self):
         assert half_sine_impulse(4.0, 0.010) == pytest.approx(25.5e-3, rel=2e-3)
 
     def test_zero_events_all_zero(self):
-        trace = strike_trace([], 2000.0, 0.010)
+        trace = strike_trace(strikes([]), 2000.0, 0.010)
         assert np.all(trace.samples == 0.0)
 
     def test_undersampling_rejected(self):
         with pytest.raises(ValueError):
-            strike_trace([], 100.0, 0.010)
+            strike_trace(strikes([]), 100.0, 0.010)
 
     def test_round_trip_peak_count(self):
         config = TailConfig()
@@ -253,3 +274,197 @@ class TestValidation:
         model = EngagedAngleModel(lower=0.3, upper=config.housing_arc + 0.1)
         with pytest.raises(ValueError):
             strike_sequence(config, model, duration=1.0, seed=0)
+
+
+def oracle_sample(model, rng):
+    """One engaged angle, drawn on its own."""
+    if model.lower == model.upper:
+        return model.lower
+    if model.kind == "uniform":
+        return float(rng.uniform(model.lower, model.upper))
+    mean = model.mean if model.mean is not None else 0.5 * (model.lower + model.upper)
+    spread = (model.spread if model.spread is not None
+              else 0.25 * (model.upper - model.lower))
+    if spread == 0.0:
+        return float(min(max(mean, model.lower), model.upper))
+    for _ in range(1000):
+        draw = rng.normal(mean, spread)
+        if model.lower <= draw <= model.upper:
+            return float(draw)
+    return float(min(max(mean, model.lower), model.upper))
+
+
+def oracle_strike_sequence(config, model, regime, duration, seed, thresholds):
+    """The strikes revolution by revolution, each priced in scalar
+    arithmetic: its columns (time, peak_force, impulse, engaged_angle)."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for k in range(int(math.floor(config.motor_speed * duration))):
+        if (regime is LengthRegime.JAM
+                and rng.random() >= thresholds.jam_strike_prob):
+            continue
+        theta = oracle_sample(model, rng)
+        length = config.housing_radius * theta
+        force = (3.0 * config.youngs_modulus * config.second_moment
+                 / (2.0 * config.housing_radius * length))
+        if regime is LengthRegime.ROLL:
+            force *= thresholds.roll_attenuation
+        rows.append(((k + 1) / config.motor_speed, force,
+                     2.0 * force * config.pulse_width / math.pi, theta))
+    return [np.array([row[i] for row in rows], dtype=float) for i in range(4)]
+
+
+ANGLE_MODELS = {
+    "uniform": EngagedAngleModel(),
+    "truncated-normal": EngagedAngleModel(kind="truncated_normal"),
+    # most draws land outside [lower, upper] and are retried
+    "truncated-normal-wide": EngagedAngleModel(
+        kind="truncated_normal", mean=0.2, spread=2.0),
+    # every draw misses, so each angle falls back to the clamped mean
+    "truncated-normal-miss": EngagedAngleModel(
+        kind="truncated_normal", lower=0.5, upper=0.5 + 1e-12, mean=0.3,
+        spread=1e-9),
+    "truncated-normal-no-spread": EngagedAngleModel(
+        kind="truncated_normal", spread=0.0),
+    "point": EngagedAngleModel(lower=0.5, upper=0.5),
+    "point-truncated-normal": EngagedAngleModel(
+        kind="truncated_normal", lower=0.5, upper=0.5),
+}
+# 0 and 0.5 s hold no revolution at 1 rev/s; 12.5 s and 1.3 rev/s hold
+# fractional revolution counts
+DURATIONS = (0.0, 0.5, 1.0, 12.5, 30.0)
+
+
+class TestStrikeSequenceMatchesLoop:
+    """The array draw and force law give every column byte for byte as
+    drawing and pricing one revolution at a time does."""
+
+    @pytest.mark.parametrize("regime", list(LengthRegime))
+    @pytest.mark.parametrize("model", ANGLE_MODELS.values(),
+                             ids=ANGLE_MODELS.keys())
+    @pytest.mark.parametrize("motor_speed", [1.0, 1.3])
+    def test_columns_match_the_loop(self, regime, model, motor_speed):
+        config = TailConfig(motor_speed=motor_speed)
+        thresholds = RegimeThresholds()
+        for seed in range(6):
+            for duration in DURATIONS:
+                got = strike_sequence(config, model, regime, duration, seed,
+                                      thresholds)
+                want = oracle_strike_sequence(config, model, regime, duration,
+                                              seed, thresholds)
+                assert column_bytes(got) == [c.tobytes() for c in want]
+                assert len(got) == len(want[0])
+
+    @pytest.mark.parametrize("model", ANGLE_MODELS.values(),
+                             ids=ANGLE_MODELS.keys())
+    @pytest.mark.parametrize("size", [0, 1, 7])
+    def test_sample_uses_the_stream_as_scalar_draws(self, model, size):
+        for seed in range(4):
+            rng, oracle_rng = (np.random.default_rng(seed) for _ in range(2))
+            angles = model.sample(rng, size)
+            want = [oracle_sample(model, oracle_rng) for _ in range(size)]
+            assert angles.dtype == np.float64
+            assert angles.tobytes() == np.array(want, dtype=float).tobytes()
+            # the stream stands where `size` scalar draws leave it
+            assert rng.random() == oracle_rng.random()
+
+    def test_nominal_uniform_draws_in_one_call(self, config, monkeypatch):
+        calls = []
+        make = np.random.default_rng
+
+        class Spy:
+            def __init__(self, seed):
+                self.rng = make(seed)
+
+            def __getattr__(self, name):
+                method = getattr(self.rng, name)
+
+                def spied(*args, **kwargs):
+                    calls.append(name)
+                    return method(*args, **kwargs)
+                return spied
+
+        monkeypatch.setattr(np.random, "default_rng", Spy)
+        events = strike_sequence(config, EngagedAngleModel(), duration=300.0,
+                                 seed=0)
+        assert len(events) == 300
+        assert calls == ["uniform"]
+
+    def test_len_is_the_strike_count(self, config):
+        for seed in range(10):
+            jammed = strike_sequence(config, regime=LengthRegime.JAM,
+                                     duration=30.0, seed=seed)
+            assert len(jammed) == jammed.time.size
+            assert {c.size for c in columns(jammed)} == {len(jammed)}
+        assert len(strikes([0.5, 1.5, 2.5])) == 3
+
+    def test_columns_are_read_only_float_copies(self, config):
+        events = strike_sequence(config, duration=10.0, seed=0)
+        for name in ("time", "peak_force", "impulse", "engaged_angle"):
+            column = getattr(events, name)
+            assert column.dtype == np.float64
+            with pytest.raises(ValueError):
+                column[0] = 1.0
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(events, name, column)
+        given = np.array([1.0, 2.0])
+        made = strikes(given)
+        given[0] = 9.0
+        assert made.time.tolist() == [1.0, 2.0]
+
+    def test_columns_must_be_one_long_vector_each(self):
+        with pytest.raises(ValueError, match="1-D and of one length"):
+            strikes([1.0, 2.0], forces=[1.0])
+        with pytest.raises(ValueError, match="1-D and of one length"):
+            StrikeSequence(time=[[1.0]], peak_force=[[1.0]], impulse=[[0.0]],
+                           engaged_angle=[[0.5]])
+
+
+class TestForceLawOnArrays:
+    """Each element of an array result is the scalar result bit for bit,
+    and the scalar checks hold over the whole array."""
+
+    def test_elements_equal_scalar_results(self, config):
+        thetas = np.random.default_rng(0).uniform(0.05, config.housing_arc
+                                                  - 0.05, 200)
+        forces = unlatch_force(config, thetas)
+        assert forces.tobytes() == np.array(
+            [unlatch_force(config, float(t)) for t in thetas]).tobytes()
+        assert effective_length(config.housing_radius, thetas).tobytes() == \
+            np.array([effective_length(config.housing_radius, float(t))
+                      for t in thetas]).tobytes()
+        assert half_sine_impulse(forces, config.pulse_width).tobytes() == \
+            np.array([half_sine_impulse(float(f), config.pulse_width)
+                      for f in forces]).tobytes()
+
+    def test_checks_cover_every_element(self, config):
+        with pytest.raises(ValueError, match="engaged_angle must be positive"):
+            unlatch_force(config, np.array([0.5, 0.0]))
+        with pytest.raises(ValueError, match="smaller than the housing arc"):
+            unlatch_force(config, np.array([0.5, config.housing_arc]))
+        with pytest.raises(ValueError, match="must be positive"):
+            effective_length(config.housing_radius, np.array([0.5, -0.1]))
+        with pytest.raises(ValueError, match="must be positive"):
+            half_sine_impulse(np.array([1.0, 0.0]), 0.010)
+        assert unlatch_force(config, np.empty(0)).size == 0
+
+
+class TestStrikeTraceTimes:
+    @pytest.mark.parametrize("times", [[math.nan, 1.0], [1.0, math.nan],
+                                       [math.inf], [-math.inf, 1.0]],
+                             ids=["nan-first", "nan-last", "inf", "minus-inf"])
+    def test_non_finite_time_without_duration_is_refused(self, times):
+        with pytest.raises(ValueError, match="strike times must be finite "
+                                             "when no duration is given"):
+            strike_trace(strikes(times), 2000.0, 0.010)
+
+    def test_non_finite_time_with_duration_writes_nothing(self):
+        got = strike_trace(strikes([math.nan, 1.0, math.inf]), 2000.0, 0.010,
+                           duration=2.0)
+        want = strike_trace(strikes([1.0]), 2000.0, 0.010, duration=2.0)
+        assert got.samples.tobytes() == want.samples.tobytes()
+
+    def test_trace_ends_a_pulse_after_the_last_strike(self):
+        assert strike_trace(strikes([1.0]), 2000.0, 0.010).samples.size == 2021
+        # strikes all before time zero leave one pulse width of trace
+        assert strike_trace(strikes([-3.0]), 2000.0, 0.010).samples.size == 21

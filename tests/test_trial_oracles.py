@@ -78,15 +78,15 @@ def oracle_skip_trial(spec, substrate, model, start):
                              spec.seed, thresholds)
     x, y, heading = start.x, start.y, start.heading
     poses = [start]
-    for e in events:
-        v0 = substrate.skip_efficiency * e.impulse / robot.mass
+    for time, impulse in zip(events.time.tolist(), events.impulse.tolist()):
+        v0 = substrate.skip_efficiency * impulse / robot.mass
         if spec.material is Material.RIGID and v0 > robot.pitch_speed_limit:
-            poses.append(PlanarPose(x, y, heading, start.time + e.time))
+            poses.append(PlanarPose(x, y, heading, start.time + time))
             return np.array(poses), _net(poses), FailureMode.PITCH_OVER
-        d = oracle_hop_displacement(e.impulse, robot, substrate)
+        d = oracle_hop_displacement(impulse, robot, substrate)
         x += d * math.cos(heading)
         y += d * math.sin(heading)
-        poses.append(PlanarPose(x, y, heading, start.time + e.time))
+        poses.append(PlanarPose(x, y, heading, start.time + time))
     return (np.array(poses), _net(poses),
             FailureMode.TAIL_SLIP if substrate.tail_slips else None)
 
