@@ -7,7 +7,6 @@ restart points. Every run is reproducible from its seed.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -15,6 +14,7 @@ from importlib import resources
 
 import numpy as np
 
+from .fileio import number, read_csv
 from .locomotion import (LocomotionMode, Model, TrialSpec, build_units,
                          effective_velocities, trial_outcomes)
 from .terrain import Material, check_moisture, default_curves, moisture_response
@@ -288,29 +288,16 @@ _TARGET_COLUMNS = ("mode", "material", "moisture", "target_cmps", "std_cmps",
                    "weight")
 
 
+def _target(fields) -> tuple:
+    mode, material, *numbers = fields
+    return (CalibrationTarget(LocomotionMode(mode), Material(material),
+                              *map(number, numbers)),)
+
+
 def load_targets(path) -> list:
     """Read calibration targets from CSV (mode, material, moisture,
-    target_cmps, std_cmps, weight). Errors report the offending CSV line;
-    a row must have as many fields as the header."""
-    targets = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if sorted(reader.fieldnames or ()) != sorted(_TARGET_COLUMNS):
-            raise ValueError("targets file must have columns "
-                             f"{sorted(_TARGET_COLUMNS)}")
-        for row in reader:
-            try:
-                # DictReader fills a short row's missing fields with None
-                # and keeps a long row's extra fields under the key None
-                if None in row or None in row.values():
-                    raise ValueError(f"a row must have {len(reader.fieldnames)}"
-                                     " fields, as the header has")
-                targets.append(CalibrationTarget(
-                    LocomotionMode(row["mode"]), Material(row["material"]),
-                    *(float(row[c]) for c in _TARGET_COLUMNS[2:])))
-            except (ValueError, KeyError) as exc:
-                raise ValueError(
-                    f"targets CSV line {reader.line_num}: {exc}") from exc
+    target_cmps, std_cmps, weight) through `fileio.read_csv`."""
+    targets = list(read_csv(path, _TARGET_COLUMNS, "targets", _target))
     if not targets:
         raise ValueError("targets file contains no rows")
     return targets

@@ -7,7 +7,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 from .gait import (MAX_TRIAL_S, AsymmetryNoise, EncoderModel, GaitConfig,
                    GaitMode, drift_duration)
@@ -58,14 +58,15 @@ RESPONSE = {"slip_moisture": "slip_moisture",
             "excavation_traction": "excavation_traction",
             "moisture_sensitive": "moisture_sensitive"}
 
-# The field annotations the tables meet (strings: the model modules use
-# `from __future__ import annotations`) and how an error names each type
-# (json reads a number too large for a float, such as 1e400, as infinity).
-_TYPES = {"float": float, "float | None": float | None, "str": str,
-          "bool": bool, "tuple": tuple}
+# The keys whose field may be None: each takes null or a finite number. How
+# an error names the shape of a default, a list by its first item (json
+# reads a number too large for a float, such as 1e400, as infinity).
+NULLABLE = {"engaged_angle.mean_rad", "engaged_angle.spread_rad",
+            *(f"substrates.{m.value}.slip_moisture" for m in Material)}
 _TYPE_NAMES = {float: "a finite number", int: "an integer", str: "a string",
-               bool: "a boolean", tuple: "a list of finite numbers",
-               list: "a list shaped like its default"}
+               bool: "a boolean", (list, float): "a list of finite numbers",
+               (list, str): "a list of strings",
+               (list, list): "a list of rows shaped like its default's"}
 
 
 def _default_analysis() -> dict:
@@ -153,25 +154,31 @@ def default_dict() -> dict:
 
 
 def _merge(base, override, path=""):
-    """Recursive dict merge; override keys must already exist in base. In
-    the sections no table types, each value must fit its default's shape,
-    and is stored `_like` the default."""
+    """Recursive dict merge; override keys must already exist in base. Each
+    value must fit the shape of the default it replaces, and is stored
+    `_like` it; a `NULLABLE` key takes null or a number."""
     for key, value in override.items():
         dotted = f"{path}.{key}" if path else key
         if key not in base:
             raise ConfigError(f"unknown config key: {dotted}")
-        if isinstance(base[key], dict):
+        default = base[key]
+        if isinstance(default, dict):
             if not isinstance(value, dict):
                 raise ConfigError(f"config key {dotted} must be an object")
-            _merge(base[key], value, dotted)
-        elif dotted.split(".")[0] in ("analysis", "experiments"):
-            try:
-                base[key] = _like(value, base[key])
-            except TypeError:
-                raise ConfigError(f"config key {dotted} must be "
-                                  f"{_TYPE_NAMES[type(base[key])]}") from None
-        else:
-            base[key] = value
+            _merge(default, value, dotted)
+            continue
+        nullable = dotted in NULLABLE
+        if nullable:
+            default = 0.0
+        try:
+            base[key] = None if nullable and value is None else _like(
+                value, default)
+        except TypeError:
+            kind = ((list, type(default[0])) if isinstance(default, list)
+                    else type(default))
+            raise ConfigError(f"config key {dotted} must be "
+                              f"{_TYPE_NAMES[kind]}"
+                              + (" or null" if nullable else "")) from None
     return base
 
 
@@ -182,7 +189,10 @@ def _like(value, default, record=False):
     passes for a number), a list whose items each fit the first default
     item, or, as such an item, a record that fits field by field."""
     if isinstance(default, float):
-        if _is_number(value):
+        # bool is an int subclass, but never a number; a number must be
+        # finite (json reads 1e400 as inf), an integer too once converted
+        if (isinstance(value, (int, float)) and not isinstance(value, bool)
+                and abs(value) <= sys.float_info.max):
             return float(value)
     elif not isinstance(default, list) or not isinstance(value, list):
         if type(value) is type(default):
@@ -194,45 +204,15 @@ def _like(value, default, record=False):
     raise TypeError("the value does not fit its default")
 
 
-def _is_number(value) -> bool:
-    # bool is an int subclass, but never a valid number; a float must be
-    # finite (json reads 1e400 as inf), and an integer must convert to one
-    return (isinstance(value, float) and math.isfinite(value)) or (
-        isinstance(value, int) and not isinstance(value, bool)
-        and abs(value) <= sys.float_info.max)
-
-
-def _typed(value, kind, dotted):
-    """`value` checked against the declared field type `kind`."""
-    if kind == float | None:
-        if value is None:
-            return None
-        kind = float
-    if kind is float:
-        if _is_number(value):
-            return float(value)
-    elif kind is tuple:
-        if isinstance(value, (list, tuple)) and all(map(_is_number, value)):
-            return tuple(float(v) for v in value)
-    elif isinstance(value, kind) and (kind is bool or not isinstance(value, bool)):
-        return value
-    raise ConfigError(f"config key {dotted} must be {_TYPE_NAMES[kind]}")
-
-
-def _parse(cls, table, doc, path, **nested):
-    """Build `cls` from the section of `doc` at dotted `path` through
-    `table`; `nested` passes fields that are themselves dataclasses."""
-    section = doc
-    for key in path.split("."):
-        section = section[key]
-    annotations = {f.name: f.type for f in fields(cls)}
+def _parse(cls, table, section, **nested):
+    """Build `cls` from a document `section` through `table`, a list as a
+    tuple; `nested` passes fields that are themselves dataclasses."""
     for key, name in table.items():
         if isinstance(key, tuple):
-            nested[name] = tuple(_typed(section[k], float, f"{path}.{k}")
-                                 for k in key)
+            nested[name] = tuple(section[k] for k in key)
         else:
-            nested[name] = _typed(section[key], _TYPES[annotations[name]],
-                                  f"{path}.{key}")
+            value = section[key]
+            nested[name] = tuple(value) if isinstance(value, list) else value
     return cls(**nested)
 
 
@@ -240,8 +220,7 @@ def _build(doc: dict) -> ExperimentConfig:
     if doc["schema_version"] != SCHEMA_VERSION:
         raise ConfigError(
             f"unsupported schema_version: {doc['schema_version']}")
-    seed = _typed(doc["seed"], int, "seed")
-    if seed < 0:
+    if doc["seed"] < 0:
         raise ConfigError("config key seed must be >= 0")
     resamples = doc["analysis"]["bootstrap_resamples"]
     if not 1 <= resamples <= MAX_BOOTSTRAP_RESAMPLES:
@@ -272,27 +251,24 @@ def _build(doc: dict) -> ExperimentConfig:
                 raise ConfigError(
                     f"config key experiments.{name}.{key} must {bound}")
     try:
-        responses = {}
-        for key in doc["substrates"]:
-            path = f"substrates.{key}"
-            responses[Material(key)] = _parse(
-                MoistureResponse, RESPONSE, doc, path,
-                skip=_parse(SkipCurve, SKIP, doc, path + ".skip"),
-                crawl=_parse(CrawlCurve, CRAWL, doc, path + ".crawl"))
+        responses = {
+            Material(key): _parse(
+                MoistureResponse, RESPONSE, section,
+                skip=_parse(SkipCurve, SKIP, section["skip"]),
+                crawl=_parse(CrawlCurve, CRAWL, section["crawl"]))
+            for key, section in doc["substrates"].items()}
         config = ExperimentConfig(
-            tail=_parse(TailConfig, TAIL, doc, "tail"),
-            angle_model=_parse(EngagedAngleModel, ENGAGED_ANGLE, doc,
-                               "engaged_angle"),
-            thresholds=_parse(RegimeThresholds, REGIMES, doc, "regimes"),
-            gait=_parse(GaitConfig, GAIT, doc, "gait",
-                        encoder=_parse(EncoderModel, ENCODER, doc, "gait"),
-                        noise=_parse(AsymmetryNoise, NOISE, doc, "noise")),
-            robot=_parse(RobotParams, ROBOT, doc, "robot"),
+            tail=_parse(TailConfig, TAIL, doc["tail"]),
+            angle_model=_parse(EngagedAngleModel, ENGAGED_ANGLE,
+                               doc["engaged_angle"]),
+            thresholds=_parse(RegimeThresholds, REGIMES, doc["regimes"]),
+            gait=_parse(GaitConfig, GAIT, doc["gait"],
+                        encoder=_parse(EncoderModel, ENCODER, doc["gait"]),
+                        noise=_parse(AsymmetryNoise, NOISE, doc["noise"])),
+            robot=_parse(RobotParams, ROBOT, doc["robot"]),
             responses=responses, analysis=doc["analysis"],
-            experiments=doc["experiments"], seed=seed)
-    except ConfigError:
-        raise
-    except (ValueError, TypeError, KeyError) as exc:
+            experiments=doc["experiments"], seed=doc["seed"])
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     for mode in GaitMode:  # every gait-drift trial must fit MAX_TRIAL_S
         try:

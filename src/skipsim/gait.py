@@ -497,10 +497,10 @@ def drift_duration(mode: GaitMode, gait: GaitConfig, distance: float) -> float:
     if not distance > 0:
         raise ValueError("distance must be positive")
     period = TWO_PI / gait.fin_speed * (2.0 if mode is GaitMode.ASYNC else 1.0)
-    # capping the stride count keeps ceil() finite; a capped count already
-    # runs over the limit
-    strides = min(distance / gait.stride, MAX_TRIAL_S / period)
-    duration = (int(math.ceil(strides)) + 5) * period
+    strides = distance / gait.stride
+    # ceil() of an infinite count would raise; it runs over the limit anyway
+    duration = ((math.ceil(strides) if math.isfinite(strides) else strides)
+                + 5) * period
     if duration > MAX_TRIAL_S:
         raise ValueError(f"a {mode.value} drift over {distance:g} m would take "
                          f"{duration:g} s, over the {MAX_TRIAL_S:g} s limit")

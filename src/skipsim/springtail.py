@@ -276,16 +276,15 @@ def strike_sequence(config: TailConfig,
 
 
 def strike_trace(events: StrikeSequence, sample_rate: float,
-                 pulse_width: float = 0.010,
-                 duration: float | None = None) -> ForceTrace:
+                 pulse_width: float = 0.010) -> ForceTrace:
     """Synthesize the force-sensor signal for a strike sequence: one
     half-sine pulse of width pulse_width per strike, starting at the strike
     time. Pulses must be resolved by at least two samples.
 
-    Without a `duration` the trace ends one pulse width after the latest
-    strike (or at one pulse width, if none is later), and every strike time
-    must then be finite: a ValueError says so otherwise. With one, a strike
-    at a non-finite or far-off time writes nothing.
+    The trace ends one pulse width after the latest strike (or at one pulse
+    width, if none is later), and every strike time must be finite: a
+    ValueError says so otherwise. A strike far before time zero writes
+    nothing.
 
     Each strike touches only its own window of about pulse_width *
     sample_rate samples, laid out for all strikes in one numpy pass, so the
@@ -294,16 +293,12 @@ def strike_trace(events: StrikeSequence, sample_rate: float,
         raise ValueError("pulse_width must be positive")
     if sample_rate < 2.0 / pulse_width:
         raise ValueError("sample_rate must be at least 2/pulse_width")
-    times, forces = events.time, events.peak_force
-    if duration is None:
-        if not np.isfinite(times).all():
-            raise ValueError("strike times must be finite when no duration "
-                             "is given")
-        duration = times.max(initial=0.0) + pulse_width
+    if not np.isfinite(events.time).all():
+        raise ValueError("strike times must be finite")
+    duration = events.time.max(initial=0.0) + pulse_width
     n = int(round(duration * sample_rate)) + 1
     samples = np.zeros(n)
-    finite = np.isfinite(times)  # a strike at no finite time covers no sample
-    times, forces = times[finite, None], forces[finite, None]
+    times, forces = events.time[:, None], events.peak_force[:, None]
     # One sample of slack each side: the time comparisons below, not this
     # index arithmetic, decide which samples a pulse covers. Clipped to the
     # trace before the cast, so far-off strikes get empty windows.

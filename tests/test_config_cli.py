@@ -296,13 +296,19 @@ class TestCli:
          "skip,grass,0.0\n"),
         (["calibrate", "--budget", "2", "--targets"], TARGETS_HEADER +
          "skip,grass,0.0,5.38,0.71,1.0,5\n"),
+        (["analyze", "--trace"], "time_s,time_s,force_N\n0.0,0.0,1.0\n"
+         "0.5,0.5,2.0\n"),
+        (["analyze", "--trajectory"],
+         "time_s,x_m,y_m,heading_rad\n0,0,0,0\n1,1,0,0,0\n"),
+        (["analyze", "--trace"], "time_s,force_N\n0,1\n1," + "9" * 200000),
     ], ids=["trace-equal-times", "trace-uneven-times", "trajectory-no-heading",
             "trace-short-row", "trace-missing", "targets-missing",
             "trajectory-nan", "trajectory-inf", "trajectory-overflow",
             "trajectory-overflow-drift",
             "trace-subnormal-step", "trace-huge-peaks", "targets-nan-target",
             "targets-inf-weight", "targets-moisture-5", "targets-short-row",
-            "targets-extra-field"])
+            "targets-extra-field", "trace-repeated-column",
+            "trajectory-extra-field", "trace-field-over-csv-limit"])
     def test_bad_csv_inputs_exit_2(self, tmp_path, capsys, argv, text):
         path = tmp_path / "input.csv"
         if text is not None:
@@ -323,7 +329,27 @@ class TestCli:
         path.write_text(text)
         assert main(["analyze", flag, str(path), "--out",
                      str(tmp_path / "o")]) == 2
-        assert "CSV line 3" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "CSV line 3: field " in err and "is not a number" in err
+        assert "could not convert" not in err
+
+    @pytest.mark.parametrize("flag, text, line", [
+        ("--trace", "time_s,time_s,force_N\n0,0,1\n", 1),
+        ("--trace", "force_N,time_s\n1,0\n\n2,0.5,7\n", 4),
+        ("--trajectory", "time_s,x_m,y_m,heading_rad\n0,0,0,0\n1,1,0,0,0\n",
+         3),
+        ("--trajectory", "", 1),
+    ], ids=["trace-repeated-column", "trace-extra-field",
+            "trajectory-extra-field", "trajectory-empty"])
+    def test_misshapen_csv_names_its_line(self, tmp_path, capsys, flag, text,
+                                          line):
+        path = tmp_path / "input.csv"
+        path.write_text(text)
+        assert main(["analyze", flag, str(path), "--out",
+                     str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f" CSV line {line}: " in err
 
     def test_substrate_bench_checks_targets_at_row_moisture(self, tmp_path,
                                                             capsys):
@@ -599,7 +625,7 @@ class TestDriftDistanceLimit:
                      str(out)]) == 2
         assert capsys.readouterr().err == (
             "error: config key experiments.gait_drift.distance_m is too "
-            "long: a sync drift over 1000 m would take 3605 s, over the "
+            "long: a sync drift over 1000 m would take 30309 s, over the "
             "3600 s limit\n")
         assert trials == []
         assert not out.exists()

@@ -1,9 +1,14 @@
-"""Property test of the CSV input boundary: whatever CSV `analyze` reads, it
+"""Property tests of the input boundaries. Whatever CSV `analyze` reads, it
 exits 0 or 2 without raising, and an analysis.json it writes is strict JSON
-(no NaN or Infinity)."""
+(no NaN or Infinity); a repeated header column or a row with an extra field
+exits 2. Whatever a targets CSV holds, `load_targets` returns one target per
+row or raises one ValueError in the package's words. Whatever override a
+config document makes, `load_config` raises one ConfigError or builds a
+config that its own document rebuilds."""
 
 import json
 import os
+import sys
 import tempfile
 
 import pytest
@@ -11,7 +16,10 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from skipsim.calibrate import load_targets  # noqa: E402
 from skipsim.cli import main  # noqa: E402
+from skipsim.config import (ConfigError, default_dict,  # noqa: E402
+                            document, load_config)
 from skipsim.gait import Trajectory  # noqa: E402
 from skipsim.stats import ForceTrace  # noqa: E402
 
@@ -20,16 +28,17 @@ NUMBERS = st.one_of(st.integers(-3, 3).map(str),
 ODD = st.sampled_from(["nan", "inf", "-inf", "1e308", "-1e308", "", "abc"])
 
 
-@st.composite
-def csv_inputs(draw):
-    """A CSV for `analyze`: numbers in shuffled columns, time either the row
-    index or drawn, then up to two fields replaced by odd values or cut."""
-    flag, columns = draw(st.sampled_from(
-        [("--trace", ForceTrace.COLUMNS), ("--trajectory", Trajectory.COLUMNS)]))
-    header = draw(st.permutations(columns))
-    indexed = draw(st.booleans())
-    rows = [[str(i) if name == "time_s" and indexed else draw(NUMBERS)
-             for name in header] for i in range(draw(st.integers(0, 8)))]
+def _spoil(draw, header, rows):
+    """The CSV text of `header` and `rows`, sometimes with a column of the
+    header named twice and up to two fields replaced by odd values, cut off
+    or joined by an extra field; and whether the header repeats a column or
+    a row is longer than the header."""
+    repeated = draw(st.booleans()) and draw(st.booleans())
+    if repeated:
+        header.insert(draw(st.integers(0, len(header))),
+                      draw(st.sampled_from(header)))
+        for row in rows:
+            row.append(draw(NUMBERS))
     for _ in range(draw(st.integers(0, 2)) if rows else 0):
         # a cut at k = 0 empties its row, which has no field left to edit
         filled = [row for row in rows if row]
@@ -37,11 +46,29 @@ def csv_inputs(draw):
             break
         row = draw(st.sampled_from(filled))
         k = draw(st.integers(0, len(row) - 1))
-        if draw(st.booleans()):
+        edit = draw(st.sampled_from(["odd", "cut", "extra"]))
+        if edit == "odd":
             row[k] = draw(ODD)
-        else:
+        elif edit == "cut":
             del row[k:]
-    return flag, "\n".join(",".join(row) for row in [header] + rows) + "\n"
+        else:
+            row.insert(k, draw(NUMBERS))
+    longer = any(len(row) > len(header) for row in rows)
+    text = "\n".join(",".join(row) for row in [header] + rows) + "\n"
+    return text, repeated or longer
+
+
+@st.composite
+def csv_inputs(draw):
+    """A CSV for `analyze`: numbers in shuffled columns, time either the row
+    index or drawn, then spoiled by `_spoil`."""
+    flag, columns = draw(st.sampled_from(
+        [("--trace", ForceTrace.COLUMNS), ("--trajectory", Trajectory.COLUMNS)]))
+    header = draw(st.permutations(columns))
+    indexed = draw(st.booleans())
+    rows = [[str(i) if name == "time_s" and indexed else draw(NUMBERS)
+             for name in header] for i in range(draw(st.integers(0, 8)))]
+    return (flag, *_spoil(draw, header, rows))
 
 
 def _no_constant(name):
@@ -50,8 +77,8 @@ def _no_constant(name):
 
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(csv_inputs())
-def test_analyze_exits_0_or_2_and_writes_strict_json(flag_and_text):
-    flag, text = flag_and_text
+def test_analyze_exits_0_or_2_and_writes_strict_json(case):
+    flag, text, misshapen = case
     with tempfile.TemporaryDirectory() as root:
         path = os.path.join(root, "input.csv")
         with open(path, "w") as fh:
@@ -59,6 +86,144 @@ def test_analyze_exits_0_or_2_and_writes_strict_json(flag_and_text):
         out = os.path.join(root, "out")
         code = main(["analyze", flag, path, "--out", out])
         assert code in (0, 2)
+        if misshapen:
+            assert code == 2
         if code == 0:
             with open(os.path.join(out, "analysis.json")) as fh:
                 json.load(fh, parse_constant=_no_constant)
+
+
+TARGET_COLUMNS = ("mode", "material", "moisture", "target_cmps", "std_cmps",
+                  "weight")
+POSITIVE = st.one_of(st.floats(0.01, 10.0).map(repr),
+                     st.integers(1, 9).map(str))
+TARGET_FIELDS = {
+    # one name in seven is unknown
+    "mode": st.sampled_from(["skip", "sync_crawl", "async_crawl"] * 2
+                            + ["hop"]),
+    "material": st.sampled_from(["grass", "uniform_sand", "bentonite_clay"]
+                                * 2 + ["mud"]),
+    "moisture": st.floats(0.0, 1.2).map(repr),
+    "target_cmps": POSITIVE, "std_cmps": POSITIVE, "weight": POSITIVE,
+}
+
+
+@st.composite
+def targets_inputs(draw):
+    """A targets CSV: modes and materials (known or not) and positive
+    numbers in shuffled columns, then spoiled by `_spoil`."""
+    header = draw(st.permutations(TARGET_COLUMNS))
+    rows = [[draw(TARGET_FIELDS[name]) for name in header]
+            for _ in range(draw(st.integers(0, 5)))]
+    return _spoil(draw, header, rows)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(targets_inputs())
+def test_load_targets_reads_each_row_or_raises_one_value_error(case):
+    text, misshapen = case
+    with tempfile.TemporaryDirectory() as root:
+        path = os.path.join(root, "targets.csv")
+        with open(path, "w") as fh:
+            fh.write(text)
+        try:
+            targets = load_targets(path)
+        except ValueError as exc:
+            message = str(exc)
+            assert message.startswith(("targets CSV ", "targets file "))
+            assert "\n" not in message and "could not convert" not in message
+            return
+    assert not misshapen
+    assert len(targets) == sum(1 for line in text.splitlines()[1:] if line)
+
+
+# A config leaf drawn from every JSON shape, each from a bounded strategy;
+# the integers past 2**1024 are too large for a float
+SCALARS = st.one_of(
+    st.floats(-1e3, 1e3), st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-10, 10_000), st.integers(2 ** 1024, 2 ** 1030).map(
+        lambda n: n * (1 if n % 2 else -1)),
+    st.text(max_size=4), st.booleans(), st.none())
+VALUES = st.recursive(SCALARS, lambda items: st.one_of(
+    st.lists(items, max_size=4),
+    st.dictionaries(st.text(max_size=3), items, max_size=2)), max_leaves=6)
+
+
+def _leaves(doc, path=""):
+    for key, value in doc.items():
+        dotted = f"{path}.{key}" if path else key
+        if isinstance(value, dict):
+            yield from _leaves(value, dotted)
+        else:
+            yield dotted, value
+
+
+LEAVES = list(_leaves(default_dict()))
+
+
+def _scaled(default):
+    """Values near `default`, so that overrides often load."""
+    if isinstance(default, list):
+        return st.lists(st.sampled_from(default), min_size=1, max_size=4)
+    if isinstance(default, float) and default:
+        return st.floats(0.5, 2.0).map(lambda f: f * default)
+    if type(default) is int:
+        return st.integers(0, max(2 * default, 2))
+    return st.just(default)
+
+
+@st.composite
+def overrides(draw):
+    """One leaf of the default document and a value for it: any JSON shape,
+    one near the default, or a small integer (which a float default must
+    store as a float)."""
+    dotted, default = draw(st.sampled_from(LEAVES))
+    value = draw(st.one_of(VALUES, _scaled(default), st.integers(-5, 50)))
+    return dotted, default, value
+
+
+def _nest(dotted, value):
+    for key in reversed(dotted.split(".")):
+        value = {key: value}
+    return value
+
+
+def _as_float(value):
+    """`value` with each integer that fits a float spelled as a float."""
+    if isinstance(value, list):
+        return [_as_float(v) for v in value]
+    if type(value) is int and abs(value) <= sys.float_info.max:
+        return float(value)
+    return value
+
+
+def _written(override):
+    """The JSON text of the document a config loaded with `override`
+    writes."""
+    return json.dumps(document(load_config(overrides=override)))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(overrides())
+def test_config_override_raises_one_error_or_round_trips(case):
+    dotted, default, value = case
+    shape = default if default is not None else 0.0
+    try:
+        config = load_config(overrides=_nest(dotted, value))
+    except ConfigError as exc:
+        message = str(exc)
+        assert "\n" not in message
+        # a value of the wrong shape is named by its key; one of the right
+        # shape may instead fail a model check that names its field
+        fits = type(value) is type(shape) or (
+            type(shape) is float and type(value) is int)
+        assert dotted in message or fits
+        return
+    written = json.dumps(document(config))
+    assert load_config(overrides=json.loads(written)) == config
+    assert _written(json.loads(written)) == written
+    if isinstance(shape, float) or (isinstance(shape, list)
+                                    and isinstance(shape[0], float)):
+        # an integer and a float spelling load and write the same bytes
+        assert _written(_nest(dotted, _as_float(value))) == written
+
