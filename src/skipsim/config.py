@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 from .gait import (MAX_TRIAL_S, AsymmetryNoise, EncoderModel, GaitConfig,
                    GaitMode, drift_duration)
 from .locomotion import MAX_TRIALS, Model, RobotParams
-from .springtail import (MAX_TRACE_SAMPLES, EngagedAngleModel,
-                         RegimeThresholds, TailConfig)
+from .springtail import (EngagedAngleModel, RegimeThresholds, TailConfig,
+                         trace_samples)
 from .stats import MAX_BOOTSTRAP_RESAMPLES
 from .terrain import CrawlCurve, Material, MoistureResponse, SkipCurve, default_curves
 
@@ -204,16 +204,22 @@ def _like(value, default, record=False):
     raise TypeError("the value does not fit its default")
 
 
-def _parse(cls, table, section, **nested):
-    """Build `cls` from a document `section` through `table`, a list as a
-    tuple; `nested` passes fields that are themselves dataclasses."""
-    for key, name in table.items():
+def _parse(cls, table, section, name, **nested):
+    """Build `cls` from the document `section` at `name` (dotted) through
+    `table`, a list as a tuple; `nested` passes fields that are themselves
+    dataclasses. A failed model check is a ConfigError naming `name`."""
+    for part in name.split("."):
+        section = section[part]
+    for key, attr in table.items():
         if isinstance(key, tuple):
-            nested[name] = tuple(section[k] for k in key)
+            nested[attr] = tuple(section[k] for k in key)
         else:
             value = section[key]
-            nested[name] = tuple(value) if isinstance(value, list) else value
-    return cls(**nested)
+            nested[attr] = tuple(value) if isinstance(value, list) else value
+    try:
+        return cls(**nested)
+    except ValueError as exc:
+        raise ConfigError(f"config section {name}: {exc}") from exc
 
 
 def _build(doc: dict) -> ExperimentConfig:
@@ -231,11 +237,14 @@ def _build(doc: dict) -> ExperimentConfig:
     if record_s < 0:
         raise ConfigError("config key experiments.tail_characterize.record_s "
                           "must be >= 0")
-    if record_s * doc["analysis"]["trace_sample_rate_hz"] > MAX_TRACE_SAMPLES:
+    try:  # the trace ends one pulse after the recording
+        trace_samples(record_s + doc["tail"]["pulse_width_s"],
+                      doc["analysis"]["trace_sample_rate_hz"])
+    except ValueError as exc:
         raise ConfigError(
-            "config key experiments.tail_characterize.record_s times "
-            f"analysis.trace_sample_rate_hz must be at most {MAX_TRACE_SAMPLES}"
-            " samples")
+            "config key experiments.tail_characterize.record_s plus "
+            "tail.pulse_width_s is too long at analysis.trace_sample_rate_hz: "
+            f"{exc}") from None
     if not experiments["gait_drift"]["distance_m"] > 0:
         raise ConfigError("config key experiments.gait_drift.distance_m must "
                           "be positive")
@@ -250,33 +259,31 @@ def _build(doc: dict) -> ExperimentConfig:
                 bound = "be >= 1" if most == math.inf else f"lie in [1, {most}]"
                 raise ConfigError(
                     f"config key experiments.{name}.{key} must {bound}")
-    try:
-        responses = {
-            Material(key): _parse(
-                MoistureResponse, RESPONSE, section,
-                skip=_parse(SkipCurve, SKIP, section["skip"]),
-                crawl=_parse(CrawlCurve, CRAWL, section["crawl"]))
-            for key, section in doc["substrates"].items()}
-        config = ExperimentConfig(
-            tail=_parse(TailConfig, TAIL, doc["tail"]),
-            angle_model=_parse(EngagedAngleModel, ENGAGED_ANGLE,
-                               doc["engaged_angle"]),
-            thresholds=_parse(RegimeThresholds, REGIMES, doc["regimes"]),
-            gait=_parse(GaitConfig, GAIT, doc["gait"],
-                        encoder=_parse(EncoderModel, ENCODER, doc["gait"]),
-                        noise=_parse(AsymmetryNoise, NOISE, doc["noise"])),
-            robot=_parse(RobotParams, ROBOT, doc["robot"]),
-            responses=responses, analysis=doc["analysis"],
-            experiments=doc["experiments"], seed=doc["seed"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    responses = {
+        Material(key): _parse(
+            MoistureResponse, RESPONSE, doc, f"substrates.{key}",
+            skip=_parse(SkipCurve, SKIP, doc, f"substrates.{key}.skip"),
+            crawl=_parse(CrawlCurve, CRAWL, doc, f"substrates.{key}.crawl"))
+        for key in doc["substrates"]}
+    config = ExperimentConfig(
+        tail=_parse(TailConfig, TAIL, doc, "tail"),
+        angle_model=_parse(EngagedAngleModel, ENGAGED_ANGLE, doc,
+                           "engaged_angle"),
+        thresholds=_parse(RegimeThresholds, REGIMES, doc, "regimes"),
+        gait=_parse(GaitConfig, GAIT, doc, "gait",
+                    encoder=_parse(EncoderModel, ENCODER, doc, "gait"),
+                    noise=_parse(AsymmetryNoise, NOISE, doc, "noise")),
+        robot=_parse(RobotParams, ROBOT, doc, "robot"),
+        responses=responses, analysis=doc["analysis"],
+        experiments=doc["experiments"], seed=doc["seed"])
     for mode in GaitMode:  # every gait-drift trial must fit MAX_TRIAL_S
         try:
             drift_duration(mode, config.gait,
                            experiments["gait_drift"]["distance_m"])
         except ValueError as exc:
             raise ConfigError("config key experiments.gait_drift.distance_m "
-                              f"is too long: {exc}") from None
+                              "is too long for gait.fin_speed_rad_s and "
+                              f"gait.stride_m: {exc}") from None
     return config
 
 

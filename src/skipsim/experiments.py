@@ -11,7 +11,7 @@ from dataclasses import replace
 from . import calibrate as cal
 from .config import ExperimentConfig, document
 from .fileio import write_csv, write_json
-from .gait import GaitMode, Trajectory, drift_trial
+from .gait import GaitMode, Trajectory, drift_trials
 from .locomotion import (LocomotionMode, TrialSpec, build_units, run_batch,
                          scenario_heterogeneous)
 from .springtail import length_regime, strike_sequence, strike_trace
@@ -132,8 +132,9 @@ def run_gait_drift(config: ExperimentConfig, out_dir, check=False) -> dict:
     summary = {}
     for mode in GaitMode:
         drifts = []
-        for k in range(params["trials"]):
-            traj = drift_trial(mode, config.gait, config.seed + k, distance)
+        seeds = range(config.seed, config.seed + params["trials"])
+        for k, traj in enumerate(drift_trials(mode, config.gait, seeds,
+                                              distance)):
             traj.write_csv(os.path.join(out_dir,
                                         f"trial_{mode.value}_{k}.csv"))
             drifts.append(lateral_drift(traj))

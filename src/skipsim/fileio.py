@@ -6,11 +6,13 @@ from __future__ import annotations
 
 import csv
 import json
-import operator
 import os
-from functools import partial
 
 import numpy as np
+
+# Fields read_csv converts at once, so that the strings of at most one chunk
+# are held
+CSV_CHUNK_FIELDS = 1 << 14
 
 
 def write_csv(path, header, rows):
@@ -41,12 +43,16 @@ def number(text) -> float:
         raise ValueError(f"field {text!r} is not a number") from None
 
 
-def read_csv(path, columns, what, convert):
-    """Yield from `convert(fields)` for each non-blank row of the CSV at
-    `path`, its fields ordered like `columns`. The header must name each of
-    `columns` exactly once, in any order, and each row must have as many
-    fields as the header; an error, the reader's or `convert`'s, is a
-    ValueError naming the CSV line it stopped at (blank lines count)."""
+def read_csv(path, columns, what, convert, by_row=False):
+    """The list of `convert(fields, order, float)` over the CSV at `path`, in
+    chunks: `fields` lists about CSV_CHUNK_FIELDS fields of its non-blank
+    rows in file order, and `order[j]` is the place of `columns[j]` in a
+    row. The header must name each of `columns` once, in any order, and
+    each row must have as many fields as the header. On an error the file
+    is read again `by_row`, each row converted on its own with `number`, so
+    the ValueError names the CSV line of the first error in file order
+    (blank lines count)."""
+    parts, fields = [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -54,24 +60,37 @@ def read_csv(path, columns, what, convert):
             if sorted(header) != sorted(columns):
                 raise ValueError("the header must name the columns "
                                  f"{list(columns)}, each once")
-            get = operator.itemgetter(*map(header.index, columns))
+            order = [*map(header.index, columns)]
             for row in reader:
                 if row:
-                    if len(row) != len(header):
-                        raise ValueError(f"a row must have {len(header)} "
+                    if len(row) != len(order):
+                        raise ValueError(f"a row must have {len(order)} "
                                          "fields, as the header has")
-                    yield from convert(get(row))
+                    if by_row:
+                        convert([row[i] for i in order], range(len(order)),
+                                number)
+                    fields += row
+                    if len(fields) >= CSV_CHUNK_FIELDS:
+                        parts.append(convert(fields, order, float))
+                        fields = []
+            return parts + [convert(fields, order, float)]
         except (ValueError, csv.Error) as exc:
+            if not by_row:
+                return read_csv(path, columns, what, convert, by_row=True)
             # an empty file stops at its first line too
             raise ValueError(f"{what} CSV line {max(reader.line_num, 1)}: "
                              f"{exc}") from None
 
 
+def _table(fields, order, to_float) -> np.ndarray:
+    return np.fromiter(map(to_float, fields), float, len(fields)).reshape(
+        -1, len(order))[:, order]
+
+
 def read_csv_table(path, columns, what) -> np.ndarray:
     """The non-blank rows of a CSV with exactly `columns` (in any order), as
     an (n, len(columns)) array of finite floats ordered like `columns`."""
-    values = np.fromiter(read_csv(path, columns, what, partial(map, number)),
-                         float)
+    values = np.concatenate(read_csv(path, columns, what, _table))
     if not np.isfinite(values).all():
         raise ValueError(f"{what} CSV values must be finite")
-    return values.reshape(-1, len(columns))
+    return values

@@ -25,6 +25,8 @@ TWO_PI = 2.0 * math.pi
 
 # Longest trial, in s: it bounds the one unit path a batch holds at a time
 MAX_TRIAL_S = 3600.0
+# Most poses one batch of drift trials holds (32 bytes each)
+DRIFT_CHUNK_POSES = 1 << 13
 
 
 class GaitMode(Enum):
@@ -426,72 +428,63 @@ class GaitConfig:
                              "below the encoder detection window")
 
 
-def accumulate(origin, steps) -> np.ndarray:
-    """[origin, origin + steps[0], ...], summed one step at a time as a loop
-    of `+=` would (np.add.accumulate is sequential, unlike np.sum). A pair
-    `origin` sums the two columns of `steps` apart and gives (n + 1, 2)."""
-    terms = np.empty((len(steps) + 1,) + np.shape(origin))
-    terms[0] = origin
-    terms[1:] = steps
-    return np.add.accumulate(terms)
-
-
 def crawl_kinematics(cycle_times, mode: GaitMode, noise: AsymmetryNoise,
-                     stride: float, seed: int,
-                     start: PlanarPose | None = None) -> Trajectory:
-    """Convert cycle-complete events into a planar trajectory.
+                     stride: float, seeds,
+                     start: PlanarPose | None = None) -> np.ndarray:
+    """Convert cycle-complete events into one planar trajectory per seed:
+    an (len(seeds), len(cycle_times) + 1, 4) array of poses.
 
     Every completed cycle advances the pose by one (noisy) stride along the
     current heading. With encoder feedback (sync/async) the persistent gain
     split cannot accumulate, so only per-cycle jitter perturbs the heading;
     open-loop runs additionally turn by the differential-stride bias every
-    cycle.
-    """
+    cycle. Poses are summed cycle by cycle, as a loop of `+=` would
+    (np.add.accumulate is sequential, unlike np.sum)."""
     if stride <= 0:
         raise ValueError("stride must be positive")
-    # the split's sign and magnitude, then per cycle the heading jitter and
-    # the stride jitter, each drawn only if its std is positive; one not
-    # drawn is a heading step of 0.0 or a stride factor of 1.0
-    rng = np.random.default_rng(seed)
-    sign = 1.0 if rng.random() < 0.5 else -1.0
+    n_seeds, n_cycles = len(seeds), len(cycle_times)
     lo, hi = noise.gain_split
-    split = sign * (rng.uniform(lo, hi) if hi > lo else lo)
-    gain_left, gain_right = 1.0 + split / 2.0, 1.0 - split / 2.0
-    n_cycles = len(cycle_times)
-    drawn = [std for std in (noise.heading_jitter_std, noise.stride_jitter_std)
-             if std > 0.0]
-    jitter = rng.normal(0.0, drawn, size=(n_cycles, len(drawn)))
-    turns = np.zeros(n_cycles)
-    if noise.heading_jitter_std > 0.0:
-        turns = jitter[:, 0]
-    factors = np.ones(n_cycles)
-    if noise.stride_jitter_std > 0.0:
-        factors = 1.0 + jitter[:, -1]
-        factors = np.where(factors > 0.0, factors, 0.0)  # max(0.0, factor)
-    turn_bias = 0.0
-    if mode is GaitMode.OPEN_LOOP:
-        turn_bias = stride * (gain_left - gain_right) / noise.track_width
+    stds = np.array([noise.heading_jitter_std, noise.stride_jitter_std])
+    drawn = stds > 0.0
+    splits, jitter = np.empty(n_seeds), np.zeros((n_seeds, n_cycles, 2))
+    # each seed draws the split's sign and magnitude, then per cycle the
+    # heading jitter and the stride jitter, each only if its std is
+    # positive; one not drawn stays 0.0
+    for k, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        sign = 1.0 if rng.random() < 0.5 else -1.0
+        splits[k] = sign * (rng.uniform(lo, hi) if hi > lo else lo)
+        jitter[k][:, drawn] = rng.normal(0.0, stds[drawn],
+                                         size=(n_cycles, drawn.sum()))
+    gain_left, gain_right = 1.0 + splits / 2.0, 1.0 - splits / 2.0
+    turn_bias = (stride * (gain_left - gain_right) / noise.track_width
+                 if mode is GaitMode.OPEN_LOOP else np.zeros(n_seeds))
 
     if start is None:
         start = ORIGIN
-    poses = np.empty((n_cycles + 1, 4))
+    poses = np.empty((n_seeds, n_cycles + 1, 4))
     # each cycle adds its jitter to the heading, then the turn bias
-    heading_steps = np.empty(2 * n_cycles)
-    heading_steps[0::2] = turns
-    heading_steps[1::2] = turn_bias
-    poses[:, 2] = accumulate(start.heading, heading_steps)[0::2]
-    steps = stride * (gain_left + gain_right) / 2.0 * factors
-    directions = np.array([(math.cos(h), math.sin(h))
-                           for h in poses[1:, 2].tolist()])
-    poses[:, :2] = accumulate((start.x, start.y),
-                              steps[:, None] * directions.reshape(-1, 2))
-    poses[0, 3] = start.time
-    poses[1:, 3] = start.time + np.asarray(cycle_times, dtype=float)
-    return Trajectory(poses)
+    headings = np.empty((n_seeds, 2 * n_cycles + 1))
+    headings[:, 0] = start.heading
+    headings[:, 1::2] = jitter[:, :, 0]
+    headings[:, 2::2] = turn_bias[:, None]
+    poses[:, :, 2] = np.add.accumulate(headings, axis=1)[:, 0::2]
+    # a stride factor is max(0.0, 1.0 + jitter), and 1.0 + jitter is never -0.0
+    steps = (stride * (gain_left + gain_right) / 2.0)[:, None] * np.maximum(
+        1.0 + jitter[:, :, 1], 0.0)
+    angles = poses[:, 1:, 2].ravel().tolist()
+    poses[:, 0, :2] = start.x, start.y
+    for j, trig in enumerate((math.cos, math.sin)):
+        poses[:, 1:, j] = steps * np.fromiter(
+            map(trig, angles), float, len(angles)).reshape(n_seeds, n_cycles)
+    np.add.accumulate(poses[:, :, :2], axis=1, out=poses[:, :, :2])
+    poses[:, 0, 3] = start.time
+    poses[:, 1:, 3] = start.time + np.asarray(cycle_times, dtype=float)
+    return poses
 
 
 def drift_duration(mode: GaitMode, gait: GaitConfig, distance: float) -> float:
-    """How long `drift_trial` runs the gait to cover `distance` (m): three
+    """How long `drift_trials` runs the gait to cover `distance` (m): three
     cycles more than the distance takes, plus two periods of slack. A
     duration over MAX_TRIAL_S is an error."""
     if not distance > 0:
@@ -507,16 +500,25 @@ def drift_duration(mode: GaitMode, gait: GaitConfig, distance: float) -> float:
     return duration
 
 
-def drift_trial(mode: GaitMode, gait: GaitConfig | None = None, seed: int = 0,
-                distance: float = 1.0) -> Trajectory:
-    """Simulate one straight-line run until the forward progress along the
-    initial heading reaches `distance` (m)."""
+def drift_trials(mode: GaitMode, gait: GaitConfig | None = None,
+                 seeds=(0,), distance: float = 1.0):
+    """Simulate one straight-line run per seed of the sequence `seeds`, each
+    until its forward progress along the initial heading reaches `distance`
+    (m), and yield their trajectories in seed order. The seeds run in
+    batches of at most DRIFT_CHUNK_POSES poses (one seed at least), so
+    memory does not grow with their number."""
     gait = gait or GaitConfig()
     duration = drift_duration(mode, gait, distance)
     events = nominal_cycle_times(mode, duration, gait.fin_speed, gait.dt,
                                  gait.encoder)
-    traj = crawl_kinematics(events, mode, gait.noise, gait.stride, seed)
-    xs = traj.poses[:, 0]
-    # stop at the first pose that has gone `distance` along the x axis
-    reached = np.flatnonzero(xs[1:] - xs[0] >= distance)
-    return Trajectory(traj.poses[:reached[0] + 2]) if reached.size else traj
+    chunk = max(1, DRIFT_CHUNK_POSES // (len(events) + 1))
+
+    def until_reached(poses):
+        # stop at the first pose that has gone `distance` along the x axis
+        ahead = np.flatnonzero(poses[1:, 0] - poses[0, 0] >= distance)
+        return Trajectory(poses[:ahead[0] + 2] if ahead.size else poses)
+
+    for first in range(0, len(seeds), chunk):
+        # a batch is dropped before the next is built
+        yield from map(until_reached, crawl_kinematics(
+            events, mode, gait.noise, gait.stride, seeds[first:first + chunk]))

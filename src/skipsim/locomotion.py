@@ -20,8 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .gait import (MAX_TRIAL_S, ORIGIN, GaitConfig, GaitMode, PlanarPose,
-                   Trajectory, accumulate, crawl_kinematics,
-                   nominal_cycle_times)
+                   Trajectory, crawl_kinematics, nominal_cycle_times)
 from .springtail import (EngagedAngleModel, RegimeThresholds, TailConfig,
                          length_regime, strike_sequence)
 from .stats import FAILURE_THRESHOLD_M, FailureMode
@@ -156,14 +155,15 @@ def unit_path(mode: LocomotionMode, model: Model, duration: float, seed: int,
         events = nominal_cycle_times(gait_mode, duration, gait.fin_speed,
                                      gait.dt, gait.encoder)
         path = crawl_kinematics(events, gait_mode, gait.noise, gait.stride,
-                                seed, PlanarPose(0.0, 0.0, heading, time)).poses
+                                (seed,), PlanarPose(0.0, 0.0, heading, time))[0]
         return path, (math.hypot(*path[-1, :2].tolist()), *np.empty((3, 0)))
     tail, thresholds = model.tail, model.thresholds
     strikes = strike_sequence(tail, model.angle_model,
                               length_regime(tail.free_length, thresholds),
                               duration, seed, thresholds)
     times, impulses = strikes.time, strikes.impulse
-    reach = accumulate(0.0, hop_displacement(impulses, model.robot))
+    reach = np.add.accumulate(np.append(0.0, hop_displacement(impulses,
+                                                              model.robot)))
     # the records: impulses are positive, so the first tops a running 0
     hop = np.flatnonzero(
         impulses > np.maximum.accumulate(np.append(0.0, impulses))[:-1])

@@ -18,8 +18,8 @@ import numpy as np
 from .stats import ForceTrace
 
 TWO_PI = 2.0 * math.pi
-# the samples a configured recording (record_s x trace_sample_rate_hz) may
-# span: 64 MB of float64, room for a 3600 s recording at 2 kHz
+# the samples a force trace may hold (`trace_samples`): 64 MB of float64,
+# room for a 3600 s recording at 2 kHz
 MAX_TRACE_SAMPLES = 1 << 23
 
 
@@ -275,6 +275,15 @@ def strike_sequence(config: TailConfig,
                           engaged_angle=theta)
 
 
+def trace_samples(duration: float, sample_rate: float) -> int:
+    """round(duration * sample_rate) + 1, the samples of a trace `duration` s
+    long; more than MAX_TRACE_SAMPLES, an infinite count too, is an error."""
+    if not duration * sample_rate < MAX_TRACE_SAMPLES - 0.5:
+        raise ValueError(f"a {duration:g} s trace at {sample_rate:g} Hz would "
+                         f"take over {MAX_TRACE_SAMPLES} samples")
+    return int(round(duration * sample_rate)) + 1
+
+
 def strike_trace(events: StrikeSequence, sample_rate: float,
                  pulse_width: float = 0.010) -> ForceTrace:
     """Synthesize the force-sensor signal for a strike sequence: one
@@ -282,9 +291,9 @@ def strike_trace(events: StrikeSequence, sample_rate: float,
     time. Pulses must be resolved by at least two samples.
 
     The trace ends one pulse width after the latest strike (or at one pulse
-    width, if none is later), and every strike time must be finite: a
-    ValueError says so otherwise. A strike far before time zero writes
-    nothing.
+    width, if none is later). A strike time that is not finite and a trace
+    over MAX_TRACE_SAMPLES are each a ValueError, raised before anything is
+    allocated. A strike far before time zero writes nothing.
 
     Each strike touches only its own window of about pulse_width *
     sample_rate samples, laid out for all strikes in one numpy pass, so the
@@ -295,8 +304,8 @@ def strike_trace(events: StrikeSequence, sample_rate: float,
         raise ValueError("sample_rate must be at least 2/pulse_width")
     if not np.isfinite(events.time).all():
         raise ValueError("strike times must be finite")
-    duration = events.time.max(initial=0.0) + pulse_width
-    n = int(round(duration * sample_rate)) + 1
+    n = trace_samples(float(events.time.max(initial=0.0)) + pulse_width,
+                      sample_rate)
     samples = np.zeros(n)
     times, forces = events.time[:, None], events.peak_force[:, None]
     # One sample of slack each side: the time comparisons below, not this

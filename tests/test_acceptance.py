@@ -15,7 +15,7 @@ import pytest
 
 from skipsim import calibrate as cal
 from skipsim.cli import main as cli_main
-from skipsim.gait import GaitMode, drift_trial
+from skipsim.gait import GaitMode, drift_trials
 from skipsim.locomotion import (LocomotionMode, Model, RobotParams, TrialSpec,
                                 Units, build_units, effective_velocities,
                                 run_batch, trial_outcomes)
@@ -110,14 +110,11 @@ def test_nominal_blade_lengths_tie_and_roll_attenuates_exactly(tmp_path,
 
 
 def test_criterion_3_gait_drift_reproduction():
-    encoder_ok = True
-    open_loop = []
-    for seed in range(100):
-        for mode in (GaitMode.SYNC, GaitMode.ASYNC):
-            if lateral_drift(drift_trial(mode, seed=seed)) >= 0.01:
-                encoder_ok = False
-        open_loop.append(lateral_drift(drift_trial(GaitMode.OPEN_LOOP,
-                                                   seed=seed)))
+    encoder_ok = all(lateral_drift(traj) < 0.01
+                     for mode in (GaitMode.SYNC, GaitMode.ASYNC)
+                     for traj in drift_trials(mode, seeds=range(100)))
+    open_loop = [lateral_drift(traj) for traj in
+                 drift_trials(GaitMode.OPEN_LOOP, seeds=range(100))]
     in_range = sum(1 for d in open_loop if 0.02 <= d <= 0.06)
     ge5 = sum(1 for d in open_loop if d >= 0.05)
     report(3, f"encoder drift < 1 cm on 100/100 seeds; open loop in "
@@ -358,7 +355,7 @@ def _tree_bytes(root):
 
 def test_criterion_8_cli_determinism(tmp_path):
     # deterministic input for the analyze command
-    probe = drift_trial(GaitMode.SYNC, seed=0)
+    probe = next(drift_trials(GaitMode.SYNC, seeds=[0]))
     traj_csv = tmp_path / "traj.csv"
     probe.write_csv(traj_csv)
     commands = [

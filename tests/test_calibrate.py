@@ -376,9 +376,9 @@ class TestFitRunsTrialsOnce:
             return strike_sequence(tail, angle_model, regime, duration, seed,
                                    thresholds)
 
-        def cycles(cycle_times, mode, noise, stride, seed, start):
-            built.append((mode.value, seed))
-            return crawl_kinematics(cycle_times, mode, noise, stride, seed,
+        def cycles(cycle_times, mode, noise, stride, seeds, start):
+            built.extend((mode.value, seed) for seed in seeds)
+            return crawl_kinematics(cycle_times, mode, noise, stride, seeds,
                                     start)
 
         monkeypatch.setattr(locomotion, "strike_sequence", strikes)

@@ -14,7 +14,7 @@ from skipsim.cli import build_parser, main
 from skipsim.config import ConfigError, default_dict, document, load_config
 from skipsim.fileio import write_json
 from skipsim.gait import (MAX_TICKS, MAX_TRIAL_S, GaitConfig, GaitMode,
-                          drift_duration, drift_trial, run_cycles,
+                          drift_duration, drift_trials, run_cycles,
                           schedule_ticks)
 from skipsim.locomotion import MAX_TRIALS
 from skipsim.springtail import MAX_TRACE_SAMPLES
@@ -256,7 +256,7 @@ class TestCli:
             mask = (t >= t0) & (t <= t0 + 0.01)
             samples[mask] = 4.0 * np.sin(math.pi * (t[mask] - t0) / 0.01)
         ForceTrace(2000.0, samples).write_csv(trace_csv)
-        drift_trial(GaitMode.SYNC, seed=0).write_csv(traj_csv)
+        next(drift_trials(GaitMode.SYNC, seeds=[0])).write_csv(traj_csv)
         out = tmp_path / "a"
         assert main(["analyze", "--trace", str(trace_csv),
                      "--trajectory", str(traj_csv), "--out", str(out)]) == 0
@@ -332,6 +332,17 @@ class TestCli:
         err = capsys.readouterr().err
         assert "CSV line 3: field " in err and "is not a number" in err
         assert "could not convert" not in err
+
+    def test_first_error_in_file_order_wins(self, tmp_path, capsys):
+        # a bad field on line 3 comes before a row with an extra field on
+        # line 5, as a reader that converts row by row meets them
+        path = tmp_path / "input.csv"
+        path.write_text("time_s,force_N\n0.0,1.0\n0.0005,abc\n0.001,1.0\n"
+                        "0.0015,2.0,3.0\n")
+        assert main(["analyze", "--trace", str(path), "--out",
+                     str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "error: force trace CSV line 3: field 'abc' is not a number\n")
 
     @pytest.mark.parametrize("flag, text, line", [
         ("--trace", "time_s,time_s,force_N\n0,0,1\n", 1),
@@ -419,7 +430,7 @@ class TestCli:
         assert main([command, "--config", str(cfg), "--out", str(out),
                      *extra]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: gait dt too coarse")
+        assert err.startswith("error: config section gait: gait dt too coarse")
         assert err.count("\n") == 1
         assert not out.exists()
 
@@ -599,7 +610,7 @@ class TestDriftDistanceLimit:
         def no_trial(*args, **kwargs):
             raise AssertionError("a drift trial started")
 
-        monkeypatch.setattr(experiments, "drift_trial", no_trial)
+        monkeypatch.setattr(experiments, "drift_trials", no_trial)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"experiments": {"gait_drift": {
             "distance_m": self.shortest_refused()}}}))
@@ -608,14 +619,15 @@ class TestDriftDistanceLimit:
                      str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: config key experiments.gait_drift."
-                              "distance_m is too long: ")
+                              "distance_m is too long for gait.fin_speed_rad_s "
+                              "and gait.stride_m: ")
         assert err.count("\n") == 1 and "3600 s limit" in err
         assert not out.exists()
 
     def test_a_1000_m_drift_is_refused_at_config_load(self, tmp_path, capsys,
                                                       monkeypatch):
         trials = []
-        monkeypatch.setattr(experiments, "drift_trial",
+        monkeypatch.setattr(experiments, "drift_trials",
                             lambda *args, **kwargs: trials.append(args))
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(
@@ -625,8 +637,8 @@ class TestDriftDistanceLimit:
                      str(out)]) == 2
         assert capsys.readouterr().err == (
             "error: config key experiments.gait_drift.distance_m is too "
-            "long: a sync drift over 1000 m would take 30309 s, over the "
-            "3600 s limit\n")
+            "long for gait.fin_speed_rad_s and gait.stride_m: a sync drift "
+            "over 1000 m would take 30309 s, over the 3600 s limit\n")
         assert trials == []
         assert not out.exists()
 
@@ -676,7 +688,8 @@ class TestTickLimit:
         out = tmp_path / "o"
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: gait dt must be at least")
+        assert err.startswith(
+            "error: config section gait: gait dt must be at least")
         assert err.count("\n") == 1
         assert not out.exists()
 
@@ -730,7 +743,7 @@ class TestTrialsLimit:
             raise AssertionError("a path was built")
 
         monkeypatch.setattr(locomotion, "unit_path", no_path)
-        monkeypatch.setattr(experiments, "drift_trial", no_path)
+        monkeypatch.setattr(experiments, "drift_trials", no_path)
 
     @pytest.mark.parametrize("command", ["gait-drift", "moisture-sweep",
                                          "substrate-bench"])
@@ -778,12 +791,14 @@ class TestTrialsLimit:
 
 
 class TestRecordLimit:
-    """A tail-characterize recording spans at most MAX_TRACE_SAMPLES samples
-    (record_s x trace_sample_rate_hz), checked at config load. Nothing here
+    """A tail-characterize trace, record_s plus one pulse width at
+    trace_sample_rate_hz, holds at most MAX_TRACE_SAMPLES samples, checked
+    at config load by the rule `strike_trace` applies. Nothing here
     synthesizes a trace at the limit."""
 
-    # 2048 Hz: every record_s below is exact in binary, and so is its product
-    RATE = 2048.0
+    # 2048 Hz and a 2**-7 s (16-sample) pulse: every duration below is
+    # exact in binary, and so is its product
+    RATE, PULSE = 2048.0, 2.0 ** -7
 
     def test_one_sample_over_exits_2_before_any_strike(self, tmp_path, capsys,
                                                        monkeypatch):
@@ -793,24 +808,28 @@ class TestRecordLimit:
         monkeypatch.setattr(experiments, "strike_sequence", no_strikes)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
+            "tail": {"pulse_width_s": self.PULSE},
             "analysis": {"trace_sample_rate_hz": self.RATE},
             "experiments": {"tail_characterize": {
-                "record_s": (MAX_TRACE_SAMPLES + 1) / self.RATE}}}))
+                "record_s": (MAX_TRACE_SAMPLES - 16) / self.RATE}}}))
         out = tmp_path / "o"
         out.mkdir()
         assert main(["tail-characterize", "--config", str(cfg),
                      "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
-            "error: config key experiments.tail_characterize.record_s times "
-            "analysis.trace_sample_rate_hz must be at most "
-            f"{MAX_TRACE_SAMPLES} samples\n")
+            "error: config key experiments.tail_characterize.record_s plus "
+            "tail.pulse_width_s is too long at analysis.trace_sample_rate_hz: "
+            f"a 4096 s trace at 2048 Hz would take over {MAX_TRACE_SAMPLES} "
+            "samples\n")
         assert list(out.iterdir()) == []
 
-    @pytest.mark.parametrize("record_s, rate", [
-        (MAX_TRACE_SAMPLES / RATE, RATE), (MAX_TRIAL_S, 2000.0)],
+    @pytest.mark.parametrize("record_s, rate, pulse", [
+        ((MAX_TRACE_SAMPLES - 17) / RATE, RATE, PULSE),
+        (MAX_TRIAL_S, 2000.0, 0.01)],
         ids=["the-limit", "longest-trial-at-2khz"])
-    def test_up_to_the_limit_loads(self, record_s, rate):
+    def test_up_to_the_limit_loads(self, record_s, rate, pulse):
         config = load_config(overrides={
+            "tail": {"pulse_width_s": pulse},
             "analysis": {"trace_sample_rate_hz": rate},
             "experiments": {"tail_characterize": {"record_s": record_s}}})
         assert config.experiments["tail_characterize"]["record_s"] == record_s
@@ -955,8 +974,8 @@ class TestValueFlags:
 
         monkeypatch.setattr(locomotion, "unit_path",
                             spy(locomotion.unit_path))
-        monkeypatch.setattr(experiments, "drift_trial",
-                            spy(experiments.drift_trial))
+        monkeypatch.setattr(experiments, "drift_trials",
+                            spy(experiments.drift_trials))
         return calls
 
     @pytest.mark.parametrize("command, flag, key, value", VALUE_FLAGS,

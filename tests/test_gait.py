@@ -10,7 +10,7 @@ from skipsim.cli import main
 from skipsim.fileio import read_csv_table, write_csv
 from skipsim.gait import (TWO_PI, AsymmetryNoise, AsyncGait, EncoderModel,
                           GaitConfig, GaitMode, OpenLoopGait, PlanarPose,
-                          SyncGait, Trajectory, crawl_kinematics, drift_trial,
+                          SyncGait, Trajectory, crawl_kinematics, drift_trials,
                           nominal_cycle_times, run_cycles)
 from skipsim.stats import lateral_drift
 
@@ -157,60 +157,61 @@ class TestKinematics:
     def test_zero_noise_runs_exactly_straight(self):
         events = tuple(float(k + 1) for k in range(40))
         for mode in GaitMode:
-            traj = crawl_kinematics(events, mode, AsymmetryNoise.zero(),
-                                    0.033, seed=5)
-            ys = traj.poses[:, 1].tolist()
+            poses, = crawl_kinematics(events, mode, AsymmetryNoise.zero(),
+                                      0.033, seeds=[5])
+            ys = poses[:, 1].tolist()
             assert ys == [0.0] * len(ys)
-            assert traj.net_displacement() == pytest.approx(40 * 0.033, rel=1e-12)
+            assert (Trajectory(poses).net_displacement()
+                    == pytest.approx(40 * 0.033, rel=1e-12))
 
     def test_encoder_feedback_is_noop_with_perfect_hardware(self):
         events = tuple(float(k + 1) for k in range(30))
-        trajs = [crawl_kinematics(events, mode, AsymmetryNoise.zero(), 0.033,
-                                  seed=3) for mode in GaitMode]
-        for traj in trajs[1:]:
-            assert traj.poses[:, :3].tolist() == trajs[0].poses[:, :3].tolist()
+        paths = [crawl_kinematics(events, mode, AsymmetryNoise.zero(), 0.033,
+                                  seeds=[3])[0] for mode in GaitMode]
+        for path in paths[1:]:
+            assert path[:, :3].tolist() == paths[0][:, :3].tolist()
 
     def test_deterministic_given_seed(self):
         events = tuple(float(k + 1) for k in range(30))
         a = crawl_kinematics(events, GaitMode.OPEN_LOOP, AsymmetryNoise(),
-                             0.033, seed=11)
+                             0.033, seeds=[11])
         b = crawl_kinematics(events, GaitMode.OPEN_LOOP, AsymmetryNoise(),
-                             0.033, seed=11)
-        assert a.poses.tolist() == b.poses.tolist()
+                             0.033, seeds=[11])
+        assert a.tolist() == b.tolist()
 
     def test_open_loop_drift_dominates_encoder_modes(self):
         wins = 0
-        for seed in range(100):
-            ol = lateral_drift(drift_trial(GaitMode.OPEN_LOOP, seed=seed))
-            sync = lateral_drift(drift_trial(GaitMode.SYNC, seed=seed))
-            asyn = lateral_drift(drift_trial(GaitMode.ASYNC, seed=seed))
-            if ol >= max(sync, asyn):
+        for ol, sync, asyn in zip(*(drift_trials(mode, seeds=range(100))
+                                    for mode in (GaitMode.OPEN_LOOP,
+                                                 GaitMode.SYNC,
+                                                 GaitMode.ASYNC))):
+            if lateral_drift(ol) >= max(map(lateral_drift, (sync, asyn))):
                 wins += 1
         assert wins >= 95
 
     def test_stride_must_be_positive(self):
         with pytest.raises(ValueError):
-            crawl_kinematics((1.0,), GaitMode.SYNC, AsymmetryNoise(), 0.0, 0)
+            crawl_kinematics((1.0,), GaitMode.SYNC, AsymmetryNoise(), 0.0, [0])
 
 
 class TestDriftTrial:
     def test_reaches_requested_distance(self):
-        traj = drift_trial(GaitMode.SYNC, seed=0, distance=1.0)
+        traj, = drift_trials(GaitMode.SYNC, seeds=[0], distance=1.0)
         assert traj.end.x - traj.start.x >= 1.0
         times = traj.poses[:, 3].tolist()
         assert times == sorted(times)
 
     def test_async_covers_same_cycles_more_slowly(self):
         gait = GaitConfig(noise=AsymmetryNoise.zero())
-        sync = drift_trial(GaitMode.SYNC, gait, seed=0)
-        asyn = drift_trial(GaitMode.ASYNC, gait, seed=0)
+        sync, = drift_trials(GaitMode.SYNC, gait, seeds=[0])
+        asyn, = drift_trials(GaitMode.ASYNC, gait, seeds=[0])
         assert len(sync.poses) == len(asyn.poses)
         assert asyn.duration() > sync.duration()
 
 
 class TestTrajectory:
     def test_csv_round_trip(self, tmp_path):
-        traj = drift_trial(GaitMode.OPEN_LOOP, seed=1)
+        traj, = drift_trials(GaitMode.OPEN_LOOP, seeds=[1])
         path = tmp_path / "traj.csv"
         traj.write_csv(path)
         loaded = Trajectory.read_csv(path)
@@ -223,7 +224,7 @@ class TestTrajectory:
             Trajectory([PlanarPose(0, 0, 0, 1.0), PlanarPose(1, 0, 0, 0.5)])
 
     def test_poses_are_read_only(self):
-        traj = drift_trial(GaitMode.SYNC, seed=0)
+        traj, = drift_trials(GaitMode.SYNC, seeds=[0])
         with pytest.raises(ValueError, match="read-only"):
             traj.poses[0, 0] = 1.0
         with pytest.raises(ValueError, match="read-only"):
@@ -251,7 +252,7 @@ class TestTrajectory:
         assert (tmp_path / "again.csv").read_bytes() == original
 
     def test_numpy_floats_write_like_python_floats(self, tmp_path):
-        rows = drift_trial(GaitMode.SYNC, seed=0).poses[:5].copy()
+        rows = next(drift_trials(GaitMode.SYNC, seeds=[0])).poses[:5].copy()
         rows[0] = [-0.0, 5e-324, 1e16, 1e-5]
         rows[1, 0] = np.finfo(float).max
         header = list(Trajectory.COLUMNS)

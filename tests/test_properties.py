@@ -1,25 +1,33 @@
 """Property tests of the input boundaries. Whatever CSV `analyze` reads, it
 exits 0 or 2 without raising, and an analysis.json it writes is strict JSON
 (no NaN or Infinity); a repeated header column or a row with an extra field
-exits 2. Whatever a targets CSV holds, `load_targets` returns one target per
+exits 2. `read_csv_table` reads what a row-by-row loop reads, and fails
+with its message, which names the line of the first error in file order. Whatever a targets CSV holds, `load_targets` returns one target per
 row or raises one ValueError in the package's words. Whatever override a
 config document makes, `load_config` raises one ConfigError or builds a
 config that its own document rebuilds."""
 
+import csv
 import json
+import math
 import os
+import re
 import sys
 import tempfile
+from unittest import mock
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from skipsim.calibrate import load_targets  # noqa: E402
 from skipsim.cli import main  # noqa: E402
 from skipsim.config import (ConfigError, default_dict,  # noqa: E402
                             document, load_config)
+from skipsim import fileio  # noqa: E402
+from skipsim.fileio import read_csv_table  # noqa: E402
 from skipsim.gait import Trajectory  # noqa: E402
 from skipsim.stats import ForceTrace  # noqa: E402
 
@@ -91,6 +99,66 @@ def test_analyze_exits_0_or_2_and_writes_strict_json(case):
         if code == 0:
             with open(os.path.join(out, "analysis.json")) as fh:
                 json.load(fh, parse_constant=_no_constant)
+
+
+def oracle_read_csv_table(path, columns, what):
+    """read_csv_table as one loop over rows that converts each field through
+    `float` as it meets it, in `columns` order."""
+    rows = []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, [])
+            if sorted(header) != sorted(columns):
+                raise ValueError("the header must name the columns "
+                                 f"{list(columns)}, each once")
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise ValueError(f"a row must have {len(header)} "
+                                     "fields, as the header has")
+                rows.append([])
+                for name in columns:
+                    field = row[header.index(name)]
+                    try:
+                        rows[-1].append(float(field))
+                    except ValueError:
+                        raise ValueError(f"field {field!r} is not a "
+                                         "number") from None
+        except (ValueError, csv.Error) as exc:
+            raise ValueError(f"{what} CSV line {max(reader.line_num, 1)}: "
+                             f"{exc}") from None
+    table = np.array(rows, dtype=float).reshape(len(rows), len(columns))
+    if not np.isfinite(table).all():
+        raise ValueError(f"{what} CSV values must be finite")
+    return table
+
+
+def _outcome(read, path, columns):
+    try:
+        return repr(read(path, columns, "drawn").tolist())
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(csv_inputs(), st.sampled_from(["\n", "\n\n", "\n,\n", ""]),
+       st.sampled_from([1, 3, 8, fileio.CSV_CHUNK_FIELDS]))
+def test_read_csv_table_reads_what_a_row_loop_reads(case, blank, chunk):
+    """The same array, or the same message, as the loop: on spoiled CSVs,
+    with a blank line or a row of empty fields after the header, converted
+    in chunks of a few fields or in one."""
+    flag, text, _ = case
+    columns = ForceTrace.COLUMNS if flag == "--trace" else Trajectory.COLUMNS
+    first, _, rest = text.partition("\n")
+    with tempfile.TemporaryDirectory() as root:
+        path = os.path.join(root, "input.csv")
+        with open(path, "w") as fh:
+            fh.write(first + blank + rest if blank else text)
+        with mock.patch.object(fileio, "CSV_CHUNK_FIELDS", chunk):
+            got = _outcome(read_csv_table, path, columns)
+        assert got == _outcome(oracle_read_csv_table, path, columns)
 
 
 TARGET_COLUMNS = ("mode", "material", "moisture", "target_cmps", "std_cmps",
@@ -205,6 +273,11 @@ def _written(override):
 
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(overrides())
+# a stride or fin speed too small for the drift distance; a pulse too long
+# for the recording at its sample rate
+@example(("gait.stride_m", 0.033, 1e-6))
+@example(("gait.fin_speed_rad_s", 2 * math.pi, 1e-4))
+@example(("tail.pulse_width_s", 0.01, 1e4))
 def test_config_override_raises_one_error_or_round_trips(case):
     dotted, default, value = case
     shape = default if default is not None else 0.0
@@ -213,11 +286,11 @@ def test_config_override_raises_one_error_or_round_trips(case):
     except ConfigError as exc:
         message = str(exc)
         assert "\n" not in message
-        # a value of the wrong shape is named by its key; one of the right
-        # shape may instead fail a model check that names its field
-        fits = type(value) is type(shape) or (
-            type(shape) is float and type(value) is int)
-        assert dotted in message or fits
+        # an error names the key, or the section of the model check it
+        # failed: one that holds the key
+        section = re.match(r"config section (\S+): ", message)
+        assert dotted in message or (
+            section is not None and dotted.startswith(section[1] + "."))
         return
     written = json.dumps(document(config))
     assert load_config(overrides=json.loads(written)) == config

@@ -1,16 +1,17 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from skipsim.springtail import (EngagedAngleModel, LengthRegime,
-                                RegimeThresholds, StrikeSequence, TailConfig,
-                                area_moment,
+from skipsim.springtail import (MAX_TRACE_SAMPLES, EngagedAngleModel,
+                                LengthRegime, RegimeThresholds,
+                                StrikeSequence, TailConfig, area_moment,
                                 effective_length, half_sine_impulse,
                                 latch_deflection, latch_energy, length_regime,
                                 stored_energy, strike_sequence, strike_trace,
-                                tip_stiffness, unlatch_force)
+                                tip_stiffness, trace_samples, unlatch_force)
 from skipsim.stats import detect_peaks
 
 
@@ -462,6 +463,34 @@ class TestStrikeTraceTimes:
         got = strike_trace(strikes([far, 1.0]), 2000.0, 0.010)
         want = strike_trace(strikes([1.0]), 2000.0, 0.010)
         assert got.samples.tobytes() == want.samples.tobytes()
+
+    @pytest.mark.parametrize("far", [1e306, 1e10, 4194.294])
+    def test_a_trace_over_the_limit_is_refused_before_allocating(self, far):
+        """A strike at 1e306 s once overflowed int(), one at 1e10 s asked
+        for 2e13 samples, and one at 4194.294 s at 2 kHz needs one sample
+        more than the limit; each is one ValueError, with nothing
+        allocated."""
+        events = strikes(np.array([1.0, far]))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=(
+                    f"^a .* s trace at 2000 Hz would take over "
+                    f"{MAX_TRACE_SAMPLES} samples$")):
+                strike_trace(events, 2000.0, 0.010)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+    def test_trace_samples_at_the_limit(self):
+        # 2048 Hz: both durations are exact in binary, as are their products
+        rate = 2048.0
+        assert trace_samples((MAX_TRACE_SAMPLES - 1) / rate,
+                             rate) == MAX_TRACE_SAMPLES
+        with pytest.raises(ValueError, match="would take over"):
+            trace_samples((MAX_TRACE_SAMPLES - 0.5) / rate, rate)
+        with pytest.raises(ValueError, match="would take over"):
+            trace_samples(math.inf, rate)
 
     def test_trace_ends_a_pulse_after_the_last_strike(self):
         assert strike_trace(strikes([1.0]), 2000.0, 0.010).samples.size == 2021

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -40,6 +41,28 @@ def brute_force_peaks(samples, rate, threshold, min_separation):
         if all(abs(i - j) >= min_gap for j in accepted):
             accepted.append(i)
     return sorted(accepted)
+
+
+class TestForceTraceCsv:
+    def test_reading_holds_one_chunk_of_fields(self, tmp_path):
+        """A 200,000-sample trace reads back byte for byte, converting its
+        fields chunk by chunk: the read peaks under three times the
+        samples' two float columns, where holding every field's string
+        until one conversion at the end takes about ten times."""
+        trace = half_sine_trace([(t, 4.0) for t in np.arange(0.5, 99.0)],
+                                duration=99.9995)
+        path = tmp_path / "trace.csv"
+        trace.write_csv(path)
+        ForceTrace.read_csv(path)  # lazy imports settle first
+        tracemalloc.start()
+        try:
+            back = ForceTrace.read_csv(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert back.samples.tobytes() == trace.samples.tobytes()
+        assert back.sample_rate == trace.sample_rate
+        assert peak < 3 * 2 * trace.samples.nbytes
 
 
 class TestDetectPeaks:

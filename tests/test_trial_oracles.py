@@ -16,7 +16,7 @@ S is the start coordinate's magnitude plus the magnitudes of the steps
 summed into the pose, and n counts the roundings behind the pose in both
 computations together. Heading and time columns, failure labels, pose
 counts (so the pitch-over strike) and everything `crawl_kinematics` and
-`drift_trial` give stay exact: the tests compare `repr`s, which tell apart
+`drift_trials` give stay exact: the tests compare `repr`s, which tell apart
 any two doubles, -0.0 from 0.0 included. The golden digests cover only the
 default settings; these tests draw skip efficiencies over the whole fitted
 range, pitch-over, tail slip, excavation, start poses off the origin, all
@@ -46,13 +46,14 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from skipsim import calibrate as cal  # noqa: E402
-from skipsim import locomotion  # noqa: E402
+from skipsim import gait, locomotion  # noqa: E402
 from skipsim.calibrate import SKIP_EFF_MAX  # noqa: E402
 from skipsim.cli import main  # noqa: E402
 from skipsim.gait import (TWO_PI, AsymmetryNoise, AsyncGait,  # noqa: E402
                           EncoderModel, GaitConfig, GaitMode, OpenLoopGait,
                           PlanarPose, SyncGait, Trajectory, crawl_kinematics,
-                          drift_trial, nominal_cycle_times, run_cycles)
+                          drift_duration, drift_trials, nominal_cycle_times,
+                          run_cycles)
 from skipsim.locomotion import (LocomotionMode, Model,  # noqa: E402
                                 RobotParams, TrialResult, TrialSpec,
                                 hop_displacement, run_batch, run_trial,
@@ -127,6 +128,12 @@ def oracle_crawl_kinematics(cycle_times, mode, noise, stride, seed,
         y += step * math.sin(heading)
         poses.append(PlanarPose(x, y, heading, start.time + t))
     return Trajectory(poses)
+
+
+def oracle_crawl_batch(cycle_times, mode, noise, stride, seeds, start=None):
+    """crawl_kinematics as the per-cycle loop, seed by seed."""
+    return [oracle_crawl_kinematics(cycle_times, mode, noise, stride, seed,
+                                    start).poses for seed in seeds]
 
 
 def oracle_crawl_trial(spec, substrate, gait, start):
@@ -355,13 +362,15 @@ def test_drawn_trials_reach_every_outcome(cases, outcomes):
 @settings(max_examples=400, derandomize=True, deadline=None)
 @given(times=st.lists(st.floats(0.0, 100.0), max_size=60).map(sorted),
        mode=st.sampled_from(list(GaitMode)), noise=NOISES,
-       stride=st.floats(1e-4, 0.2), seed=SEEDS,
+       stride=st.floats(1e-4, 0.2), seeds=st.lists(SEEDS, max_size=5),
        start=st.one_of(st.none(), STARTS))
 def test_crawl_kinematics_matches_per_cycle_loop(times, mode, noise, stride,
-                                                 seed, start):
-    got = crawl_kinematics(times, mode, noise, stride, seed, start)
-    want = oracle_crawl_kinematics(times, mode, noise, stride, seed, start)
-    assert repr(got.poses.tolist()) == repr(want.poses.tolist())
+                                                 seeds, start):
+    """Each seed's row of a batch is the loop's trajectory for that seed."""
+    got = crawl_kinematics(times, mode, noise, stride, seeds, start)
+    assert got.shape == (len(seeds), len(times) + 1, 4)
+    want = oracle_crawl_batch(times, mode, noise, stride, seeds, start)
+    assert repr([p.tolist() for p in got]) == repr([p.tolist() for p in want])
 
 
 @pytest.mark.parametrize("noise", [
@@ -372,11 +381,67 @@ def test_crawl_kinematics_matches_per_cycle_loop(times, mode, noise, stride,
         "fixed-split"])
 @pytest.mark.parametrize("mode", list(GaitMode), ids=lambda m: m.value)
 def test_drift_trial_matches_per_cycle_loop(noise, mode):
-    gait = GaitConfig(noise=noise)
-    got = drift_trial(mode, gait, seed=5)
-    with mock.patch("skipsim.gait.crawl_kinematics", oracle_crawl_kinematics):
-        want = drift_trial(mode, gait, seed=5)
+    config = GaitConfig(noise=noise)
+    got, = drift_trials(mode, config, seeds=[5])
+    with mock.patch.object(gait, "crawl_kinematics", oracle_crawl_batch):
+        want, = drift_trials(mode, config, seeds=[5])
     assert repr(got.poses.tolist()) == repr(want.poses.tolist())
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(mode=st.sampled_from(list(GaitMode)), noise=NOISES,
+       seeds=st.lists(SEEDS, max_size=9), chunk=st.integers(1, 200),
+       distance=st.floats(0.01, 1.5))
+def test_drift_trials_match_per_cycle_loop_across_chunks(mode, noise, seeds,
+                                                          chunk, distance):
+    """At a chunk of a few poses, a drift's seeds run in several batches
+    (one seed each at least), and every trajectory is still the loop's."""
+    config = GaitConfig(noise=noise)
+    batches = []
+
+    def batch(cycle_times, mode, noise, stride, seeds, start=None):
+        batches.append(len(seeds))
+        return crawl_kinematics(cycle_times, mode, noise, stride, seeds, start)
+
+    with mock.patch.object(gait, "DRIFT_CHUNK_POSES", chunk), \
+            mock.patch.object(gait, "crawl_kinematics", batch):
+        got = list(drift_trials(mode, config, seeds, distance))
+    with mock.patch.object(gait, "crawl_kinematics", oracle_crawl_batch):
+        want = list(drift_trials(mode, config, seeds, distance))
+    assert (repr([t.poses.tolist() for t in got])
+            == repr([t.poses.tolist() for t in want]))
+    duration = drift_duration(mode, config, distance)
+    poses = len(nominal_cycle_times(mode, duration, config.fin_speed,
+                                    config.dt, config.encoder)) + 1
+    per_batch = max(1, chunk // poses)
+    assert batches == [min(per_batch, len(seeds) - k)
+                       for k in range(0, len(seeds), per_batch)]
+
+
+def test_a_long_drift_holds_one_batch_and_one_trajectory():
+    """Forty 100 m drifts (about 3,000 poses each, two seeds a batch)
+    peak at what one batch takes plus the one trajectory the caller holds,
+    under 2 MiB: a batch is dropped before the next is built."""
+    config = GaitConfig()
+    duration = drift_duration(GaitMode.SYNC, config, 100.0)
+    events = nominal_cycle_times(GaitMode.SYNC, duration, config.fin_speed,
+                                 config.dt, config.encoder)
+    per_batch = gait.DRIFT_CHUNK_POSES // (len(events) + 1)
+    assert per_batch == 2
+    gc.collect()
+    tracemalloc.start()
+    try:
+        crawl_kinematics(events, GaitMode.SYNC, config.noise, config.stride,
+                         range(per_batch))
+        _, one_batch = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        for traj in drift_trials(GaitMode.SYNC, config, range(40), 100.0):
+            pass
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= one_batch + traj.poses.nbytes + 16 * 1024
+    assert peak < 2 * 1024 * 1024
 
 
 def test_a_signed_zero_start_keeps_its_sign():
@@ -417,9 +482,9 @@ def built_paths():
         return strike_sequence(tail, angle_model, regime, duration, seed,
                                thresholds)
 
-    def cycles(cycle_times, mode, noise, stride, seed, start):
-        built.append((mode.value, seed))
-        return crawl_kinematics(cycle_times, mode, noise, stride, seed, start)
+    def cycles(cycle_times, mode, noise, stride, seeds, start):
+        built.extend((mode.value, seed) for seed in seeds)
+        return crawl_kinematics(cycle_times, mode, noise, stride, seeds, start)
 
     paths, rows = {}, {}
     with tempfile.TemporaryDirectory() as work, \
