@@ -14,7 +14,7 @@ from importlib import resources
 
 import numpy as np
 
-from .fileio import read_csv
+from .fileio import number, read_csv
 from .locomotion import (LocomotionMode, Model, TrialSpec, build_units,
                          effective_velocities, trial_outcomes)
 from .terrain import Material, check_moisture, default_curves, moisture_response
@@ -288,19 +288,16 @@ _TARGET_COLUMNS = ("mode", "material", "moisture", "target_cmps", "std_cmps",
                    "weight")
 
 
-def _targets(fields, order, to_float) -> list:
-    rows = ([fields[k + i] for i in order]
-            for k in range(0, len(fields), len(order)))
-    return [CalibrationTarget(LocomotionMode(mode), Material(material),
-                              *map(to_float, numbers))
-            for mode, material, *numbers in rows]
+def _target(fields) -> CalibrationTarget:
+    mode, material, *numbers = fields
+    return CalibrationTarget(LocomotionMode(mode), Material(material),
+                             *map(number, numbers))
 
 
 def load_targets(path) -> list:
     """Read calibration targets from CSV (mode, material, moisture,
     target_cmps, std_cmps, weight) through `fileio.read_csv`."""
-    targets = [target for part in read_csv(path, _TARGET_COLUMNS, "targets",
-                                           _targets) for target in part]
+    targets = [*read_csv(path, _TARGET_COLUMNS, "targets", _target)]
     if not targets:
         raise ValueError("targets file contains no rows")
     return targets

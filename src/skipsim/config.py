@@ -237,9 +237,15 @@ def _build(doc: dict) -> ExperimentConfig:
     if record_s < 0:
         raise ConfigError("config key experiments.tail_characterize.record_s "
                           "must be >= 0")
+    rate, pulse_width = (doc["analysis"]["trace_sample_rate_hz"],
+                         doc["tail"]["pulse_width_s"])
+    # a pulse that is not positive is the tail section's own error
+    if pulse_width > 0 and not rate >= 2.0 / pulse_width:
+        raise ConfigError("config key analysis.trace_sample_rate_hz must be "
+                          "at least 2 / tail.pulse_width_s = "
+                          f"{2.0 / pulse_width:g} Hz")
     try:  # the trace ends one pulse after the recording
-        trace_samples(record_s + doc["tail"]["pulse_width_s"],
-                      doc["analysis"]["trace_sample_rate_hz"])
+        trace_samples(record_s + pulse_width, rate)
     except ValueError as exc:
         raise ConfigError(
             "config key experiments.tail_characterize.record_s plus "

@@ -7,12 +7,14 @@ from __future__ import annotations
 import csv
 import json
 import os
+import warnings
+from array import array
+from itertools import chain
 
 import numpy as np
 
-# Fields read_csv converts at once, so that the strings of at most one chunk
-# are held
-CSV_CHUNK_FIELDS = 1 << 14
+# Rows of an array that array_rows turns into Python floats at once
+CSV_WRITE_ROWS = 4096
 
 
 def write_csv(path, header, rows):
@@ -21,6 +23,15 @@ def write_csv(path, header, rows):
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def array_rows(n, columns):
+    """The `n` rows of a table as tuples of Python floats, for write_csv:
+    `columns(start, stop)` gives the columns of rows start to stop as 1-D
+    arrays, and CSV_WRITE_ROWS rows are converted at a time."""
+    for start in range(0, n, CSV_WRITE_ROWS):
+        stop = min(start + CSV_WRITE_ROWS, n)
+        yield from zip(*[column.tolist() for column in columns(start, stop)])
 
 
 def write_json(path, payload):
@@ -43,16 +54,13 @@ def number(text) -> float:
         raise ValueError(f"field {text!r} is not a number") from None
 
 
-def read_csv(path, columns, what, convert, by_row=False):
-    """The list of `convert(fields, order, float)` over the CSV at `path`, in
-    chunks: `fields` lists about CSV_CHUNK_FIELDS fields of its non-blank
-    rows in file order, and `order[j]` is the place of `columns[j]` in a
-    row. The header must name each of `columns` once, in any order, and
-    each row must have as many fields as the header. On an error the file
-    is read again `by_row`, each row converted on its own with `number`, so
-    the ValueError names the CSV line of the first error in file order
-    (blank lines count)."""
-    parts, fields = [], []
+def read_csv(path, columns, what, convert):
+    """Yield `convert(fields)` for each non-blank row of the CSV at `path`,
+    `fields` listing the row's fields in `columns` order. The header must
+    name each of `columns` once, in any order, and each row must have as
+    many fields as the header. The first error in file order, a ValueError
+    of `convert` included, is one ValueError naming its CSV line (blank
+    lines count)."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -66,31 +74,57 @@ def read_csv(path, columns, what, convert, by_row=False):
                     if len(row) != len(order):
                         raise ValueError(f"a row must have {len(order)} "
                                          "fields, as the header has")
-                    if by_row:
-                        convert([row[i] for i in order], range(len(order)),
-                                number)
-                    fields += row
-                    if len(fields) >= CSV_CHUNK_FIELDS:
-                        parts.append(convert(fields, order, float))
-                        fields = []
-            return parts + [convert(fields, order, float)]
+                    yield convert([row[i] for i in order])
         except (ValueError, csv.Error) as exc:
-            if not by_row:
-                return read_csv(path, columns, what, convert, by_row=True)
             # an empty file stops at its first line too
             raise ValueError(f"{what} CSV line {max(reader.line_num, 1)}: "
                              f"{exc}") from None
 
 
-def _table(fields, order, to_float) -> np.ndarray:
-    return np.fromiter(map(to_float, fields), float, len(fields)).reshape(
-        -1, len(order))[:, order]
+def _numbers(fields) -> list:
+    return [*map(number, fields)]
+
+
+def _lines(fh, limit):
+    for line in fh:
+        if len(line) > limit:  # may hold a field too long for csv
+            raise ValueError("line over the csv field limit")
+        yield line
+
+
+def _parsed_table(path, columns):
+    """The rows after a CSV's header as numpy's C parser reads them, in
+    `columns` order; an exception where the parser refuses a line or reads
+    none, or where the header or the row width is not that of `columns`."""
+    with open(path, newline="") as fh:
+        header = next(csv.reader(fh), [])
+        if sorted(header) != sorted(columns):
+            raise ValueError("not the header of `columns`")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)
+            table = np.loadtxt(_lines(fh, csv.field_size_limit()),
+                               delimiter=",", comments=None, quotechar=None,
+                               ndmin=2)
+    if table.shape[1] != len(columns):
+        raise ValueError("not the row width of `columns`")
+    return table[:, [*map(header.index, columns)]]
 
 
 def read_csv_table(path, columns, what) -> np.ndarray:
     """The non-blank rows of a CSV with exactly `columns` (in any order), as
-    an (n, len(columns)) array of finite floats ordered like `columns`."""
-    values = np.concatenate(read_csv(path, columns, what, _table))
+    an (n, len(columns)) array of finite floats ordered like `columns`.
+    numpy's C parser reads a plain file of numbers; whatever it refuses
+    (quoted fields, `1_0`, non-ASCII digits, a whitespace-only line, no rows
+    at all, a line over the csv field limit) read_csv reads row by row into
+    one flat array of floats, to the same table or the same error."""
+    try:
+        values = _parsed_table(path, columns)
+    except (ValueError, UserWarning, csv.Error):
+        values = None  # the row loop reads it or names its first error
+    if values is None:
+        flat = array("d", chain.from_iterable(
+            read_csv(path, columns, what, _numbers)))
+        values = np.frombuffer(flat).reshape(-1, len(columns))
     if not np.isfinite(values).all():
         raise ValueError(f"{what} CSV values must be finite")
     return values

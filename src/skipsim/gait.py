@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fileio import read_csv_table, write_csv
+from .fileio import array_rows, read_csv_table, write_csv
 
 TWO_PI = 2.0 * math.pi
 
@@ -362,7 +362,9 @@ class Trajectory:
     COLUMNS = ("time_s", "x_m", "y_m", "heading_rad")
 
     def write_csv(self, path):
-        write_csv(path, self.COLUMNS, self.poses[:, [3, 0, 1, 2]].tolist())
+        write_csv(path, self.COLUMNS, array_rows(
+            len(self.poses),
+            lambda start, stop: self.poses[start:stop, [3, 0, 1, 2]].T))
 
     @classmethod
     def read_csv(cls, path) -> "Trajectory":

@@ -10,7 +10,7 @@ from enum import Enum
 
 import numpy as np
 
-from .fileio import read_csv_table, write_csv
+from .fileio import array_rows, read_csv_table, write_csv
 from .gait import Trajectory
 
 FAILURE_THRESHOLD_M = 0.10  # net displacement below this counts as a failure
@@ -43,9 +43,6 @@ class ForceTrace:
         if self.samples.size and not np.all(np.isfinite(self.samples)):
             raise ValueError("samples must be finite")
 
-    def times(self) -> np.ndarray:
-        return np.arange(self.samples.size) / self.sample_rate
-
     @property
     def duration(self) -> float:
         return self.samples.size / self.sample_rate
@@ -53,8 +50,10 @@ class ForceTrace:
     COLUMNS = ("time_s", "force_N")
 
     def write_csv(self, path):
-        write_csv(path, self.COLUMNS,
-                  zip(self.times().tolist(), self.samples.tolist()))
+        write_csv(path, self.COLUMNS, array_rows(
+            self.samples.size, lambda start, stop: (
+                np.arange(start, stop) / self.sample_rate,
+                self.samples[start:stop])))
 
     @classmethod
     def read_csv(cls, path) -> "ForceTrace":

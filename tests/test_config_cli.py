@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import pytest
 
@@ -343,6 +344,41 @@ class TestCli:
                      str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == (
             "error: force trace CSV line 3: field 'abc' is not a number\n")
+
+    @pytest.mark.parametrize("text", [
+        '"time_s","force_N"\n"0.0","0.0"\n"0.0005","1.5"\n"0.001","3.25"\n'
+        '"0.0015","1.5"\n"0.002","0.0"\n',
+        "time_s,force_N\r\n0.0,0.0\r\n0.000_5,0_1.5\r\n0.001,3.2_5\r\n"
+        "0.001_5,1.5\r\n0.002,\u0660.\u0660\r\n"],
+        ids=["quoted", "underscores-crlf"])
+    def test_rows_numpy_refuses_analyze_like_plain_ones(self, tmp_path, text):
+        plain = tmp_path / "plain.csv"
+        plain.write_text("time_s,force_N\n0.0,0.0\n0.0005,1.5\n0.001,3.25\n"
+                         "0.0015,1.5\n0.002,0.0\n")
+        rough = tmp_path / "rough.csv"
+        rough.write_bytes(text.encode())
+        for path in (plain, rough):
+            assert main(["analyze", "--trace", str(path), "--out",
+                         str(tmp_path / path.stem)]) == 0
+        assert ((tmp_path / "rough" / "analysis.json").read_bytes()
+                == (tmp_path / "plain" / "analysis.json").read_bytes())
+
+    @pytest.mark.parametrize("flag, text, message", [
+        ("--trace", "time_s,force_N\n", "force trace CSV needs at least two "
+         "samples"),
+        ("--trajectory", "time_s,x_m,y_m,heading_rad\r\n\r\n",
+         "mean_velocity needs at least two poses")],
+        ids=["trace", "trajectory-crlf-blank"])
+    def test_header_only_exits_2_without_a_warning(self, tmp_path, capsys,
+                                                   flag, text, message):
+        path = tmp_path / "input.csv"
+        path.write_bytes(text.encode())
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["analyze", flag, str(path), "--out",
+                         str(tmp_path / "o")]) == 2
+        assert caught == []
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("flag, text, line", [
         ("--trace", "time_s,time_s,force_N\n0,0,1\n", 1),
@@ -833,6 +869,40 @@ class TestRecordLimit:
             "analysis": {"trace_sample_rate_hz": rate},
             "experiments": {"tail_characterize": {"record_s": record_s}}})
         assert config.experiments["tail_characterize"]["record_s"] == record_s
+
+
+class TestTraceRate:
+    """A trace needs at least two samples a pulse: trace_sample_rate_hz
+    below 2 / pulse_width_s, zero and negative rates included, is refused
+    at config load by every command, before `--out` is made, whether it
+    synthesizes a trace or not."""
+
+    @pytest.mark.parametrize("doc, least", [
+        ({"analysis": {"trace_sample_rate_hz": -5}}, "200"),
+        ({"tail": {"pulse_width_s": 1e-9}}, "2e+09")],
+        ids=["negative-rate", "short-pulse"])
+    @pytest.mark.parametrize("command", ["tail-characterize",
+                                         "substrate-bench"])
+    def test_exits_2_naming_both_keys_before_out(self, tmp_path, capsys,
+                                                 doc, least, command):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: config key analysis.trace_sample_rate_hz must be at "
+            f"least 2 / tail.pulse_width_s = {least} Hz\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rate", [0.0, 199.99999999999997])
+    def test_just_under_is_refused(self, rate):
+        with pytest.raises(ConfigError, match="trace_sample_rate_hz"):
+            load_config(overrides={"analysis": {"trace_sample_rate_hz": rate}})
+
+    def test_two_samples_a_pulse_loads(self):
+        config = load_config(overrides={
+            "analysis": {"trace_sample_rate_hz": 200.0}})
+        assert config.analysis["trace_sample_rate_hz"] == 200.0
 
 
 class TestOverflowingNumbers:

@@ -18,6 +18,7 @@ import tempfile
 
 import pytest
 
+from skipsim import fileio
 from skipsim.cli import main
 from skipsim.config import load_config
 from skipsim.fileio import write_json
@@ -74,6 +75,23 @@ def test_outputs_match_golden_digests(tmp_path, command):
     assert command in dirs
     assert found == {rel: digest for rel, digest in pinned.items()
                      if rel.split("/")[0] in dirs}
+
+
+def test_golden_inputs_never_enter_the_row_loop(tmp_path, monkeypatch):
+    """numpy's parser alone reads the golden force trace and a gait-drift
+    trajectory: `fileio.read_csv`, the row loop for what it refuses, is
+    never called."""
+    calls = []
+    real = fileio.read_csv
+
+    def spy(path, *args):
+        calls.append(os.path.basename(path))
+        return real(path, *args)
+
+    monkeypatch.setattr(fileio, "read_csv", spy)
+    _run("analyze", str(tmp_path))
+    assert os.path.exists(os.path.join(tmp_path, "analyze", "analysis.json"))
+    assert calls == []
 
 
 def _report(old, new):

@@ -2,10 +2,12 @@
 exits 0 or 2 without raising, and an analysis.json it writes is strict JSON
 (no NaN or Infinity); a repeated header column or a row with an extra field
 exits 2. `read_csv_table` reads what a row-by-row loop reads, and fails
-with its message, which names the line of the first error in file order. Whatever a targets CSV holds, `load_targets` returns one target per
-row or raises one ValueError in the package's words. Whatever override a
-config document makes, `load_config` raises one ConfigError or builds a
-config that its own document rebuilds."""
+with its message, which names the line of the first error in file order,
+whether numpy's parser or its own row loop reads the file. Whatever a
+targets CSV holds, `load_targets` returns one target per row or raises one
+ValueError in the package's words. Whatever override a config document
+makes, `load_config` raises one ConfigError or builds a config that its own
+document rebuilds."""
 
 import csv
 import json
@@ -14,7 +16,6 @@ import os
 import re
 import sys
 import tempfile
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,7 +27,6 @@ from skipsim.calibrate import load_targets  # noqa: E402
 from skipsim.cli import main  # noqa: E402
 from skipsim.config import (ConfigError, default_dict,  # noqa: E402
                             document, load_config)
-from skipsim import fileio  # noqa: E402
 from skipsim.fileio import read_csv_table  # noqa: E402
 from skipsim.gait import Trajectory  # noqa: E402
 from skipsim.stats import ForceTrace  # noqa: E402
@@ -142,22 +142,80 @@ def _outcome(read, path, columns):
         return f"ValueError: {exc}"
 
 
+# Fields numpy's C parser refuses: quoted, with an underscore, with
+# non-ASCII digits or spaces, which `float` reads, and some it does not
+ROUGH_NUMBERS = st.sampled_from(['"1.5"', '"-2"', "1_0", "-2_5.0_1",
+                                 "\u0661", "\u0663.\u0665", "\u00a07"])
+ROUGH_FIELDS = st.one_of(ROUGH_NUMBERS, ROUGH_NUMBERS, st.sampled_from(
+    ['""', "1\x00", "\x00", "1__0", " 7 ", "1e5\t"]))
+# Lines csv reads as blank, as one field or as empty fields
+ROUGH_LINES = st.sampled_from(["", "", " ", "\t", "  \t ", ",", " , ",
+                               "\x0c"])
+
+
+@st.composite
+def rough_csv_inputs(draw):
+    """A CSV of numbers in shuffled columns, spoiled by `_spoil` or not,
+    with some of its fields replaced by ROUGH_FIELDS, ROUGH_LINES inserted
+    after the header, sometimes one line longer than the csv field limit
+    (its fields within it or one field over), and LF, CR or CRLF line
+    endings."""
+    flag, columns = draw(st.sampled_from(
+        [("--trace", ForceTrace.COLUMNS), ("--trajectory", Trajectory.COLUMNS)]))
+    header = draw(st.permutations(columns))
+    rows = [[draw(NUMBERS) for _ in header]
+            for _ in range(draw(st.integers(0, 8)))]
+    if draw(st.booleans()):
+        text, _ = _spoil(draw, header, rows)
+    else:
+        text = "".join(",".join(row) + "\n" for row in [header] + rows)
+    lines = text.split("\n")[:-1]
+    for _ in range(draw(st.integers(0, 2)) if len(lines) > 1 else 0):
+        i = draw(st.integers(1, len(lines) - 1))
+        fields = lines[i].split(",")
+        fields[draw(st.integers(0, len(fields) - 1))] = draw(ROUGH_FIELDS)
+        lines[i] = ",".join(fields)
+    for _ in range(draw(st.integers(0, 2)) if draw(st.booleans()) else 0):
+        lines.insert(draw(st.integers(1, len(lines))), draw(ROUGH_LINES))
+    if draw(st.booleans()) and draw(st.booleans()):
+        lines.insert(draw(st.integers(1, len(lines))),
+                     _long_line(len(columns), draw(st.booleans())))
+    ending = draw(st.sampled_from(["\n", "\r", "\r\n"]))
+    return flag, "".join(line + ending for line in lines)
+
+
+def _long_line(width, one_field_over):
+    """A row of `width` ones longer than the csv field limit: zero-padded
+    within it, or with one field over it."""
+    limit = csv.field_size_limit()
+    if one_field_over:
+        return ",".join(["0" * limit + "1"] + ["1"] * (width - 1))
+    return ",".join(["0" * (limit // width + 1) + "1"] * width)
+
+
 @settings(max_examples=300, derandomize=True, deadline=None)
-@given(csv_inputs(), st.sampled_from(["\n", "\n\n", "\n,\n", ""]),
-       st.sampled_from([1, 3, 8, fileio.CSV_CHUNK_FIELDS]))
-def test_read_csv_table_reads_what_a_row_loop_reads(case, blank, chunk):
-    """The same array, or the same message, as the loop: on spoiled CSVs,
-    with a blank line or a row of empty fields after the header, converted
-    in chunks of a few fields or in one."""
-    flag, text, _ = case
+@given(rough_csv_inputs())
+@example(("--trace", "time_s,force_N\n"))
+@example(("--trace", "time_s,force_N\r\n\r\n"))
+@example(("--trace", 'time_s,force_N\r"0",1_0\r\u0661,\u00a02\r'))
+@example(("--trajectory", "x_m,time_s,y_m,heading_rad\r\n"
+          "1,0,\u0663,4\r\n  \r\n1,2,3,4\r\n"))
+@example(("--trace", "time_s,force_N\n1,2\x00\n"))
+@example(("--trace", "force_N,time_s\n0,1,2\n1,2,3\n"))
+@example(("--trajectory", "time_s,x_m,y_m,heading_rad\n0,1\n"))
+@example(("--trace", "time_s,force_N\n" + _long_line(2, False) + "\n"))
+@example(("--trace", "time_s,force_N\n" + _long_line(2, True) + "\n"))
+def test_read_csv_table_reads_what_a_row_loop_reads(case):
+    """The same array, or the same message, as the loop, on spoiled CSVs
+    with quoted and unusual numbers, odd lines and LF, CR or CRLF line
+    endings, whether numpy's parser reads them or the row loop does."""
+    flag, text = case
     columns = ForceTrace.COLUMNS if flag == "--trace" else Trajectory.COLUMNS
-    first, _, rest = text.partition("\n")
     with tempfile.TemporaryDirectory() as root:
         path = os.path.join(root, "input.csv")
-        with open(path, "w") as fh:
-            fh.write(first + blank + rest if blank else text)
-        with mock.patch.object(fileio, "CSV_CHUNK_FIELDS", chunk):
-            got = _outcome(read_csv_table, path, columns)
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.write(text)
+        got = _outcome(read_csv_table, path, columns)
         assert got == _outcome(oracle_read_csv_table, path, columns)
 
 

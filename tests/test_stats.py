@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from skipsim.fileio import write_csv
 from skipsim.gait import PlanarPose, Trajectory
 from skipsim.stats import (ForceTrace, _percentile, bootstrap_ci,
                            detect_peaks, lateral_drift, mean_velocity)
@@ -44,13 +45,17 @@ def brute_force_peaks(samples, rate, threshold, min_separation):
 
 
 class TestForceTraceCsv:
-    def test_reading_holds_one_chunk_of_fields(self, tmp_path):
-        """A 200,000-sample trace reads back byte for byte, converting its
-        fields chunk by chunk: the read peaks under three times the
-        samples' two float columns, where holding every field's string
-        until one conversion at the end takes about ten times."""
-        trace = half_sine_trace([(t, 4.0) for t in np.arange(0.5, 99.0)],
-                                duration=99.9995)
+    def _long_trace(self):
+        """200,000 samples of 4 N pulses, one a second."""
+        return half_sine_trace([(t, 4.0) for t in np.arange(0.5, 99.0)],
+                               duration=99.9995)
+
+    def test_reading_peaks_under_three_float_columns(self, tmp_path):
+        """A 200,000-sample trace reads back byte for byte through numpy's
+        parser: the read peaks under three times the samples' two float
+        columns, where holding every field's string until one conversion
+        at the end takes about ten times."""
+        trace = self._long_trace()
         path = tmp_path / "trace.csv"
         trace.write_csv(path)
         ForceTrace.read_csv(path)  # lazy imports settle first
@@ -63,6 +68,26 @@ class TestForceTraceCsv:
         assert back.samples.tobytes() == trace.samples.tobytes()
         assert back.sample_rate == trace.sample_rate
         assert peak < 3 * 2 * trace.samples.nbytes
+
+    def test_writing_holds_one_chunk_of_rows(self, tmp_path):
+        """A 200,000-sample trace writes the bytes of a writer that turns
+        every sample into a Python float at once, holding Python floats for
+        CSV_WRITE_ROWS rows at a time: the write peaks under 1 MiB at any
+        length, where the two lists of every sample take about 12.8 MB."""
+        trace = self._long_trace()
+        path = tmp_path / "trace.csv"
+        trace.write_csv(path)  # lazy imports settle first
+        tracemalloc.start()
+        try:
+            trace.write_csv(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        times = np.arange(trace.samples.size) / trace.sample_rate
+        write_csv(tmp_path / "whole.csv", ForceTrace.COLUMNS,
+                  zip(times.tolist(), trace.samples.tolist()))
+        assert path.read_bytes() == (tmp_path / "whole.csv").read_bytes()
+        assert peak < 1 << 20
 
 
 class TestDetectPeaks:
