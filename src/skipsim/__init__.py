@@ -3,7 +3,7 @@ skipping/crawling robot."""
 
 __version__ = "0.1.0"
 
-from .gait import (AsymmetryNoise, EncoderModel, Fin, GaitConfig, GaitMode,
+from .gait import (AsymmetryNoise, EncoderModel, GaitConfig, GaitMode,
                    PlanarPose, Trajectory)
 from .locomotion import (BatchSummary, LocomotionMode, Model, RobotParams,
                          TrialResult, TrialSpec, run_batch, run_trial,
@@ -15,7 +15,7 @@ from .terrain import Material, MoistureResponse, SubstrateParams
 
 __all__ = [
     "AsymmetryNoise", "BatchSummary", "BootstrapCI", "EncoderModel",
-    "EngagedAngleModel", "FailureMode", "Fin", "ForceTrace",
+    "EngagedAngleModel", "FailureMode", "ForceTrace",
     "GaitConfig", "GaitMode", "LengthRegime", "LocomotionMode", "Material",
     "Model", "MoistureResponse", "PeakSet", "PlanarPose", "RegimeThresholds",
     "RobotParams", "StrikeSequence",

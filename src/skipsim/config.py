@@ -11,7 +11,8 @@ from dataclasses import dataclass, field
 
 from .gait import (MAX_TRIAL_S, AsymmetryNoise, EncoderModel, GaitConfig,
                    GaitMode, drift_duration)
-from .locomotion import MAX_TRIALS, Model, RobotParams
+from .locomotion import (MAX_TRIALS, LocomotionMode, Model, RobotParams,
+                         TrialSpec)
 from .springtail import (EngagedAngleModel, RegimeThresholds, TailConfig,
                          trace_samples)
 from .stats import MAX_BOOTSTRAP_RESAMPLES
@@ -222,6 +223,42 @@ def _parse(cls, table, section, name, **nested):
         raise ConfigError(f"config section {name}: {exc}") from exc
 
 
+def _check_specs(experiments: dict):
+    """Refuse a material, locomotion mode, moisture or segment duration that
+    a runner's trial specs would refuse, naming its key, so that no command
+    makes --out for it."""
+    swept = ("uniform_sand", "bentonite_clay")  # the materials a sweep grids
+    modes = [m.value for m in LocomotionMode]
+
+    def spec(key, material, moisture, mode="skip", duration=1.0,
+             materials=tuple(m.value for m in Material)):
+        for what, value, names in (("material", material, materials),
+                                   ("mode", mode, modes)):
+            if value not in names:
+                raise ConfigError(f"config key {key}: {what} must be one of "
+                                  f"{', '.join(names)}, not {value!r}")
+        try:
+            TrialSpec(LocomotionMode(mode), Material(material), moisture,
+                      duration)
+        except ValueError as exc:
+            raise ConfigError(f"config key {key}: {exc}") from None
+
+    sweep = experiments["moisture_sweep"]
+    for k, material in enumerate(sweep["materials"]):
+        spec(f"experiments.moisture_sweep.materials[{k}]", material, 0.0,
+             materials=swept)
+    for material in swept:
+        for k, moisture in enumerate(sweep[f"{material}_grid"]):
+            spec(f"experiments.moisture_sweep.{material}_grid[{k}]", material,
+                 moisture)
+    for k, row in enumerate(experiments["substrate_bench"]["conditions"]):
+        spec(f"experiments.substrate_bench.conditions[{k}]", *row)
+    for k, (material, mode, duration, moisture) in enumerate(
+            experiments["scenario"]["segments"]):
+        spec(f"experiments.scenario.segments[{k}]", material, moisture, mode,
+             duration)
+
+
 def _build(doc: dict) -> ExperimentConfig:
     if doc["schema_version"] != SCHEMA_VERSION:
         raise ConfigError(
@@ -265,6 +302,7 @@ def _build(doc: dict) -> ExperimentConfig:
                 bound = "be >= 1" if most == math.inf else f"lie in [1, {most}]"
                 raise ConfigError(
                     f"config key experiments.{name}.{key} must {bound}")
+    _check_specs(experiments)
     responses = {
         Material(key): _parse(
             MoistureResponse, RESPONSE, doc, f"substrates.{key}",

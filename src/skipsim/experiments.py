@@ -157,14 +157,8 @@ def run_moisture_sweep(config: ExperimentConfig, out_dir, check=False) -> list:
     """Velocity versus moisture grid for all three locomotion modes."""
     params = config.experiments["moisture_sweep"]
     duration = params["duration_s"]
-    materials = [Material(m) for m in params["materials"]]
-    for material in materials:
-        if material not in (Material.UNIFORM_SAND, Material.BENTONITE_CLAY):
-            raise ValueError(
-                f"moisture sweep supports uniform_sand and bentonite_clay, "
-                f"not {material.value}")
-    specs = []
-    for material in materials:
+    specs = []  # config load checks the materials and grids
+    for material in map(Material, params["materials"]):
         grid = params[f"{material.value}_grid"]
         if not grid:
             raise ValueError(f"moisture grid for {material.value} is empty")

@@ -1,17 +1,17 @@
-"""Fin gait state machines with hall-effect encoder feedback, plus the planar
+"""Fin gait schedules with hall-effect encoder feedback, plus the planar
 crawl kinematics used for straight-line drift studies.
 
 Two closed-loop gaits are provided: a synchronous gait where both fins rotate
 together and every magnet passage is cross-validated between sides, and an
 asynchronous gait where the fins alternate, handing over at each encoder
-detection. An open-loop controller (no feedback, dead-reckoned cycles) serves
-as the baseline.
+detection. An open-loop gait (no feedback, dead-reckoned cycles) serves as
+the baseline. Each gait's schedule follows in closed form from the ticks at
+which each fin's sensor rises (`run_cycles`).
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
@@ -70,216 +70,11 @@ class EncoderModel:
         return seen if seen.ndim else bool(seen)
 
 
-# Most ticks a fin plans ahead: no array grows with a schedule's length.
+# Most counts a fin's sensor is planned over in one numpy pass
 CHUNK_TICKS = 1 << 16
 # Most controller ticks in one schedule (`run_cycles`). A schedule lasts at
 # most MAX_TRIAL_S, so a gait dt below MAX_TRIAL_S / MAX_TICKS is refused.
 MAX_TICKS = 1 << 22
-
-
-class Fin:
-    """One fin and its hall-effect sensor, stepped in ticks of `dt`.
-
-    Its state is two counts: `turned`, the ticks it has turned at its
-    nominal speed, and `paused_ticks`, the ticks it has waited. Its total
-    angle is turned * step, with step = nominal speed * dt, its angle that
-    wrapped to [0, 2*pi), and `edges` counts the rising sensor edges since
-    the last completed cycle. A controller gates it through
-    `angular_speed`: the nominal speed to turn, 0.0 to hold.
-
-    The angle depends only on the count, so the fin plans the counts at
-    which its sensor rises, up to CHUNK_TICKS ahead, and a controller walks
-    it from event to event (`ticks_to_event`, `advance`)."""
-
-    def __init__(self, speed: float, encoder: EncoderModel, dt: float):
-        if speed < 0:
-            raise ValueError("fin angular_speed must be >= 0")
-        self.encoder = encoder
-        self.angular_speed = self.nominal_speed = speed
-        self.dt = dt
-        self.step = speed * dt
-        self.turned = self.paused_ticks = self.edges = 0
-        self._rises = []  # planned rising counts, sorted
-        self._planned = 0  # the last count the plan covers
-
-    @property
-    def total_angle(self) -> float:
-        return self.turned * self.step
-
-    @property
-    def angle(self) -> float:
-        return self.total_angle % TWO_PI
-
-    @property
-    def pause_time(self) -> float:
-        return self.paused_ticks * self.dt
-
-    def _plan(self, limit: int):
-        """Plan the rising counts from the fin's count on, `limit` ticks or
-        one revolution ahead, whichever is further, and at most
-        CHUNK_TICKS."""
-        n = int(min(CHUNK_TICKS, max(limit, TWO_PI / self.step + 2.0)))
-        counts = np.arange(self.turned, self.turned + n + 1)
-        seen = self.encoder.detects(counts * self.step)
-        self._rises = counts[1:][seen[1:] & ~seen[:-1]].tolist()
-        self._planned = self.turned + n
-
-    def ticks_to_event(self, limit: int, total: float = math.inf) -> int:
-        """Ticks, 1 to `limit`, up to and including the fin's next rising
-        edge, its first count with a total angle of at least `total`, or
-        the end of its plan; `limit` for a fin that does not turn."""
-        if self.angular_speed <= 0.0 or self.step <= 0.0:
-            return limit
-        if self._planned <= self.turned:
-            self._plan(limit)
-        k = bisect_right(self._rises, self.turned)
-        end = self._rises[k] if k < len(self._rises) else self._planned
-        if end * self.step >= total:
-            # the first count up to `end` whose total angle reaches `total`
-            counts = range(self.turned + 1, end + 1)
-            end = counts[bisect_left(counts, total,
-                                     key=lambda count: count * self.step)]
-        return min(limit, end - self.turned)
-
-    def advance(self, ticks: int) -> bool:
-        """Turn `ticks` ticks, no more than `ticks_to_event` gives; returns
-        True on a rising encoder edge at the last."""
-        if self.angular_speed <= 0.0:
-            return False
-        self.turned += ticks
-        k = bisect_left(self._rises, self.turned)
-        if k < len(self._rises) and self._rises[k] == self.turned:
-            self.edges += 1
-            return True
-        return False
-
-
-class _FinPair:
-    """Two fins, each watched by its own encoder and stepped finely enough
-    that no magnet passage is missed. The clock is `ticks`, the ticks taken
-    at one `dt`. A gait says how the fins move up to their next event
-    (`_move`, by default both free-run) and may replace the rule that a
-    cycle completes once both fins have validated a revolution. Between
-    events no speed, edge count or cycle changes, so the pair turns its
-    fins from event to event."""
-
-    def __init__(self, left_speed: float = TWO_PI, right_speed: float | None = None,
-                 encoder: EncoderModel | None = None, dt: float = 0.01):
-        if right_speed is None:
-            right_speed = left_speed
-        if not dt > 0:
-            raise ValueError("dt must be positive")
-        self.encoder = encoder or EncoderModel()
-        # a coarser step could sweep straight across a detection window
-        if max(left_speed, right_speed) * dt >= self.encoder.detection_window:
-            raise ValueError("dt too coarse: angular step per tick must stay "
-                             "below the encoder detection window")
-        self.dt = dt
-        self.left = Fin(left_speed, self.encoder, dt)
-        self.right = Fin(right_speed, self.encoder, dt)
-        self.edges_per_cycle = len(self.encoder.magnet_angles)
-        self.ticks = 0
-
-    @property
-    def time(self) -> float:
-        return self.ticks * self.dt
-
-    def step(self) -> bool:
-        """Advance one tick; returns True when it completes a gait cycle."""
-        return bool(self.advance(1))
-
-    def advance(self, ticks: int) -> list:
-        """Advance `ticks` ticks, returning the times of the cycles they
-        complete."""
-        times = []
-        end = self.ticks + ticks
-        while self.ticks < end:
-            self.ticks += self._move(end - self.ticks)
-            if self._cycle_complete():
-                times.append(self.time)
-        return times
-
-    def _span(self, ticks: int) -> int:
-        """Ticks up to the next event, at most `ticks`."""
-        return min(self.left.ticks_to_event(ticks),
-                   self.right.ticks_to_event(ticks))
-
-    def _move(self, ticks: int) -> int:
-        """Turn the fins up to their next event, at most `ticks` ticks;
-        returns the ticks turned."""
-        span = self._span(ticks)
-        self.left.advance(span)
-        self.right.advance(span)
-        return span
-
-    def _cycle_complete(self) -> bool:
-        n = self.edges_per_cycle
-        if self.left.edges >= n and self.right.edges >= n:
-            self.left.edges -= n
-            self.right.edges -= n
-            return True
-        return False
-
-
-class SyncGait(_FinPair):
-    """Both fins rotate together; the fin that reaches its magnet first
-    pauses until the other side's detection validates the passage."""
-
-    def _move(self, ticks: int) -> int:
-        # the leading fin waits for the lagging side's detection
-        lead = self.left.edges - self.right.edges
-        fins = ((self.left, lead > 0), (self.right, lead < 0))
-        for fin, waits in fins:
-            fin.angular_speed = 0.0 if waits else fin.nominal_speed
-        span = super()._move(ticks)
-        for fin, waits in fins:
-            if waits:
-                fin.paused_ticks += span
-        return span
-
-    @property
-    def pause_time(self) -> float:
-        return self.left.pause_time + self.right.pause_time
-
-
-class AsyncGait(_FinPair):
-    """Fins alternate: only the `active` fin rotates, handing over at each
-    of its encoder detections."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.active = self.left
-
-    def _move(self, ticks: int) -> int:
-        idler = self.right if self.active is self.left else self.left
-        # mutual exclusion: only the scheduled fin may move
-        idler.angular_speed = 0.0
-        self.active.angular_speed = self.active.nominal_speed
-        span = self.active.ticks_to_event(ticks)
-        if self.active.advance(span):
-            self.active = idler
-        return span
-
-
-class OpenLoopGait(_FinPair):
-    """No encoder feedback: both fins free-run and cycles are dead-reckoned
-    from the left fin's commanded rotation."""
-
-    _cycles_marked = 0
-
-    def _mark(self) -> float:
-        return (self._cycles_marked + 1) * TWO_PI
-
-    def _span(self, ticks: int) -> int:
-        # the left fin's next mark is an event too
-        return min(self.left.ticks_to_event(ticks, self._mark()),
-                   self.right.ticks_to_event(ticks))
-
-    def _cycle_complete(self) -> bool:
-        if self.left.total_angle >= self._mark():
-            self._cycles_marked += 1
-            return True
-        return False
 
 
 def schedule_ticks(duration: float, dt: float) -> int:
@@ -295,14 +90,70 @@ def schedule_ticks(duration: float, dt: float) -> int:
     return int(round(ticks))
 
 
-def run_cycles(controller, duration: float, dt: float) -> list:
-    """Step a controller built with tick `dt` for `duration` seconds,
-    returning cycle-complete times."""
+def _rises(step: float, encoder: EncoderModel, ticks: int) -> np.ndarray:
+    """The counts, 1 to `ticks`, at which a fin turning `step` rad a tick
+    sees its sensor rise: it detects a magnet at angle count * step and did
+    not at the count before. Planned CHUNK_TICKS counts at a time; a fin
+    that does not turn never rises."""
+    parts = [np.empty(0, dtype=np.int64)]
+    for first in range(0, ticks if step > 0.0 else 0, CHUNK_TICKS):
+        counts = np.arange(first, min(first + CHUNK_TICKS, ticks) + 1)
+        seen = encoder.detects(counts * step)
+        parts.append(counts[1:][seen[1:] & ~seen[:-1]])
+    return np.concatenate(parts)
+
+
+def run_cycles(mode: GaitMode, duration: float, dt: float,
+               left_speed: float = TWO_PI, right_speed: float | None = None,
+               encoder: EncoderModel | None = None) -> list:
+    """Cycle-complete times of a gait run for `duration` s in ticks of
+    `dt`, its fins starting at angle 0 and turning at constant speeds
+    (rad/s; the right fin at the left's unless given) when the gait lets
+    them. With l_j and r_j the counts of the left and right fins' j-th
+    sensor rises (`_rises`), each rule in closed form:
+
+    - sync: the fin that reaches its magnet first waits for the other, so
+      both fins' j-th edges complete at tick
+      T_j = T_(j-1) + max(l_j - l_(j-1), r_j - r_(j-1));
+    - async: the fins take turns from rise to rise, the left first, so the
+      right fin's j-th edge comes at tick l_j + r_j;
+    - both complete a cycle at every n-th such edge, n the magnets;
+    - open loop: cycle k completes at the first tick t whose left fin
+      angle t * (left_speed * dt) reaches k * 2 pi.
+
+    A cycle's time is its tick times dt. A schedule over MAX_TICKS ticks
+    or a step that could cross a detection window is refused."""
     ticks = schedule_ticks(duration, dt)
-    if dt != controller.dt:
-        raise ValueError(f"a schedule at dt {dt:g} s cannot step a "
-                         f"controller built for dt {controller.dt:g} s")
-    return controller.advance(ticks)
+    right_speed = left_speed if right_speed is None else right_speed
+    encoder = encoder or EncoderModel()
+    if not (left_speed >= 0 and right_speed >= 0):
+        raise ValueError("fin speeds must be >= 0")
+    # a coarser step could sweep straight across a detection window
+    if max(left_speed, right_speed) * dt >= encoder.detection_window:
+        raise ValueError("dt too coarse: angular step per tick must stay "
+                         "below the encoder detection window")
+    step = left_speed * dt
+    if mode is GaitMode.OPEN_LOOP:
+        if not step > 0.0:
+            return []
+        marks = np.arange(1, int(ticks * step / TWO_PI) + 2) * TWO_PI
+        # the quotient's ceiling can be a tick off; clip it past the end
+        done = np.ceil(np.minimum(marks / step, ticks + 1)).astype(np.int64)
+        done -= (done - 1) * step >= marks
+        done += done * step < marks
+    else:
+        left, right = (_rises(s, encoder, ticks)
+                       for s in (step, right_speed * dt))
+        edges = min(len(left), len(right))
+        left, right = left[:edges], right[:edges]
+        if mode is GaitMode.SYNC:
+            joint = np.cumsum(np.maximum(np.diff(left, prepend=0),
+                                         np.diff(right, prepend=0)))
+        else:
+            joint = left + right
+        n = len(encoder.magnet_angles)
+        done = joint[n - 1::n]
+    return (done[done <= ticks] * dt).tolist()
 
 
 @lru_cache(maxsize=64)
@@ -310,10 +161,7 @@ def nominal_cycle_times(mode: GaitMode, duration: float, fin_speed: float = TWO_
                         dt: float = 0.01, encoder: EncoderModel | None = None) -> tuple:
     """Cycle-complete times for symmetric nominal fin speeds (cached; the
     schedule is identical for every trial at the same settings)."""
-    gait = {GaitMode.SYNC: SyncGait, GaitMode.ASYNC: AsyncGait,
-            GaitMode.OPEN_LOOP: OpenLoopGait}[mode]
-    return tuple(run_cycles(gait(fin_speed, encoder=encoder, dt=dt),
-                            duration, dt))
+    return tuple(run_cycles(mode, duration, dt, fin_speed, encoder=encoder))
 
 
 class PlanarPose(NamedTuple):
@@ -369,6 +217,8 @@ class Trajectory:
     @classmethod
     def read_csv(cls, path) -> "Trajectory":
         table = read_csv_table(path, cls.COLUMNS, "trajectory")
+        if len(table) < 2:
+            raise ValueError("trajectory CSV needs at least two poses")
         return cls(table[:, [1, 2, 3, 0]])
 
 

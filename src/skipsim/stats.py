@@ -43,10 +43,6 @@ class ForceTrace:
         if self.samples.size and not np.all(np.isfinite(self.samples)):
             raise ValueError("samples must be finite")
 
-    @property
-    def duration(self) -> float:
-        return self.samples.size / self.sample_rate
-
     COLUMNS = ("time_s", "force_N")
 
     def write_csv(self, path):

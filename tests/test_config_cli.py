@@ -367,8 +367,10 @@ class TestCli:
         ("--trace", "time_s,force_N\n", "force trace CSV needs at least two "
          "samples"),
         ("--trajectory", "time_s,x_m,y_m,heading_rad\r\n\r\n",
-         "mean_velocity needs at least two poses")],
-        ids=["trace", "trajectory-crlf-blank"])
+         "trajectory CSV needs at least two poses"),
+        ("--trajectory", "time_s,x_m,y_m,heading_rad\n0.0,0.0,0.0,0.0\n",
+         "trajectory CSV needs at least two poses")],
+        ids=["trace", "trajectory-crlf-blank", "trajectory-one-row"])
     def test_header_only_exits_2_without_a_warning(self, tmp_path, capsys,
                                                    flag, text, message):
         path = tmp_path / "input.csv"
@@ -688,9 +690,9 @@ TOO_FINE = math.nextafter(FINEST_DT, 0.0)
 
 
 class TestTickLimit:
-    """A schedule steps its controller at most MAX_TICKS times, so a gait
-    dt at which the longest trial would take more is refused. Nothing here
-    steps a large schedule."""
+    """A schedule spans at most MAX_TICKS controller ticks, so a gait dt at
+    which the longest trial would take more is refused. Nothing here plans
+    a large schedule."""
 
     def test_bound_sits_at_the_longest_schedule(self):
         assert GaitConfig(dt=FINEST_DT).dt == FINEST_DT
@@ -701,13 +703,15 @@ class TestTickLimit:
     @pytest.mark.parametrize("duration,dt", [
         (MAX_TRIAL_S, TOO_FINE), (30.0, 5e-324), (30.0, 1e-7),
         (math.inf, 0.01), (1e308, 1e-308)])
-    def test_run_cycles_refuses_before_stepping(self, duration, dt):
-        class Unsteppable:
-            def advance(self, ticks):
-                raise AssertionError("the controller was stepped")
+    @pytest.mark.parametrize("mode", list(GaitMode), ids=lambda m: m.value)
+    def test_run_cycles_refuses_before_planning(self, monkeypatch, mode,
+                                                duration, dt):
+        def no_plan(*args, **kwargs):
+            raise AssertionError("a fin's rises were planned")
 
+        monkeypatch.setattr(gait, "_rises", no_plan)
         with pytest.raises(ValueError, match="controller ticks"):
-            run_cycles(Unsteppable(), duration, dt)
+            run_cycles(mode, duration, dt)
 
     @pytest.mark.parametrize("dt", [5e-324, 1e-7, TOO_FINE],
                              ids=["subnormal", "1e-7", "just-too-fine"])
@@ -716,7 +720,7 @@ class TestTickLimit:
     def test_too_fine_dt_exits_2_before_any_schedule(
             self, tmp_path, capsys, monkeypatch, command, dt):
         def no_schedule(*args, **kwargs):
-            raise AssertionError("a schedule was stepped")
+            raise AssertionError("a schedule was planned")
 
         monkeypatch.setattr(gait, "run_cycles", no_schedule)
         cfg = tmp_path / "cfg.json"
@@ -1095,17 +1099,21 @@ class TestValueFlags:
         (["scenario", "--seed", "-2"], None, "config key seed must be >= 0"),
         (["moisture-sweep"],
          {"experiments": {"moisture_sweep": {"uniform_sand_grid": [0.1, 5.0]}}},
+         "config key experiments.moisture_sweep.uniform_sand_grid[1]: "
          "moisture 5.0 outside supported range [0, 1.2]"),
         (["substrate-bench"], {"experiments": {"substrate_bench": {
             "conditions": [["uniform_sand", 0.0], ["grass", -0.5]]}}},
+         "config key experiments.substrate_bench.conditions[1]: "
          "moisture -0.5 outside supported range [0, 1.2]"),
         (["scenario"], {"experiments": {"scenario": {"segments": [
             ["grass", "skip", 12.0, 0.0], ["rigid", "sync_crawl", 6.0, 0.0],
             ["uniform_sand", "skip", 6.0, 5.0]]}}},
+         "config key experiments.scenario.segments[2]: "
          "moisture 5.0 outside supported range [0, 1.2]"),
         (["scenario"], {"experiments": {"scenario": {"segments": [
             ["grass", "skip", 12.0, 0.0], ["rigid", "sync_crawl", 6.0, 0.0],
             ["uniform_sand", "skip", 3601, 0.1]]}}},
+         "config key experiments.scenario.segments[2]: "
          "duration must lie in (0, 3600] s, got 3601.0"),
     ], ids=["budget-flag-0", "budget-key-0", "restarts-key-0", "seed-flag-neg",
             "sweep-grid-moisture", "bench-moisture", "scenario-last-moisture",
@@ -1155,3 +1163,68 @@ class TestValueFlags:
         with open(out / "trials.csv") as fh:
             assert sum(1 for _ in fh) == 1 + 39 * 1000
         assert peak < 3 << 20
+
+
+class TestTrialInputsAtLoad:
+    """A material, locomotion mode or moisture that a runner's trial specs
+    would refuse is refused at config load, naming its key, so no command
+    makes --out and no message leaks an enum's own text."""
+
+    CASES = {
+        "segment-material": ("scenario", "experiments.scenario.segments[0]",
+                             {"scenario": {"segments": [
+                                 ["mud", "skip", 12, 0]]}}),
+        "segment-mode": ("scenario", "experiments.scenario.segments[1]",
+                         {"scenario": {"segments": [
+                             ["grass", "skip", 12, 0],
+                             ["rigid", "fly", 6, 0]]}}),
+        "segment-moisture": ("scenario", "experiments.scenario.segments[0]",
+                             {"scenario": {"segments": [
+                                 ["grass", "skip", 12, 5.0]]}}),
+        "bench-material": ("substrate-bench",
+                           "experiments.substrate_bench.conditions[0]",
+                           {"substrate_bench": {"conditions": [
+                               ["mud", 0.0]]}}),
+        "bench-moisture": ("substrate-bench",
+                           "experiments.substrate_bench.conditions[0]",
+                           {"substrate_bench": {"conditions": [
+                               ["grass", 7.0]]}}),
+        "sweep-material": ("moisture-sweep",
+                           "experiments.moisture_sweep.materials[0]",
+                           {"moisture_sweep": {"materials": ["mud"]}}),
+        "sweep-unswept-material": (
+            "moisture-sweep", "experiments.moisture_sweep.materials[1]",
+            {"moisture_sweep": {"materials": ["uniform_sand", "grass"]}}),
+        "sweep-unused-grid": (
+            "moisture-sweep",
+            "experiments.moisture_sweep.bentonite_clay_grid[0]",
+            {"moisture_sweep": {"materials": ["uniform_sand"],
+                                "bentonite_clay_grid": [-0.1]}}),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("other_command", [False, True],
+                             ids=["own-command", "tail-characterize"])
+    def test_exits_2_naming_the_key_before_out_is_made(
+            self, tmp_path, capsys, case, other_command):
+        command, key, experiments_doc = self.CASES[case]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiments": experiments_doc}))
+        out = tmp_path / "o"
+        if other_command:
+            command = "tail-characterize"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config key {key}: ")
+        assert err.count("\n") == 1
+        assert "is not a valid" not in err
+        assert not out.exists()
+
+    def test_every_material_and_mode_loads(self):
+        segments = [[m.value, mode.value, 1.0, 0.0] for m in Material
+                    for mode in locomotion.LocomotionMode]
+        config = load_config(overrides={"experiments": {
+            "scenario": {"segments": segments},
+            "substrate_bench": {"conditions": [[m.value, 1.2]
+                                               for m in Material]}}})
+        assert config.experiments["scenario"]["segments"] == segments

@@ -8,25 +8,18 @@ import pytest
 
 from skipsim.cli import main
 from skipsim.fileio import read_csv_table, write_csv
-from skipsim.gait import (TWO_PI, AsymmetryNoise, AsyncGait, EncoderModel,
-                          GaitConfig, GaitMode, OpenLoopGait, PlanarPose,
-                          SyncGait, Trajectory, crawl_kinematics, drift_trials,
-                          nominal_cycle_times, run_cycles)
+from skipsim.gait import (TWO_PI, AsymmetryNoise, EncoderModel, GaitConfig,
+                          GaitMode, PlanarPose, Trajectory, crawl_kinematics,
+                          drift_trials, nominal_cycle_times, run_cycles)
 from skipsim.stats import lateral_drift
 
 DT = 0.01
 DIGESTS = Path(__file__).parent / "golden" / "digests.json"
 
 
-def angle_error(gait):
-    """Smallest separation of the two fins' angles (rad)."""
-    d = abs(gait.left.angle - gait.right.angle) % TWO_PI
-    return min(d, TWO_PI - d)
-
-
-def phase_error(gait):
-    """Unwrapped rotation mismatch between the fins (rad)."""
-    return abs(gait.left.total_angle - gait.right.total_angle)
+def ticks(cycles):
+    """Each cycle time as its tick count."""
+    return [round(t / DT) for t in cycles]
 
 
 class TestEncoder:
@@ -56,101 +49,76 @@ class TestEncoder:
 
 
 class TestSyncGait:
-    def test_symmetric_fins_never_pause(self):
-        gait = SyncGait()
-        cycles = run_cycles(gait, 10.0, DT)
+    def test_symmetric_fins_cycle_once_a_second(self):
+        cycles = run_cycles(GaitMode.SYNC, 10.0, DT)
         assert len(cycles) == 10
-        assert gait.pause_time == 0.0
         # steady cadence of one revolution per second
         gaps = np.diff(cycles)
         assert np.allclose(gaps, 1.0, atol=2 * DT)
 
-    def test_slower_right_fin_pauses_left(self):
-        gait = SyncGait(left_speed=TWO_PI, right_speed=0.9 * TWO_PI)
-        errors = []
-        for _ in range(2000):  # 20 s
-            if gait.step():
-                errors.append(angle_error(gait))
-        assert gait.pause_time > 0.0
-        assert len(errors) >= 15
-        # steady-state phase error at cycle boundaries stays inside the window
-        for err in errors[2:]:
-            assert err < gait.encoder.detection_window
+    @pytest.mark.parametrize("left,right", [(1.0, 0.9), (0.9, 1.0)])
+    def test_slower_fin_paces_the_cycles(self, left, right):
+        """The faster fin waits at every magnet, so the cycles come at
+        the slower fin's own pace, whichever side it is on."""
+        cycles = run_cycles(GaitMode.SYNC, 20.0, DT, left * TWO_PI,
+                            right * TWO_PI)
+        assert len(cycles) == 18
+        assert cycles == run_cycles(GaitMode.SYNC, 20.0, DT, 0.9 * TWO_PI)
 
-    def test_open_loop_phase_error_grows_linearly(self):
-        gait = OpenLoopGait(left_speed=TWO_PI, right_speed=0.9 * TWO_PI)
-        samples = []
-        for _ in range(1000):  # 10 s
-            gait.step()
-            samples.append((gait.time, phase_error(gait)))
-        times = np.array([s[0] for s in samples])
-        errs = np.array([s[1] for s in samples])
-        slope = np.polyfit(times, errs, 1)[0]
-        assert slope == pytest.approx(0.1 * TWO_PI, rel=1e-2)
-        assert slope > 0
+    def test_a_fin_that_does_not_turn_stalls_the_gait(self):
+        assert run_cycles(GaitMode.SYNC, 10.0, DT, TWO_PI, 0.0) == []
 
     def test_dt_coarser_than_window_rejected(self):
-        with pytest.raises(ValueError):
-            SyncGait(left_speed=TWO_PI, dt=0.05)
+        with pytest.raises(ValueError, match="dt too coarse"):
+            run_cycles(GaitMode.SYNC, 1.0, 0.05)
 
 
-@pytest.mark.parametrize("gait", [SyncGait, AsyncGait, OpenLoopGait])
+class TestOpenLoopGait:
+    def test_cycles_count_the_left_fins_marks(self):
+        """Without feedback the right fin's speed changes nothing: cycle k
+        completes when the left fin has turned k revolutions."""
+        cycles = run_cycles(GaitMode.OPEN_LOOP, 10.0, DT)
+        assert ticks(cycles) == [100 * k for k in range(1, 11)]
+        for right in (0.9 * TWO_PI, 0.0):
+            assert run_cycles(GaitMode.OPEN_LOOP, 10.0, DT, TWO_PI,
+                              right) == cycles
+        assert len(run_cycles(GaitMode.OPEN_LOOP, 10.0, DT, 0.5 * TWO_PI,
+                              TWO_PI)) == 5
+
+
+@pytest.mark.parametrize("mode", list(GaitMode), ids=lambda m: m.value)
 @pytest.mark.parametrize("dt", [0.0, -0.01, math.nan])
-def test_constructor_rejects_a_dt_that_is_not_positive(gait, dt):
+def test_schedule_rejects_a_dt_that_is_not_positive(mode, dt):
     with pytest.raises(ValueError, match="dt must be positive"):
-        gait(dt=dt)
+        run_cycles(mode, 10.0, dt)
 
 
-@pytest.mark.parametrize("gait", [SyncGait, AsyncGait, OpenLoopGait])
-@pytest.mark.parametrize("dt", [0.07, 0.005])
-def test_schedule_refuses_a_dt_other_than_the_controllers(gait, dt):
-    """A controller steps in the ticks it was built for: stepped at 0.07 s,
-    a sync gait checked at 0.01 s would sweep across detection windows and
-    count 7 cycles in 10 s."""
-    controller = gait(dt=DT)
-    with pytest.raises(ValueError, match="controller built for dt 0.01"):
-        run_cycles(controller, 10.0, dt)
-    assert controller.ticks == 0
+@pytest.mark.parametrize("speeds", [(-TWO_PI, TWO_PI), (TWO_PI, -0.1),
+                                    (math.nan, TWO_PI)])
+def test_schedule_rejects_a_negative_fin_speed(speeds):
+    with pytest.raises(ValueError, match="fin speeds must be >= 0"):
+        run_cycles(GaitMode.SYNC, 10.0, DT, *speeds)
 
 
 class TestAsyncGait:
-    def test_mover_flips_at_every_detection(self):
-        gait = AsyncGait()
-        movers = [gait.active]
-        prev_active = gait.active
-        for _ in range(600):  # 6 s
-            gait.step()
-            if gait.active is not prev_active:
-                movers.append(gait.active)
-                prev_active = gait.active
-        assert len(movers) > 4
-        for a, b in zip(movers, movers[1:]):
-            assert a is not b
+    def test_each_fin_turns_a_revolution_per_cycle(self):
+        # alternating halves: each fin turns through five full revolutions,
+        # validated a detection window early
+        cycles = run_cycles(GaitMode.ASYNC, 10.0, DT)
+        assert len(cycles) == 5
+        assert ticks(cycles)[0] == 2 * ticks(run_cycles(
+            GaitMode.SYNC, 1.0, DT))[0]
 
-    def test_mutual_exclusion(self):
-        gait = AsyncGait()
-        for _ in range(500):  # 5 s
-            gait.step()
-            moving = [f for f in (gait.left, gait.right) if f.angular_speed > 0]
-            assert len(moving) <= 1
-
-    def test_commanding_both_fins_is_ignored(self):
-        gait = AsyncGait()
-        idle = gait.right if gait.active is gait.left else gait.left
-        idle.angular_speed = TWO_PI  # attempt to move the unscheduled fin
-        before = idle.angle
-        gait.step()
-        assert idle.angle == before
-        assert idle.angular_speed == 0.0
-
-    def test_cycle_count_matches_slower_fin_revolutions(self):
-        gait = AsyncGait()
-        cycles = run_cycles(gait, 10.0, DT)
-        # alternating halves: each fin turns through five full revolutions
-        # (validated a detection-window early, hence round rather than floor)
-        slower_turns = min(gait.left.total_angle, gait.right.total_angle) / TWO_PI
-        assert round(slower_turns) == len(cycles) == 5
-        assert abs(slower_turns - len(cycles)) < 0.1
+    def test_unequal_speeds_add_the_fins_turns(self):
+        """The fins take turns, so cycle k comes after each fin has turned
+        to its own k-th cycle: the sum of their symmetric sync ticks."""
+        left, right = TWO_PI, 0.6 * TWO_PI
+        alone = [ticks(run_cycles(GaitMode.SYNC, 30.0, DT, speed))
+                 for speed in (left, right)]
+        want = [a + b for a, b in zip(*alone) if a + b <= 3000]
+        cycles = run_cycles(GaitMode.ASYNC, 30.0, DT, left, right)
+        assert ticks(cycles) == want
+        assert len(want) == 11
 
 
 class TestKinematics:
@@ -268,20 +236,18 @@ class TestTrajectory:
 class TestCycleCache:
     def test_cached_schedule_matches_fresh_run(self):
         cached = nominal_cycle_times(GaitMode.SYNC, 10.0, TWO_PI, DT, None)
-        fresh = tuple(run_cycles(SyncGait(), 10.0, DT))
+        fresh = tuple(run_cycles(GaitMode.SYNC, 10.0, DT))
         assert cached == fresh
 
 
 class TestSingleMagnetEncoder:
     def test_sync_cycles_with_one_magnet(self):
         encoder = EncoderModel(magnet_angles=(0.0,), detection_window=0.15)
-        gait = SyncGait(encoder=encoder)
-        cycles = run_cycles(gait, 5.0, DT)
+        cycles = run_cycles(GaitMode.SYNC, 5.0, DT, encoder=encoder)
         assert len(cycles) == 5
 
     def test_async_alternates_full_revolutions(self):
         encoder = EncoderModel(magnet_angles=(0.0,), detection_window=0.15)
-        gait = AsyncGait(encoder=encoder)
-        cycles = run_cycles(gait, 8.0, DT)
+        cycles = run_cycles(GaitMode.ASYNC, 8.0, DT, encoder=encoder)
         # one detection per revolution: a cycle is one revolution per fin
         assert len(cycles) == 4

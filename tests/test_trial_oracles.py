@@ -1,6 +1,6 @@
 """The trial layer against its per-strike and per-cycle reference loops,
-the gait controllers against their per-tick loop, and the batch kernel's
-paths built once each in flat memory.
+the gait schedules against the per-tick controllers, and the batch
+kernel's paths built once each in flat memory.
 
 A skip trial scales its unit path (`skip_path`) by its squared skip
 efficiency, and a sync or async crawl trial scales its traction-1 path
@@ -22,12 +22,12 @@ default settings; these tests draw skip efficiencies over the whole fitted
 range, pitch-over, tail slip, excavation, start poses off the origin, all
 three gait modes, zero noise terms, and jammed and rolling blades.
 
-A gait controller's clock is integer tick counts: a fin's angle, total
-angle and pause and the controller's time are each a count times a
-constant. The controller jumps its counts from event to event; the
-per-tick loop kept here takes one `turned += 1` and one `ticks += 1` per
-tick. Both derive every value as the same product of a count, so cycle
-times and every fin's state agree exactly.
+A gait's clock is integer tick counts: a fin's angle is its count times
+its step, and a cycle's time is the gait's count times dt. `run_cycles`
+applies each gait's rule in closed form to the counts at which each fin's
+sensor rises; the per-tick controllers kept here take one `turned += 1`
+and one `ticks += 1` per tick. Both derive every value as the same
+product of a count, so the cycle times agree exactly.
 """
 
 import csv
@@ -49,11 +49,10 @@ from skipsim import calibrate as cal  # noqa: E402
 from skipsim import gait, locomotion  # noqa: E402
 from skipsim.calibrate import SKIP_EFF_MAX  # noqa: E402
 from skipsim.cli import main  # noqa: E402
-from skipsim.gait import (TWO_PI, AsymmetryNoise, AsyncGait,  # noqa: E402
-                          EncoderModel, GaitConfig, GaitMode, OpenLoopGait,
-                          PlanarPose, SyncGait, Trajectory, crawl_kinematics,
-                          drift_duration, drift_trials, nominal_cycle_times,
-                          run_cycles)
+from skipsim.gait import (TWO_PI, AsymmetryNoise,  # noqa: E402
+                          EncoderModel, GaitConfig, GaitMode, PlanarPose,
+                          Trajectory, crawl_kinematics, drift_duration,
+                          drift_trials, nominal_cycle_times, run_cycles)
 from skipsim.locomotion import (LocomotionMode, Model,  # noqa: E402
                                 RobotParams, TrialResult, TrialSpec,
                                 hop_displacement, run_batch, run_trial,
@@ -670,24 +669,16 @@ def oracle_run_cycles(controller, duration):
     return times
 
 
-GAITS = {GaitMode.SYNC: SyncGait, GaitMode.ASYNC: AsyncGait,
-         GaitMode.OPEN_LOOP: OpenLoopGait}
+def oracle_schedule(mode, left_speed, right_speed, magnets, dt, duration):
+    """The per-tick controllers' cycle times at these settings."""
+    return oracle_run_cycles(
+        OracleGait(mode, left_speed, right_speed,
+                   EncoderModel(magnet_angles=magnets), dt), duration)
 
 
-def gait_pair(mode, left_speed, right_speed, magnets, dt):
-    """The controller and its per-tick oracle at the same settings."""
-    encoder = EncoderModel(magnet_angles=magnets)
-    return (GAITS[mode](left_speed, right_speed, encoder, dt=dt),
-            OracleGait(mode, left_speed, right_speed, encoder, dt))
-
-
-def gait_state(gait):
-    """Everything a controller holds, as a repr that tells doubles apart;
-    for the async gait also which fin moves next."""
-    fins = [(f.turned, f.paused_ticks, f.angle, f.total_angle, f.edges,
-             f.pause_time, f.angular_speed) for f in (gait.left, gait.right)]
-    return repr((gait.ticks, gait.time, fins,
-                 gait.active is gait.left if hasattr(gait, "active") else None))
+def schedule(mode, left_speed, right_speed, magnets, dt, duration):
+    return run_cycles(mode, duration, dt, left_speed, right_speed,
+                      EncoderModel(magnet_angles=magnets))
 
 
 MAGNETS = st.sampled_from([(0.0,), (0.0, math.pi), (0.3, 2.0, 4.1),
@@ -698,16 +689,15 @@ GAIT_DTS = st.one_of(st.sampled_from([0.003, 0.01, 0.02]),
 
 @st.composite
 def gait_cases(draw):
-    """A gait at any dt from 0.003 to 0.02 s and 1 to 3 magnets; sync and
-    open loop also at unequal fin speeds. Each fin turns less than a
-    detection window per tick."""
+    """A gait at any dt from 0.003 to 0.02 s and 1 to 3 magnets, each fin
+    at its own speed, 0.0 included. Each fin turns less than a detection
+    window per tick."""
     mode = draw(st.sampled_from(list(GaitMode)))
     dt = draw(GAIT_DTS)
-    top = 0.149 / dt
-    left = draw(st.one_of(st.just(TWO_PI), st.floats(0.5, top)))
-    right = left
-    if mode is not GaitMode.ASYNC:
-        right = draw(st.one_of(st.just(left), st.floats(0.5, top)))
+    speeds = st.one_of(st.just(TWO_PI), st.just(0.0),
+                       st.floats(0.5, 0.149 / dt))
+    left = draw(speeds)
+    right = draw(st.one_of(st.just(left), speeds))
     return mode, left, right, draw(MAGNETS), dt
 
 
@@ -719,48 +709,84 @@ def gait_cases(draw):
 # rounds to just above 3000
 @example(case=(GaitMode.OPEN_LOOP, TWO_PI, TWO_PI, (0.0, math.pi), 0.007),
          duration=30.0)
+@example(case=(GaitMode.ASYNC, TWO_PI, 0.6 * TWO_PI, (0.3, 2.0, 4.1), 0.01),
+         duration=60.0)
+@example(case=(GaitMode.SYNC, 0.0, TWO_PI, (0.0, math.pi), 0.01),
+         duration=10.0)
+# a left fin too slow to reach its first mark
+@example(case=(GaitMode.OPEN_LOOP, 1e-300, TWO_PI, (0.0, math.pi), 0.01),
+         duration=10.0)
+# the 60th cycle completes on tick 5998, the schedule's last
+@example(case=(GaitMode.SYNC, TWO_PI, TWO_PI, (0.0, math.pi), 0.01),
+         duration=59.98)
 def test_cycle_times_match_per_tick_loop(case, duration):
     mode, left, right, magnets, dt = case
-    gait, oracle = gait_pair(mode, left, right, magnets, dt)
-    assert (repr(run_cycles(gait, duration, dt))
-            == repr(oracle_run_cycles(oracle, duration)))
-    assert gait_state(gait) == gait_state(oracle)
+    assert (repr(schedule(mode, left, right, magnets, dt, duration))
+            == repr(oracle_schedule(mode, left, right, magnets, dt, duration)))
 
 
-def test_unequal_sync_speeds_pause_exactly():
-    """The leading fin's pause is its waiting ticks times dt."""
-    gait, oracle = gait_pair(GaitMode.SYNC, TWO_PI, 0.9 * TWO_PI,
-                             (0.0, math.pi), 0.01)
-    assert (repr(run_cycles(gait, 60.0, 0.01))
-            == repr(oracle_run_cycles(oracle, 60.0)))
-    assert gait.left.pause_time > 5.0
-    assert gait_state(gait) == gait_state(oracle)
+def test_unequal_sync_speeds_match_per_tick_loop():
+    """Over 60 s at 10% unequal speeds the per-tick controller's faster fin
+    waits more than 5 s, and the closed form still gives its cycle times."""
+    args = (GaitMode.SYNC, TWO_PI, 0.9 * TWO_PI, (0.0, math.pi), 0.01)
+    oracle = OracleGait(*args[:3], EncoderModel(magnet_angles=args[3]),
+                        args[4])
+    want = oracle_run_cycles(oracle, 60.0)
+    assert oracle.left.pause_time > 5.0
+    assert repr(schedule(*args, 60.0)) == repr(want)
 
 
-@pytest.mark.parametrize("mode,magnets,dt,duration", [
-    (GaitMode.SYNC, (0.0, math.pi), 0.02, locomotion.MAX_TRIAL_S),
-    (GaitMode.ASYNC, (0.0,), 0.02, locomotion.MAX_TRIAL_S),
-    (GaitMode.OPEN_LOOP, (0.3, 2.0, 4.1), 0.02, locomotion.MAX_TRIAL_S),
-    (GaitMode.ASYNC, (0.3, 2.0, 4.1), 0.003, 400.0),
-], ids=["sync", "async", "open_loop", "async-fine"])
-def test_long_schedule_matches_per_tick_loop(mode, magnets, dt, duration):
-    """Over 2**16 ticks a controller crosses its chunks, and the schedule
-    is still the loop's."""
-    gait, oracle = gait_pair(mode, TWO_PI, TWO_PI, magnets, dt)
-    assert (repr(run_cycles(gait, duration, dt))
-            == repr(oracle_run_cycles(oracle, duration)))
-    assert gait_state(gait) == gait_state(oracle)
+@pytest.mark.parametrize("mode,left,right,magnets,dt,duration", [
+    (GaitMode.SYNC, TWO_PI, TWO_PI, (0.0, math.pi), 0.02,
+     locomotion.MAX_TRIAL_S),
+    (GaitMode.ASYNC, TWO_PI, TWO_PI, (0.0,), 0.02, locomotion.MAX_TRIAL_S),
+    (GaitMode.OPEN_LOOP, TWO_PI, TWO_PI, (0.3, 2.0, 4.1), 0.02,
+     locomotion.MAX_TRIAL_S),
+    (GaitMode.ASYNC, TWO_PI, TWO_PI, (0.3, 2.0, 4.1), 0.003, 400.0),
+    (GaitMode.SYNC, TWO_PI, 0.9 * TWO_PI, (0.0, math.pi), 0.02,
+     locomotion.MAX_TRIAL_S),
+    (GaitMode.ASYNC, 1.2 * TWO_PI, 0.7 * TWO_PI, (0.3, 2.0, 4.1), 0.003,
+     400.0),
+], ids=["sync", "async", "open_loop", "async-fine", "sync-unequal",
+        "async-fine-unequal"])
+def test_long_schedule_matches_per_tick_loop(mode, left, right, magnets, dt,
+                                             duration):
+    """Over 2**16 ticks each fin's rises are planned in several chunks, and
+    the schedule is still the loop's."""
+    assert duration / dt > gait.CHUNK_TICKS
+    assert (repr(schedule(mode, left, right, magnets, dt, duration))
+            == repr(oracle_schedule(mode, left, right, magnets, dt,
+                                    duration)))
+
+
+@pytest.mark.parametrize("mode", [GaitMode.SYNC, GaitMode.ASYNC],
+                         ids=lambda m: m.value)
+def test_a_rise_on_a_chunk_edge_counts(mode):
+    """One magnet placed so that the sensor rises exactly at count
+    CHUNK_TICKS, where one planning chunk ends and the next begins."""
+    dt = 0.02
+    step = TWO_PI * dt
+    edge = gait.CHUNK_TICKS * step
+    encoder = EncoderModel()
+    magnet = (edge + encoder.detection_window - step / 2) % TWO_PI
+    encoder = EncoderModel(magnet_angles=(magnet,))
+    assert encoder.detects(edge)
+    assert not encoder.detects((gait.CHUNK_TICKS - 1) * step)
+    duration = 2.01 * gait.CHUNK_TICKS * dt
+    assert (repr(schedule(mode, TWO_PI, TWO_PI, (magnet,), dt, duration))
+            == repr(oracle_schedule(mode, TWO_PI, TWO_PI, (magnet,), dt,
+                                    duration)))
 
 
 @pytest.mark.parametrize("mode", list(GaitMode), ids=lambda m: m.value)
 @pytest.mark.parametrize("duration", [1.0, 30.0, 301.5])
 def test_nominal_schedule_matches_per_tick_loop(mode, duration):
-    gait = GaitConfig()
-    _, oracle = gait_pair(mode, gait.fin_speed, gait.fin_speed,
-                          gait.encoder.magnet_angles, gait.dt)
-    assert (repr(nominal_cycle_times(mode, duration, gait.fin_speed, gait.dt,
-                                     gait.encoder))
-            == repr(tuple(oracle_run_cycles(oracle, duration))))
+    config = GaitConfig()
+    assert (repr(nominal_cycle_times(mode, duration, config.fin_speed,
+                                     config.dt, config.encoder))
+            == repr(tuple(oracle_schedule(
+                mode, config.fin_speed, config.fin_speed,
+                config.encoder.magnet_angles, config.dt, duration))))
 
 
 def test_sixty_second_schedules_fall_on_whole_ticks():
@@ -778,20 +804,3 @@ def test_sixty_second_schedules_fall_on_whole_ticks():
         assert t == round(t / gait.dt) * gait.dt
 
 
-@settings(max_examples=40, derandomize=True, deadline=None)
-@given(case=gait_cases(), calls=st.lists(st.integers(1, 150), min_size=1,
-                                         max_size=6))
-def test_each_tick_matches_per_tick_loop(case, calls):
-    """Stepped one tick at a time, a controller holds the loop's state after
-    every tick; a multi-tick advance between the single steps leaves it
-    there too."""
-    mode, left, right, magnets, dt = case
-    gait, oracle = gait_pair(mode, left, right, magnets, dt)
-    for ticks in calls:
-        for _ in range(ticks):
-            assert gait.step() == oracle.step()
-            assert gait_state(gait) == gait_state(oracle)
-        want = [t for t in (oracle.step() and oracle.time
-                            for _ in range(ticks)) if t is not False]
-        assert repr(gait.advance(ticks)) == repr(want)
-        assert gait_state(gait) == gait_state(oracle)
