@@ -113,7 +113,7 @@ def main(argv=None) -> int:
     except experiments.AssertionFailure as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return EXIT_ASSERT
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     print(f"{name}: {COMMANDS[name][2](result)} -> {out}")

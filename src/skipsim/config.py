@@ -7,14 +7,14 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .gait import (MAX_TRIAL_S, AsymmetryNoise, EncoderModel, GaitConfig,
                    GaitMode, drift_duration)
 from .locomotion import (MAX_TRIALS, LocomotionMode, Model, RobotParams,
                          TrialSpec)
 from .springtail import (EngagedAngleModel, RegimeThresholds, TailConfig,
-                         trace_samples)
+                         revolutions, trace_samples)
 from .stats import MAX_BOOTSTRAP_RESAMPLES
 from .terrain import CrawlCurve, Material, MoistureResponse, SkipCurve, default_curves
 
@@ -68,6 +68,8 @@ _TYPE_NAMES = {float: "a finite number", int: "an integer", str: "a string",
                bool: "a boolean", (list, float): "a list of finite numbers",
                (list, str): "a list of strings",
                (list, list): "a list of rows shaped like its default's"}
+SWEPT = ("uniform_sand", "bentonite_clay")  # the materials a sweep grids
+MODES = tuple(m.value for m in LocomotionMode)
 
 
 def _default_analysis() -> dict:
@@ -223,40 +225,77 @@ def _parse(cls, table, section, name, **nested):
         raise ConfigError(f"config section {name}: {exc}") from exc
 
 
-def _check_specs(experiments: dict):
-    """Refuse a material, locomotion mode, moisture or segment duration that
-    a runner's trial specs would refuse, naming its key, so that no command
-    makes --out for it."""
-    swept = ("uniform_sand", "bentonite_clay")  # the materials a sweep grids
-    modes = [m.value for m in LocomotionMode]
+def _spec(key, material, moisture, mode="skip", duration=1.0, seed=0,
+          materials=tuple(m.value for m in Material)) -> TrialSpec:
+    """One trial's spec, or a ConfigError naming `key`."""
+    for what, value, names in (("material", material, materials),
+                               ("mode", mode, MODES)):
+        if value not in names:
+            raise ConfigError(f"config key {key}: {what} must be one of "
+                              f"{', '.join(names)}, not {value!r}")
+    try:
+        return TrialSpec(LocomotionMode(mode), Material(material),
+                         float(moisture), float(duration), seed)
+    except ValueError as exc:
+        raise ConfigError(f"config key {key}: {exc}") from None
 
-    def spec(key, material, moisture, mode="skip", duration=1.0,
-             materials=tuple(m.value for m in Material)):
-        for what, value, names in (("material", material, materials),
-                                   ("mode", mode, modes)):
-            if value not in names:
-                raise ConfigError(f"config key {key}: {what} must be one of "
-                                  f"{', '.join(names)}, not {value!r}")
-        try:
-            TrialSpec(LocomotionMode(mode), Material(material), moisture,
-                      duration)
-        except ValueError as exc:
-            raise ConfigError(f"config key {key}: {exc}") from None
 
-    sweep = experiments["moisture_sweep"]
-    for k, material in enumerate(sweep["materials"]):
-        spec(f"experiments.moisture_sweep.materials[{k}]", material, 0.0,
-             materials=swept)
-    for material in swept:
-        for k, moisture in enumerate(sweep[f"{material}_grid"]):
-            spec(f"experiments.moisture_sweep.{material}_grid[{k}]", material,
-                 moisture)
-    for k, row in enumerate(experiments["substrate_bench"]["conditions"]):
-        spec(f"experiments.substrate_bench.conditions[{k}]", *row)
-    for k, (material, mode, duration, moisture) in enumerate(
-            experiments["scenario"]["segments"]):
-        spec(f"experiments.scenario.segments[{k}]", material, moisture, mode,
-             duration)
+def trial_specs(experiments: dict, section: str, seed: int = 0) -> list:
+    """The specs the `section` runner runs, in its order: `moisture_sweep`
+    by listed material, grid moisture and mode (checking every swept grid),
+    `substrate_bench` by condition, each material once, and `scenario` by
+    segment, segment k at `seed + k`; a ConfigError names a bad key."""
+    params, key = experiments[section], f"experiments.{section}"
+    if section == "substrate_bench":
+        specs = {}
+        for k, (material, moisture) in enumerate(params["conditions"]):
+            if material in specs:
+                raise ConfigError(f"config key {key}.conditions lists "
+                                  f"{material} more than once")
+            specs[material] = _spec(f"{key}.conditions[{k}]", material,
+                                    moisture, duration=params["duration_s"])
+        return list(specs.values())
+    if section == "scenario":
+        if not params["segments"]:
+            raise ConfigError(f"config key {key}.segments must not be empty")
+        return [_spec(f"{key}.segments[{k}]", material, moisture, mode,
+                      duration, seed + k)
+                for k, (material, mode, duration, moisture)
+                in enumerate(params["segments"])]
+    for k, material in enumerate(params["materials"]):
+        _spec(f"{key}.materials[{k}]", material, 0.0, materials=SWEPT)
+        if not params[f"{material}_grid"]:
+            raise ConfigError(f"config key {key}.{material}_grid must not be "
+                              f"empty, as {key}.materials lists {material}")
+    grids = {material: [
+        _spec(f"{key}.{material}_grid[{k}]", material, moisture, mode,
+              params["duration_s"])
+        for k, moisture in enumerate(params[f"{material}_grid"])
+        for mode in MODES] for material in SWEPT}
+    return [spec for material in params["materials"]
+            for spec in grids[material]]
+
+
+def tail_lengths(config: ExperimentConfig) -> dict:
+    """f"{length_mm:g}mm" -> (length_mm, the config's tail at that free
+    length) for each of `tail_characterize.lengths_mm`; no lengths, two under
+    one key or a blade the tail would refuse is a ConfigError."""
+    key = "experiments.tail_characterize.lengths_mm"
+    lengths_mm = config.experiments["tail_characterize"]["lengths_mm"]
+    if not lengths_mm:
+        raise ConfigError(f"config key {key} must not be empty")
+    blades, arc = {}, config.tail.housing_radius * config.tail.housing_arc
+    for k, length_mm in enumerate(lengths_mm):
+        name = f"{length_mm:g}mm"
+        if name in blades:
+            raise ConfigError(f"config key {key} lists {name} more than once")
+        if not 0 < length_mm * 1e-3 <= arc:  # TailConfig's free_length rules
+            raise ConfigError(f"config key {key}[{k}]: {name} must lie in (0, "
+                              f"{arc * 1e3:g}] mm, the housing arc "
+                              "tail.housing_radius_m * tail.housing_arc_rad")
+        blades[name] = length_mm, replace(config.tail,
+                                          free_length=length_mm * 1e-3)
+    return blades
 
 
 def _build(doc: dict) -> ExperimentConfig:
@@ -265,16 +304,24 @@ def _build(doc: dict) -> ExperimentConfig:
             f"unsupported schema_version: {doc['schema_version']}")
     if doc["seed"] < 0:
         raise ConfigError("config key seed must be >= 0")
-    resamples = doc["analysis"]["bootstrap_resamples"]
-    if not 1 <= resamples <= MAX_BOOTSTRAP_RESAMPLES:
-        raise ConfigError("config key analysis.bootstrap_resamples must lie "
-                          f"in [1, {MAX_BOOTSTRAP_RESAMPLES}]")
+    analysis = doc["analysis"]
+    for key, holds, bound in (
+            ("bootstrap_resamples",
+             1 <= analysis["bootstrap_resamples"] <= MAX_BOOTSTRAP_RESAMPLES,
+             f"lie in [1, {MAX_BOOTSTRAP_RESAMPLES}]"),
+            ("ci_level", 0 < analysis["ci_level"] < 1, "lie in (0, 1)"),
+            ("peak_threshold_n", analysis["peak_threshold_n"] > 0,
+             "be positive"),
+            ("min_separation_s", analysis["min_separation_s"] >= 0,
+             "be >= 0")):
+        if not holds:
+            raise ConfigError(f"config key analysis.{key} must {bound}")
     experiments = doc["experiments"]
     record_s = experiments["tail_characterize"]["record_s"]
     if record_s < 0:
         raise ConfigError("config key experiments.tail_characterize.record_s "
                           "must be >= 0")
-    rate, pulse_width = (doc["analysis"]["trace_sample_rate_hz"],
+    rate, pulse_width = (analysis["trace_sample_rate_hz"],
                          doc["tail"]["pulse_width_s"])
     # a pulse that is not positive is the tail section's own error
     if pulse_width > 0 and not rate >= 2.0 / pulse_width:
@@ -302,7 +349,8 @@ def _build(doc: dict) -> ExperimentConfig:
                 bound = "be >= 1" if most == math.inf else f"lie in [1, {most}]"
                 raise ConfigError(
                     f"config key experiments.{name}.{key} must {bound}")
-    _check_specs(experiments)
+    for section in ("moisture_sweep", "substrate_bench", "scenario"):
+        trial_specs(experiments, section)
     responses = {
         Material(key): _parse(
             MoistureResponse, RESPONSE, doc, f"substrates.{key}",
@@ -328,6 +376,21 @@ def _build(doc: dict) -> ExperimentConfig:
             raise ConfigError("config key experiments.gait_drift.distance_m "
                               "is too long for gait.fin_speed_rad_s and "
                               f"gait.stride_m: {exc}") from None
+    if config.angle_model.upper >= config.tail.housing_arc:
+        raise ConfigError("config key engaged_angle.upper_rad must stay below "
+                          "tail.housing_arc_rad")
+    tail_lengths(config)
+    durations = {"experiments.tail_characterize.record_s": record_s, **{
+        f"experiments.{name}.duration_s": section["duration_s"]
+        for name, section in experiments.items() if "duration_s" in section},
+        **{f"experiments.scenario.segments[{k}]": segment[2] for k, segment
+           in enumerate(experiments["scenario"]["segments"])}}
+    longest = max(durations, key=durations.get)
+    try:  # a blade strikes at most once a revolution
+        revolutions(config.tail.motor_speed, durations[longest])
+    except ValueError as exc:
+        raise ConfigError("config key tail.motor_rev_per_s is too high for "
+                          f"{longest}: {exc}") from None
     return config
 
 

@@ -9,15 +9,14 @@ import os
 from dataclasses import replace
 
 from . import calibrate as cal
-from .config import ExperimentConfig, document
+from .config import ExperimentConfig, document, tail_lengths, trial_specs
 from .fileio import write_csv, write_json
 from .gait import GaitMode, Trajectory, drift_trials
-from .locomotion import (LocomotionMode, TrialSpec, build_units, run_batch,
+from .locomotion import (LocomotionMode, build_units, run_batch,
                          scenario_heterogeneous)
 from .springtail import length_regime, strike_sequence, strike_trace
 from .stats import (ForceTrace, bootstrap_ci, detect_peaks, lateral_drift,
                     mean_velocity)
-from .terrain import Material
 
 
 class AssertionFailure(RuntimeError):
@@ -28,12 +27,13 @@ TRIAL_COLUMNS = ["mode", "material", "moisture", "seed", "displacement_m",
                  "velocity_mps", "failure"]
 
 
-def _run_batches(config, specs, n_trials, out_dir) -> list:
-    """One run_batch per spec over unit paths built once for all of them,
-    every trial written to trials.csv as its batch runs, so one batch's
-    outcomes are held at a time; the batch summaries in spec order."""
-    seed, batches = config.seed, []
-    units = build_units(specs, seed, n_trials, config)
+def _run_batches(config, section, out_dir) -> tuple:
+    """(specs, summaries): one run_batch per trial spec of `section` over
+    unit paths built once for all of them, every trial written to trials.csv
+    as its batch runs, so one batch's outcomes are held at a time."""
+    specs = trial_specs(config.experiments, section)
+    seed, n_trials = config.seed, config.experiments[section]["trials"]
+    batches, units = [], build_units(specs, seed, n_trials, config)
 
     def trial_rows():
         for spec in specs:
@@ -47,7 +47,7 @@ def _run_batches(config, specs, n_trials, out_dir) -> list:
                             outcomes.displacement.tolist(), outcomes.failure)))
 
     write_csv(os.path.join(out_dir, "trials.csv"), TRIAL_COLUMNS, trial_rows())
-    return batches
+    return specs, batches
 
 
 def _peak_summaries(peak_sets, config) -> list:
@@ -76,20 +76,10 @@ def run_tail_characterize(config: ExperimentConfig, out_dir,
     model makes of them. Lengths whose strike sequences agree (strike times,
     peak forces and pulse width) share one trace and one PeakSet, so a sweep
     synthesizes one trace per distinct sequence, not per length."""
-    params = config.experiments["tail_characterize"]
-    lengths_mm = params["lengths_mm"]
-    if not lengths_mm:
-        raise ValueError("tail_characterize.lengths_mm must not be empty")
-    keys = [f"{length_mm:g}mm" for length_mm in lengths_mm]
-    for key in keys:
-        if keys.count(key) > 1:
-            raise ValueError("experiments.tail_characterize.lengths_mm lists "
-                             f"{key} more than once")
-    record_s = params["record_s"]
+    record_s = config.experiments["tail_characterize"]["record_s"]
     analysis = config.analysis
     rows, peak_sets, summary, measured = [], [], {}, {}
-    for length_mm, key in zip(lengths_mm, keys):
-        tail = replace(config.tail, free_length=length_mm * 1e-3)
+    for key, (length_mm, tail) in tail_lengths(config).items():
         regime = length_regime(tail.free_length, config.thresholds)
         strikes = strike_sequence(tail, config.angle_model, regime, record_s,
                                   config.seed, config.thresholds)
@@ -155,17 +145,7 @@ def run_gait_drift(config: ExperimentConfig, out_dir, check=False) -> dict:
 
 def run_moisture_sweep(config: ExperimentConfig, out_dir, check=False) -> list:
     """Velocity versus moisture grid for all three locomotion modes."""
-    params = config.experiments["moisture_sweep"]
-    duration = params["duration_s"]
-    specs = []  # config load checks the materials and grids
-    for material in map(Material, params["materials"]):
-        grid = params[f"{material.value}_grid"]
-        if not grid:
-            raise ValueError(f"moisture grid for {material.value} is empty")
-        specs += [TrialSpec(mode=mode, material=material, moisture=moisture,
-                            duration=duration)
-                  for moisture in grid for mode in LocomotionMode]
-    batches = _run_batches(config, specs, params["trials"], out_dir)
+    specs, batches = _run_batches(config, "moisture_sweep", out_dir)
     rows = [(s.material.value, float(s.moisture), s.mode.value,
              b.mean_velocity * 100.0, b.std_velocity * 100.0, b.failures)
             for s, b in zip(specs, batches)]
@@ -208,17 +188,7 @@ def run_substrate_bench(config: ExperimentConfig, out_dir,
     """Mean skip velocity per substrate with the velocity-ordering check and,
     where the bundled calibration targets hold a skip velocity for a row's
     condition, a 0.5 cm/s band around it."""
-    params = config.experiments["substrate_bench"]
-    duration = params["duration_s"]
-    specs = [TrialSpec(mode=LocomotionMode.SKIP, material=Material(key),
-                       moisture=moisture, duration=duration)
-             for key, moisture in params["conditions"]]
-    materials = [s.material.value for s in specs]
-    for key in materials:
-        if materials.count(key) > 1:
-            raise ValueError("experiments.substrate_bench.conditions lists "
-                             f"{key} more than once")
-    batches = _run_batches(config, specs, params["trials"], out_dir)
+    specs, batches = _run_batches(config, "substrate_bench", out_dir)
     rows = [(s.material.value, float(s.moisture), b.mean_velocity * 100.0,
              b.std_velocity * 100.0, b.n_trials)
             for s, b in zip(specs, batches)]
@@ -246,13 +216,8 @@ def run_substrate_bench(config: ExperimentConfig, out_dir,
 
 def run_scenario(config: ExperimentConfig, out_dir, check=False) -> dict:
     """Heterogeneous-terrain run with mode switches between segments: one
-    trial per segment, segment k at seed seed + k, every spec checked
-    before any trial runs."""
-    specs = [TrialSpec(mode=LocomotionMode(mode), material=Material(material),
-                       moisture=float(moisture), duration=float(duration),
-                       seed=config.seed + k)
-             for k, (material, mode, duration, moisture)
-             in enumerate(config.experiments["scenario"]["segments"])]
+    trial per segment, segment k at seed seed + k."""
+    specs = trial_specs(config.experiments, "scenario", config.seed)
     trajectory, starts = scenario_heterogeneous(specs, config)
     trajectory.write_csv(os.path.join(out_dir, "trajectory.csv"))
     log = [{"time_s": time, "material": spec.material.value,

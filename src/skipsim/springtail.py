@@ -21,6 +21,11 @@ TWO_PI = 2.0 * math.pi
 # the samples a force trace may hold (`trace_samples`): 64 MB of float64,
 # room for a 3600 s recording at 2 kHz
 MAX_TRACE_SAMPLES = 1 << 23
+# the revolutions a strike sequence may span (`revolutions`): room for a
+# 3600 s trial at 18 rev/s, 18 times the paper's 60 rpm. A sequence's four
+# float64 columns then take 2 MB, and `strike_trace`'s per-strike windows
+# at the default 10 ms pulse and 2 kHz about 12 MB an array.
+MAX_STRIKES = 1 << 16
 
 
 class LengthRegime(Enum):
@@ -246,7 +251,8 @@ def strike_sequence(config: TailConfig,
     revolution at attenuated force. Deterministic given the seed. The
     angles are drawn as one array and the force law prices them all at
     once, except that a jammed blade's strike test and angle draw take
-    turns in one stream, revolution by revolution.
+    turns in one stream, revolution by revolution. A window of more than
+    MAX_STRIKES revolutions is refused before anything is allocated.
     """
     if duration < 0:
         raise ValueError("duration must be >= 0")
@@ -254,18 +260,18 @@ def strike_sequence(config: TailConfig,
     thresholds = thresholds or RegimeThresholds()
     if angle_model.upper >= config.housing_arc:
         raise ValueError("engaged-angle upper bound must stay below the housing arc")
+    turns = revolutions(config.motor_speed, duration)
     rng = np.random.default_rng(seed)
-    revolutions = int(math.floor(config.motor_speed * duration))
     if regime is LengthRegime.JAM:
         struck, angles = [], []
-        for k in range(revolutions):
+        for k in range(turns):
             if rng.random() < thresholds.jam_strike_prob:
                 struck.append(k)
                 angles.append(angle_model.sample(rng, 1)[0])
         struck, theta = np.array(struck, dtype=np.int64), np.array(angles)
     else:
-        struck = np.arange(revolutions)
-        theta = angle_model.sample(rng, revolutions)
+        struck = np.arange(turns)
+        theta = angle_model.sample(rng, turns)
     force = unlatch_force(config, theta)
     if regime is LengthRegime.ROLL:
         force *= thresholds.roll_attenuation
@@ -273,6 +279,16 @@ def strike_sequence(config: TailConfig,
                           peak_force=force,
                           impulse=half_sine_impulse(force, config.pulse_width),
                           engaged_angle=theta)
+
+
+def revolutions(motor_speed: float, duration: float) -> int:
+    """floor(motor_speed * duration), the revolutions in a recording
+    `duration` s long; more than MAX_STRIKES, an infinite count too, is an
+    error."""
+    if not motor_speed * duration < MAX_STRIKES + 1:
+        raise ValueError(f"{motor_speed:g} rev/s over {duration:g} s would "
+                         f"take over {MAX_STRIKES} strikes")
+    return int(math.floor(motor_speed * duration))
 
 
 def trace_samples(duration: float, sample_rate: float) -> int:

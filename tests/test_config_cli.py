@@ -12,13 +12,14 @@ import pytest
 
 from skipsim import experiments, gait, locomotion
 from skipsim.cli import build_parser, main
-from skipsim.config import ConfigError, default_dict, document, load_config
+from skipsim.config import (ConfigError, default_dict, document, load_config,
+                            tail_lengths, trial_specs)
 from skipsim.fileio import write_json
 from skipsim.gait import (MAX_TICKS, MAX_TRIAL_S, GaitConfig, GaitMode,
                           drift_duration, drift_trials, run_cycles,
                           schedule_ticks)
 from skipsim.locomotion import MAX_TRIALS
-from skipsim.springtail import MAX_TRACE_SAMPLES
+from skipsim.springtail import MAX_STRIKES, MAX_TRACE_SAMPLES
 from skipsim.stats import MAX_BOOTSTRAP_RESAMPLES, ForceTrace
 from skipsim.terrain import Material
 
@@ -450,7 +451,7 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert f"lists {key} more than once" in err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["tail-characterize", "gait-drift",
                                          "moisture-sweep", "substrate-bench",
@@ -1228,3 +1229,144 @@ class TestTrialInputsAtLoad:
             "substrate_bench": {"conditions": [[m.value, 1.2]
                                                for m in Material]}}})
         assert config.experiments["scenario"]["segments"] == segments
+
+
+# a motor rate one revolution over MAX_STRIKES in 64 s, exact in binary
+OVER_RATE = (MAX_STRIKES + 1) / 64.0
+
+
+def _strikes_over(section, key):
+    """(document, message): `section`'s `key` runs 64 s at OVER_RATE, which
+    config load refuses naming tail.motor_rev_per_s and that key."""
+    value = ([["grass", "skip", 64.0, 0.0]] if key == "segments" else 64.0)
+    named = "segments[0]" if key == "segments" else key
+    return ({"tail": {"motor_rev_per_s": OVER_RATE},
+             "experiments": {section: {key: value}}},
+            f"tail.motor_rev_per_s is too high for experiments.{section}."
+            f"{named}")
+
+
+class TestRefusalsAtLoad:
+    """Each trial, blade, analysis and strike-count input a runner or a
+    layer would refuse is refused at config load, naming its key, in every
+    command: exit 2 with one error line, no --out, and no strike drawn or
+    unit path built."""
+
+    CASES = {
+        "lengths-empty": ("tail-characterize", {"experiments": {
+            "tail_characterize": {"lengths_mm": []}}},
+            "experiments.tail_characterize.lengths_mm must not be empty"),
+        "lengths-colliding": ("tail-characterize", {"experiments": {
+            "tail_characterize": {"lengths_mm": [25.0, 25.0000001]}}},
+            "experiments.tail_characterize.lengths_mm lists 25mm more than "
+            "once"),
+        "length-0": ("tail-characterize", {"experiments": {
+            "tail_characterize": {"lengths_mm": [0]}}},
+            "experiments.tail_characterize.lengths_mm[0]: 0mm must lie in "),
+        "length-neg": ("tail-characterize", {"experiments": {
+            "tail_characterize": {"lengths_mm": [25, -5]}}},
+            "experiments.tail_characterize.lengths_mm[1]: -5mm must lie in "),
+        "length-60": ("tail-characterize", {"experiments": {
+            "tail_characterize": {"lengths_mm": [60]}}},
+            "experiments.tail_characterize.lengths_mm[0]: 60mm must lie in "
+            "(0, 51.8363] mm, the housing arc tail.housing_radius_m * "
+            "tail.housing_arc_rad"),
+        "sweep-grid-empty": ("moisture-sweep", {"experiments": {
+            "moisture_sweep": {"uniform_sand_grid": []}}},
+            "experiments.moisture_sweep.uniform_sand_grid must not be empty"),
+        "bench-material-twice": ("substrate-bench", {"experiments": {
+            "substrate_bench": {"conditions": [["grass", 0.0],
+                                               ["uniform_sand", 0.15],
+                                               ["grass", 0.1]]}}},
+            "experiments.substrate_bench.conditions lists grass more than "
+            "once"),
+        "segments-empty": ("scenario", {"experiments": {
+            "scenario": {"segments": []}}},
+            "experiments.scenario.segments must not be empty"),
+        "angle-over-arc": ("substrate-bench",
+                           {"engaged_angle": {"upper_rad": 5.0}},
+                           "engaged_angle.upper_rad must stay below "
+                           "tail.housing_arc_rad"),
+        "ci-level-high": ("tail-characterize", {"analysis": {"ci_level": 1.5}},
+                          "analysis.ci_level must lie in (0, 1)"),
+        "ci-level-0": ("analyze", {"analysis": {"ci_level": 0.0}},
+                       "analysis.ci_level must lie in (0, 1)"),
+        "peak-threshold-0": ("analyze",
+                             {"analysis": {"peak_threshold_n": 0.0}},
+                             "analysis.peak_threshold_n must be positive"),
+        "min-separation-neg": ("tail-characterize",
+                               {"analysis": {"min_separation_s": -1}},
+                               "analysis.min_separation_s must be >= 0"),
+        **{f"strikes-{section}": (command, *_strikes_over(section, key))
+           for command, section, key in (
+               ("tail-characterize", "tail_characterize", "record_s"),
+               ("moisture-sweep", "moisture_sweep", "duration_s"),
+               ("substrate-bench", "substrate_bench", "duration_s"),
+               ("scenario", "scenario", "segments"),
+               ("calibrate", "calibrate", "duration_s"))},
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("in_gait_drift", [False, True],
+                             ids=["own-command", "gait-drift"])
+    def test_exits_2_naming_the_key_before_out_is_made(
+            self, tmp_path, capsys, monkeypatch, case, in_gait_drift):
+        def never(*args, **kwargs):
+            raise AssertionError("a runner got past config load")
+
+        monkeypatch.setattr(experiments, "strike_sequence", never)
+        monkeypatch.setattr(experiments, "build_units", never)
+        command, doc, named = self.CASES[case]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        trace = tmp_path / "trace.csv"
+        trace.write_text("time_s,force_N\n0.0,0.0\n0.5,2.0\n1.0,0.0\n")
+        out = tmp_path / "o"
+        command = "gait-drift" if in_gait_drift else command
+        extra = ["--trace", str(trace)] if command == "analyze" else []
+        assert main([command, "--config", str(cfg), "--out", str(out),
+                     *extra]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config key {named}")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_the_strike_limit_itself_loads(self):
+        for section, key in (("tail_characterize", "record_s"),
+                             ("calibrate", "duration_s")):
+            config = load_config(overrides={
+                "tail": {"motor_rev_per_s": MAX_STRIKES / 64.0},
+                "experiments": {section: {key: 64.0}}})
+            assert config.tail.motor_speed * 64.0 == MAX_STRIKES
+
+    @pytest.mark.parametrize("command", ["moisture-sweep", "substrate-bench",
+                                         "scenario", "tail-characterize"])
+    def test_each_runner_runs_what_config_load_builds(
+            self, tmp_path, monkeypatch, command):
+        """A batch runner builds units for exactly `trial_specs`, the
+        scenario runs them, and tail-characterize draws the strikes of
+        exactly `tail_lengths`' blades."""
+        section = command.replace("-", "_")
+        seen = []
+
+        def spy(original, index):
+            def wrapper(*args, **kwargs):
+                seen.append(args[index])
+                return original(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(experiments, "build_units",
+                            spy(experiments.build_units, 0))
+        monkeypatch.setattr(experiments, "scenario_heterogeneous",
+                            spy(experiments.scenario_heterogeneous, 0))
+        monkeypatch.setattr(experiments, "strike_sequence",
+                            spy(experiments.strike_sequence, 0))
+        argv = [command, "--seed", "7", "--out", str(tmp_path / "o")]
+        trials = command in ("moisture-sweep", "substrate-bench")
+        assert main(argv + (["--trials", "1"] if trials else [])) == 0
+        config = load_config(overrides={"seed": 7})
+        if command == "tail-characterize":
+            assert seen == [tail for _, tail in tail_lengths(config).values()]
+        else:
+            seed = config.seed if command == "scenario" else 0
+            assert seen == [trial_specs(config.experiments, section, seed)]

@@ -5,11 +5,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from skipsim.springtail import (MAX_TRACE_SAMPLES, EngagedAngleModel,
-                                LengthRegime, RegimeThresholds,
-                                StrikeSequence, TailConfig, area_moment,
-                                effective_length, half_sine_impulse,
-                                latch_deflection, latch_energy, length_regime,
+from skipsim.springtail import (MAX_STRIKES, MAX_TRACE_SAMPLES,
+                                EngagedAngleModel, LengthRegime,
+                                RegimeThresholds, StrikeSequence, TailConfig,
+                                area_moment, effective_length,
+                                half_sine_impulse, latch_deflection,
+                                latch_energy, length_regime, revolutions,
                                 stored_energy, strike_sequence, strike_trace,
                                 tip_stiffness, trace_samples, unlatch_force)
 from skipsim.stats import detect_peaks
@@ -448,6 +449,31 @@ class TestForceLawOnArrays:
         with pytest.raises(ValueError, match="must be positive"):
             half_sine_impulse(np.array([1.0, 0.0]), 0.010)
         assert unlatch_force(config, np.empty(0)).size == 0
+
+
+class TestStrikeLimit:
+    # 64 s: the rate that reaches the limit is exact in binary, as is its
+    # product with the duration
+    OVER = (MAX_STRIKES + 1) / 64.0
+
+    def test_revolutions_at_the_limit(self):
+        assert revolutions(MAX_STRIKES / 64.0, 64.0) == MAX_STRIKES
+        assert revolutions(math.nextafter(self.OVER, 0.0), 64.0) == MAX_STRIKES
+        for speed, duration in ((self.OVER, 64.0), (math.inf, 1.0),
+                                (math.nan, 1.0), (1.0, 1e308)):
+            with pytest.raises(ValueError, match=(
+                    f"would take over {MAX_STRIKES} strikes$")):
+                revolutions(speed, duration)
+
+    @pytest.mark.parametrize("regime", list(LengthRegime))
+    def test_one_over_is_refused_before_drawing(self, monkeypatch, regime):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a generator was made")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        with pytest.raises(ValueError, match="would take over"):
+            strike_sequence(TailConfig(motor_speed=self.OVER), regime=regime,
+                            duration=64.0)
 
 
 class TestStrikeTraceTimes:
