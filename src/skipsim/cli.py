@@ -92,6 +92,10 @@ def build_parser():
 def main(argv=None) -> int:
     kwargs = vars(build_parser().parse_args(argv))
     name, out = kwargs.pop("command"), kwargs.pop("out")
+    if name == "analyze" and not kwargs.keys() & {"trace_path",
+                                                  "trajectory_path"}:
+        print("error: analyze needs --trace or --trajectory", file=sys.stderr)
+        return EXIT_CONFIG
     section = name.replace("-", "_")
     # a value flag overrides its key, checked at load with the file's values
     counts = {key: kwargs.pop(key) for key in ("trials", "budget")

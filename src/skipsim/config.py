@@ -242,7 +242,8 @@ def _spec(key, material, moisture, mode="skip", duration=1.0, seed=0,
 
 def trial_specs(experiments: dict, section: str, seed: int = 0) -> list:
     """The specs the `section` runner runs, in its order: `moisture_sweep`
-    by listed material, grid moisture and mode (checking every swept grid),
+    by listed material, grid moisture and mode (checking every swept grid;
+    a material or a grid's moisture listed twice is an error),
     `substrate_bench` by condition, each material once, and `scenario` by
     segment, segment k at `seed + k`; a ConfigError names a bad key."""
     params, key = experiments[section], f"experiments.{section}"
@@ -262,8 +263,12 @@ def trial_specs(experiments: dict, section: str, seed: int = 0) -> list:
                       duration, seed + k)
                 for k, (material, mode, duration, moisture)
                 in enumerate(params["segments"])]
-    for k, material in enumerate(params["materials"]):
+    materials = params["materials"]
+    for k, material in enumerate(materials):
         _spec(f"{key}.materials[{k}]", material, 0.0, materials=SWEPT)
+        if material in materials[:k]:
+            raise ConfigError(f"config key {key}.materials lists {material} "
+                              "more than once")
         if not params[f"{material}_grid"]:
             raise ConfigError(f"config key {key}.{material}_grid must not be "
                               f"empty, as {key}.materials lists {material}")
@@ -272,8 +277,13 @@ def trial_specs(experiments: dict, section: str, seed: int = 0) -> list:
               params["duration_s"])
         for k, moisture in enumerate(params[f"{material}_grid"])
         for mode in MODES] for material in SWEPT}
-    return [spec for material in params["materials"]
-            for spec in grids[material]]
+    for material in SWEPT:
+        grid = params[f"{material}_grid"]
+        for k, moisture in enumerate(grid):
+            if moisture in grid[:k]:
+                raise ConfigError(f"config key {key}.{material}_grid lists "
+                                  f"moisture {moisture:g} more than once")
+    return [spec for material in materials for spec in grids[material]]
 
 
 def tail_lengths(config: ExperimentConfig) -> dict:

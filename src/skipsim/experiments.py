@@ -264,9 +264,8 @@ def run_calibrate(config: ExperimentConfig, out_dir,
 
 def run_analyze(config: ExperimentConfig, out_dir, trace_path=None,
                 trajectory_path=None) -> dict:
-    """Run the measurement pipeline on externally produced CSV data."""
-    if trace_path is None and trajectory_path is None:
-        raise ValueError("analyze needs a force-trace or trajectory CSV")
+    """Run the measurement pipeline on externally produced CSV data: a
+    force trace, a trajectory or both (the CLI refuses neither)."""
     report = {}
     if trace_path is not None:
         peaks = detect_peaks(ForceTrace.read_csv(trace_path),

@@ -18,13 +18,15 @@ import numpy as np
 from .stats import ForceTrace
 
 TWO_PI = 2.0 * math.pi
-# the samples a force trace may hold (`trace_samples`): 64 MB of float64,
-# room for a 3600 s recording at 2 kHz
+# the samples a force trace may span (`trace_samples`): room for a 3600 s
+# recording at 2 kHz. A trace read from CSV holds every one, 64 MB of
+# float64 at the limit; a synthesized one stores only its pulse samples.
 MAX_TRACE_SAMPLES = 1 << 23
 # the revolutions a strike sequence may span (`revolutions`): room for a
 # 3600 s trial at 18 rev/s, 18 times the paper's 60 rpm. A sequence's four
 # float64 columns then take 2 MB, and `strike_trace`'s per-strike windows
-# at the default 10 ms pulse and 2 kHz about 12 MB an array.
+# at the default 10 ms pulse and 2 kHz about 12 MB an array, as do the
+# samples and indices its trace stores.
 MAX_STRIKES = 1 << 16
 
 
@@ -311,9 +313,11 @@ def strike_trace(events: StrikeSequence, sample_rate: float,
     over MAX_TRACE_SAMPLES are each a ValueError, raised before anything is
     allocated. A strike far before time zero writes nothing.
 
-    Each strike touches only its own window of about pulse_width *
-    sample_rate samples, laid out for all strikes in one numpy pass, so the
-    cost is linear in the trace length plus the pulse samples written."""
+    The trace stores only the samples some pulse writes, with their sample
+    indices; every other sample is 0.0. Each strike touches only its own
+    window of about pulse_width * sample_rate samples, laid out for all
+    strikes in one numpy pass, so time and memory go with the pulse samples
+    written, not with the trace length."""
     if pulse_width <= 0:
         raise ValueError("pulse_width must be positive")
     if sample_rate < 2.0 / pulse_width:
@@ -322,7 +326,6 @@ def strike_trace(events: StrikeSequence, sample_rate: float,
         raise ValueError("strike times must be finite")
     n = trace_samples(float(events.time.max(initial=0.0)) + pulse_width,
                       sample_rate)
-    samples = np.zeros(n)
     times, forces = events.time[:, None], events.peak_force[:, None]
     # One sample of slack each side: the time comparisons below, not this
     # index arithmetic, decide which samples a pulse covers. Clipped to the
@@ -334,8 +337,12 @@ def strike_trace(events: StrikeSequence, sample_rate: float,
     idx = lo + np.arange((hi - lo).max(initial=0))
     t = idx / sample_rate
     keep = (idx < hi) & (t >= times) & (t <= times + pulse_width)
-    # np.nonzero is event-major, so overlapping pulses add in strike order
+    # np.nonzero is event-major, so overlapping pulses add in strike order,
+    # each sample starting from 0.0
     strike = np.nonzero(keep)[0]
-    np.add.at(samples, idx[keep], forces[strike, 0] * np.sin(
+    indices, slot = np.unique(idx[keep], return_inverse=True)
+    samples = np.zeros(indices.size)
+    np.add.at(samples, slot, forces[strike, 0] * np.sin(
         math.pi * (t[keep] - times[strike, 0]) / pulse_width))
-    return ForceTrace(sample_rate=sample_rate, samples=samples)
+    return ForceTrace(sample_rate=sample_rate, samples=samples,
+                      indices=indices, n_samples=n)

@@ -29,10 +29,15 @@ class FailureMode(Enum):
 
 @dataclass
 class ForceTrace:
-    """Uniformly sampled scalar force signal."""
+    """Uniformly sampled scalar force signal of `n_samples` samples. A trace
+    with `indices` stores only some samples, `samples[k]` being sample
+    `indices[k]`, and every other sample is 0.0; without, `samples` holds
+    every sample."""
 
     sample_rate: float  # Hz
     samples: np.ndarray  # N
+    indices: np.ndarray | None = None  # rising, each in [0, n_samples)
+    n_samples: int | None = None  # samples.size when indices is None
 
     def __post_init__(self):
         if not 0 < self.sample_rate < math.inf:
@@ -42,14 +47,35 @@ class ForceTrace:
             raise ValueError("samples must be one-dimensional")
         if self.samples.size and not np.all(np.isfinite(self.samples)):
             raise ValueError("samples must be finite")
+        if self.indices is None:
+            if self.n_samples not in (None, self.samples.size):
+                raise ValueError("n_samples must be samples.size when "
+                                 "there are no indices")
+            self.n_samples = self.samples.size
+            return
+        self.indices = at = np.asarray(self.indices, dtype=np.int64)
+        if (at.shape != self.samples.shape or self.n_samples is None
+                or at.size and not (0 <= at[0] and at[-1] < self.n_samples
+                                    and np.all(at[1:] > at[:-1]))):
+            raise ValueError("indices must give each sample its index, "
+                             "rising within [0, n_samples)")
 
     COLUMNS = ("time_s", "force_N")
 
+    def _window(self, start, stop) -> np.ndarray:
+        """Samples start to stop, every one of them."""
+        if self.indices is None:
+            return self.samples[start:stop]
+        lo, hi = np.searchsorted(self.indices, (start, stop))
+        window = np.zeros(stop - start)
+        window[self.indices[lo:hi] - start] = self.samples[lo:hi]
+        return window
+
     def write_csv(self, path):
         write_csv(path, self.COLUMNS, array_rows(
-            self.samples.size, lambda start, stop: (
+            self.n_samples, lambda start, stop: (
                 np.arange(start, stop) / self.sample_rate,
-                self.samples[start:stop])))
+                self._window(start, stop))))
 
     @classmethod
     def read_csv(cls, path) -> "ForceTrace":
@@ -104,32 +130,50 @@ def _local_maxima(x: np.ndarray) -> np.ndarray:
     return cand[to_end | (x[nxt] < x[cand])]
 
 
+def _joined(trace: ForceTrace):
+    """The stored samples of a trace with `indices` as one signal, with a
+    single 0.0 between runs of samples that are not adjacent and at each
+    end of the trace they do not reach, and the position of each stored
+    sample in it. No local maximum above 0.0 moves or changes: each sample
+    keeps its neighbours where they are stored, and a 0.0 where not."""
+    gap = np.diff(trace.indices, prepend=-1, append=trace.n_samples) > 1
+    at = np.arange(trace.indices.size) + np.cumsum(gap[:-1])
+    joined = np.zeros(trace.indices.size + np.count_nonzero(gap))
+    joined[at] = trace.samples
+    return joined, at
+
+
 def detect_peaks(trace: ForceTrace, threshold: float = 1.0,
                  min_separation: float = 0.3) -> PeakSet:
     """Local maxima at or above `threshold` (N) with an enforced minimum
     separation (s). Where candidates conflict within a separation window the
     larger peak wins; equal values keep the earlier one.
 
-    Time is linear in the trace length plus one binary search over the
-    peaks accepted so far for each candidate at or above the threshold."""
+    A trace that stores only some samples is scanned on those (see
+    `_joined`), its candidates mapped back to sample indices. Time is
+    linear in the stored samples plus one binary search over the peaks
+    accepted so far for each candidate at or above the threshold."""
     if threshold <= 0:
         raise ValueError("threshold must be positive")
     if min_separation < 0:
         raise ValueError("min_separation must be >= 0")
-    x = trace.samples
-    if x.size == 0:
-        return PeakSet(indices=(), values=())
+    x, at = trace.samples, None
+    if trace.indices is not None:
+        x, at = _joined(trace)
     cand = _local_maxima(x)
     cand = cand[x[cand] >= threshold]
+    values = x[cand]
+    if at is not None:  # above 0.0, so each candidate is a stored sample
+        cand = trace.indices[np.searchsorted(at, cand)]
     min_gap = int(round(min_separation * trace.sample_rate))
     accepted = []  # sorted; a candidate need only clear its two neighbours
-    for i in cand[np.lexsort((cand, -x[cand]))].tolist():
+    for i in cand[np.lexsort((cand, -values))].tolist():
         pos = bisect.bisect_left(accepted, i)
         if ((pos == 0 or i - accepted[pos - 1] >= min_gap)
                 and (pos == len(accepted) or accepted[pos] - i >= min_gap)):
             accepted.insert(pos, i)
-    return PeakSet(indices=tuple(accepted),
-                   values=tuple(x[accepted].tolist()))
+    return PeakSet(indices=tuple(accepted), values=tuple(
+        values[np.searchsorted(cand, accepted)].tolist()))
 
 
 def _percentile(sorted_values: np.ndarray, q: float) -> float:

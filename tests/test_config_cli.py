@@ -473,8 +473,12 @@ class TestCli:
         assert err.count("\n") == 1
         assert not out.exists()
 
-    def test_analyze_without_inputs_exits_2(self, tmp_path):
-        assert main(["analyze", "--out", str(tmp_path / "o")]) == 2
+    def test_analyze_without_inputs_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["analyze", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: analyze needs --trace or --trajectory\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv, doc, named", [
         (["gait-drift", "--trials", "-3"], None,
@@ -1274,6 +1278,15 @@ class TestRefusalsAtLoad:
         "sweep-grid-empty": ("moisture-sweep", {"experiments": {
             "moisture_sweep": {"uniform_sand_grid": []}}},
             "experiments.moisture_sweep.uniform_sand_grid must not be empty"),
+        "sweep-material-twice": ("moisture-sweep", {"experiments": {
+            "moisture_sweep": {"materials": ["uniform_sand", "bentonite_clay",
+                                             "uniform_sand"]}}},
+            "experiments.moisture_sweep.materials lists uniform_sand more "
+            "than once"),
+        "sweep-moisture-twice": ("moisture-sweep", {"experiments": {
+            "moisture_sweep": {"uniform_sand_grid": [0.1, 0.1]}}},
+            "experiments.moisture_sweep.uniform_sand_grid lists moisture 0.1 "
+            "more than once"),
         "bench-material-twice": ("substrate-bench", {"experiments": {
             "substrate_bench": {"conditions": [["grass", 0.0],
                                                ["uniform_sand", 0.15],

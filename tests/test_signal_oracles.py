@@ -2,12 +2,14 @@
 
 `strike_trace`, `detect_peaks` (with `_local_maxima`) and `bootstrap_ci`
 are compared with straightforward versions kept here as oracles: a
-full-length time mask per strike, an O(k^2) scan over candidates sorted by
-(-value, index) with a sample-by-sample plateau walk, and a single
-(resamples, n) index draw. Outputs must match exactly, not to a tolerance.
-The golden digests cover only the default settings; these tests draw
-plateaus, ties, zero separation, overlapping pulses, pulses cut off at
-time zero, strikes far before it, non-integer sample rates, and 2-D
+full-length time mask per strike over a dense trace, an O(k^2) scan over
+candidates sorted by (-value, index) with a sample-by-sample plateau walk,
+and a single (resamples, n) index draw. Outputs must match exactly, not to
+a tolerance. A synthesized trace stores only its pulse samples, so its
+every sample, its peaks and its CSV are compared with those of the dense
+oracle trace. The golden digests cover only the default settings; these
+tests draw plateaus, ties, zero separation, overlapping pulses, pulses cut
+off at time zero, strikes far before it, non-integer sample rates, and 2-D
 bootstraps whose rows must each match the oracle's single draw.
 """
 
@@ -24,7 +26,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from skipsim import experiments, stats  # noqa: E402
+from skipsim import experiments, fileio, stats  # noqa: E402
 from skipsim.cli import main  # noqa: E402
 from skipsim.config import load_config  # noqa: E402
 from skipsim.fileio import write_csv, write_json  # noqa: E402
@@ -34,16 +36,29 @@ from skipsim.stats import (BootstrapCI, ForceTrace, PeakSet,  # noqa: E402
                            bootstrap_ci, detect_peaks)
 
 
-def oracle_strike_trace(events, sample_rate, pulse_width):
+def oracle_strike_trace(events, sample_rate, pulse_width, written=None):
+    """Every sample of the trace; `written`, a list, gets the indices of
+    the samples some pulse covers."""
     strikes = list(zip(events.time.tolist(), events.peak_force.tolist()))
     duration = max((time for time, _ in strikes), default=0.0) + pulse_width
     duration = max(duration, pulse_width)
     n = int(round(duration * sample_rate)) + 1
     t = np.arange(n) / sample_rate
     samples = np.zeros(n)
+    covered = np.zeros(n, dtype=bool)
     for time, force in strikes:
         mask = (t >= time) & (t <= time + pulse_width)
         samples[mask] += force * np.sin(math.pi * (t[mask] - time) / pulse_width)
+        covered |= mask
+    if written is not None:
+        written += np.flatnonzero(covered).tolist()
+    return samples
+
+
+def full(trace):
+    """Every sample of a synthesized trace, 0.0 where it stores none."""
+    samples = np.zeros(trace.n_samples)
+    samples[trace.indices] = trace.samples
     return samples
 
 
@@ -116,9 +131,12 @@ RATES = st.one_of(st.sampled_from([100.0, 1000.0, 2000.0]),
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(values=st.lists(st.integers(0, 4), max_size=80),
        rate=RATES, threshold=st.sampled_from([0.5, 1.0, 2.0, 3.0, 4.0]),
-       min_separation=SEPARATIONS)
+       min_separation=SEPARATIONS,
+       stored_zeros=st.lists(st.booleans(), min_size=80, max_size=80))
 def test_detect_peaks_matches_oracle_on_plateaus_and_ties(
-        values, rate, threshold, min_separation):
+        values, rate, threshold, min_separation, stored_zeros):
+    """On the whole trace and on a form that stores its non-zero samples
+    and some of its zeros."""
     x = np.asarray(values, dtype=float)
     assert (stats._local_maxima(x).tobytes()
             == oracle_local_maxima(x).tobytes())
@@ -128,6 +146,9 @@ def test_detect_peaks_matches_oracle_on_plateaus_and_ties(
     assert got.indices == want.indices
     assert all(type(i) is int for i in got.indices)
     assert np.array(got.values).tobytes() == np.array(want.values).tobytes()
+    at = np.flatnonzero((x != 0.0) | np.array(stored_zeros[:x.size], bool))
+    stored = ForceTrace(rate, x[at], indices=at, n_samples=x.size)
+    assert repr(detect_peaks(stored, threshold, min_separation)) == repr(got)
 
 
 # strikes that cover no sample of any trace: so far before time zero that
@@ -162,10 +183,64 @@ def strike_sets(draw):
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(strike_sets())
 def test_strike_trace_matches_oracle(case):
+    """The stored samples rebuild the oracle's trace byte for byte, and they
+    are exactly the samples some pulse covers."""
     events, rate, pulse_width = case
     got = strike_trace(events, rate, pulse_width)
-    want = oracle_strike_trace(events, rate, pulse_width)
-    assert got.samples.tobytes() == want.tobytes()
+    written = []
+    want = oracle_strike_trace(events, rate, pulse_width, written)
+    assert got.n_samples == want.size
+    assert got.indices.tolist() == written
+    assert full(got).tobytes() == want.tobytes()
+
+
+def edge_strikes(times, rate, pulse_width):
+    events = StrikeSequence(time=times, peak_force=[3.0] * len(times),
+                            impulse=np.zeros(len(times)),
+                            engaged_angle=np.full(len(times), 0.5))
+    return events, rate, pulse_width
+
+
+# a pulse peaking on the first sample, one starting on it, and a last
+# pulse that covers the last sample
+EDGES = [edge_strikes([-0.005, 0.5], 2000.0, 0.010),
+         edge_strikes([0.0, 0.0004], 5000.0, 0.001),
+         edge_strikes([0.3, 0.301], 1000.0, 0.004)]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(case=st.one_of(st.sampled_from(EDGES), strike_sets()),
+       threshold=st.one_of(st.sampled_from([0.5, 1.0, 2.9, 3.0]),
+                           st.floats(0.01, 9.0)),
+       min_separation=SEPARATIONS)
+def test_detect_peaks_on_stored_samples_matches_the_dense_form(
+        case, threshold, min_separation):
+    events, rate, pulse_width = case
+    trace = strike_trace(events, rate, pulse_width)
+    dense = ForceTrace(rate, full(trace))
+    got = detect_peaks(trace, threshold, min_separation)
+    assert repr(got) == repr(detect_peaks(dense, threshold, min_separation))
+    want = oracle_detect_peaks(ForceTrace(rate, oracle_strike_trace(
+        events, rate, pulse_width)), threshold, min_separation)
+    assert got.indices == want.indices
+    assert all(type(i) is int for i in got.indices)
+    assert np.array(got.values).tobytes() == np.array(want.values).tobytes()
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(case=st.one_of(st.sampled_from(EDGES), strike_sets()),
+       chunk=st.one_of(st.integers(1, 64), st.just(fileio.CSV_WRITE_ROWS)))
+def test_write_csv_writes_the_dense_forms_bytes(tmp_path_factory, case,
+                                                chunk):
+    events, rate, pulse_width = case
+    trace = strike_trace(events, rate, pulse_width)
+    stored = tmp_path_factory.getbasetemp() / "stored.csv"
+    dense = tmp_path_factory.getbasetemp() / "dense.csv"
+    with mock.patch.object(fileio, "CSV_WRITE_ROWS", chunk):
+        trace.write_csv(stored)
+    ForceTrace(rate, oracle_strike_trace(events, rate, pulse_width)
+               ).write_csv(dense)
+    assert stored.read_bytes() == dense.read_bytes()
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
@@ -374,7 +449,8 @@ def test_tail_characterize_traces_each_distinct_sequence_once(
 ], ids=["sweep-1mm", "no-shared-sequence", "shared-empty-sequence"])
 def test_tail_characterize_matches_one_pipeline_per_length(tmp_path, doc):
     """peaks.csv and summary.json are byte for byte what running the whole
-    pipeline (sequence, trace, peaks, 1-D bootstrap) per length writes."""
+    pipeline (sequence, dense oracle trace, peaks, 1-D bootstrap) per
+    length writes."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(doc))
     out = tmp_path / "o"
@@ -389,9 +465,10 @@ def test_tail_characterize_matches_one_pipeline_per_length(tmp_path, doc):
         regime = length_regime(tail.free_length, config.thresholds)
         events = strike_sequence(tail, config.angle_model, regime,
                                  params["record_s"], 5, config.thresholds)
+        rate = analysis["trace_sample_rate_hz"]
         peaks = detect_peaks(
-            strike_trace(events, analysis["trace_sample_rate_hz"],
-                         tail.pulse_width),
+            ForceTrace(rate, oracle_strike_trace(events, rate,
+                                                 tail.pulse_width)),
             analysis["peak_threshold_n"], analysis["min_separation_s"])
         rows += [(length_mm, k, v) for k, v in enumerate(peaks.values)]
         entry = summary[f"{length_mm:g}mm"] = {

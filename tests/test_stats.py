@@ -90,6 +90,22 @@ class TestForceTraceCsv:
         assert peak < 1 << 20
 
 
+class TestStoredForceTrace:
+    @pytest.mark.parametrize("indices, n_samples", [
+        ([0, 2], None), ([0], 5), ([2, 1], 5), ([1, 1], 5), ([-1, 2], 5),
+        ([0, 5], 5)], ids=["no-count", "one-short", "falling", "repeated",
+                           "before-0", "past-the-end"])
+    def test_refuses_indices_that_do_not_place_each_sample(self, indices,
+                                                           n_samples):
+        with pytest.raises(ValueError, match="^indices must give each"):
+            ForceTrace(100.0, [1.0, 2.0], indices, n_samples)
+
+    def test_a_whole_trace_counts_its_own_samples(self):
+        assert ForceTrace(100.0, [1.0, 2.0]).n_samples == 2
+        with pytest.raises(ValueError, match="^n_samples must be"):
+            ForceTrace(100.0, [1.0, 2.0], n_samples=3)
+
+
 class TestDetectPeaks:
     def test_all_zero_trace(self):
         trace = ForceTrace(1000.0, np.zeros(5000))
