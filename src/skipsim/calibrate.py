@@ -14,6 +14,7 @@ from importlib import resources
 
 import numpy as np
 
+from .errors import FieldError
 from .fileio import number, read_csv
 from .locomotion import (LocomotionMode, Model, TrialSpec, build_units,
                          effective_velocities, trial_outcomes)
@@ -202,6 +203,19 @@ class FitResult:
 INIT_STEP = 0.25  # the first step of every restart
 SHRINK = 0.5  # a sweep that improves nothing scales every step by this
 MIN_STEP = 1e-4  # a restart ends once every step is below this
+# Most restarts of one fit. Each evaluates once at least, so the budget
+# alone would not bound a fit's evaluations; a converging restart ends
+# within a few hundred whatever the budget.
+MAX_RESTARTS = 100
+
+
+def check_budget(budget: int, restarts: int) -> None:
+    """`minimize`'s rules: a budget of at least one evaluation, restarts in
+    [1, MAX_RESTARTS]."""
+    if not budget >= 1:
+        raise FieldError("{budget} must be >= 1")
+    if not 1 <= restarts <= MAX_RESTARTS:
+        raise FieldError(f"{{restarts}} must lie in [1, {MAX_RESTARTS}]")
 
 
 def minimize(fn, initial: ParameterVector, budget: int = 400, seed: int = 0,
@@ -213,10 +227,7 @@ def minimize(fn, initial: ParameterVector, budget: int = 400, seed: int = 0,
     brings no improvement. The first restart starts from `initial`; the
     others from seeded random points inside the bounds.
     """
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
+    check_budget(budget, restarts)
     rng = np.random.default_rng(seed)
     names = initial.names
     bounds = dict(initial.bounds)

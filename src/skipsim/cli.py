@@ -8,8 +8,10 @@ import gc
 import os
 import sys
 
-from . import experiments
+from . import calibrate, experiments
 from .config import ConfigError, load_config
+from .gait import Trajectory
+from .stats import ForceTrace
 
 # Move the objects created at import (numpy, the stdlib, skipsim: about
 # 22,000) into the collector's permanent generation, so the interpreter's
@@ -31,7 +33,8 @@ ASSERT = ("--assert", {"dest": "check", "action": "store_true",
 
 # name -> (help, flags beyond --config/--seed/--out, one-line report). Each
 # flag's dest is a config key it sets (seed, trials, budget) or a keyword of
-# experiments.run_<name>; a flag not given stays out of the namespace.
+# experiments.run_<name> (an input CSV's takes what READ makes of it); a
+# flag not given stays out of the namespace.
 COMMANDS = {
     "tail-characterize": (
         "strike-force sweep over blade lengths", [ASSERT],
@@ -52,7 +55,7 @@ COMMANDS = {
                         f"{summary['net_displacement_m']:.3f} m"),
     "calibrate": (
         "fit substrate parameters to velocity targets", [
-            ("--targets", {"dest": "targets_path", "metavar": "CSV",
+            ("--targets", {"dest": "targets", "metavar": "CSV",
                            "help": "targets CSV (default: bundled)"}),
             ("--budget", {"type": int, "help": "evaluation budget (config "
                           "key experiments.calibrate.budget)"})],
@@ -60,13 +63,18 @@ COMMANDS = {
                         f"({summary['evaluations']} evaluations)"),
     "analyze": (
         "run the measurement pipeline on CSV data", [
-            ("--trace", {"dest": "trace_path", "metavar": "CSV",
+            ("--trace", {"dest": "trace", "metavar": "CSV",
                          "help": "force trace CSV (time_s, force_N)"}),
             ("--trajectory", {
-                "dest": "trajectory_path", "metavar": "CSV",
+                "dest": "trajectory", "metavar": "CSV",
                 "help": "trajectory CSV (time_s, x_m, y_m, heading_rad)"})],
         lambda report: str(sorted(report))),
 }
+# each flag that names an input CSV: its dest -> how main reads the file,
+# before --out is made (looked up per call, like the runners)
+READ = {"targets": lambda path: calibrate.load_targets(path),
+        "trace": lambda path: ForceTrace.read_csv(path),
+        "trajectory": lambda path: Trajectory.read_csv(path)}
 
 
 def build_parser():
@@ -92,8 +100,7 @@ def build_parser():
 def main(argv=None) -> int:
     kwargs = vars(build_parser().parse_args(argv))
     name, out = kwargs.pop("command"), kwargs.pop("out")
-    if name == "analyze" and not kwargs.keys() & {"trace_path",
-                                                  "trajectory_path"}:
+    if name == "analyze" and not kwargs.keys() & {"trace", "trajectory"}:
         print("error: analyze needs --trace or --trajectory", file=sys.stderr)
         return EXIT_CONFIG
     section = name.replace("-", "_")
@@ -112,6 +119,7 @@ def main(argv=None) -> int:
     # looked up per call, so that wrappers installed on the module apply
     run = getattr(experiments, "run_" + section)
     try:
+        kwargs = {k: READ[k](v) if k in READ else v for k, v in kwargs.items()}
         os.makedirs(out, exist_ok=True)
         result = run(config, out, **kwargs)
     except experiments.AssertionFailure as exc:

@@ -5,17 +5,19 @@ unknown keys are always rejected so typos cannot silently fall back."""
 from __future__ import annotations
 
 import json
-import math
 import sys
 from dataclasses import dataclass, field, replace
 
-from .gait import (MAX_TRIAL_S, AsymmetryNoise, EncoderModel, GaitConfig,
-                   GaitMode, drift_duration)
-from .locomotion import (MAX_TRIALS, LocomotionMode, Model, RobotParams,
-                         TrialSpec)
+from .calibrate import check_budget
+from .errors import FieldError
+from .gait import (AsymmetryNoise, EncoderModel, GaitConfig, GaitMode,
+                   drift_duration)
+from .locomotion import (LocomotionMode, Model, RobotParams, TrialSpec,
+                         check_trials)
 from .springtail import (EngagedAngleModel, RegimeThresholds, TailConfig,
-                         revolutions, trace_samples)
-from .stats import MAX_BOOTSTRAP_RESAMPLES
+                         check_sample_rate, check_strikes, revolutions,
+                         trace_samples)
+from .stats import check_bootstrap, check_detection
 from .terrain import CrawlCurve, Material, MoistureResponse, SkipCurve, default_curves
 
 SCHEMA_VERSION = 1
@@ -58,6 +60,27 @@ CRAWL = {"cap": "cap", "rise_mid": "rise_mid", "rise_width": "rise_width",
 RESPONSE = {"slip_moisture": "slip_moisture",
             "excavation_traction": "excavation_traction",
             "moisture_sensitive": "moisture_sensitive"}
+# the analysis keys: JSON key -> the parameter of the stats or springtail
+# check that reads it
+ANALYSIS = {"peak_threshold_n": "threshold",
+            "min_separation_s": "min_separation",
+            "bootstrap_resamples": "resamples", "ci_level": "level",
+            "trace_sample_rate_hz": "sample_rate"}
+
+
+def _keys(section, table) -> dict:
+    """Each field of `table` -> its dotted key in `section`."""
+    return {name: f"{section}.{key}" for key, name in table.items()
+            if isinstance(key, str)}
+
+
+# The key of each field or parameter a model check may name, apart from a
+# substrate curve's (named in its own section) and the experiments' (named
+# where they are checked).
+KEYS = {**_keys("tail", TAIL), **_keys("engaged_angle", ENGAGED_ANGLE),
+        **_keys("regimes", REGIMES), **_keys("gait", GAIT),
+        **_keys("gait", ENCODER), **_keys("noise", NOISE),
+        **_keys("robot", ROBOT), **_keys("analysis", ANALYSIS)}
 
 # The keys whose field may be None: each takes null or a finite number. How
 # an error names the shape of a default, a list by its first item (json
@@ -69,7 +92,10 @@ _TYPE_NAMES = {float: "a finite number", int: "an integer", str: "a string",
                (list, str): "a list of strings",
                (list, list): "a list of rows shaped like its default's"}
 SWEPT = ("uniform_sand", "bentonite_clay")  # the materials a sweep grids
-MODES = tuple(m.value for m in LocomotionMode)
+# each name a trial spec may give -> its member (a dict lookup is several
+# times faster than an Enum call, and load_config makes ~47 specs)
+MATERIALS = {m.value: m for m in Material}
+MODES = {m.value: m for m in LocomotionMode}
 
 
 def _default_analysis() -> dict:
@@ -207,10 +233,21 @@ def _like(value, default, record=False):
     raise TypeError("the value does not fit its default")
 
 
+def _check(check, *args, **keys):
+    """`check(*args)`, a model check whose FieldError becomes a ConfigError
+    naming each field it read by its key: in `keys`, else in KEYS."""
+    try:
+        return check(*args)
+    except FieldError as exc:
+        raise ConfigError(
+            f"config key {exc.render({**KEYS, **keys})}") from None
+
+
 def _parse(cls, table, section, name, **nested):
     """Build `cls` from the document `section` at `name` (dotted) through
     `table`, a list as a tuple; `nested` passes fields that are themselves
-    dataclasses. A failed model check is a ConfigError naming `name`."""
+    dataclasses. A failed model check is a ConfigError naming the keys of
+    the fields it read, or else the section `name`."""
     for part in name.split("."):
         section = section[part]
     for key, attr in table.items():
@@ -221,12 +258,15 @@ def _parse(cls, table, section, name, **nested):
             nested[attr] = tuple(value) if isinstance(value, list) else value
     try:
         return cls(**nested)
+    except FieldError as exc:
+        raise ConfigError(
+            f"config key {exc.render(_keys(name, table))}") from None
     except ValueError as exc:
         raise ConfigError(f"config section {name}: {exc}") from exc
 
 
 def _spec(key, material, moisture, mode="skip", duration=1.0, seed=0,
-          materials=tuple(m.value for m in Material)) -> TrialSpec:
+          materials=MATERIALS) -> TrialSpec:
     """One trial's spec, or a ConfigError naming `key`."""
     for what, value, names in (("material", material, materials),
                                ("mode", mode, MODES)):
@@ -234,10 +274,20 @@ def _spec(key, material, moisture, mode="skip", duration=1.0, seed=0,
             raise ConfigError(f"config key {key}: {what} must be one of "
                               f"{', '.join(names)}, not {value!r}")
     try:
-        return TrialSpec(LocomotionMode(mode), Material(material),
-                         float(moisture), float(duration), seed)
+        return TrialSpec(MODES[mode], MATERIALS[material], float(moisture),
+                         float(duration), seed)
     except ValueError as exc:
         raise ConfigError(f"config key {key}: {exc}") from None
+
+
+def _once(key, items, shown="{}"):
+    """A ConfigError naming `key` unless no two `items` are equal."""
+    seen = set()
+    for item in items:
+        if item in seen:
+            raise ConfigError(f"config key {key} lists {shown.format(item)} "
+                              "more than once")
+        seen.add(item)
 
 
 def trial_specs(experiments: dict, section: str, seed: int = 0) -> list:
@@ -248,14 +298,11 @@ def trial_specs(experiments: dict, section: str, seed: int = 0) -> list:
     segment, segment k at `seed + k`; a ConfigError names a bad key."""
     params, key = experiments[section], f"experiments.{section}"
     if section == "substrate_bench":
-        specs = {}
-        for k, (material, moisture) in enumerate(params["conditions"]):
-            if material in specs:
-                raise ConfigError(f"config key {key}.conditions lists "
-                                  f"{material} more than once")
-            specs[material] = _spec(f"{key}.conditions[{k}]", material,
-                                    moisture, duration=params["duration_s"])
-        return list(specs.values())
+        conditions = params["conditions"]
+        _once(f"{key}.conditions", [material for material, _ in conditions])
+        return [_spec(f"{key}.conditions[{k}]", material, moisture,
+                      duration=params["duration_s"])
+                for k, (material, moisture) in enumerate(conditions)]
     if section == "scenario":
         if not params["segments"]:
             raise ConfigError(f"config key {key}.segments must not be empty")
@@ -263,26 +310,21 @@ def trial_specs(experiments: dict, section: str, seed: int = 0) -> list:
                       duration, seed + k)
                 for k, (material, mode, duration, moisture)
                 in enumerate(params["segments"])]
-    materials = params["materials"]
-    for k, material in enumerate(materials):
-        _spec(f"{key}.materials[{k}]", material, 0.0, materials=SWEPT)
-        if material in materials[:k]:
-            raise ConfigError(f"config key {key}.materials lists {material} "
-                              "more than once")
-        if not params[f"{material}_grid"]:
-            raise ConfigError(f"config key {key}.{material}_grid must not be "
-                              f"empty, as {key}.materials lists {material}")
-    grids = {material: [
-        _spec(f"{key}.{material}_grid[{k}]", material, moisture, mode,
-              params["duration_s"])
-        for k, moisture in enumerate(params[f"{material}_grid"])
-        for mode in MODES] for material in SWEPT}
+    grids = {}
     for material in SWEPT:
         grid = params[f"{material}_grid"]
-        for k, moisture in enumerate(grid):
-            if moisture in grid[:k]:
-                raise ConfigError(f"config key {key}.{material}_grid lists "
-                                  f"moisture {moisture:g} more than once")
+        _once(f"{key}.{material}_grid", grid, "moisture {:g}")
+        grids[material] = [
+            _spec(f"{key}.{material}_grid[{k}]", material, moisture, mode,
+                  params["duration_s"])
+            for k, moisture in enumerate(grid) for mode in MODES]
+    materials = params["materials"]
+    _once(f"{key}.materials", materials)
+    for k, material in enumerate(materials):
+        _spec(f"{key}.materials[{k}]", material, 0.0, materials=SWEPT)
+        if not grids[material]:
+            raise ConfigError(f"config key {key}.{material}_grid must not be "
+                              f"empty, as {key}.materials lists {material}")
     return [spec for material in materials for spec in grids[material]]
 
 
@@ -294,17 +336,13 @@ def tail_lengths(config: ExperimentConfig) -> dict:
     lengths_mm = config.experiments["tail_characterize"]["lengths_mm"]
     if not lengths_mm:
         raise ConfigError(f"config key {key} must not be empty")
-    blades, arc = {}, config.tail.housing_radius * config.tail.housing_arc
-    for k, length_mm in enumerate(lengths_mm):
-        name = f"{length_mm:g}mm"
-        if name in blades:
-            raise ConfigError(f"config key {key} lists {name} more than once")
-        if not 0 < length_mm * 1e-3 <= arc:  # TailConfig's free_length rules
-            raise ConfigError(f"config key {key}[{k}]: {name} must lie in (0, "
-                              f"{arc * 1e3:g}] mm, the housing arc "
-                              "tail.housing_radius_m * tail.housing_arc_rad")
-        blades[name] = length_mm, replace(config.tail,
-                                          free_length=length_mm * 1e-3)
+    names = [f"{length_mm:g}mm" for length_mm in lengths_mm]
+    _once(key, names)
+    blades = {}
+    for k, (name, length_mm) in enumerate(zip(names, lengths_mm)):
+        blades[name] = length_mm, _check(
+            lambda: replace(config.tail, free_length=length_mm * 1e-3),
+            free_length=f"{key}[{k}]: {name}")
     return blades
 
 
@@ -314,53 +352,6 @@ def _build(doc: dict) -> ExperimentConfig:
             f"unsupported schema_version: {doc['schema_version']}")
     if doc["seed"] < 0:
         raise ConfigError("config key seed must be >= 0")
-    analysis = doc["analysis"]
-    for key, holds, bound in (
-            ("bootstrap_resamples",
-             1 <= analysis["bootstrap_resamples"] <= MAX_BOOTSTRAP_RESAMPLES,
-             f"lie in [1, {MAX_BOOTSTRAP_RESAMPLES}]"),
-            ("ci_level", 0 < analysis["ci_level"] < 1, "lie in (0, 1)"),
-            ("peak_threshold_n", analysis["peak_threshold_n"] > 0,
-             "be positive"),
-            ("min_separation_s", analysis["min_separation_s"] >= 0,
-             "be >= 0")):
-        if not holds:
-            raise ConfigError(f"config key analysis.{key} must {bound}")
-    experiments = doc["experiments"]
-    record_s = experiments["tail_characterize"]["record_s"]
-    if record_s < 0:
-        raise ConfigError("config key experiments.tail_characterize.record_s "
-                          "must be >= 0")
-    rate, pulse_width = (analysis["trace_sample_rate_hz"],
-                         doc["tail"]["pulse_width_s"])
-    # a pulse that is not positive is the tail section's own error
-    if pulse_width > 0 and not rate >= 2.0 / pulse_width:
-        raise ConfigError("config key analysis.trace_sample_rate_hz must be "
-                          "at least 2 / tail.pulse_width_s = "
-                          f"{2.0 / pulse_width:g} Hz")
-    try:  # the trace ends one pulse after the recording
-        trace_samples(record_s + pulse_width, rate)
-    except ValueError as exc:
-        raise ConfigError(
-            "config key experiments.tail_characterize.record_s plus "
-            "tail.pulse_width_s is too long at analysis.trace_sample_rate_hz: "
-            f"{exc}") from None
-    if not experiments["gait_drift"]["distance_m"] > 0:
-        raise ConfigError("config key experiments.gait_drift.distance_m must "
-                          "be positive")
-    for name, section in experiments.items():
-        if "duration_s" in section and not (
-                0 < section["duration_s"] <= MAX_TRIAL_S):
-            raise ConfigError(f"config key experiments.{name}.duration_s must "
-                              f"lie in (0, {MAX_TRIAL_S:g}] s")
-        for key, most in (("trials", MAX_TRIALS), ("n_trials", MAX_TRIALS),
-                          ("budget", math.inf), ("restarts", math.inf)):
-            if key in section and not 1 <= section[key] <= most:
-                bound = "be >= 1" if most == math.inf else f"lie in [1, {most}]"
-                raise ConfigError(
-                    f"config key experiments.{name}.{key} must {bound}")
-    for section in ("moisture_sweep", "substrate_bench", "scenario"):
-        trial_specs(experiments, section)
     responses = {
         Material(key): _parse(
             MoistureResponse, RESPONSE, doc, f"substrates.{key}",
@@ -378,29 +369,50 @@ def _build(doc: dict) -> ExperimentConfig:
         robot=_parse(RobotParams, ROBOT, doc, "robot"),
         responses=responses, analysis=doc["analysis"],
         experiments=doc["experiments"], seed=doc["seed"])
-    for mode in GaitMode:  # every gait-drift trial must fit MAX_TRIAL_S
-        try:
-            drift_duration(mode, config.gait,
-                           experiments["gait_drift"]["distance_m"])
-        except ValueError as exc:
-            raise ConfigError("config key experiments.gait_drift.distance_m "
-                              "is too long for gait.fin_speed_rad_s and "
-                              f"gait.stride_m: {exc}") from None
-    if config.angle_model.upper >= config.tail.housing_arc:
-        raise ConfigError("config key engaged_angle.upper_rad must stay below "
-                          "tail.housing_arc_rad")
-    tail_lengths(config)
-    durations = {"experiments.tail_characterize.record_s": record_s, **{
-        f"experiments.{name}.duration_s": section["duration_s"]
-        for name, section in experiments.items() if "duration_s" in section},
-        **{f"experiments.scenario.segments[{k}]": segment[2] for k, segment
-           in enumerate(experiments["scenario"]["segments"])}}
-    longest = max(durations, key=durations.get)
-    try:  # a blade strikes at most once a revolution
-        revolutions(config.tail.motor_speed, durations[longest])
+    # each model check a runner or layer would apply, with what it will read
+    tail, analysis, experiments = (config.tail, doc["analysis"],
+                                   doc["experiments"])
+    _check(check_detection, analysis["peak_threshold_n"],
+           analysis["min_separation_s"])
+    _check(check_bootstrap, analysis["ci_level"],
+           analysis["bootstrap_resamples"])
+    rate = analysis["trace_sample_rate_hz"]
+    _check(check_sample_rate, rate, tail.pulse_width)
+    record = "experiments.tail_characterize.record_s"
+    record_s = experiments["tail_characterize"]["record_s"]
+    _check(check_strikes, tail, config.angle_model, record_s, duration=record)
+    try:  # the trace ends one pulse after the recording
+        trace_samples(record_s + tail.pulse_width, rate)
     except ValueError as exc:
-        raise ConfigError("config key tail.motor_rev_per_s is too high for "
-                          f"{longest}: {exc}") from None
+        raise ConfigError(
+            f"config key {record} plus tail.pulse_width_s is too long at "
+            f"analysis.trace_sample_rate_hz: {exc}") from None
+    for mode in GaitMode:  # every gait-drift trial must fit MAX_TRIAL_S
+        _check(drift_duration, mode, config.gait,
+               experiments["gait_drift"]["distance_m"],
+               distance="experiments.gait_drift.distance_m")
+    calibrate = experiments["calibrate"]
+    _check(check_budget, calibrate["budget"], calibrate["restarts"],
+           budget="experiments.calibrate.budget",
+           restarts="experiments.calibrate.restarts")
+    durations = {record: record_s}
+    for name, section in experiments.items():
+        key = f"experiments.{name}."
+        if "duration_s" in section:  # the rule of a trial of any kind
+            durations[key + "duration_s"] = section["duration_s"]
+            _check(TrialSpec, LocomotionMode.SKIP, Material.RIGID, 0.0,
+                   section["duration_s"], duration=key + "duration_s")
+        for count in ("trials", "n_trials"):
+            if count in section:
+                _check(check_trials, section[count], n_trials=key + count)
+    for section in ("moisture_sweep", "substrate_bench", "scenario"):
+        trial_specs(experiments, section)
+    tail_lengths(config)
+    for k, segment in enumerate(experiments["scenario"]["segments"]):
+        durations[f"experiments.scenario.segments[{k}]"] = segment[2]
+    longest = max(durations, key=durations.get)
+    # a blade strikes at most once a revolution
+    _check(revolutions, tail.motor_speed, durations[longest], duration=longest)
     return config
 
 

@@ -11,12 +11,11 @@ from dataclasses import replace
 from . import calibrate as cal
 from .config import ExperimentConfig, document, tail_lengths, trial_specs
 from .fileio import write_csv, write_json
-from .gait import GaitMode, Trajectory, drift_trials
+from .gait import GaitMode, drift_trials
 from .locomotion import (LocomotionMode, build_units, run_batch,
                          scenario_heterogeneous)
 from .springtail import length_regime, strike_sequence, strike_trace
-from .stats import (ForceTrace, bootstrap_ci, detect_peaks, lateral_drift,
-                    mean_velocity)
+from .stats import bootstrap_ci, detect_peaks, lateral_drift, mean_velocity
 
 
 class AssertionFailure(RuntimeError):
@@ -237,13 +236,13 @@ def run_scenario(config: ExperimentConfig, out_dir, check=False) -> dict:
     return summary
 
 
-def run_calibrate(config: ExperimentConfig, out_dir,
-                  targets_path=None) -> dict:
-    """Fit the free parameters of the configured substrate curves and write
-    the config, its seed and budget included, with the fitted curves."""
+def run_calibrate(config: ExperimentConfig, out_dir, targets=None) -> dict:
+    """Fit the free parameters of the configured substrate curves to
+    `targets` (default: the bundled ones) and write the config, its seed and
+    budget included, with the fitted curves."""
     params = config.experiments["calibrate"]
-    targets = (cal.load_targets(targets_path) if targets_path
-               else cal.bundled_targets())
+    if targets is None:
+        targets = cal.bundled_targets()
     result = cal.fit(targets, budget=params["budget"], seed=config.seed,
                      n_trials=params["n_trials"],
                      restarts=params["restarts"],
@@ -262,23 +261,22 @@ def run_calibrate(config: ExperimentConfig, out_dir,
     return {"final_loss": result.loss, "evaluations": result.evaluations}
 
 
-def run_analyze(config: ExperimentConfig, out_dir, trace_path=None,
-                trajectory_path=None) -> dict:
-    """Run the measurement pipeline on externally produced CSV data: a
-    force trace, a trajectory or both (the CLI refuses neither)."""
+def run_analyze(config: ExperimentConfig, out_dir, trace=None,
+                trajectory=None) -> dict:
+    """Run the measurement pipeline on externally produced data, a
+    `ForceTrace`, a `Trajectory` or both (the CLI reads them from CSV and
+    refuses neither)."""
     report = {}
-    if trace_path is not None:
-        peaks = detect_peaks(ForceTrace.read_csv(trace_path),
-                             config.analysis["peak_threshold_n"],
+    if trace is not None:
+        peaks = detect_peaks(trace, config.analysis["peak_threshold_n"],
                              config.analysis["min_separation_s"])
         report["trace"] = {**_peak_summaries([peaks], config)[0],
                            "peaks_N": list(peaks.values)}
-    if trajectory_path is not None:
-        traj = Trajectory.read_csv(trajectory_path)
+    if trajectory is not None:
         report["trajectory"] = {
-            "mean_velocity_mps": mean_velocity(traj),
-            "lateral_drift_m": lateral_drift(traj),
-            "net_displacement_m": traj.net_displacement(),
+            "mean_velocity_mps": mean_velocity(trajectory),
+            "lateral_drift_m": lateral_drift(trajectory),
+            "net_displacement_m": trajectory.net_displacement(),
         }
     write_json(os.path.join(out_dir, "analysis.json"), report)
     return report

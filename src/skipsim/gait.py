@@ -19,12 +19,17 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import FieldError
 from .fileio import array_rows, read_csv_table, write_csv
 
 TWO_PI = 2.0 * math.pi
 
 # Longest trial, in s: it bounds the one unit path a batch holds at a time
 MAX_TRIAL_S = 3600.0
+# Fastest fin, in rad/s: 2^16 revolutions in the longest trial, as many as
+# springtail.MAX_STRIKES grants the tail, so a crawl path holds at most
+# 2^16 cycles (2 MB of poses) and a cached schedule as many cycle times
+MAX_FIN_SPEED = TWO_PI * 2 ** 16 / MAX_TRIAL_S
 # Most poses one batch of drift trials holds (32 bytes each)
 DRIFT_CHUNK_POSES = 1 << 13
 
@@ -266,7 +271,10 @@ class GaitConfig:
     dt: float = 0.01  # s, controller integration step
 
     def __post_init__(self):
-        for name in ("fin_speed", "stride", "dt"):
+        if not 0 < self.fin_speed <= MAX_FIN_SPEED:
+            raise FieldError("{fin_speed} must lie in "
+                             f"(0, {MAX_FIN_SPEED:g}] rad/s")
+        for name in ("stride", "dt"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"gait {name} must be positive")
         if MAX_TRIAL_S / self.dt > MAX_TICKS:
@@ -340,15 +348,17 @@ def drift_duration(mode: GaitMode, gait: GaitConfig, distance: float) -> float:
     cycles more than the distance takes, plus two periods of slack. A
     duration over MAX_TRIAL_S is an error."""
     if not distance > 0:
-        raise ValueError("distance must be positive")
+        raise FieldError("{distance} must be positive")
     period = TWO_PI / gait.fin_speed * (2.0 if mode is GaitMode.ASYNC else 1.0)
     strides = distance / gait.stride
     # ceil() of an infinite count would raise; it runs over the limit anyway
     duration = ((math.ceil(strides) if math.isfinite(strides) else strides)
                 + 5) * period
     if duration > MAX_TRIAL_S:
-        raise ValueError(f"a {mode.value} drift over {distance:g} m would take "
-                         f"{duration:g} s, over the {MAX_TRIAL_S:g} s limit")
+        raise FieldError(
+            "{distance} is too long for {fin_speed} and {stride}: a "
+            f"{mode.value} drift over {distance:g} m would take "
+            f"{duration:g} s, over the {MAX_TRIAL_S:g} s limit")
     return duration
 
 

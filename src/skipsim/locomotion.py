@@ -19,6 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import FieldError
 from .gait import (MAX_TRIAL_S, ORIGIN, GaitConfig, GaitMode, PlanarPose,
                    Trajectory, crawl_kinematics, nominal_cycle_times)
 from .springtail import (EngagedAngleModel, RegimeThresholds, TailConfig,
@@ -84,8 +85,8 @@ class TrialSpec:
     def __post_init__(self):
         check_moisture(self.moisture)  # before a batch builds any path
         if not 0.0 < self.duration <= MAX_TRIAL_S:
-            raise ValueError(f"duration must lie in (0, {MAX_TRIAL_S:g}] s, "
-                             f"got {self.duration!r}")
+            raise FieldError("{duration} must lie in "
+                             f"(0, {MAX_TRIAL_S:g}] s, got {self.duration!r}")
 
 
 @dataclass
@@ -171,13 +172,18 @@ def unit_path(mode: LocomotionMode, model: Model, duration: float, seed: int,
                                       reach[hop])
 
 
+def check_trials(n_trials: int) -> None:
+    """Trials per condition lie in [1, MAX_TRIALS]."""
+    if not 1 <= n_trials <= MAX_TRIALS:
+        raise FieldError(f"{{n_trials}} must lie in [1, {MAX_TRIALS}]")
+
+
 def build_units(specs, seed_base: int, n_trials: int, model: Model) -> dict:
     """(mode, duration) -> the `Units` of each trial kind among `specs` over
     the seeds seed_base..seed_base+n_trials-1. Seed-major: each seed builds
     its path of every kind once and drops it once reduced, so what stays is
     a few numbers per trial (8 bytes each, in typed arrays) and one path."""
-    if n_trials < 1:
-        raise ValueError("n_trials must be >= 1")
+    check_trials(n_trials)
     kinds = {kind: Units(*map(array, "dqqdd"))
              for kind in dict.fromkeys((s.mode, s.duration) for s in specs)}
     for index, seed in enumerate(range(seed_base, seed_base + n_trials)):

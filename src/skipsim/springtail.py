@@ -15,6 +15,7 @@ from enum import Enum
 
 import numpy as np
 
+from .errors import FieldError
 from .stats import ForceTrace
 
 TWO_PI = 2.0 * math.pi
@@ -54,16 +55,20 @@ class TailConfig:
     pulse_width: float = 0.010  # s, half-sine strike duration (fitted)
 
     def __post_init__(self):
-        for name in ("youngs_modulus", "width", "thickness", "free_length",
-                     "housing_radius", "motor_speed", "pulse_width"):
+        for name in ("youngs_modulus", "width", "thickness", "housing_radius",
+                     "motor_speed", "pulse_width"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.thickness >= self.housing_radius:
             raise ValueError("thickness must be smaller than housing_radius")
         if not 0.0 < self.housing_arc < TWO_PI:
             raise ValueError("housing_arc must lie in (0, 2*pi)")
-        if self.free_length > self.housing_radius * self.housing_arc:
-            raise ValueError("blade longer than the housing arc it must conform to")
+        # the blade must conform to the housing arc
+        arc = self.housing_radius * self.housing_arc
+        if not 0.0 < self.free_length <= arc:
+            raise FieldError("{free_length} must lie in "
+                             f"(0, {arc * 1e3:g}] mm, the housing arc "
+                             "{housing_radius} * {housing_arc}")
 
     @property
     def second_moment(self) -> float:
@@ -256,12 +261,9 @@ def strike_sequence(config: TailConfig,
     turns in one stream, revolution by revolution. A window of more than
     MAX_STRIKES revolutions is refused before anything is allocated.
     """
-    if duration < 0:
-        raise ValueError("duration must be >= 0")
     angle_model = angle_model or EngagedAngleModel()
     thresholds = thresholds or RegimeThresholds()
-    if angle_model.upper >= config.housing_arc:
-        raise ValueError("engaged-angle upper bound must stay below the housing arc")
+    check_strikes(config, angle_model, duration)
     turns = revolutions(config.motor_speed, duration)
     rng = np.random.default_rng(seed)
     if regime is LengthRegime.JAM:
@@ -283,12 +285,24 @@ def strike_sequence(config: TailConfig,
                           engaged_angle=theta)
 
 
+def check_strikes(config: TailConfig, angle_model: EngagedAngleModel,
+                  duration: float) -> None:
+    """`strike_sequence`'s rules on its window and engagement: `duration`
+    is >= 0, and the engaged angle's upper bound stays below the housing
+    arc, so that every drawn angle prices a strike."""
+    if not duration >= 0:
+        raise FieldError("{duration} must be >= 0")
+    if not angle_model.upper < config.housing_arc:
+        raise FieldError("{upper} must stay below {housing_arc}")
+
+
 def revolutions(motor_speed: float, duration: float) -> int:
     """floor(motor_speed * duration), the revolutions in a recording
     `duration` s long; more than MAX_STRIKES, an infinite count too, is an
     error."""
     if not motor_speed * duration < MAX_STRIKES + 1:
-        raise ValueError(f"{motor_speed:g} rev/s over {duration:g} s would "
+        raise FieldError("{motor_speed} is too high for {duration}: "
+                         f"{motor_speed:g} rev/s over {duration:g} s would "
                          f"take over {MAX_STRIKES} strikes")
     return int(math.floor(motor_speed * duration))
 
@@ -300,6 +314,16 @@ def trace_samples(duration: float, sample_rate: float) -> int:
         raise ValueError(f"a {duration:g} s trace at {sample_rate:g} Hz would "
                          f"take over {MAX_TRACE_SAMPLES} samples")
     return int(round(duration * sample_rate)) + 1
+
+
+def check_sample_rate(sample_rate: float, pulse_width: float) -> None:
+    """`strike_trace`'s rule on its rates: a positive pulse width, resolved
+    by at least two samples."""
+    if not pulse_width > 0:
+        raise FieldError("{pulse_width} must be positive")
+    if not sample_rate >= 2.0 / pulse_width:
+        raise FieldError("{sample_rate} must be at least 2 / {pulse_width} = "
+                         f"{2.0 / pulse_width:g} Hz")
 
 
 def strike_trace(events: StrikeSequence, sample_rate: float,
@@ -318,10 +342,7 @@ def strike_trace(events: StrikeSequence, sample_rate: float,
     window of about pulse_width * sample_rate samples, laid out for all
     strikes in one numpy pass, so time and memory go with the pulse samples
     written, not with the trace length."""
-    if pulse_width <= 0:
-        raise ValueError("pulse_width must be positive")
-    if sample_rate < 2.0 / pulse_width:
-        raise ValueError("sample_rate must be at least 2/pulse_width")
+    check_sample_rate(sample_rate, pulse_width)
     if not np.isfinite(events.time).all():
         raise ValueError("strike times must be finite")
     n = trace_samples(float(events.time.max(initial=0.0)) + pulse_width,

@@ -10,12 +10,14 @@ from enum import Enum
 
 import numpy as np
 
+from .errors import FieldError
 from .fileio import array_rows, read_csv_table, write_csv
 from .gait import Trajectory
 
 FAILURE_THRESHOLD_M = 0.10  # net displacement below this counts as a failure
 BOOTSTRAP_CHUNK_DRAWS = 1 << 16  # resample indices bootstrap_ci draws at once
-# the configured resamples at most: 8 MB of sorted means per distinct sample set
+# the resamples bootstrap_ci takes at most: 8 MB of sorted means per
+# distinct sample set
 MAX_BOOTSTRAP_RESAMPLES = 10 ** 6
 
 
@@ -143,6 +145,14 @@ def _joined(trace: ForceTrace):
     return joined, at
 
 
+def check_detection(threshold: float, min_separation: float) -> None:
+    """`detect_peaks`' rules: a positive threshold, a separation >= 0."""
+    if not threshold > 0:
+        raise FieldError("{threshold} must be positive")
+    if not min_separation >= 0:
+        raise FieldError("{min_separation} must be >= 0")
+
+
 def detect_peaks(trace: ForceTrace, threshold: float = 1.0,
                  min_separation: float = 0.3) -> PeakSet:
     """Local maxima at or above `threshold` (N) with an enforced minimum
@@ -153,10 +163,7 @@ def detect_peaks(trace: ForceTrace, threshold: float = 1.0,
     `_joined`), its candidates mapped back to sample indices. Time is
     linear in the stored samples plus one binary search over the peaks
     accepted so far for each candidate at or above the threshold."""
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
-    if min_separation < 0:
-        raise ValueError("min_separation must be >= 0")
+    check_detection(threshold, min_separation)
     x, at = trace.samples, None
     if trace.indices is not None:
         x, at = _joined(trace)
@@ -186,6 +193,16 @@ def _percentile(sorted_values: np.ndarray, q: float) -> float:
     return float(sorted_values[k - 1])
 
 
+def check_bootstrap(level: float, resamples: int) -> None:
+    """`bootstrap_ci`'s rules: a level in (0, 1), resamples in
+    [1, MAX_BOOTSTRAP_RESAMPLES]."""
+    if not 0.0 < level < 1.0:
+        raise FieldError("{level} must lie in (0, 1)")
+    if not 1 <= resamples <= MAX_BOOTSTRAP_RESAMPLES:
+        raise FieldError("{resamples} must lie in "
+                         f"[1, {MAX_BOOTSTRAP_RESAMPLES}]")
+
+
 # huge samples overflow to an infinite mean, which the JSON writer refuses
 @np.errstate(over="ignore")
 def bootstrap_ci(samples, level: float = 0.95, resamples: int = 10000,
@@ -209,10 +226,7 @@ def bootstrap_ci(samples, level: float = 0.95, resamples: int = 10000,
     table = arr if arr.ndim == 2 else arr.reshape(1, -1)
     if table.size == 0:
         raise ValueError("bootstrap_ci requires at least one sample")
-    if not 0.0 < level < 1.0:
-        raise ValueError("level must be in (0, 1)")
-    if resamples < 1:
-        raise ValueError("resamples must be >= 1")
+    check_bootstrap(level, resamples)
     n = table.shape[1]
     # row -> its slot among the distinct rows, keyed by bytes: exact copies
     # (NaN rows too) share their means, merely equal rows (-0.0, 0.0) do not

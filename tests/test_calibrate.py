@@ -86,7 +86,7 @@ class TestMinimize:
         few = cal.minimize(quadratic_loss, quadratic_vector(), budget=5,
                            seed=3, restarts=5)
         many = cal.minimize(quadratic_loss, quadratic_vector(), budget=5,
-                            seed=3, restarts=10 ** 18)
+                            seed=3, restarts=cal.MAX_RESTARTS)
         assert many.trace == few.trace
         assert many.params.values == few.params.values
 

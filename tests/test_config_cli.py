@@ -11,12 +11,13 @@ import warnings
 import pytest
 
 from skipsim import experiments, gait, locomotion
+from skipsim.calibrate import MAX_RESTARTS
 from skipsim.cli import build_parser, main
 from skipsim.config import (ConfigError, default_dict, document, load_config,
                             tail_lengths, trial_specs)
 from skipsim.fileio import write_json
-from skipsim.gait import (MAX_TICKS, MAX_TRIAL_S, GaitConfig, GaitMode,
-                          drift_duration, drift_trials, run_cycles,
+from skipsim.gait import (MAX_FIN_SPEED, MAX_TICKS, MAX_TRIAL_S, GaitConfig,
+                          GaitMode, drift_duration, drift_trials, run_cycles,
                           schedule_ticks)
 from skipsim.locomotion import MAX_TRIALS
 from skipsim.springtail import MAX_STRIKES, MAX_TRACE_SAMPLES
@@ -275,6 +276,7 @@ class TestCli:
         (["analyze", "--trace"], "time_s,force_N\n0.0,1.0\n0.0005\n"),
         (["analyze", "--trace"], None),
         (["calibrate", "--budget", "1", "--targets"], None),
+        (["analyze", "--trajectory"], None),
         (["analyze", "--trajectory"],
          "time_s,x_m,y_m,heading_rad\n0,0,0,0\n1,nan,0,0\n"),
         (["analyze", "--trajectory"],
@@ -305,8 +307,8 @@ class TestCli:
         (["analyze", "--trace"], "time_s,force_N\n0,1\n1," + "9" * 200000),
     ], ids=["trace-equal-times", "trace-uneven-times", "trajectory-no-heading",
             "trace-short-row", "trace-missing", "targets-missing",
-            "trajectory-nan", "trajectory-inf", "trajectory-overflow",
-            "trajectory-overflow-drift",
+            "trajectory-missing", "trajectory-nan", "trajectory-inf",
+            "trajectory-overflow", "trajectory-overflow-drift",
             "trace-subnormal-step", "trace-huge-peaks", "targets-nan-target",
             "targets-inf-weight", "targets-moisture-5", "targets-short-row",
             "targets-extra-field", "trace-repeated-column",
@@ -319,7 +321,30 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert "Traceback" not in err
-        assert os.listdir(tmp_path / "o") == []  # refused before writing
+        # refused before writing: a file that cannot be read leaves no
+        # --out, and results that cannot be written leave it empty
+        out = tmp_path / "o"
+        assert not out.exists() or os.listdir(out) == []
+
+    # one row a field short of each input's header
+    SHORT_ROWS = {"--trace": "time_s,force_N\n0.0\n",
+                  "--trajectory": "time_s,x_m,y_m,heading_rad\n0,0,0\n",
+                  "--targets": TARGETS_HEADER + "skip,grass,0.0\n"}
+
+    @pytest.mark.parametrize("malformed", [False, True],
+                             ids=["missing", "malformed"])
+    @pytest.mark.parametrize("flag", SHORT_ROWS)
+    def test_unreadable_input_exits_2_before_out_is_made(
+            self, tmp_path, capsys, flag, malformed):
+        path = tmp_path / "input.csv"
+        if malformed:
+            path.write_text(self.SHORT_ROWS[flag])
+        command = "calibrate" if flag == "--targets" else "analyze"
+        out = tmp_path / "o"
+        assert main([command, flag, str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag, text", [
         ("--trace", "time_s,force_N\n0.0,1.0\n0.0005,\n"),
@@ -951,11 +976,13 @@ class TestDurationAndDistanceSigns:
         ("gait-drift", "gait_drift.distance_m", -1, "be positive"),
         ("gait-drift", "gait_drift.distance_m", 0, "be positive"),
         ("moisture-sweep", "moisture_sweep.duration_s", -1,
-         "lie in (0, 3600] s"),
+         "lie in (0, 3600] s, got -1.0"),
         ("substrate-bench", "substrate_bench.duration_s", -1,
-         "lie in (0, 3600] s"),
-        ("calibrate", "calibrate.duration_s", -1, "lie in (0, 3600] s"),
-        ("calibrate", "calibrate.duration_s", 0, "lie in (0, 3600] s"),
+         "lie in (0, 3600] s, got -1.0"),
+        ("calibrate", "calibrate.duration_s", -1,
+         "lie in (0, 3600] s, got -1.0"),
+        ("calibrate", "calibrate.duration_s", 0,
+         "lie in (0, 3600] s, got 0.0"),
     ])
     def test_exits_2_naming_the_key(self, tmp_path, capsys, monkeypatch,
                                     command, key, value, bound):
@@ -1100,7 +1127,8 @@ class TestValueFlags:
         (["calibrate"], {"experiments": {"calibrate": {"budget": 0}}},
          "config key experiments.calibrate.budget must be >= 1"),
         (["calibrate"], {"experiments": {"calibrate": {"restarts": 0}}},
-         "config key experiments.calibrate.restarts must be >= 1"),
+         "config key experiments.calibrate.restarts must lie in "
+         f"[1, {MAX_RESTARTS}]"),
         (["scenario", "--seed", "-2"], None, "config key seed must be >= 0"),
         (["moisture-sweep"],
          {"experiments": {"moisture_sweep": {"uniform_sand_grid": [0.1, 5.0]}}},
@@ -1251,10 +1279,10 @@ def _strikes_over(section, key):
 
 
 class TestRefusalsAtLoad:
-    """Each trial, blade, analysis and strike-count input a runner or a
-    layer would refuse is refused at config load, naming its key, in every
-    command: exit 2 with one error line, no --out, and no strike drawn or
-    unit path built."""
+    """Each trial, blade, analysis, size and strike-count input a runner or
+    a layer would refuse is refused at config load, naming its key, in
+    every command: exit 2 with one error line, no --out, and no strike
+    drawn or unit path built."""
 
     CASES = {
         "lengths-empty": ("tail-characterize", {"experiments": {
@@ -1310,6 +1338,13 @@ class TestRefusalsAtLoad:
         "min-separation-neg": ("tail-characterize",
                                {"analysis": {"min_separation_s": -1}},
                                "analysis.min_separation_s must be >= 0"),
+        "fin-speed-over": ("scenario",
+                           {"gait": {"fin_speed_rad_s": MAX_FIN_SPEED + 1}},
+                           f"gait.fin_speed_rad_s must lie in "
+                           f"(0, {MAX_FIN_SPEED:g}] rad/s"),
+        "restarts-over": ("calibrate", {"experiments": {"calibrate": {
+            "restarts": MAX_RESTARTS + 1}}},
+            f"experiments.calibrate.restarts must lie in [1, {MAX_RESTARTS}]"),
         **{f"strikes-{section}": (command, *_strikes_over(section, key))
            for command, section, key in (
                ("tail-characterize", "tail_characterize", "record_s"),
@@ -1351,6 +1386,14 @@ class TestRefusalsAtLoad:
                 "tail": {"motor_rev_per_s": MAX_STRIKES / 64.0},
                 "experiments": {section: {key: 64.0}}})
             assert config.tail.motor_speed * 64.0 == MAX_STRIKES
+
+    def test_the_fin_speed_and_restart_limits_load(self):
+        # a step under the detection window, which the fastest fin needs
+        config = load_config(overrides={
+            "gait": {"fin_speed_rad_s": MAX_FIN_SPEED, "dt_s": 0.001},
+            "experiments": {"calibrate": {"restarts": MAX_RESTARTS}}})
+        assert config.gait.fin_speed == MAX_FIN_SPEED
+        assert config.experiments["calibrate"]["restarts"] == MAX_RESTARTS
 
     @pytest.mark.parametrize("command", ["moisture-sweep", "substrate-bench",
                                          "scenario", "tail-characterize"])

@@ -6,8 +6,8 @@ with its message, which names the line of the first error in file order,
 whether numpy's parser or its own row loop reads the file. Whatever a
 targets CSV holds, `load_targets` returns one target per row or raises one
 ValueError in the package's words. Whatever override a config document
-makes, `load_config` raises one ConfigError or builds a config that its own
-document rebuilds."""
+makes, `load_config` raises one ConfigError, every key it names a leaf of
+the default document, or builds a config that its own document rebuilds."""
 
 import csv
 import json
@@ -285,6 +285,9 @@ def _leaves(doc, path=""):
 
 
 LEAVES = list(_leaves(default_dict()))
+LEAF_KEYS = {dotted for dotted, _ in LEAVES}
+# a dotted config key as an error names it, `[k]` indexes allowed
+NAMED_KEY = re.compile(r"(?<![\w.])[a-z_]+(?:\.\w+)+(?:\[\d+\])*")
 
 
 def _scaled(default):
@@ -349,6 +352,12 @@ def test_config_override_raises_one_error_or_round_trips(case):
         section = re.match(r"config section (\S+): ", message)
         assert dotted in message or (
             section is not None and dotted.startswith(section[1] + "."))
+        # every key it names is a leaf of the default document; a quoted
+        # value names none
+        unquoted = re.sub(r"(['\"]).*?\1", "",
+                          message[section.end():] if section else message)
+        for key in NAMED_KEY.findall(unquoted):
+            assert re.sub(r"\[\d+\]", "", key) in LEAF_KEYS, (key, message)
         return
     written = json.dumps(document(config))
     assert load_config(overrides=json.loads(written)) == config
