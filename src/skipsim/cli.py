@@ -4,6 +4,7 @@ error, 3 failed built-in check in --assert mode."""
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import os
 import sys
@@ -118,6 +119,7 @@ def main(argv=None) -> int:
 
     # looked up per call, so that wrappers installed on the module apply
     run = getattr(experiments, "run_" + section)
+    made = not os.path.exists(out)
     try:
         kwargs = {k: READ[k](v) if k in READ else v for k, v in kwargs.items()}
         os.makedirs(out, exist_ok=True)
@@ -127,6 +129,9 @@ def main(argv=None) -> int:
         return EXIT_ASSERT
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if made:  # an --out made here that nothing was written to goes
+            with contextlib.suppress(OSError):  # not made, or not empty
+                os.rmdir(out)
         return EXIT_CONFIG
     print(f"{name}: {COMMANDS[name][2](result)} -> {out}")
     return EXIT_OK

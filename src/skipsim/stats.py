@@ -95,7 +95,8 @@ class ForceTrace:
         if not np.isfinite(rate):
             raise ValueError(
                 "force trace CSV timestamps step too finely for a finite rate")
-        return cls(sample_rate=float(rate), samples=values)
+        # a copy, so that the (2, n) table and its timestamps can go
+        return cls(sample_rate=float(rate), samples=values.copy())
 
 
 @dataclass(frozen=True)
@@ -203,6 +204,55 @@ def check_bootstrap(level: float, resamples: int) -> None:
                          f"[1, {MAX_BOOTSTRAP_RESAMPLES}]")
 
 
+def _index_reader(seed: int, n: int):
+    """`read(out)` fills `out`, a C-contiguous int64 array of count >= 1
+    entries, with what successive `Generator.integers(0, n, size=count)`
+    calls on `np.random.default_rng(seed)` return, bit for bit, for
+    1 <= n < 2**32.
+
+    That call reads 32-bit words, the low then the high half of each 64-bit
+    PCG64 output, and keeps (w * n) >> 32 of each word w unless the low 32
+    bits of w * n fall below 2**32 mod n (Lemire, Fast Random Integer
+    Generation in an Interval, ACM TOMACS 2019). Here that rule runs as
+    whole-array passes over `random_raw`'s words, and the words a call
+    leaves unused are copied into the next call, so its raw draw is freed
+    on return. n = 1 reads no word, as `integers(0, 1)` does."""
+    raw = np.random.default_rng(seed).bit_generator.random_raw
+    scale = np.uint32(n)
+    threshold = (1 << 32) % n  # w is skipped when (w * n) mod 2**32 < this
+    carry = np.empty(0, np.uint32)
+
+    def extend(words, size):
+        """`words` followed by fresh words, at least `size` in all."""
+        if words.size >= size:
+            return words
+        fresh = raw(-(-(size - words.size) // 2))
+        fresh = fresh.astype("<u8", copy=False).view("<u4")  # low half first
+        return np.concatenate((words, fresh)) if words.size else fresh
+
+    def read(out):
+        nonlocal carry
+        count = out.size
+        if n == 1:
+            out.fill(0)
+            return
+        words = extend(carry, count)
+        if (words[:count] * scale).min() >= threshold:  # no word skipped
+            used, picked = count, words[:count]
+        else:
+            kept = np.flatnonzero(words * scale >= threshold)
+            while kept.size < count:
+                words = extend(words, words.size + count - kept.size)
+                kept = np.flatnonzero(words * scale >= threshold)
+            used, picked = kept[count - 1] + 1, words[kept[:count]]
+        carry = words[used:].copy()
+        out = out.view(np.uint64).reshape(-1)
+        np.multiply(picked, np.uint64(n), out=out)
+        out >>= np.uint64(32)
+
+    return read
+
+
 # huge samples overflow to an infinite mean, which the JSON writer refuses
 @np.errstate(over="ignore")
 def bootstrap_ci(samples, level: float = 0.95, resamples: int = 10000,
@@ -217,10 +267,12 @@ def bootstrap_ci(samples, level: float = 0.95, resamples: int = 10000,
     bit; `mean`, `lower` and `upper` are then tuples, one float per row.
     Other shapes are flattened.
 
-    The resample indices are drawn in chunks of about BOOTSTRAP_CHUNK_DRAWS
-    (2**16), so that matrix never needs resamples * n integers at once. The
-    resampled means are still held whole for sorting: 8 bytes per resample
-    for each distinct row (byte-equal rows share theirs).
+    The resample indices are those of `default_rng(seed).integers(0, n,
+    size=(resamples, n))`, read by `_index_reader` in chunks of about
+    BOOTSTRAP_CHUNK_DRAWS (2**16), so that matrix never needs resamples * n
+    integers at once. The resampled means are still held whole for
+    sorting: 8 bytes per resample for each distinct row (byte-equal rows
+    share theirs).
     """
     arr = np.ascontiguousarray(samples, dtype=float)
     table = arr if arr.ndim == 2 else arr.reshape(1, -1)
@@ -233,16 +285,22 @@ def bootstrap_ci(samples, level: float = 0.95, resamples: int = 10000,
     slots = {}
     slot = [slots.setdefault(row.tobytes(), len(slots)) for row in table]
     distinct = table[[slot.index(k) for k in range(len(slots))]]
-    rng = np.random.default_rng(seed)
-    # successive draws continue one stream, so the chunks hold exactly the
-    # rows of a single (resamples, n) draw
+    read = _index_reader(seed, n)
+    # successive reads continue one stream, so the chunks hold exactly the
+    # rows of a single integers(0, n, size=(resamples, n)) draw
     rows = max(BOOTSTRAP_CHUNK_DRAWS // n, 1)
     means = np.empty((len(distinct), resamples))
+    # one index buffer for every chunk: a fresh array per chunk raised the
+    # command's peak RSS by about 0.2 MiB
+    chunk = np.empty((min(rows, resamples), n), np.int64)
     for start in range(0, resamples, rows):
         stop = min(start + rows, resamples)
-        idx = rng.integers(0, n, size=(stop - start, n))
+        idx = chunk[:stop - start]
+        read(idx)
         for row, row_means in zip(distinct, means):
-            row_means[start:stop] = row[idx].mean(axis=1)
+            np.add.reduce(row.take(idx), axis=1, out=row_means[start:stop])
+    # mean's own sum then true_divide, so each mean keeps mean()'s bits
+    means /= n
     means.sort(axis=1)
     q_lo = (1.0 - level) / 2.0
     ci = [(float(row.mean()), _percentile(means[k], q_lo),

@@ -301,17 +301,19 @@ def test_2d_bootstrap_ci_matches_oracle_per_row(rows, level, resamples, seed,
 
 
 class CountingRng:
-    """A default_rng stand-in that records the size of each index draw."""
+    """A default_rng stand-in whose bit generator has only `random_raw`,
+    recording the 32-bit words of each draw."""
 
-    draws = []
+    words = []
     real = np.random.default_rng
 
     def __init__(self, seed):
-        self.rng = CountingRng.real(seed)
+        self.bit_generator = self
+        self.raw = CountingRng.real(seed).bit_generator.random_raw
 
-    def integers(self, low, high, size):
-        CountingRng.draws.append(size)
-        return self.rng.integers(low, high, size=size)
+    def random_raw(self, size):
+        CountingRng.words.append(2 * size)
+        return self.raw(size)
 
 
 @pytest.mark.parametrize("rows", [1, 2, 5], ids=["1-row", "2-rows",
@@ -320,11 +322,31 @@ def test_one_index_draw_per_chunk_whatever_the_rows(monkeypatch, rows):
     n, resamples = 7, 13  # a chunk of 28 draws holds 4 resamples: 4 chunks
     table = np.random.default_rng(rows).normal(4.0, 1.0, (rows, n))
     table[2:] = table[0]
+    want = bootstrap_ci(table, 0.95, resamples, seed=3)
     monkeypatch.setattr(stats, "BOOTSTRAP_CHUNK_DRAWS", 4 * n)
-    monkeypatch.setattr(CountingRng, "draws", [])
+    monkeypatch.setattr(CountingRng, "words", [])
     monkeypatch.setattr(np.random, "default_rng", CountingRng)
-    bootstrap_ci(table, 0.95, resamples, seed=3)
-    assert CountingRng.draws == [(4, n), (4, n), (4, n), (1, n)]
+    assert bootstrap_ci(table, 0.95, resamples, seed=3) == want
+    # whole 64-bit outputs: the last chunk's 7 words take 4, leaving one
+    assert CountingRng.words == [28, 28, 28, 8]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(n=st.one_of(st.sampled_from([1, 2, 3, 2 ** 31 + 1, 3 * 2 ** 30,
+                                    2 ** 32 - 1]),
+                   st.integers(1, 2 ** 32 - 1)),
+       sizes=st.lists(st.integers(1, 4096), min_size=1, max_size=6),
+       seed=st.integers(0, 2 ** 32))
+def test_index_reader_continues_one_integers_stream(n, sizes, seed):
+    """Successive reads equal successive Generator.integers(0, n) calls on
+    one generator, across the words a read leaves for the next; at
+    n = 2**31 + 1 about half the words are skipped."""
+    rng = np.random.default_rng(seed)
+    read = stats._index_reader(seed, n)
+    for size in sizes:
+        got = np.empty(size, np.int64)
+        read(got)
+        assert np.array_equal(got, rng.integers(0, n, size=size))
 
 
 ROWS_7 = stats.BOOTSTRAP_CHUNK_DRAWS // 7

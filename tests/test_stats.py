@@ -5,7 +5,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from skipsim.fileio import write_csv
+from skipsim import experiments
+from skipsim.cli import main
+from skipsim.config import load_config
+from skipsim.fileio import read_csv_table, write_csv
 from skipsim.gait import PlanarPose, Trajectory
 from skipsim.stats import (ForceTrace, _percentile, bootstrap_ci,
                            detect_peaks, lateral_drift, mean_velocity)
@@ -68,6 +71,24 @@ class TestForceTraceCsv:
         assert back.samples.tobytes() == trace.samples.tobytes()
         assert back.sample_rate == trace.sample_rate
         assert peak < 3 * 2 * trace.samples.nbytes
+
+    def test_read_holds_only_the_force_column(self, tmp_path):
+        """The samples read own their data, not a row of the (2, n) table
+        that also holds the timestamps, and `analyze --trace` writes the
+        bytes it writes from that row."""
+        path = tmp_path / "trace.csv"
+        half_sine_trace([(0.5, 4.0), (1.5, 5.0)], duration=2.0).write_csv(path)
+        back = ForceTrace.read_csv(path)
+        assert back.samples.base is None
+        row = read_csv_table(path, ForceTrace.COLUMNS, "force trace").T[1]
+        assert row.base is not None
+        assert main(["analyze", "--trace", str(path),
+                     "--out", str(tmp_path / "a")]) == 0
+        (tmp_path / "b").mkdir()
+        experiments.run_analyze(load_config(), str(tmp_path / "b"),
+                                trace=ForceTrace(back.sample_rate, row))
+        assert ((tmp_path / "a" / "analysis.json").read_bytes()
+                == (tmp_path / "b" / "analysis.json").read_bytes())
 
     def test_writing_holds_one_chunk_of_rows(self, tmp_path):
         """A 200,000-sample trace writes the bytes of a writer that turns
