@@ -98,6 +98,17 @@ def build_parser():
     return parser
 
 
+def _outermost_missing(path: str):
+    """The outermost directory of `path` that does not exist yet, as an
+    absolute path (the one `os.makedirs(path)` makes first), or None."""
+    path = os.path.abspath(path)
+    if os.path.exists(path):
+        return None
+    while not os.path.exists(os.path.dirname(path)):
+        path = os.path.dirname(path)
+    return path
+
+
 def main(argv=None) -> int:
     kwargs = vars(build_parser().parse_args(argv))
     name, out = kwargs.pop("command"), kwargs.pop("out")
@@ -119,7 +130,7 @@ def main(argv=None) -> int:
 
     # looked up per call, so that wrappers installed on the module apply
     run = getattr(experiments, "run_" + section)
-    made = not os.path.exists(out)
+    made = _outermost_missing(out)
     try:
         kwargs = {k: READ[k](v) if k in READ else v for k, v in kwargs.items()}
         os.makedirs(out, exist_ok=True)
@@ -129,9 +140,14 @@ def main(argv=None) -> int:
         return EXIT_ASSERT
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if made:  # an --out made here that nothing was written to goes
+        if made:  # the directories made here for an --out still empty go
+            path = os.path.abspath(out)
             with contextlib.suppress(OSError):  # not made, or not empty
-                os.rmdir(out)
+                while True:
+                    os.rmdir(path)
+                    if path == made:
+                        break
+                    path = os.path.dirname(path)
         return EXIT_CONFIG
     print(f"{name}: {COMMANDS[name][2](result)} -> {out}")
     return EXIT_OK

@@ -216,7 +216,7 @@ def _index_reader(seed: int, n: int):
     Generation in an Interval, ACM TOMACS 2019). Here that rule runs as
     whole-array passes over `random_raw`'s words, and the words a call
     leaves unused are copied into the next call, so its raw draw is freed
-    on return. n = 1 reads no word, as `integers(0, 1)` does."""
+    on return."""
     raw = np.random.default_rng(seed).bit_generator.random_raw
     scale = np.uint32(n)
     threshold = (1 << 32) % n  # w is skipped when (w * n) mod 2**32 < this
@@ -233,9 +233,6 @@ def _index_reader(seed: int, n: int):
     def read(out):
         nonlocal carry
         count = out.size
-        if n == 1:
-            out.fill(0)
-            return
         words = extend(carry, count)
         if (words[:count] * scale).min() >= threshold:  # no word skipped
             used, picked = count, words[:count]
@@ -247,7 +244,9 @@ def _index_reader(seed: int, n: int):
             used, picked = kept[count - 1] + 1, words[kept[:count]]
         carry = words[used:].copy()
         out = out.view(np.uint64).reshape(-1)
-        np.multiply(picked, np.uint64(n), out=out)
+        # dtype= picks the uint64 loop: without it NumPy 1.x multiplies in
+        # uint32, where w * n wraps and every index reads 0
+        np.multiply(picked, np.uint64(n), out=out, dtype=np.uint64)
         out >>= np.uint64(32)
 
     return read

@@ -325,6 +325,19 @@ class TestCli:
         # that cannot be written, leave no --out
         assert not (tmp_path / "o").exists()
 
+    def test_refused_result_removes_every_directory_made_for_out(
+            self, tmp_path, capsys):
+        path = tmp_path / "huge.csv"
+        path.write_text("time_s,force_N\n0.0,0\n0.1,1e308\n0.2,0\n0.3,0\n"
+                        "0.4,0\n0.5,0\n0.6,1e308\n0.7,0\n")
+        (tmp_path / "nest").mkdir()
+        out = tmp_path / "nest" / "a" / "b" / "c"
+        assert main(["analyze", "--trace", str(path), "--out", str(out)]) == 2
+        assert "non-finite" in capsys.readouterr().err
+        # nest/a/b/c goes up to a, the first directory made for it; nest,
+        # which was there before, stays
+        assert list((tmp_path / "nest").iterdir()) == []
+
     # one row a field short of each input's header
     SHORT_ROWS = {"--trace": "time_s,force_N\n0.0\n",
                   "--trajectory": "time_s,x_m,y_m,heading_rad\n0,0,0\n",
