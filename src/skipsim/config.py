@@ -1,6 +1,7 @@
 """Experiment configuration: a single versioned JSON document holding every
 tunable of the toolkit. Files may override any subset of the defaults;
-unknown keys are always rejected so typos cannot silently fall back."""
+unknown keys, and keys named twice in one object, are always rejected so
+typos cannot silently fall back."""
 
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from .errors import FieldError
 from .gait import (AsymmetryNoise, EncoderModel, GaitConfig, GaitMode,
                    drift_duration)
 from .locomotion import (LocomotionMode, Model, RobotParams, TrialSpec,
-                         check_trials)
+                         check_skip_speed, check_trials)
 from .springtail import (EngagedAngleModel, RegimeThresholds, TailConfig,
                          check_sample_rate, check_strikes, revolutions,
                          trace_samples)
@@ -186,6 +187,9 @@ def _merge(base, override, path=""):
     """Recursive dict merge; override keys must already exist in base. Each
     value must fit the shape of the default it replaces, and is stored
     `_like` it; a `NULLABLE` key takes null or a number."""
+    if isinstance(override, _Repeated):
+        dotted = f"{path}.{override.name}" if path else override.name
+        raise ConfigError(f"config key {dotted} is named more than once")
     for key, value in override.items():
         dotted = f"{path}.{key}" if path else key
         if key not in base:
@@ -413,6 +417,7 @@ def _build(doc: dict) -> ExperimentConfig:
     longest = max(durations, key=durations.get)
     # a blade strikes at most once a revolution
     _check(revolutions, tail.motor_speed, durations[longest], duration=longest)
+    _check(check_skip_speed, config)
     return config
 
 
@@ -420,18 +425,42 @@ def _reject_constant(name):
     raise ConfigError(f"config file holds {name}, which is not a JSON number")
 
 
+class _Repeated(dict):
+    """What a JSON object that names the key `name` more than once parses
+    to: an object, empty, that `_merge` refuses wherever it stands."""
+
+    def __init__(self, name):
+        super().__init__()
+        self.name = name
+
+
+def _object(pairs):
+    """The JSON object of `pairs`, or `_Repeated` if it names a key twice.
+    `_merge` refuses one by its dotted key; an object in a list fits no
+    default, so one there is refused as a value of the wrong shape."""
+    seen = set()
+    for name, _ in pairs:
+        if name in seen:
+            return _Repeated(name)
+        seen.add(name)
+    return dict(pairs)
+
+
 def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
     """Build a configuration from defaults, an optional JSON file, and
     optional in-process overrides (applied in that order)."""
     doc = default_dict()
     if path is not None:
-        try:
-            with open(path) as fh:
-                user = json.load(fh, parse_constant=_reject_constant)
+        try:  # JSON exchanged between systems is UTF-8 (RFC 8259, 8.1)
+            with open(path, encoding="utf-8") as fh:
+                user = json.load(fh, parse_constant=_reject_constant,
+                                 object_pairs_hook=_object)
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file is not UTF-8: {exc}") from None
         if not isinstance(user, dict):
             raise ConfigError("config file must contain a JSON object")
         _merge(doc, user)

@@ -29,6 +29,10 @@ from .terrain import (Material, SubstrateParams, check_moisture,
                       moisture_response)
 
 MAX_TRIALS = 10_000  # per condition: 390,000 rows for a 39-point sweep
+# the fastest a skip trial may travel (m/s): the speed of light, far above
+# any robot, and far enough below the float range that every hop, velocity,
+# calibration loss and standard deviation of a model under it is finite
+MAX_SKIP_SPEED = 299_792_458.0
 
 
 class LocomotionMode(Enum):
@@ -119,6 +123,36 @@ def hop_displacement(impulse, params: RobotParams):
     distance = ((impulses / params.mass) ** 2
                 * math.sin(2.0 * params.launch_angle) / params.gravity)
     return distance if distance.ndim else float(distance)
+
+
+def check_skip_speed(model: Model) -> None:
+    """A skip trial's speed, one strike's hop at skip efficiency 1 once a
+    revolution, lies in (0, MAX_SKIP_SPEED] at every engaged angle: at the
+    upper bound, the weakest strike, and at the lower, the strongest.
+
+    The speed is `hop_displacement` of the `half_sine_impulse` of the
+    `unlatch_force`, taken from the fields in numpy floats, where an
+    overflow, an underflow or a 0/0 is a number (inf, 0 or nan) that is
+    refused here, not an error raised by a helper."""
+    tail, robot = model.tail, model.robot
+    radius = np.float64(tail.housing_radius)
+    with np.errstate(all="ignore"):
+        lengths = radius * np.array([model.angle_model.upper,
+                                     model.angle_model.lower])
+        second_moment = tail.width * np.float64(tail.thickness) ** 3 / 12.0
+        force = (3.0 * tail.youngs_modulus * second_moment
+                 / (2.0 * radius * lengths))
+        impulse = 2.0 * force * tail.pulse_width / math.pi
+        slowest, fastest = ((impulse / robot.mass) ** 2
+                            * math.sin(2.0 * robot.launch_angle)
+                            / robot.gravity * tail.motor_speed)
+    if not 0.0 < slowest <= fastest <= MAX_SKIP_SPEED:
+        raise FieldError(
+            "{mass}, launched at {launch_angle} under {gravity} by the "
+            "strikes of {youngs_modulus}, {width}, {thickness}, "
+            "{housing_radius}, {upper} to {lower} and {pulse_width} at "
+            f"{{motor_speed}}, would skip at {slowest:g} to {fastest:g} m/s; "
+            "a skip must move, and no faster than light")
 
 
 def skip_scale(substrate: SubstrateParams) -> float:

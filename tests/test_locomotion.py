@@ -4,14 +4,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from skipsim.errors import FieldError
 from skipsim.gait import AsymmetryNoise, GaitConfig
-from skipsim.locomotion import (MAX_TRIAL_S, LocomotionMode, Model,
-                                RobotParams, TrialSpec,
-                                Units, build_units, hop_displacement,
+from skipsim.locomotion import (MAX_SKIP_SPEED, MAX_TRIAL_S, LocomotionMode,
+                                Model, RobotParams, TrialSpec, Units,
+                                build_units,
+                                check_skip_speed, hop_displacement,
                                 run_batch, run_trial, scenario_heterogeneous,
                                 skip_scale, trial_outcomes, unit_path)
-from skipsim.springtail import (EngagedAngleModel, TailConfig, latch_energy,
-                                strike_sequence)
+from skipsim.springtail import (EngagedAngleModel, TailConfig,
+                                half_sine_impulse, latch_energy,
+                                strike_sequence, unlatch_force)
 from skipsim.stats import FailureMode
 from skipsim.terrain import (CrawlCurve, Material, SkipCurve, SubstrateParams,
                              default_curves, moisture_response)
@@ -37,6 +40,45 @@ class TestHopDisplacement:
     def test_skip_efficiency_scales_the_hop_by_its_square(self):
         half = replace(PERFECT, skip_efficiency=0.5)
         assert skip_scale(half) == 0.25
+
+    @pytest.mark.parametrize("model", [
+        Model(robot=RobotParams(mass=1e-100)),
+        Model(robot=RobotParams(mass=5e-324)),
+        Model(robot=RobotParams(gravity=1e-300)),
+        Model(tail=TailConfig(youngs_modulus=1e-320)),
+        Model(tail=TailConfig(width=1e-320)),
+        Model(tail=TailConfig(housing_radius=1e200, thickness=1e150))],
+        ids=["mass-1e-100", "mass-subnormal", "gravity",
+             "youngs-modulus-subnormal", "width-subnormal", "thickness-huge"])
+    def test_a_skip_too_fast_or_at_rest_is_refused_naming_what_it_read(
+            self, model):
+        """A hop that overflows, an E*I that underflows to a zero force and
+        a t^3 that overflows to an inf/inf force are each a FieldError."""
+        check_skip_speed(Model())
+        with pytest.raises(FieldError) as refused:
+            check_skip_speed(model)
+        assert set(refused.value.fields) == {
+            "mass", "launch_angle", "gravity", "youngs_modulus", "width",
+            "thickness", "housing_radius", "upper", "lower", "pulse_width",
+            "motor_speed"}
+
+    @pytest.mark.parametrize("factor", [0.5, 2.0])
+    def test_the_top_skip_speed_checked_is_that_of_the_hop_helpers(
+            self, factor):
+        """The mass whose hop, by the helpers a trial hops with, carries the
+        strongest strike's skip at `factor` times the bound is refused only
+        past it."""
+        model = Model()
+        force = unlatch_force(model.tail, model.angle_model.lower)
+        impulse = half_sine_impulse(force, model.tail.pulse_width)
+        speed = hop_displacement(impulse, model.robot) * model.tail.motor_speed
+        mass = model.robot.mass * math.sqrt(speed / (factor * MAX_SKIP_SPEED))
+        light = replace(model, robot=RobotParams(mass=mass))
+        if factor > 1.0:
+            with pytest.raises(FieldError):
+                check_skip_speed(light)
+        else:
+            check_skip_speed(light)
 
     def test_ballistic_scaling(self):
         d1 = hop_displacement(10e-3, RobotParams())
