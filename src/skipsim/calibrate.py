@@ -14,13 +14,16 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import FieldError
+from .errors import FieldError, check_positive
 from .fileio import number, read_csv
 from .locomotion import (LocomotionMode, Model, TrialSpec, build_units,
                          effective_velocities, trial_outcomes)
 from .terrain import Material, check_moisture, default_curves, moisture_response
 
 TARGETS_RESOURCE = "calibration_targets.csv"
+# The largest target (cm/s) or weight: a loss term w * (v - t)^2 stays under
+# 1e150 for v < 1e50 cm/s (a skip's v < 3e10), so any file's loss is finite.
+MAX_TARGET = 1e50
 
 
 @dataclass(frozen=True)
@@ -39,10 +42,11 @@ class CalibrationTarget:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         check_moisture(self.moisture)
-        if self.weight <= 0:
-            raise ValueError("weight must be positive")
-        if self.target_cmps < 0 or self.std_cmps < 0:
-            raise ValueError("targets must be >= 0")
+        check_positive(self, "weight")
+        check_positive(self, "target_cmps", "std_cmps", zero_ok=True)
+        for name in ("target_cmps", "weight"):
+            if getattr(self, name) > MAX_TARGET:
+                raise ValueError(f"{name} must be at most {MAX_TARGET:g}")
 
 
 @dataclass

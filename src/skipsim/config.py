@@ -70,9 +70,11 @@ ANALYSIS = {"peak_threshold_n": "threshold",
 
 
 def _keys(section, table) -> dict:
-    """Each field of `table` -> its dotted key in `section`."""
-    return {name: f"{section}.{key}" for key, name in table.items()
-            if isinstance(key, str)}
+    """Each field of `table` -> its dotted key in `section`; a field spread
+    over several keys names each part by its key."""
+    return {name if isinstance(key, str) else part: f"{section}.{part}"
+            for key, name in table.items()
+            for part in ((key,) if isinstance(key, str) else key)}
 
 
 # The key of each field or parameter a model check may name, apart from a
@@ -93,6 +95,7 @@ _TYPE_NAMES = {float: "a finite number", int: "an integer", str: "a string",
                (list, str): "a list of strings",
                (list, list): "a list of rows shaped like its default's"}
 SWEPT = ("uniform_sand", "bentonite_clay")  # the materials a sweep grids
+BLADE_KEY = "{:g}mm"  # the key of a blade length_mm long, as in "25mm"
 # each name a trial spec may give -> its member (a dict lookup is several
 # times faster than an Enum call, and load_config makes ~47 specs)
 MATERIALS = {m.value: m for m in Material}
@@ -237,21 +240,21 @@ def _like(value, default, record=False):
     raise TypeError("the value does not fit its default")
 
 
-def _check(check, *args, **keys):
+def _check(check, *args, section=(), **keys):
     """`check(*args)`, a model check whose FieldError becomes a ConfigError
-    naming each field it read by its key: in `keys`, else in KEYS."""
+    naming each field it read by its key in `keys`, `_keys(*section)`, KEYS."""
     try:
         return check(*args)
     except FieldError as exc:
-        raise ConfigError(
-            f"config key {exc.render({**KEYS, **keys})}") from None
+        raise ConfigError("config key " + exc.render(
+            {**KEYS, **(_keys(*section) if section else {}), **keys})) from None
 
 
 def _parse(cls, table, section, name, **nested):
     """Build `cls` from the document `section` at `name` (dotted) through
     `table`, a list as a tuple; `nested` passes fields that are themselves
-    dataclasses. A failed model check is a ConfigError naming the keys of
-    the fields it read, or else the section `name`."""
+    dataclasses. A failed model check is a ConfigError naming the key of
+    each field it read: in `name`, else in KEYS."""
     for part in name.split("."):
         section = section[part]
     for key, attr in table.items():
@@ -260,13 +263,7 @@ def _parse(cls, table, section, name, **nested):
         else:
             value = section[key]
             nested[attr] = tuple(value) if isinstance(value, list) else value
-    try:
-        return cls(**nested)
-    except FieldError as exc:
-        raise ConfigError(
-            f"config key {exc.render(_keys(name, table))}") from None
-    except ValueError as exc:
-        raise ConfigError(f"config section {name}: {exc}") from exc
+    return _check(lambda: cls(**nested), section=(name, table))
 
 
 def _spec(key, material, moisture, mode="skip", duration=1.0, seed=0,
@@ -277,11 +274,9 @@ def _spec(key, material, moisture, mode="skip", duration=1.0, seed=0,
         if value not in names:
             raise ConfigError(f"config key {key}: {what} must be one of "
                               f"{', '.join(names)}, not {value!r}")
-    try:
-        return TrialSpec(MODES[mode], MATERIALS[material], float(moisture),
-                         float(duration), seed)
-    except ValueError as exc:
-        raise ConfigError(f"config key {key}: {exc}") from None
+    return _check(TrialSpec, MODES[mode], MATERIALS[material],
+                  float(moisture), float(duration), seed,
+                  moisture=f"{key}: moisture", duration=f"{key}: duration")
 
 
 def _once(key, items, shown="{}"):
@@ -333,14 +328,14 @@ def trial_specs(experiments: dict, section: str, seed: int = 0) -> list:
 
 
 def tail_lengths(config: ExperimentConfig) -> dict:
-    """f"{length_mm:g}mm" -> (length_mm, the config's tail at that free
+    """BLADE_KEY of length_mm -> (length_mm, the config's tail at that free
     length) for each of `tail_characterize.lengths_mm`; no lengths, two under
     one key or a blade the tail would refuse is a ConfigError."""
     key = "experiments.tail_characterize.lengths_mm"
     lengths_mm = config.experiments["tail_characterize"]["lengths_mm"]
     if not lengths_mm:
         raise ConfigError(f"config key {key} must not be empty")
-    names = [f"{length_mm:g}mm" for length_mm in lengths_mm]
+    names = [*map(BLADE_KEY.format, lengths_mm)]
     _once(key, names)
     blades = {}
     for k, (name, length_mm) in enumerate(zip(names, lengths_mm)):
@@ -385,12 +380,9 @@ def _build(doc: dict) -> ExperimentConfig:
     record = "experiments.tail_characterize.record_s"
     record_s = experiments["tail_characterize"]["record_s"]
     _check(check_strikes, tail, config.angle_model, record_s, duration=record)
-    try:  # the trace ends one pulse after the recording
-        trace_samples(record_s + tail.pulse_width, rate)
-    except ValueError as exc:
-        raise ConfigError(
-            f"config key {record} plus tail.pulse_width_s is too long at "
-            f"analysis.trace_sample_rate_hz: {exc}") from None
+    # the trace ends one pulse after the recording
+    _check(trace_samples, record_s + tail.pulse_width, rate,
+           duration=f"{record} plus tail.pulse_width_s")
     for mode in GaitMode:  # every gait-drift trial must fit MAX_TRIAL_S
         _check(drift_duration, mode, config.gait,
                experiments["gait_drift"]["distance_m"],

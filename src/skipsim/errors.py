@@ -22,3 +22,13 @@ class FieldError(ValueError):
         """The message with each field called what `names` maps it to; a
         KeyError if `names` maps one to nothing."""
         return self.template.format_map(names)
+
+
+def check_positive(model, *names, zero_ok=False):
+    """A FieldError naming the first field of `model` among `names` that is
+    not positive, or not >= 0 if `zero_ok`."""
+    for name in names:
+        value = getattr(model, name)
+        if not (value >= 0 if zero_ok else value > 0):
+            raise FieldError(f"{{{name}}} must be "
+                             + (">= 0" if zero_ok else "positive"))

@@ -4,17 +4,18 @@ given seed (floats are written in shortest round-trip form)."""
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import replace
 
 from . import calibrate as cal
-from .config import ExperimentConfig, document, tail_lengths, trial_specs
+from .config import (BLADE_KEY, ExperimentConfig, document, tail_lengths,
+                     trial_specs)
 from .fileio import write_csv, write_json
 from .gait import GaitMode, drift_trials
 from .locomotion import (LocomotionMode, build_units, run_batch,
                          scenario_heterogeneous)
-from .springtail import length_regime, strike_sequence, strike_trace
+from .springtail import (length_regime, revolutions, strike_sequence,
+                         strike_trace)
 from .stats import bootstrap_ci, detect_peaks, lateral_drift, mean_velocity
 
 
@@ -101,10 +102,10 @@ def run_tail_characterize(config: ExperimentConfig, out_dir,
               ["length_mm", "strike_idx", "peak_N"], rows)
     write_json(os.path.join(out_dir, "summary.json"), summary)
     if check:
-        nominal_key = f"{config.tail.free_length * 1e3:g}mm"
+        nominal_key = BLADE_KEY.format(config.tail.free_length * 1e3)
         if nominal_key in summary:
             entry = summary[nominal_key]
-            expected = int(math.floor(config.tail.motor_speed * record_s))
+            expected = revolutions(config.tail.motor_speed, record_s)
             if entry["n"] != expected:
                 raise AssertionFailure(
                     f"nominal length strike count {entry['n']} != {expected}")

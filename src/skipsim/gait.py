@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import FieldError
+from .errors import FieldError, check_positive
 from .fileio import array_rows, read_csv_table, write_csv
 
 TWO_PI = 2.0 * math.pi
@@ -32,6 +32,11 @@ MAX_TRIAL_S = 3600.0
 MAX_FIN_SPEED = TWO_PI * 2 ** 16 / MAX_TRIAL_S
 # Most poses one batch of drift trials holds (32 bytes each)
 DRIFT_CHUNK_POSES = 1 << 13
+
+
+def within_trial_limit(duration: float) -> bool:
+    """Whether a trial or drift `duration` s long lies in (0, MAX_TRIAL_S]."""
+    return 0.0 < duration <= MAX_TRIAL_S
 
 
 class GaitMode(Enum):
@@ -50,16 +55,16 @@ class EncoderModel:
 
     def __post_init__(self):
         if not self.magnet_angles:
-            raise ValueError("encoder needs at least one magnet")
-        if self.detection_window <= 0:
-            raise ValueError("detection_window must be positive")
+            raise FieldError("{magnet_angles} must list at least one magnet")
+        check_positive(self, "detection_window")
         angles = sorted(a % TWO_PI for a in self.magnet_angles)
         # detection windows must not overlap, including across the wrap point
         for i, a in enumerate(angles):
             b = angles[(i + 1) % len(angles)]
             gap = (b - a) % TWO_PI if len(angles) > 1 else TWO_PI
             if gap <= 2.0 * self.detection_window:
-                raise ValueError("magnet detection windows overlap")
+                raise FieldError("{magnet_angles} must lie over 2 * "
+                                 "{detection_window} apart around the circle")
         object.__setattr__(self, "magnet_angles", tuple(angles))
 
     def detects(self, angle):
@@ -83,16 +88,26 @@ MAX_TICKS = 1 << 22
 
 
 def schedule_ticks(duration: float, dt: float) -> int:
-    """Controller ticks in `duration` seconds, round(duration / dt); more
-    than MAX_TICKS is an error."""
+    """Controller ticks in `duration` seconds, round(duration / dt); a dt
+    that is not positive, or more than MAX_TICKS ticks, is an error."""
     if not dt > 0:
-        raise ValueError("dt must be positive")
+        raise FieldError("{dt} must be positive")
     ticks = duration / dt
     if not ticks <= MAX_TICKS:
-        raise ValueError(f"a {duration:g} s schedule at dt {dt:g} s would "
-                         f"take {ticks:g} controller ticks, over the "
-                         f"{MAX_TICKS} limit")
+        raise FieldError("{dt} must be at least "
+                         f"{duration / MAX_TICKS!r} s: a {duration:g} s "
+                         f"schedule at {dt!r} s would take {ticks!r} "
+                         f"controller ticks, over the {MAX_TICKS} limit")
     return int(round(ticks))
+
+
+def check_step(fin_speed: float, dt: float, detection_window: float) -> None:
+    """A fin turning `fin_speed` rad/s steps less than `detection_window` a
+    tick of `dt`: a coarser step could sweep straight across a window."""
+    if not fin_speed * dt < detection_window:
+        raise FieldError("{dt} is too coarse for {fin_speed}: a step of "
+                         f"{fin_speed * dt:g} rad a tick must stay below "
+                         "{detection_window}")
 
 
 def _rises(step: float, encoder: EncoderModel, ticks: int) -> np.ndarray:
@@ -133,10 +148,7 @@ def run_cycles(mode: GaitMode, duration: float, dt: float,
     encoder = encoder or EncoderModel()
     if not (left_speed >= 0 and right_speed >= 0):
         raise ValueError("fin speeds must be >= 0")
-    # a coarser step could sweep straight across a detection window
-    if max(left_speed, right_speed) * dt >= encoder.detection_window:
-        raise ValueError("dt too coarse: angular step per tick must stay "
-                         "below the encoder detection window")
+    check_step(max(left_speed, right_speed), dt, encoder.detection_window)
     step = left_speed * dt
     if mode is GaitMode.OPEN_LOOP:
         if not step > 0.0:
@@ -245,14 +257,14 @@ class AsymmetryNoise:
 
     def __post_init__(self):
         lo, hi = self.gain_split
-        if lo < 0 or hi < lo:
-            raise ValueError("gain_split must satisfy 0 <= lo <= hi")
+        if not 0 <= lo <= hi:
+            raise FieldError("{gain_split_lo} must lie in [0, {gain_split_hi}]")
         if hi >= 2.0:
-            raise ValueError("gain split too large: per-side gains must stay positive")
-        if self.stride_jitter_std < 0 or self.heading_jitter_std < 0:
-            raise ValueError("noise magnitudes must be >= 0")
-        if self.track_width <= 0:
-            raise ValueError("track_width must be positive")
+            raise FieldError("{gain_split_hi} must stay below 2, so that "
+                             "each side's stride gain stays positive")
+        check_positive(self, "stride_jitter_std", "heading_jitter_std",
+                       zero_ok=True)
+        check_positive(self, "track_width")
 
     @classmethod
     def zero(cls) -> "AsymmetryNoise":
@@ -274,18 +286,9 @@ class GaitConfig:
         if not 0 < self.fin_speed <= MAX_FIN_SPEED:
             raise FieldError("{fin_speed} must lie in "
                              f"(0, {MAX_FIN_SPEED:g}] rad/s")
-        for name in ("stride", "dt"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"gait {name} must be positive")
-        if MAX_TRIAL_S / self.dt > MAX_TICKS:
-            raise ValueError(f"gait dt must be at least "
-                             f"{MAX_TRIAL_S / MAX_TICKS:g} s: a "
-                             f"{MAX_TRIAL_S:g} s schedule may take at most "
-                             f"{MAX_TICKS} controller ticks")
-        # a coarser step could sweep straight across a detection window
-        if self.fin_speed * self.dt >= self.encoder.detection_window:
-            raise ValueError("gait dt too coarse: fin_speed * dt must stay "
-                             "below the encoder detection window")
+        check_positive(self, "stride")
+        schedule_ticks(MAX_TRIAL_S, self.dt)
+        check_step(self.fin_speed, self.dt, self.encoder.detection_window)
 
 
 def crawl_kinematics(cycle_times, mode: GaitMode, noise: AsymmetryNoise,
@@ -354,7 +357,7 @@ def drift_duration(mode: GaitMode, gait: GaitConfig, distance: float) -> float:
     # ceil() of an infinite count would raise; it runs over the limit anyway
     duration = ((math.ceil(strides) if math.isfinite(strides) else strides)
                 + 5) * period
-    if duration > MAX_TRIAL_S:
+    if not within_trial_limit(duration):
         raise FieldError(
             "{distance} is too long for {fin_speed} and {stride}: a "
             f"{mode.value} drift over {distance:g} m would take "

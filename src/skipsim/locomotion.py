@@ -19,11 +19,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import FieldError
+from .errors import FieldError, check_positive
 from .gait import (MAX_TRIAL_S, ORIGIN, GaitConfig, GaitMode, PlanarPose,
-                   Trajectory, crawl_kinematics, nominal_cycle_times)
+                   Trajectory, crawl_kinematics, nominal_cycle_times,
+                   within_trial_limit)
 from .springtail import (EngagedAngleModel, RegimeThresholds, TailConfig,
-                         length_regime, strike_sequence)
+                         half_sine_impulse, length_regime, strike_sequence,
+                         unlatch_force)
 from .stats import FAILURE_THRESHOLD_M, FailureMode
 from .terrain import (Material, SubstrateParams, check_moisture,
                       moisture_response)
@@ -56,12 +58,10 @@ class RobotParams:
     # ground tips the body onto its tail
 
     def __post_init__(self):
-        if self.mass <= 0 or self.gravity <= 0:
-            raise ValueError("mass and gravity must be positive")
+        check_positive(self, "mass", "gravity")
         if not 0.0 < self.launch_angle < math.pi / 2:
-            raise ValueError("launch_angle must lie in (0, pi/2)")
-        if self.pitch_speed_limit <= 0:
-            raise ValueError("pitch_speed_limit must be positive")
+            raise FieldError("{launch_angle} must lie in (0, pi/2)")
+        check_positive(self, "pitch_speed_limit")
 
 
 @dataclass(frozen=True)
@@ -88,7 +88,7 @@ class TrialSpec:
 
     def __post_init__(self):
         check_moisture(self.moisture)  # before a batch builds any path
-        if not 0.0 < self.duration <= MAX_TRIAL_S:
+        if not within_trial_limit(self.duration):
             raise FieldError("{duration} must lie in "
                              f"(0, {MAX_TRIAL_S:g}] s, got {self.duration!r}")
 
@@ -128,24 +128,19 @@ def hop_displacement(impulse, params: RobotParams):
 def check_skip_speed(model: Model) -> None:
     """A skip trial's speed, one strike's hop at skip efficiency 1 once a
     revolution, lies in (0, MAX_SKIP_SPEED] at every engaged angle: at the
-    upper bound, the weakest strike, and at the lower, the strongest.
-
-    The speed is `hop_displacement` of the `half_sine_impulse` of the
-    `unlatch_force`, taken from the fields in numpy floats, where an
-    overflow, an underflow or a 0/0 is a number (inf, 0 or nan) that is
-    refused here, not an error raised by a helper."""
-    tail, robot = model.tail, model.robot
-    radius = np.float64(tail.housing_radius)
+    upper bound, the weakest strike, and at the lower, the strongest, priced
+    by the helpers a trial hops with in numpy floats: an overflow or a 0/0
+    reads inf or nan, and a force or impulse that underflows to 0 (which a
+    helper refuses) reads as speed 0."""
+    tail, angles = model.tail, np.array([model.angle_model.upper,
+                                         model.angle_model.lower])
     with np.errstate(all="ignore"):
-        lengths = radius * np.array([model.angle_model.upper,
-                                     model.angle_model.lower])
-        second_moment = tail.width * np.float64(tail.thickness) ** 3 / 12.0
-        force = (3.0 * tail.youngs_modulus * second_moment
-                 / (2.0 * radius * lengths))
-        impulse = 2.0 * force * tail.pulse_width / math.pi
-        slowest, fastest = ((impulse / robot.mass) ** 2
-                            * math.sin(2.0 * robot.launch_angle)
-                            / robot.gravity * tail.motor_speed)
+        try:
+            slowest, fastest = tail.motor_speed * hop_displacement(
+                half_sine_impulse(unlatch_force(tail, angles),
+                                  tail.pulse_width), model.robot)
+        except ValueError:
+            slowest = fastest = 0.0
     if not 0.0 < slowest <= fastest <= MAX_SKIP_SPEED:
         raise FieldError(
             "{mass}, launched at {launch_angle} under {gravity} by the "

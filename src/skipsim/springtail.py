@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import FieldError
+from .errors import FieldError, check_positive
 from .stats import ForceTrace
 
 TWO_PI = 2.0 * math.pi
@@ -55,14 +55,12 @@ class TailConfig:
     pulse_width: float = 0.010  # s, half-sine strike duration (fitted)
 
     def __post_init__(self):
-        for name in ("youngs_modulus", "width", "thickness", "housing_radius",
-                     "motor_speed", "pulse_width"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        check_positive(self, "youngs_modulus", "width", "thickness",
+                       "housing_radius", "motor_speed", "pulse_width")
         if self.thickness >= self.housing_radius:
-            raise ValueError("thickness must be smaller than housing_radius")
+            raise FieldError("{thickness} must stay below {housing_radius}")
         if not 0.0 < self.housing_arc < TWO_PI:
-            raise ValueError("housing_arc must lie in (0, 2*pi)")
+            raise FieldError("{housing_arc} must lie in (0, 2*pi)")
         # the blade must conform to the housing arc
         arc = self.housing_radius * self.housing_arc
         if not 0.0 < self.free_length <= arc:
@@ -89,12 +87,11 @@ class EngagedAngleModel:
 
     def __post_init__(self):
         if self.kind not in ("uniform", "truncated_normal"):
-            raise ValueError(f"unknown engaged-angle model kind: {self.kind!r}")
+            raise FieldError("{kind} must be uniform or truncated_normal")
         if not 0.0 < self.lower <= self.upper:
-            raise ValueError("need 0 < lower <= upper")
-        if self.kind == "truncated_normal":
-            if self.spread is not None and self.spread < 0:
-                raise ValueError("spread must be >= 0")
+            raise FieldError("{lower} must lie in (0, {upper}]")
+        if self.kind == "truncated_normal" and self.spread is not None:
+            check_positive(self, "spread", zero_ok=True)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """`size` engaged angles, drawn from `rng` exactly as `size` draws
@@ -155,18 +152,18 @@ class RegimeThresholds:
 
     def __post_init__(self):
         if not 0.0 < self.jam_below < self.roll_above:
-            raise ValueError("need 0 < jam_below < roll_above")
+            raise FieldError("{jam_below} must lie in (0, {roll_above})")
         if not 0.0 <= self.jam_strike_prob <= 1.0:
-            raise ValueError("jam_strike_prob must be in [0, 1]")
+            raise FieldError("{jam_strike_prob} must lie in [0, 1]")
         if not 0.0 < self.roll_attenuation <= 1.0:
-            raise ValueError("roll_attenuation must be in (0, 1]")
+            raise FieldError("{roll_attenuation} must lie in (0, 1]")
 
 
 def area_moment(width: float, thickness: float) -> float:
-    """Second moment of area of the blade cross-section, b*t^3/12 (m^4)."""
+    """Blade cross-section second moment b*t^3/12 (m^4); t^3 may read inf."""
     if width <= 0 or thickness <= 0:
         raise ValueError("width and thickness must be positive")
-    return width * thickness ** 3 / 12.0
+    return width * np.float64(thickness) ** 3 / 12.0
 
 
 def tip_stiffness(youngs_modulus: float, second_moment: float,
@@ -193,14 +190,17 @@ def effective_length(housing_radius: float, engaged_angle):
     return housing_radius * engaged_angle
 
 
+def _released_length(config: TailConfig, engaged_angle):
+    """`effective_length` of an angle still inside the housing arc."""
+    if np.any(engaged_angle >= config.housing_arc):
+        raise ValueError("engaged_angle must be smaller than the housing arc")
+    return effective_length(config.housing_radius, engaged_angle)
+
+
 def unlatch_force(config: TailConfig, engaged_angle):
     """Peak elastic force at release, 3*E*I/(2*R*L_eff) with L_eff = R*theta
     (N), of one angle or of each in an array."""
-    if np.any(engaged_angle <= 0):
-        raise ValueError("engaged_angle must be positive")
-    if np.any(engaged_angle >= config.housing_arc):
-        raise ValueError("engaged_angle must be smaller than the housing arc")
-    length = effective_length(config.housing_radius, engaged_angle)
+    length = _released_length(config, engaged_angle)
     return (3.0 * config.youngs_modulus * config.second_moment
             / (2.0 * config.housing_radius * length))
 
@@ -208,11 +208,7 @@ def unlatch_force(config: TailConfig, engaged_angle):
 def stored_energy(config: TailConfig, engaged_angle: float) -> float:
     """Elastic energy held by the engaged segment at release, equal to
     0.5*k*delta^2 = 3*E*I*L_eff/(8*R^2) (J)."""
-    if engaged_angle <= 0:
-        raise ValueError("engaged_angle must be positive")
-    if engaged_angle >= config.housing_arc:
-        raise ValueError("engaged_angle must be smaller than the housing arc")
-    length = effective_length(config.housing_radius, engaged_angle)
+    length = _released_length(config, engaged_angle)
     return (3.0 * config.youngs_modulus * config.second_moment * length
             / (8.0 * config.housing_radius ** 2))
 
@@ -311,7 +307,8 @@ def trace_samples(duration: float, sample_rate: float) -> int:
     """round(duration * sample_rate) + 1, the samples of a trace `duration` s
     long; more than MAX_TRACE_SAMPLES, an infinite count too, is an error."""
     if not duration * sample_rate < MAX_TRACE_SAMPLES - 0.5:
-        raise ValueError(f"a {duration:g} s trace at {sample_rate:g} Hz would "
+        raise FieldError("{duration} is too long at {sample_rate}: a "
+                         f"{duration:g} s trace at {sample_rate:g} Hz would "
                          f"take over {MAX_TRACE_SAMPLES} samples")
     return int(round(duration * sample_rate)) + 1
 

@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+from .errors import FieldError, check_positive
+
 MOISTURE_MAX = 1.2  # upper end of the supported moisture domain
 
 
@@ -36,10 +38,10 @@ class SkipCurve:
     width: float
 
     def __post_init__(self):
-        if self.width <= 0:
-            raise ValueError("width must be positive")
-        if not 0.0 <= self.floor <= 1.0 or not 0.0 <= self.peak <= 1.0:
-            raise ValueError("floor and peak must lie in [0, 1]")
+        check_positive(self, "width")
+        for name in ("floor", "peak"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise FieldError(f"{{{name}}} must lie in [0, 1]")
 
     def __call__(self, m: float) -> float:
         value = self.floor + (self.peak - self.floor) * math.exp(
@@ -58,12 +60,8 @@ class CrawlCurve:
     decay: float
 
     def __post_init__(self):
-        if self.cap < 0:
-            raise ValueError("cap must be >= 0")
-        if self.rise_width <= 0:
-            raise ValueError("rise_width must be positive")
-        if self.decay < 0:
-            raise ValueError("decay must be >= 0")
+        check_positive(self, "cap", "decay", zero_ok=True)
+        check_positive(self, "rise_width")
 
     def __call__(self, m: float) -> float:
         z = (m - self.rise_mid) / self.rise_width
@@ -88,10 +86,9 @@ class MoistureResponse:
     moisture_sensitive: bool = True  # False: response identical at every m
 
     def __post_init__(self):
-        if self.excavation_traction < 0:
-            raise ValueError("excavation_traction must be >= 0")
-        if self.slip_moisture is not None and self.slip_moisture <= 0:
-            raise ValueError("slip_moisture must be positive")
+        check_positive(self, "excavation_traction", zero_ok=True)
+        if self.slip_moisture is not None:
+            check_positive(self, "slip_moisture")
 
     def skip_efficiency(self, m: float) -> float:
         return self.skip(m if self.moisture_sensitive else 0.0)
@@ -148,7 +145,7 @@ def default_curves(material: Material) -> MoistureResponse:
 
 def check_moisture(moisture: float) -> None:
     if not 0.0 <= moisture <= MOISTURE_MAX:
-        raise ValueError(f"moisture {moisture} outside supported range [0, {MOISTURE_MAX}]")
+        raise FieldError("{moisture} " f"{moisture} outside supported range [0, {MOISTURE_MAX}]")
 
 
 def moisture_response(material: Material, moisture: float,

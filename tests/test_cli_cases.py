@@ -120,6 +120,8 @@ RESAMPLES = ("error: config key analysis.bootstrap_resamples must lie in "
 TRIAL_LENGTH = "must lie in (0, 3600] s, got"
 FINITE = "must be a finite number\n"
 SKIP_SPEED = "error: config key robot.mass_kg, launched at "
+COARSE = ("error: config key gait.dt_s is too coarse for gait.fin_speed_rad_s: "
+          "a step of 1 rad a tick must stay below gait.detection_window_rad\n")
 
 # Config values a trial spec, blade, analysis or strike count would refuse;
 # each is refused at load in its own command and in another.
@@ -234,6 +236,63 @@ REFUSED_AT_LOAD = {
            ("scenario", "scenario", "segments"),
            ("calibrate", "calibrate", "duration_s"))},
 }
+# Each check of a typed section: (name, a config it refuses, the error after
+# "config key ")
+TYPED = (
+    ("tail-width-0", _doc("tail.width_m", 0), "tail.width_m must be positive"),
+    ("tail-modulus-neg", _doc("tail.youngs_modulus_pa", -1),
+     "tail.youngs_modulus_pa must be positive"),
+    ("tail-thickness-over-radius", _doc("tail.thickness_m", 0.02),
+     "tail.thickness_m must stay below tail.housing_radius_m"),
+    ("tail-arc-7", _doc("tail.housing_arc_rad", 7),
+     "tail.housing_arc_rad must lie in (0, 2*pi)"),
+    ("angle-kind", _doc("engaged_angle.kind", "normal"),
+     "engaged_angle.kind must be uniform or truncated_normal"),
+    ("angle-lower-0", _doc("engaged_angle.lower_rad", 0),
+     "engaged_angle.lower_rad must lie in (0, engaged_angle.upper_rad]"),
+    ("angle-spread-neg", {"engaged_angle": {"kind": "truncated_normal",
+                                            "spread_rad": -1}},
+     "engaged_angle.spread_rad must be >= 0"),
+    ("jam-over-roll", _doc("regimes.jam_below_m", 0.04),
+     "regimes.jam_below_m must lie in (0, regimes.roll_above_m)"),
+    ("jam-prob-2", _doc("regimes.jam_strike_prob", 2),
+     "regimes.jam_strike_prob must lie in [0, 1]"),
+    ("roll-attenuation-0", _doc("regimes.roll_attenuation", 0),
+     "regimes.roll_attenuation must lie in (0, 1]"),
+    ("magnets-none", _doc("gait.magnet_angles_rad", []),
+     "gait.magnet_angles_rad must list at least one magnet"),
+    ("magnets-overlap", _doc("gait.magnet_angles_rad", [0, 0.2]),
+     "gait.magnet_angles_rad must lie over 2 * gait.detection_window_rad "
+     "apart around the circle"),
+    ("window-0", _doc("gait.detection_window_rad", 0),
+     "gait.detection_window_rad must be positive"),
+    ("split-lo-over-hi", _doc("noise.gain_split_lo", 0.01),
+     "noise.gain_split_lo must lie in [0, noise.gain_split_hi]"),
+    ("split-hi-2", _doc("noise.gain_split_hi", 2), "noise.gain_split_hi must "
+     "stay below 2, so that each side's stride gain stays positive"),
+    ("heading-jitter-neg", _doc("noise.heading_jitter_std", -1),
+     "noise.heading_jitter_std must be >= 0"),
+    ("track-width-0", _doc("noise.track_width_m", 0),
+     "noise.track_width_m must be positive"),
+    ("gravity-0", _doc("robot.gravity_m_s2", 0),
+     "robot.gravity_m_s2 must be positive"),
+    ("launch-angle-2", _doc("robot.launch_angle_rad", 2),
+     "robot.launch_angle_rad must lie in (0, pi/2)"),
+    ("pitch-limit-0", _doc("robot.pitch_speed_limit_m_s", 0),
+     "robot.pitch_speed_limit_m_s must be positive"),
+    ("skip-width-0", _doc("substrates.grass.skip.width", 0),
+     "substrates.grass.skip.width must be positive"),
+    ("skip-peak-2", _doc("substrates.uniform_sand.skip.peak", 2),
+     "substrates.uniform_sand.skip.peak must lie in [0, 1]"),
+    ("crawl-decay-neg", _doc("substrates.rigid.crawl.decay", -1),
+     "substrates.rigid.crawl.decay must be >= 0"),
+    ("crawl-rise-width-0", _doc("substrates.rigid.crawl.rise_width", 0),
+     "substrates.rigid.crawl.rise_width must be positive"),
+    ("excavation-neg", _doc("substrates.uniform_sand.excavation_traction", -1),
+     "substrates.uniform_sand.excavation_traction must be >= 0"),
+    ("slip-moisture-0", _doc("substrates.bentonite_clay.slip_moisture", 0),
+     "substrates.bentonite_clay.slip_moisture must be positive"),
+)
 
 TRACE, TRAJ = "analyze --trace", "analyze --trajectory"
 TARGET = "calibrate --budget 2 --targets"
@@ -319,6 +378,12 @@ INPUTS = (
     ("targets-moisture-5", TARGET, TARGETS + "skip,grass,0.0,5.38,0.71,1.0\n"
      "skip,grass,5.0,5.38,0.71,1.0\n",
      "targets CSV line 3: moisture 5.0 outside supported range [0, 1.2]"),
+    # a target or weight that would make the loss overflow
+    ("targets-huge-target", TARGET, TARGETS + "skip,grass,0.0,1e300,0.71,1.0\n",
+     "targets CSV line 2: target_cmps must be at most 1e+50"),
+    ("targets-huge-weights", TARGET, TARGETS + "skip,grass,0.0,5.38,0.71,1e308"
+     "\nskip,rigid,0.0,5.38,0.71,1e308\n",
+     "targets CSV line 2: weight must be at most 1e+50"),
     ("targets-short-row", TARGET, TARGETS + "skip,grass,0.0\n",
      "targets " + FIELDS.format(2, 6)),
     ("targets-extra-field", TARGET,
@@ -574,32 +639,35 @@ ROWS = {
         _doc("experiments.gait_drift.distance_m", 1000)),
 
     # the gait, the blade and the trace
-    "config-gait-stride-0": Row("gait-drift", "error: config section gait: "
-                                "gait stride must be positive\n",
+    "config-gait-stride-0": Row("gait-drift", "error: config key gait."
+                                "stride_m must be positive\n",
                                 _doc("gait.stride_m", 0)),
     "config-gait-fin-speed-0": Row(
         "scenario", "error: config key gait.fin_speed_rad_s must lie in ",
         _doc("gait.fin_speed_rad_s", 0)),
-    "config-gait-dt-0": Row("scenario", "error: config section gait: gait dt "
-                            "must be positive\n", _doc("gait.dt_s", 0)),
+    "config-gait-dt-0": Row("scenario", "error: config key gait.dt_s must be "
+                            "positive\n", _doc("gait.dt_s", 0)),
     # a fin turning a detection window or more per tick could sweep across
     # a magnet unseen; every command refuses it, crawling or not
-    **{f"coarse-step-{command}": Row(
-        command, "error: config section gait: gait dt too coarse",
-        _doc("gait.fin_speed_rad_s", 100)) for command in cli.COMMANDS
-       if command != "analyze"},
-    "coarse-step-analyze": Row("analyze --trajectory in.csv", "error: config "
-                               "section gait: gait dt too coarse",
+    **{f"coarse-step-{command}": Row(command, COARSE,
+                                     _doc("gait.fin_speed_rad_s", 100))
+       for command in cli.COMMANDS if command != "analyze"},
+    "coarse-step-analyze": Row("analyze --trajectory in.csv", COARSE,
                                _doc("gait.fin_speed_rad_s", 100),
                                files={"in.csv": TRAJECTORY + "0,0,0,0\n"
                                       "1,1,0,0\n"}),
     **{f"dt-{name}-{command}": Row(
-        command, "error: config section gait: gait dt must be at least",
-        _doc("gait.dt_s", dt))
-       for name, dt in (("subnormal", 5e-324), ("1e-7", 1e-7),
-                        ("just-too-fine", math.nextafter(FINEST_DT, 0.0)))
+        command, f"error: config key gait.dt_s must be at least {FINEST_DT!r} "
+        f"s: a 3600 s schedule at {dt!r} s would take {ticks} controller "
+        f"ticks, over the {MAX_TICKS} limit\n", _doc("gait.dt_s", dt))
+       for name, dt, ticks in (
+           ("subnormal", 5e-324, "inf"), ("1e-7", 1e-7, "36000000000.0"),
+           ("just-too-fine", math.nextafter(FINEST_DT, 0.0),
+            "4194304.000000001"))
        for command in ("scenario", "calibrate", "moisture-sweep",
                        "gait-drift")},
+    **{f"typed-{name}": Row("scenario", f"error: config key {message}\n", doc)
+       for name, doc, message in TYPED},
     **{f"{name}-{command}": Row(
         command, "error: config key analysis.trace_sample_rate_hz must be at "
         f"least 2 / tail.pulse_width_s = {least} Hz\n", doc)

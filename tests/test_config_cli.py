@@ -287,7 +287,7 @@ class TestLimits:
     def test_tick_bound_sits_at_the_longest_schedule(self):
         assert GaitConfig(dt=FINEST_DT).dt == FINEST_DT
         assert schedule_ticks(MAX_TRIAL_S, FINEST_DT) == MAX_TICKS
-        with pytest.raises(ValueError, match="gait dt must be at least"):
+        with pytest.raises(ValueError, match="^dt must be at least "):
             GaitConfig(dt=TOO_FINE)
 
     @pytest.mark.parametrize("duration,dt", [

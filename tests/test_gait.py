@@ -69,7 +69,7 @@ class TestSyncGait:
         assert run_cycles(GaitMode.SYNC, 10.0, DT, TWO_PI, 0.0) == []
 
     def test_dt_coarser_than_window_rejected(self):
-        with pytest.raises(ValueError, match="dt too coarse"):
+        with pytest.raises(ValueError, match="^dt is too coarse for fin_speed: "):
             run_cycles(GaitMode.SYNC, 1.0, 0.05)
 
 

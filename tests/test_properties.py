@@ -347,15 +347,10 @@ def test_config_override_raises_one_error_or_round_trips(case):
     except ConfigError as exc:
         message = str(exc)
         assert "\n" not in message
-        # an error names the key, or the section of the model check it
-        # failed: one that holds the key
-        section = re.match(r"config section (\S+): ", message)
-        assert dotted in message or (
-            section is not None and dotted.startswith(section[1] + "."))
-        # every key it names is a leaf of the default document; a quoted
-        # value names none
-        unquoted = re.sub(r"(['\"]).*?\1", "",
-                          message[section.end():] if section else message)
+        # an error names the key, and every key it names is a leaf of the
+        # default document; a quoted value names none
+        assert dotted in message, message
+        unquoted = re.sub(r"(['\"]).*?\1", "", message)
         for key in NAMED_KEY.findall(unquoted):
             assert re.sub(r"\[\d+\]", "", key) in LEAF_KEYS, (key, message)
         return

@@ -526,7 +526,8 @@ class TestStrikeTraceTimes:
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match=(
-                    f"^a .* s trace at 2000 Hz would take over "
+                    "^duration is too long at sample_rate: a .* s trace at "
+                    f"2000 Hz would take over "
                     f"{MAX_TRACE_SAMPLES} samples$")):
                 strike_trace(events, 2000.0, 0.010)
             _, peak = tracemalloc.get_traced_memory()
